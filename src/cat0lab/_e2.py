@@ -3,6 +3,11 @@
 Points are complex numbers, boundary points are angles in [0, 2pi), and
 isometries are pairs (rotation angle, translation vector) acting by
 z -> e^{i a} z + v.  Only orientation-preserving isometries are modelled.
+
+Like `_h2`, `_t4` and `_h2xr`, this module is one entry of the kernel table
+in `models.KERNELS`: the public functions unwrap their model-tagged
+arguments, call the function of the same name here on the raw payloads, and
+re-tag the result.
 """
 
 from __future__ import annotations
@@ -11,6 +16,13 @@ import cmath
 import math
 
 TWO_PI = 2.0 * math.pi
+
+BASEPOINT = complex(0.0, 0.0)
+IDENTITY = (0.0, complex(0.0, 0.0))
+RANK_ONE = False  # every line lies in a flat plane
+TITS_BALL_TRIVIAL = False
+VERTEX_GRANULAR = False
+CSV_COLUMNS = ("x", "y")
 
 
 def wrap_angle(theta: float) -> float:
@@ -23,6 +35,59 @@ def circle_gap(a: float, b: float) -> float:
     d = abs(wrap_angle(a) - wrap_angle(b))
     return min(d, TWO_PI - d)
 
+
+# -- values and codecs --------------------------------------------------------
+
+def point(x: float, y: float) -> complex:
+    return complex(float(x), float(y))
+
+
+def boundary(theta: float) -> float:
+    # wrapping an already wrapped angle is not a no-op: wrap_angle rounds a
+    # tiny negative angle up to exactly 2pi, which the second wrap sends to 0
+    return wrap_angle(float(theta))
+
+
+def isometry(angle: float, v) -> tuple[float, complex]:
+    return (wrap_angle(float(angle)), complex(float(v[0]), float(v[1])))
+
+
+def points_equal(p: complex, q: complex, tol: float) -> bool:
+    return abs(p - q) <= tol
+
+
+def boundary_eq(theta1: float, theta2: float, tol: float) -> bool:
+    return circle_gap(theta1, theta2) <= tol
+
+
+def isometry_key(g, r):
+    a, v = g
+    return ("E2", r(math.cos(a)), r(math.sin(a)), r(v.real), r(v.imag))
+
+
+def point_from_json(obj: dict) -> complex:
+    c = obj["coords"]
+    return point(c[0], c[1])
+
+
+def boundary_to_json(theta: float) -> dict:
+    return {"theta": theta}
+
+
+def boundary_from_json(obj: dict, tol: float) -> float:
+    return boundary(obj["theta"])
+
+
+def isometry_to_json(g) -> dict:
+    a, v = g
+    return {"angle": a, "v": [v.real, v.imag]}
+
+
+def isometry_from_json(payload: dict):
+    return isometry(payload["angle"], payload["v"])
+
+
+# -- geometry -----------------------------------------------------------------
 
 def dist(p: complex, q: complex) -> float:
     return abs(p - q)
@@ -39,12 +104,19 @@ def ray_point(x: complex, theta: float, t: float) -> complex:
     return x + t * cmath.exp(1j * theta)
 
 
-def direction(x: complex, y: complex) -> float:
-    return wrap_angle(cmath.phase(y - x))
+def direction(x: complex, y: complex, tol: float):
+    """Angle of the ray from x through y; None when the points coincide."""
+    if dist(x, y) <= tol:
+        return None
+    return boundary(wrap_angle(cmath.phase(y - x)))
 
 
 def horofunction(theta: float, x: complex, z: complex) -> float:
     return ((x - z) * cmath.exp(-1j * theta)).real
+
+
+def busemann_limit(theta: float, x: complex, z: complex, t: float) -> float:
+    return dist(ray_point(x, theta, t), z) - t
 
 
 # -- isometries: data = (alpha, v) with v complex ---------------------------
@@ -56,7 +128,7 @@ def apply(iso, p: complex) -> complex:
 
 def apply_boundary(iso, theta: float) -> float:
     alpha, _ = iso
-    return wrap_angle(theta + alpha)
+    return boundary(wrap_angle(theta + alpha))
 
 
 def compose(g, h):
@@ -70,21 +142,122 @@ def inverse(g):
     return (wrap_angle(-a), -cmath.exp(-1j * a) * v)
 
 
-def is_rotationless(g, tol: float) -> bool:
-    return circle_gap(g[0], 0.0) <= tol
+def classify(g, tol: float) -> tuple[str, float]:
+    alpha, v = g
+    if circle_gap(alpha, 0.0) <= tol:
+        if abs(v) <= tol:
+            return "identity", 0.0
+        return "axial", abs(v)
+    return "elliptic", 0.0
 
 
-def tits(theta1: float, theta2: float) -> float:
+def axis_endpoints(g, tol: float):
+    _, v = g
+    theta = wrap_angle(math.atan2(v.imag, v.real))
+    return boundary(theta + math.pi), boundary(theta)
+
+
+def axis_position(g, p: complex, tol: float) -> tuple[float, float]:
+    """Signed position of the projection of p on the line through the
+    origin with direction v (the canonical axis of the translation by v),
+    and the distance of p from that line."""
+    v = g[1]
+    u = v / abs(v)
+    w = p * u.conjugate()
+    return w.real, abs(w.imag)
+
+
+# -- boundary -----------------------------------------------------------------
+
+def tits(theta1: float, theta2: float, tol: float) -> float:
     return circle_gap(theta1, theta2)
 
 
-def axis_coordinate(v: complex, p: complex) -> float:
-    """Signed position of the projection of p on the line through the
-    origin with direction v (the canonical axis of the translation by v)."""
-    u = v / abs(v)
-    return (p * u.conjugate()).real
+def boundary_metric(x: complex, theta1: float, theta2: float, r0: float) -> float:
+    return dist(ray_point(x, theta1, r0), ray_point(x, theta2, r0))
 
 
-def axis_offset(v: complex, p: complex) -> float:
-    u = v / abs(v)
-    return abs((p * u.conjugate()).imag)
+def geodesic_witness(theta1: float, theta2: float, tol: float):
+    """Only antipodal directions are joined, by a line in a flat."""
+    if circle_gap(theta1, theta2) < math.pi - tol:
+        return None
+    return complex(0.0, 0.0), False
+
+
+# -- samplers -----------------------------------------------------------------
+
+def random_point(rng) -> complex:
+    return point(rng.uniform(-5, 5), rng.uniform(-5, 5))
+
+
+def random_isometry(rng):
+    return isometry(rng.uniform(0, 2 * math.pi), (rng.uniform(-3, 3), rng.uniform(-3, 3)))
+
+
+def random_axial(rng):
+    v = (rng.uniform(0.3, 3) * (1 if rng.random() < 0.5 else -1),
+         rng.uniform(0.3, 3))
+    return isometry(0.0, v)
+
+
+def random_boundary(rng, tol: float) -> float:
+    return boundary(rng.uniform(0.0, 2.0 * math.pi))
+
+
+def ball_point(center: complex, radius: float, rng, shell: bool) -> complex:
+    r = radius if shell else radius * math.sqrt(rng.random())
+    theta = rng.uniform(0.0, TWO_PI)
+    return ray_point(center, theta, r)
+
+
+def default_bins(scheme, resolution: int):
+    return scheme.angular(resolution or 16)
+
+
+# -- orbit walker ---------------------------------------------------------------
+
+class Walker:
+    """Left-product state Z_k = Z_{k-1} w_k stored as (e^{ia}, v)."""
+
+    def __init__(self, atoms, base: complex):
+        self._atoms = atoms
+        self._base = base
+        self._state = (complex(1.0, 0.0), complex(0.0, 0.0))
+
+    def step(self, atom_index: int) -> None:
+        u, w = self._state
+        a, v = self._atoms[atom_index]
+        self._state = (u * complex(math.cos(a), math.sin(a)), u * v + w)
+
+    def dist_to_base(self) -> float:
+        u, w = self._state
+        return abs(u * self._base + w - self._base)
+
+    def snapshot(self):
+        return self._state
+
+    def boundary_image(self, theta: float) -> float:
+        u, _ = self._state
+        return wrap_angle(theta + math.atan2(u.imag, u.real))
+
+
+def snapshot_point(snap, base: complex) -> complex:
+    u, w = snap
+    return u * base + w
+
+
+def snapshot_horofunction(snap, base: complex, theta: float) -> float:
+    return horofunction(theta, base, snapshot_point(snap, base))
+
+
+def csv_row(p: complex) -> list:
+    return [p.real, p.imag]
+
+
+def tracking_gaps(atoms, increments, snaps, base: complex, lam: float,
+                  depth: float, tol: float) -> dict:
+    """d(gamma(lam k), Z_k x) for the snapshots {k: snapshot}, along the ray
+    from x toward the last snapshot's orbit point."""
+    theta = direction(base, snapshot_point(snaps[max(snaps)], base), tol)
+    return {k: dist(ray_point(base, theta, lam * k), snapshot_point(s, base))
+            for k, s in snaps.items()}

@@ -16,6 +16,9 @@ walk lengths are exhausted, so walk tracking uses Frobenius-normalised
 matrices with a separate log-scale factor (`Stat e` tuples below) and all
 orbit statistics (distance to basepoint, horofunctions, positions) are
 extracted from that representation in log space.
+
+This module is the H2 entry of the kernel table in `models.KERNELS`; see
+`_e2` for the shared function names.
 """
 
 from __future__ import annotations
@@ -32,6 +35,12 @@ Mat = tuple[float, float, float, float]
 
 IDENTITY: Mat = (1.0, 0.0, 0.0, 1.0)
 _J: Mat = (0.0, -1.0, 1.0, 0.0)  # z -> -1/z
+
+BASEPOINT = complex(0.0, 1.0)
+RANK_ONE = True  # every axis is contracting
+TITS_BALL_TRIVIAL = True
+VERTEX_GRANULAR = False
+CSV_COLUMNS = ("x", "y")
 
 
 def sign_normalize(m: Mat) -> Mat:
@@ -60,6 +69,69 @@ def mat_inv(m: Mat) -> Mat:
     return (d, -b, -c, a)
 
 
+# -- values and codecs --------------------------------------------------------
+
+def point(x: float, y: float) -> complex:
+    y = float(y)
+    if not y > 0:
+        raise UsageError("upper half-plane points need a positive second coordinate")
+    return complex(float(x), y)
+
+
+boundary = float
+
+
+def isometry(a: float, b: float, c: float, d: float) -> Mat:
+    return make_matrix(float(a), float(b), float(c), float(d))
+
+
+def points_equal(p: complex, q: complex, tol: float) -> bool:
+    return abs(p - q) <= tol
+
+
+def boundary_eq(x1: float, x2: float, tol: float) -> bool:
+    if math.isinf(x1) or math.isinf(x2):
+        return math.isinf(x1) and math.isinf(x2)
+    return abs(x1 - x2) <= tol * max(1.0, abs(x1), abs(x2))
+
+
+def isometry_key(g: Mat, r):
+    return ("H2",) + tuple(r(e) for e in g)
+
+
+def num_out(x: float):
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return x
+
+
+def num_in(x) -> float:
+    if isinstance(x, str):
+        return INF if x == "inf" else -INF if x == "-inf" else float(x)
+    return float(x)
+
+
+def point_from_json(obj: dict) -> complex:
+    c = obj["coords"]
+    return point(c[0], c[1])
+
+
+def boundary_to_json(xi: float) -> dict:
+    return {"xi": num_out(xi)}
+
+
+def boundary_from_json(obj: dict, tol: float) -> float:
+    return boundary(num_in(obj["xi"]))
+
+
+def isometry_to_json(g: Mat) -> dict:
+    return {"matrix": list(g)}
+
+
+def isometry_from_json(payload: dict) -> Mat:
+    return isometry(*payload["matrix"])
+
+
 def mobius(m: Mat, z: complex) -> complex:
     a, b, c, d = m
     return (a * z + b) / (c * z + d)
@@ -80,6 +152,17 @@ def apply(m: Mat, z: complex) -> complex:
     if not w.imag > 0:
         w = complex(w.real, _TINY)
     return w
+
+
+apply_boundary = mobius_boundary
+
+
+def compose(g: Mat, h: Mat) -> Mat:
+    return make_matrix(*mat_mul(g, h))
+
+
+def inverse(g: Mat) -> Mat:
+    return sign_normalize(mat_inv(g))
 
 
 def dist(p: complex, q: complex) -> float:
@@ -151,7 +234,15 @@ def ray_point(x: complex, xi: float, t: float) -> complex:
     return _circle_point(c, r, s)
 
 
-def direction(x: complex, y: complex) -> float:
+def direction(x: complex, y: complex, tol: float):
+    """Endpoint of the ray from x through y; None when the points coincide."""
+    if dist(x, y) <= tol:
+        return None
+    return endpoint(x, y)
+
+
+def endpoint(x: complex, y: complex) -> float:
+    """Boundary endpoint of the ray from x through y (x != y)."""
     if _vertical(x, y.real):
         return INF if y.imag > x.imag else x.real
     c = _circle_center(x, y)
@@ -241,6 +332,100 @@ def horofunction(xi: float, x: complex, z: complex) -> float:
     return math.log(qz) - math.log(qx)
 
 
+def classify(m: Mat, tol: float) -> tuple[str, float]:
+    k = kind(m, tol)
+    return k, (translation_length(m) if k == "axial" else 0.0)
+
+
+axis_endpoints = fixed_points
+
+
+def axis_position(m: Mat, z: complex, tol: float) -> tuple[float, float]:
+    gm, gp = fixed_points(m, tol)
+    return geodesic_coordinate(z, gm, gp), dist(z, project_to_geodesic(z, gm, gp))
+
+
+# -- boundary -----------------------------------------------------------------
+
+def tits(x1: float, x2: float, tol: float) -> float:
+    return 0.0 if boundary_eq(x1, x2, tol) else INF
+
+
+def boundary_metric(x: complex, x1: float, x2: float, r0: float) -> float:
+    return dist(ray_point(x, x1, r0), ray_point(x, x2, r0))
+
+
+def geodesic_witness(a: float, b: float, tol: float):
+    """A point on the geodesic joining two distinct boundary points; every
+    such geodesic is contracting."""
+    if math.isinf(a) or math.isinf(b):
+        fin = b if math.isinf(a) else a
+        return complex(fin, 1.0), True
+    c = (a + b) / 2.0
+    r = abs(a - b) / 2.0
+    return complex(c, r), True
+
+
+# -- samplers -----------------------------------------------------------------
+
+def random_sl2(rng) -> Mat:
+    """Random well-conditioned real matrix of determinant one (Iwasawa form)."""
+    theta = rng.uniform(0, 2 * math.pi)
+    t = rng.uniform(-1.2, 1.2)
+    s = rng.uniform(-1.5, 1.5)
+    ct, st = math.cos(theta), math.sin(theta)
+    et = math.exp(t / 2)
+    k = (ct, -st, st, ct)
+    a = (et, 0.0, 0.0, 1.0 / et)
+    nmat = (1.0, s, 0.0, 1.0)
+    return mat_mul(mat_mul(k, a), nmat)
+
+
+def random_axial_matrix(rng) -> Mat:
+    """A diagonal stretch conjugated by a random element."""
+    t = rng.uniform(0.4, 2.0)
+    et = math.exp(t / 2)
+    conj = random_sl2(rng)
+    return mat_mul(mat_mul(conj, (et, 0.0, 0.0, 1.0 / et)), mat_inv(conj))
+
+
+def random_point(rng) -> complex:
+    return point(rng.uniform(-3, 3), math.exp(rng.uniform(-1.5, 1.5)))
+
+
+def random_isometry(rng) -> Mat:
+    return isometry(*random_sl2(rng))
+
+
+def random_axial(rng) -> Mat:
+    return isometry(*random_axial_matrix(rng))
+
+
+def random_boundary(rng, tol: float) -> float:
+    phi = rng.uniform(-math.pi, math.pi)
+    return boundary(INF if abs(phi) > math.pi - 1e-12 else math.tan(phi / 2.0))
+
+
+def direction_from_angle(z: complex, phi: float) -> float:
+    """Endpoint of the geodesic from z with initial Euclidean direction phi."""
+    c_phi = math.cos(phi)
+    if abs(c_phi) < 1e-12:
+        return math.inf if math.sin(phi) > 0 else z.real
+    c = z.real + z.imag * math.tan(phi)
+    r = z.imag / abs(c_phi)
+    return c + r if c_phi > 0 else c - r
+
+
+def ball_point(center: complex, radius: float, rng, shell: bool) -> complex:
+    r = radius if shell else radius * math.sqrt(rng.random())
+    xi = direction_from_angle(center, rng.uniform(0.0, 2.0 * math.pi))
+    return ray_point(center, xi, r)
+
+
+def default_bins(scheme, resolution: int):
+    return scheme.circle(resolution or 16)
+
+
 # -- log-scaled orbit states -------------------------------------------------
 # A state (m, s) stands for the true matrix e^s * m with ||m||_F = 1 and
 # true determinant one, i.e. det m = e^{-2s}.
@@ -255,11 +440,6 @@ def frob(m: Mat) -> float:
 def state_identity() -> State:
     f = frob(IDENTITY)
     return ((1.0 / f, 0.0, 0.0, 1.0 / f), math.log(f))
-
-
-def state_from_matrix(m: Mat) -> State:
-    f = frob(m)
-    return ((m[0] / f, m[1] / f, m[2] / f, m[3] / f), math.log(f))
 
 
 def state_mul(st: State, m: Mat) -> State:
@@ -317,7 +497,7 @@ def _log_add(la: float, lb: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
-def state_horofunction(st: State, xi: float, x: complex) -> float:
+def state_horofunction(st: State, x: complex, xi: float) -> float:
     """h_xi with basepoint x, evaluated at the orbit point of x."""
     re, log_im = state_position(st, x)
     if math.isinf(xi):
@@ -328,10 +508,47 @@ def state_horofunction(st: State, xi: float, x: complex) -> float:
     return log_num - log_im - cx
 
 
+class Walker:
+    """Left-product state Z_k = Z_{k-1} w_k as a log-scaled matrix state."""
+
+    def __init__(self, atoms, base: complex):
+        self._atoms = atoms
+        self._state = state_identity()
+        self._frame = point_frame(base)
+
+    def step(self, atom_index: int) -> None:
+        self._state = state_mul(self._state, self._atoms[atom_index])
+
+    def dist_to_base(self) -> float:
+        return state_dist_to_base(self._state, self._frame)
+
+    def snapshot(self):
+        return self._state
+
+    def boundary_image(self, xi: float) -> float:
+        return state_boundary(self._state, xi)
+
+
+snapshot_point = state_point
+snapshot_horofunction = state_horofunction
+
+
+def csv_row(p: complex) -> list:
+    return [p.real, p.imag]
+
+
+def tracking_gaps(atoms, increments, snaps, base: complex, lam: float,
+                  depth: float, tol: float) -> dict:
+    """d(gamma(lam k), Z_k x) for the snapshot steps k, re-tracked in
+    multiprecision (see mp_ray_gaps)."""
+    return mp_ray_gaps(atoms, increments, base, lam, list(snaps), depth)
+
+
 # -- multiprecision kernel ----------------------------------------------------
 # Desk-scale limits (t around 1e4) and deep orbit tracking leave the float64
 # exponent/mantissa range, so the defining computations are redone in mpmath
-# (gmpy backend) with precision adapted to the depth involved.
+# with precision adapted to the depth involved.  mpmath uses gmpy2 when it is
+# installed and its pure-Python backend otherwise; the digits are the same.
 
 def _mp_ray(xr, xim, xi, tt, mp):
     """Ray point from (xr, xim) toward boundary coordinate xi at arclength tt.
@@ -375,7 +592,7 @@ def _mp_direction(xr, xim, yr, yi, mp):
     return c - r if arc(yr, yi) > arc(xr, xim) else c + r
 
 
-def mp_busemann_limit(xi: float, x: complex, z: complex, t: float) -> float:
+def busemann_limit(xi: float, x: complex, z: complex, t: float) -> float:
     """d(ray(t), z) - t evaluated in arbitrary precision arithmetic."""
     import mpmath as mp
 
@@ -385,23 +602,25 @@ def mp_busemann_limit(xi: float, x: complex, z: complex, t: float) -> float:
         return float(d - mp.mpf(t))
 
 
-def mp_ray_gaps(mats, increments, x: complex, lam: float, steps,
+def mp_ray_gaps(mats, increments, x: complex, lam: float, steps, depth: float,
                 heights=None, base_height: float = 0.0):
     """d(gamma(lam k), Z_k x) at the given steps, for the ray gamma from x
     toward direction(x, Z_N x) at the final recorded step N.
 
     The matrix product runs in multiprecision with depth-adapted digits:
     float64 cannot hold the transverse position of a deep hyperbolic orbit,
-    so no fixed-precision reframing recovers the tracking geometry.  With
-    `heights` the walk is the horizontal factor of a product: the ray slope
-    comes from the recorded vertical displacement and the returned gaps are
-    full product distances."""
+    so no fixed-precision reframing recovers the tracking geometry.  The
+    digits cover the larger of lam * N and `depth`, the farthest the path
+    got from x: a path that outruns lam * N by some hundred nats otherwise
+    cancels its orbit coordinates to zero.  With `heights` the walk is the
+    horizontal factor of a product: the ray slope comes from the recorded
+    vertical displacement and the returned gaps are full product distances."""
     import mpmath as mp
 
     steps = [int(k) for k in steps if int(k) > 0]
     n = max(steps)
     want = set(steps)
-    dps = int((lam * n + 80.0) / math.log(10.0)) + 40
+    dps = int((max(lam * n, depth) + 80.0) / math.log(10.0)) + 40
     with mp.workdps(dps):
         one, zero = mp.mpf(1), mp.mpf(0)
         a, b, c, d = one, zero, zero, one

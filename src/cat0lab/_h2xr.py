@@ -6,6 +6,9 @@ directions are pairs (xi, alpha) with xi a boundary point of the hyperbolic
 factor and alpha in [-pi/2, pi/2] the slope toward the +R direction; the
 two vertical directions alpha = +-pi/2 have no horizontal component
 (xi = None).  Isometries are pairs (matrix, vertical shift).
+
+This module is the H2xR entry of the kernel table in `models.KERNELS`; see
+`_e2` for the shared function names.
 """
 
 from __future__ import annotations
@@ -17,6 +20,59 @@ from .errors import UsageError
 
 INF = math.inf
 HALF_PI = math.pi / 2.0
+
+BASEPOINT = (complex(0.0, 1.0), 0.0)
+IDENTITY = (_h2.IDENTITY, 0.0)
+RANK_ONE = False  # every axis lies in a flat plane
+TITS_BALL_TRIVIAL = False
+VERTEX_GRANULAR = False
+CSV_COLUMNS = ("x", "y", "height")
+
+
+# -- values and codecs --------------------------------------------------------
+
+def point(x: float, y: float, height: float):
+    return (_h2.point(x, y), float(height))
+
+
+def isometry(matrix, shift: float):
+    return (_h2.isometry(*matrix), float(shift))
+
+
+def points_equal(p, q, tol: float) -> bool:
+    return abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol
+
+
+def isometry_key(g, r):
+    m, s = g
+    return ("H2xR",) + tuple(r(e) for e in m) + (r(s),)
+
+
+def point_from_json(obj: dict):
+    c = obj["coords"]
+    return point(c[0], c[1], c[2])
+
+
+def boundary_to_json(b) -> dict:
+    xi, alpha = b
+    return {"xi": None if xi is None else _h2.num_out(xi), "alpha": alpha}
+
+
+def boundary_from_json(obj: dict, tol: float):
+    xi = obj["xi"]
+    return boundary(None if xi is None else _h2.num_in(xi), obj["alpha"], tol)
+
+
+def isometry_to_json(g) -> dict:
+    m, s = g
+    return {"matrix": list(m), "shift": s}
+
+
+def isometry_from_json(payload: dict):
+    return isometry(payload["matrix"], payload["shift"])
+
+
+# -- geometry -----------------------------------------------------------------
 
 
 def dist(p, q) -> float:
@@ -41,12 +97,16 @@ def ray_point(x, b, t: float):
     return (zh, x[1] + t * math.sin(alpha))
 
 
-def direction(x, y):
+def direction(x, y, tol: float):
+    """Boundary direction of the ray from x through y; None when the points
+    coincide."""
+    if dist(x, y) <= tol:
+        return None
     dh = _h2.dist(x[0], y[0])
     dv = y[1] - x[1]
     if dh == 0.0:
         return (None, HALF_PI if dv > 0 else -HALF_PI)
-    return (_h2.direction(x[0], y[0]), math.atan2(dv, dh))
+    return (_h2.endpoint(x[0], y[0]), math.atan2(dv, dh))
 
 
 def horofunction(b, x, z) -> float:
@@ -55,6 +115,23 @@ def horofunction(b, x, z) -> float:
     if xi is None:
         return vert
     return math.cos(alpha) * _h2.horofunction(xi, x[0], z[0]) + vert
+
+
+def busemann_limit(b, x, z, t: float) -> float:
+    """d(ray(t), z) - t in multiprecision arithmetic."""
+    import mpmath as mp
+
+    xi, alpha = b
+    with mp.workdps(60):
+        tt = mp.mpf(t)
+        dv = mp.mpf(x[1]) + tt * mp.sin(mp.mpf(alpha)) - mp.mpf(z[1])
+        if xi is None:
+            dh = mp.mpf(_h2.dist(x[0], z[0]))
+        else:
+            th = float(tt * mp.cos(mp.mpf(alpha)))
+            gh = _h2.busemann_limit(xi, x[0], z[0], th) + th  # = d(ray_h(th), z_h)
+            dh = mp.mpf(gh)
+        return float(mp.sqrt(dh * dh + dv * dv) - tt)
 
 
 # -- isometries: data = (matrix, shift) --------------------------------------
@@ -79,6 +156,63 @@ def inverse(g):
     return (_h2.sign_normalize(_h2.mat_inv(g[0])), -g[1])
 
 
+def classify(g, tol: float) -> tuple[str, float]:
+    mat, shift = g
+    hk = _h2.kind(mat, tol)
+    if hk == "axial":
+        return "axial", math.hypot(_h2.translation_length(mat), shift)
+    if hk in ("identity", "elliptic"):
+        if abs(shift) <= tol:
+            return hk, 0.0
+        return "axial", abs(shift)
+    return "parabolic", 0.0
+
+
+def axis_endpoints(g, tol: float):
+    mat, shift = g
+    if _h2.kind(mat, tol) == "axial":
+        am, ap = _h2.fixed_points(mat, tol)
+        alpha = math.atan2(shift, _h2.translation_length(mat))
+        return (am, -alpha), (ap, alpha)
+    s = HALF_PI if shift > 0 else -HALF_PI
+    return (None, -s), (None, s)
+
+
+def axis_point(g, u: float, tol: float):
+    """The point at arclength u on the canonical axis of an axial g."""
+    mat, shift = g
+    if _h2.kind(mat, tol) == "axial":
+        gm, gp = _h2.fixed_points(mat, tol)
+        alpha = math.atan2(shift, _h2.translation_length(mat))
+        anchor = _h2.project_to_geodesic(complex(0.0, 1.0), gm, gp)
+        if u == 0.0:
+            zh = anchor
+        elif u > 0:
+            zh = _h2.ray_point(anchor, gp, u * math.cos(alpha))
+        else:
+            zh = _h2.ray_point(anchor, gm, -u * math.cos(alpha))
+        return (zh, u * math.sin(alpha))
+    fixed = complex(0.0, 1.0)  # vertical axis through the reference fiber
+    return (fixed, u * (1.0 if shift >= 0 else -1.0))
+
+
+def axis_position(g, p, tol: float) -> tuple[float, float]:
+    """(axis coordinate, distance) of the point of the axis closest to p."""
+    from scipy.optimize import minimize_scalar
+
+    d0 = dist(p, axis_point(g, 0.0, tol))
+    span = 2.0 * d0 + 2.0
+
+    def f(u: float) -> float:
+        return dist(p, axis_point(g, u, tol))
+
+    res = minimize_scalar(f, bounds=(-span, span), method="bounded",
+                          options={"xatol": 1e-8})
+    return float(res.x), float(res.fun)
+
+
+# -- boundary -----------------------------------------------------------------
+
 def boundary_eq(b1, b2, tol: float) -> bool:
     xi1, a1 = b1
     xi2, a2 = b2
@@ -86,27 +220,14 @@ def boundary_eq(b1, b2, tol: float) -> bool:
         return False
     if xi1 is None:
         return abs(a1 - a2) <= tol
-    if math.isinf(xi1) or math.isinf(xi2):
-        same = math.isinf(xi1) and math.isinf(xi2)
-    else:
-        same = abs(xi1 - xi2) <= tol * max(1.0, abs(xi1), abs(xi2))
-    return same and abs(a1 - a2) <= tol
+    return _h2.boundary_eq(xi1, xi2, tol) and abs(a1 - a2) <= tol
 
 
 def tits(b1, b2, tol: float) -> float:
     xi1, a1 = b1
     xi2, a2 = b2
     same_fiber = (xi1 is None and xi2 is None) or (
-        xi1 is not None
-        and xi2 is not None
-        and (
-            (math.isinf(xi1) and math.isinf(xi2))
-            or (
-                not math.isinf(xi1)
-                and not math.isinf(xi2)
-                and abs(xi1 - xi2) <= tol * max(1.0, abs(xi1), abs(xi2))
-            )
-        )
+        xi1 is not None and xi2 is not None and _h2.boundary_eq(xi1, xi2, tol)
     )
     if same_fiber:
         return abs(a1 - a2)
@@ -116,7 +237,29 @@ def tits(b1, b2, tol: float) -> float:
     return math.acos(max(-1.0, min(1.0, c)))
 
 
-def validate_boundary(xi, alpha: float, tol: float):
+def boundary_metric(x, b1, b2, r0: float) -> float:
+    return dist(ray_point(x, b1, r0), ray_point(x, b2, r0))
+
+
+def geodesic_witness(b1, b2, tol: float):
+    """A point on a geodesic joining two distinct boundary points, if any:
+    only slopes of opposite sign over distinct horizontal ends (or the two
+    poles) are joined, by a geodesic in a flat strip."""
+    (x1, a1), (x2, a2) = b1, b2
+    joined = abs(a1 + a2) <= tol and ((x1 is None) == (x2 is None))
+    if x1 is not None and x2 is not None:
+        joined = joined and not _h2.boundary_eq(x1, x2, tol)
+    if not joined:
+        return None
+    if x1 is None:
+        return (complex(0.0, 1.0), 0.0), False
+    return (_h2.geodesic_witness(x1, x2, tol)[0], 0.0), False
+
+
+def boundary(xi, alpha: float, tol: float):
+    if xi is not None and not math.isinf(xi):
+        xi = float(xi)
+    alpha = float(alpha)
     if not -HALF_PI - tol <= alpha <= HALF_PI + tol:
         raise UsageError("slope must lie in [-pi/2, pi/2]")
     alpha = max(-HALF_PI, min(HALF_PI, alpha))
@@ -125,3 +268,94 @@ def validate_boundary(xi, alpha: float, tol: float):
     if xi is None:
         raise UsageError("a horizontal component is required unless the slope is +-pi/2")
     return (float(xi), float(alpha))
+
+
+# -- samplers -----------------------------------------------------------------
+
+def random_point(rng):
+    return point(rng.uniform(-3, 3), math.exp(rng.uniform(-1.5, 1.5)),
+                 rng.uniform(-4, 4))
+
+
+def random_isometry(rng):
+    return isometry(_h2.random_sl2(rng), rng.uniform(-2, 2))
+
+
+def random_axial(rng):
+    return isometry(_h2.random_axial_matrix(rng), rng.uniform(-2, 2))
+
+
+def random_boundary(rng, tol: float):
+    phi = rng.uniform(-math.pi, math.pi)
+    xi = INF if abs(phi) > math.pi - 1e-12 else math.tan(phi / 2.0)
+    alpha = rng.uniform(-HALF_PI * 0.999, HALF_PI * 0.999)
+    return boundary(xi, alpha, tol)
+
+
+def ball_point(center, radius: float, rng, shell: bool):
+    r = radius if shell else radius * math.sqrt(rng.random())
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    beta = math.asin(rng.uniform(-1.0, 1.0))
+    xi = _h2.direction_from_angle(center[0], phi)
+    return ray_point(center, (xi, beta), r)
+
+
+def default_bins(scheme, resolution: int):
+    return scheme.product(resolution or 8, 4)
+
+
+# -- orbit walker ---------------------------------------------------------------
+
+class Walker:
+    """Left-product state: the H2 log-scaled matrix state and the height."""
+
+    def __init__(self, atoms, base):
+        self._atoms = atoms
+        self._state = (_h2.state_identity(), 0.0)
+        self._frame = _h2.point_frame(base[0])
+
+    def step(self, atom_index: int) -> None:
+        st, h = self._state
+        mat, shift = self._atoms[atom_index]
+        self._state = (_h2.state_mul(st, mat), h + shift)
+
+    def dist_to_base(self) -> float:
+        st, h = self._state
+        dh = _h2.state_dist_to_base(st, self._frame)
+        return math.hypot(dh, h)
+
+    def snapshot(self):
+        return self._state
+
+    def boundary_image(self, b):
+        xi, alpha = b
+        if xi is None:
+            return b
+        return (_h2.state_boundary(self._state[0], xi), alpha)
+
+
+def snapshot_point(snap, base):
+    st, h = snap
+    return (_h2.state_point(st, base[0]), base[1] + h)
+
+
+def snapshot_horofunction(snap, base, b) -> float:
+    st, h = snap
+    xi, alpha = b
+    vert = math.sin(alpha) * (-h)
+    if xi is None:
+        return vert
+    return math.cos(alpha) * _h2.state_horofunction(st, base[0], xi) + vert
+
+
+def csv_row(p) -> list:
+    return [p[0].real, p[0].imag, p[1]]
+
+
+def tracking_gaps(atoms, increments, snaps, base, lam: float,
+                  depth: float, tol: float) -> dict:
+    """Product distances d(gamma(lam k), Z_k x): the horizontal factor is
+    re-tracked in multiprecision, the heights come from the snapshots."""
+    heights = {k: s[1] + base[1] for k, s in snaps.items()}
+    return _h2.mp_ray_gaps([g[0] for g in atoms], increments, base[0], lam, list(snaps),
+                           depth, heights=heights, base_height=base[1])

@@ -5,6 +5,9 @@ Vertices of the 4-regular tree are freely reduced words over "aAbB"
 integers and geodesics are evaluated at integer parameters only.  Boundary
 points are eventually periodic infinite reduced words stored as
 (prefix, period) pairs.
+
+This module is the T4 entry of the kernel table in `models.KERNELS`; see
+`_e2` for the shared function names.
 """
 
 from __future__ import annotations
@@ -14,6 +17,13 @@ import math
 from .errors import UsageError
 
 ALPHABET = "aAbB"
+
+BASEPOINT = ""
+IDENTITY = ""
+RANK_ONE = True  # every axis is contracting
+TITS_BALL_TRIVIAL = True
+VERTEX_GRANULAR = True
+CSV_COLUMNS = ("word",)
 
 
 def inv_letter(ch: str) -> str:
@@ -72,7 +82,7 @@ def as_step(t: float) -> int:
     return int(k)
 
 
-def geodesic_point(u: str, v: str, t: int) -> str:
+def geodesic_vertex(u: str, v: str, t: int) -> str:
     m = lcp(u, v)
     up = len(u) - m
     if t <= up:
@@ -117,7 +127,8 @@ def word_prefix(b: tuple[str, str], n: int) -> str:
     return prefix + (period * reps)[:k]
 
 
-def boundary_eq(b1: tuple[str, str], b2: tuple[str, str]) -> bool:
+def boundary_eq(b1: tuple[str, str], b2: tuple[str, str], tol: float = 0.0) -> bool:
+    """Exact comparison; the tolerance of the other models does not apply."""
     n = len(b1[0]) + len(b2[0]) + 2 * math.lcm(len(b1[1]), len(b2[1])) + 2
     return word_prefix(b1, n) == word_prefix(b2, n)
 
@@ -130,7 +141,7 @@ def match_len(b: tuple[str, str], word: str) -> int:
     return i
 
 
-def ray_point(x: str, b: tuple[str, str], t: int) -> str:
+def ray_vertex(x: str, b: tuple[str, str], t: int) -> str:
     m = match_len(b, x)
     up = len(x) - m
     if t <= up:
@@ -138,7 +149,10 @@ def ray_point(x: str, b: tuple[str, str], t: int) -> str:
     return word_prefix(b, m + (t - up))
 
 
-def direction(x: str, y: str) -> tuple[str, str]:
+def direction(x: str, y: str, tol: float):
+    """Boundary word of a ray from x through y; None when x == y."""
+    if x == y:
+        return None
     m = lcp(x, y)
     if len(y) > m:
         return validate_boundary(y, y[-1])
@@ -156,12 +170,14 @@ def gromov_product(x: str, b1: tuple[str, str], b2: tuple[str, str]) -> float:
         return math.inf
     cap = len(x) + len(b1[0]) + len(b2[0]) + 2 * math.lcm(len(b1[1]), len(b2[1])) + 4
     k = 0
-    while k <= cap and ray_point(x, b1, k + 1) == ray_point(x, b2, k + 1):
+    while k <= cap and ray_vertex(x, b1, k + 1) == ray_vertex(x, b2, k + 1):
         k += 1
     return float(k)
 
 
-def visual_metric(x: str, b1: tuple[str, str], b2: tuple[str, str]) -> float:
+def boundary_metric(x: str, b1: tuple[str, str], b2: tuple[str, str], r0: float) -> float:
+    """exp(-(b1|b2)_x).  The chordal metric of the continuous models is not
+    separating here because projections are vertex granular, so r0 is unused."""
     g = gromov_product(x, b1, b2)
     return 0.0 if math.isinf(g) else math.exp(-g)
 
@@ -204,7 +220,7 @@ def axis_vertex(u: str, c: str, k: int) -> str:
 
 def median(p: str, a: str, b: str) -> str:
     t = (dist(a, p) + dist(a, b) - dist(b, p)) // 2
-    return geodesic_point(a, b, t)
+    return geodesic_vertex(a, b, t)
 
 
 def axis_projection(g_u: str, g_c: str, p: str) -> str:
@@ -214,11 +230,194 @@ def axis_projection(g_u: str, g_c: str, p: str) -> str:
     return median(p, a, b)
 
 
-def axis_coordinate(g_u: str, g_c: str, p: str) -> int:
-    m = axis_projection(g_u, g_c, p)
-    k = dist(g_u, m)
-    return k if m == axis_vertex(g_u, g_c, k) else -k
-
-
 def horofunction(b: tuple[str, str], x: str, z: str) -> int:
     return (len(z) - 2 * match_len(b, z)) - (len(x) - 2 * match_len(b, x))
+
+
+# -- values and codecs --------------------------------------------------------
+
+point = reduce_word
+boundary = validate_boundary
+isometry = reduce_word
+
+
+def points_equal(p: str, q: str, tol: float) -> bool:
+    return p == q
+
+
+def isometry_key(g: str, r):
+    return ("T4", g)
+
+
+def point_from_json(obj: dict) -> str:
+    return point(obj["word"])
+
+
+def boundary_to_json(b: tuple[str, str]) -> dict:
+    return {"word": b[0], "periodic": b[1]}
+
+
+def boundary_from_json(obj: dict, tol: float) -> tuple[str, str]:
+    word = obj["word"]
+    period = obj.get("periodic")
+    if period is None:
+        # a bare prefix denotes the canonical continuation of its last letter
+        period = word[-1] if word else "a"
+    return boundary(word, period)
+
+
+def isometry_to_json(g: str) -> dict:
+    return {"word": g}
+
+
+def isometry_from_json(payload: dict) -> str:
+    return isometry(payload["word"])
+
+
+# -- geometry at integer parameters -------------------------------------------
+
+def geodesic_point(u: str, v: str, t: float) -> str:
+    return geodesic_vertex(u, v, as_step(t))
+
+
+def ray_point(x: str, b: tuple[str, str], t: float) -> str:
+    return ray_vertex(x, b, as_step(t))
+
+
+def busemann_limit(b: tuple[str, str], x: str, z: str, t: float) -> float:
+    k = as_step(t)
+    return float(dist(ray_vertex(x, b, k), z) - k)
+
+
+# -- isometries: data = reduced word acting by left multiplication ------------
+
+apply = mul
+apply_boundary = boundary_action
+compose = mul
+inverse = inv_word
+
+
+def classify(g: str, tol: float) -> tuple[str, float]:
+    if not g:
+        return "identity", 0.0
+    _, core = cyclic_reduce(g)
+    return "axial", float(len(core))
+
+
+def axis_endpoints(g: str, tol: float):
+    u, c = cyclic_reduce(g)
+    plus = validate_boundary(u, c)
+    minus = validate_boundary(u, inv_word(c))
+    return minus, plus
+
+
+def axis_position(g: str, p: str, tol: float) -> tuple[float, float]:
+    """Signed vertex position of the projection of p on the axis of g, and
+    the distance of p from the axis."""
+    u, c = cyclic_reduce(g)
+    m = axis_projection(u, c, p)
+    k = dist(u, m)
+    return float(k if m == axis_vertex(u, c, k) else -k), float(dist(p, m))
+
+
+# -- boundary -----------------------------------------------------------------
+
+def tits(b1: tuple[str, str], b2: tuple[str, str], tol: float) -> float:
+    return 0.0 if boundary_eq(b1, b2) else math.inf
+
+
+def geodesic_witness(b1: tuple[str, str], b2: tuple[str, str], tol: float):
+    """The branch vertex of two distinct ends; tree geodesics are contracting."""
+    k = int(lcp(word_prefix(b1, 64), word_prefix(b2, 64)))
+    return word_prefix(b1, k), True
+
+
+# -- samplers -----------------------------------------------------------------
+
+def random_word(rng, length: int, start: str = "") -> str:
+    """`start` extended by `length` uniformly drawn non-cancelling letters."""
+    out = list(start)
+    for _ in range(length):
+        choices = [ch for ch in ALPHABET
+                   if not (out and out[-1] == inv_letter(ch))]
+        out.append(choices[int(rng.integers(0, len(choices)))])
+    return "".join(out)
+
+
+def random_point(rng) -> str:
+    return point(random_word(rng, int(rng.integers(0, 8))))
+
+
+def random_isometry(rng) -> str:
+    return isometry(random_word(rng, int(rng.integers(1, 7))))
+
+
+def random_axial(rng) -> str:
+    return isometry(random_word(rng, int(rng.integers(1, 6))))
+
+
+def random_boundary(rng, tol: float) -> tuple[str, str]:
+    prefix = random_word(rng, int(rng.integers(4, 12)))
+    tail = [ch for ch in ALPHABET if ch != inv_letter(prefix[-1])]
+    period = tail[int(rng.integers(0, len(tail)))]
+    return boundary(prefix, period)
+
+
+def ball_point(center: str, radius: float, rng, shell: bool) -> str:
+    steps = int(radius) if shell else int(rng.integers(0, radius + 1))
+    return random_word(rng, steps, center)
+
+
+def default_bins(scheme, resolution: int):
+    return scheme.cylinders(resolution or 2)
+
+
+# -- orbit walker ---------------------------------------------------------------
+
+class Walker:
+    """Left-product state kept as x^{-1} Z x, a reduced word on a letter stack."""
+
+    def __init__(self, atoms, base: str):
+        self._base = base
+        self._conj = [mul(mul(inv_word(base), g), base) for g in atoms]
+        self._stack: list[str] = []
+
+    def step(self, atom_index: int) -> None:
+        stack = self._stack
+        for ch in self._conj[atom_index]:
+            if stack and stack[-1] == inv_letter(ch):
+                stack.pop()
+            else:
+                stack.append(ch)
+
+    def dist_to_base(self) -> float:
+        return float(len(self._stack))
+
+    def snapshot(self) -> str:
+        return "".join(self._stack)
+
+    def boundary_image(self, b: tuple[str, str]) -> tuple[str, str]:
+        x = self._base
+        z_word = mul(mul(x, "".join(self._stack)), inv_word(x))
+        return boundary_action(z_word, b)
+
+
+def snapshot_point(snap: str, base: str) -> str:
+    return mul(base, snap)
+
+
+def snapshot_horofunction(snap: str, base: str, b: tuple[str, str]) -> int:
+    return horofunction(b, base, snapshot_point(snap, base))
+
+
+def csv_row(p: str) -> list:
+    return [p]
+
+
+def tracking_gaps(atoms, increments, snaps, base: str, lam: float,
+                  depth: float, tol: float) -> dict:
+    """d(gamma(lam k), Z_k x) for the snapshots {k: snapshot}, along the ray
+    toward the last snapshot's orbit point, at the rounded parameter lam k."""
+    b = direction(base, snapshot_point(snaps[max(snaps)], base), tol)
+    return {k: float(dist(ray_point(base, b, float(round(lam * k))), snapshot_point(s, base)))
+            for k, s in snaps.items()}

@@ -9,25 +9,19 @@ exponent range) and is kept independent of the closed forms it checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _e2, _h2, _h2xr, _t4
 from .errors import UsageError
 from .geometry import comparison_angle, distance, project_to_ball, ray_point
 from .models import (
-    INF,
+    KERNELS,
     BoundaryPoint,
     Model,
     Point,
     boundary_points_equal,
-    e2_boundary,
-    h2_boundary,
-    h2xr_boundary,
     same_model,
-    t4_boundary,
     tolerance,
 )
 
@@ -35,13 +29,7 @@ from .models import (
 def horofunction(xi: BoundaryPoint, x: Point, z: Point) -> float:
     """Busemann function of xi normalised to vanish at the basepoint x."""
     model = same_model(xi, x, z)
-    if model is Model.E2:
-        return _e2.horofunction(xi.data, x.data, z.data)
-    if model is Model.H2:
-        return _h2.horofunction(xi.data, x.data, z.data)
-    if model is Model.T4:
-        return float(_t4.horofunction(xi.data, x.data, z.data))
-    return _h2xr.horofunction(xi.data, x.data, z.data)
+    return float(KERNELS[model].horofunction(xi.data, x.data, z.data))
 
 
 def horofunction_limit_oracle(xi: BoundaryPoint, x: Point, z: Point, t: float) -> float:
@@ -49,30 +37,9 @@ def horofunction_limit_oracle(xi: BoundaryPoint, x: Point, z: Point, t: float) -
     horofunction as t grows.  Used as the independent check of the closed
     forms above."""
     model = same_model(xi, x, z)
-    if model is Model.E2:
-        return distance(ray_point(x, xi, t), z) - t
-    if model is Model.T4:
-        k = _t4.as_step(t)
-        return float(_t4.dist(_t4.ray_point(x.data, xi.data, k), z.data) - k)
-    if model is Model.H2:
-        return _h2.mp_busemann_limit(xi.data, x.data, z.data, t)
-    return _h2xr_mp_limit(xi.data, x.data, z.data, t)
-
-
-def _h2xr_mp_limit(b, x, z, t: float) -> float:
-    import mpmath as mp
-
-    xi, alpha = b
-    with mp.workdps(60):
-        tt = mp.mpf(t)
-        dv = mp.mpf(x[1]) + tt * mp.sin(mp.mpf(alpha)) - mp.mpf(z[1])
-        if xi is None:
-            dh = mp.mpf(_h2.dist(x[0], z[0]))
-        else:
-            th = float(tt * mp.cos(mp.mpf(alpha)))
-            gh = _h2.mp_busemann_limit(xi, x[0], z[0], th) + th  # = d(ray_h(th), z_h)
-            dh = mp.mpf(gh)
-        return float(mp.sqrt(dh * dh + dv * dv) - tt)
+    if t < 0:
+        raise UsageError("ray parameter must be nonnegative")
+    return KERNELS[model].busemann_limit(xi.data, x.data, z.data, t)
 
 
 @dataclass(frozen=True)
@@ -128,7 +95,10 @@ def neighborhood_nesting_check(x: Point, x2: Point, xi: BoundaryPoint,
         if not visual_contains(outer, b):
             return False
         # interior points along the ray toward b stay inside the inner set
-        extra = r2 + float(rng.integers(1, 4)) if x.model is Model.T4 else r2 + rng.uniform(0.1, 2.0 * r2)
+        if KERNELS[x.model].VERTEX_GRANULAR:
+            extra = r2 + float(rng.integers(1, 4))
+        else:
+            extra = r2 + rng.uniform(0.1, 2.0 * r2)
         z = ray_point(x2, b, extra)
         if visual_contains(inner, z) and not visual_contains(outer, z):
             return False
@@ -166,18 +136,13 @@ def angle_at_infinity(x: Point, xi: BoundaryPoint, eta: BoundaryPoint,
 def tits_distance(xi: BoundaryPoint, eta: BoundaryPoint) -> float:
     """Closed-form Tits (length-metric) distance between boundary points;
     +inf between distinct ends of the visibility models."""
-    same_model(xi, eta)
-    model = xi.model
-    if model is Model.E2:
-        return _e2.tits(xi.data, eta.data)
-    if model in (Model.H2, Model.T4):
-        return 0.0 if boundary_points_equal(xi, eta) else INF
-    return _h2xr.tits(xi.data, eta.data, tolerance())
+    model = same_model(xi, eta)
+    return KERNELS[model].tits(xi.data, eta.data, tolerance())
 
 
 def tits_ball_is_trivial(xi: BoundaryPoint) -> bool:
     """True when the closed Tits ball of radius pi around xi is just {xi}."""
-    return xi.model in (Model.H2, Model.T4)
+    return KERNELS[xi.model].TITS_BALL_TRIVIAL
 
 
 def boundary_metric(x: Point, xi: BoundaryPoint, eta: BoundaryPoint,
@@ -188,10 +153,10 @@ def boundary_metric(x: Point, xi: BoundaryPoint, eta: BoundaryPoint,
     r0.  The tree uses exp(-(xi|eta)_x); the chordal construction is not
     separating there because projections are vertex granular.
     """
-    same_model(x, xi, eta)
-    if x.model is Model.T4:
-        return _t4.visual_metric(x.data, xi.data, eta.data)
-    return distance(ray_point(x, xi, r0), ray_point(x, eta, r0))
+    model = same_model(x, xi, eta)
+    if r0 < 0:
+        raise UsageError("ray parameter must be nonnegative")
+    return KERNELS[model].boundary_metric(x.data, xi.data, eta.data, r0)
 
 
 @dataclass(frozen=True)
@@ -204,73 +169,20 @@ class GeodesicWitness:
 def rank_one_geodesic_witness(xi: BoundaryPoint, eta: BoundaryPoint):
     """A geodesic joining xi to eta when one exists, flagged by whether it is
     contracting; None when the two points are not joined in the space."""
-    same_model(xi, eta)
-    model = xi.model
+    model = same_model(xi, eta)
     if boundary_points_equal(xi, eta):
         return None
-    if model is Model.H2:
-        a, b = xi.data, eta.data
-        if math.isinf(a) or math.isinf(b):
-            fin = b if math.isinf(a) else a
-            pt = Point(model, complex(fin, 1.0))
-        else:
-            c = (a + b) / 2.0
-            r = abs(a - b) / 2.0
-            pt = Point(model, complex(c, r))
-        return GeodesicWitness((xi, eta), pt, True)
-    if model is Model.T4:
-        k = int(_t4.lcp(_t4.word_prefix(xi.data, 64), _t4.word_prefix(eta.data, 64)))
-        return GeodesicWitness((xi, eta), Point(model, _t4.word_prefix(xi.data, k)), True)
-    if model is Model.E2:
-        if _e2.circle_gap(xi.data, eta.data) < math.pi - tolerance():
-            return None
-        return GeodesicWitness((xi, eta), Point(model, complex(0.0, 0.0)), False)
-    (x1, a1), (x2, a2) = xi.data, eta.data
-    joined = abs(a1 + a2) <= tolerance() and not _h2xr.boundary_eq(
-        (x1, a1), (x2, a2), tolerance()
-    ) and ((x1 is None) == (x2 is None))
-    if x1 is not None and x2 is not None:
-        same_fiber = boundary_points_equal(
-            BoundaryPoint(Model.H2, x1), BoundaryPoint(Model.H2, x2)
-        ) if not (math.isinf(x1) or math.isinf(x2)) else (math.isinf(x1) and math.isinf(x2))
-        joined = joined and not same_fiber
-    if not joined:
+    found = KERNELS[model].geodesic_witness(xi.data, eta.data, tolerance())
+    if found is None:
         return None
-    if x1 is None:
-        pt = Point(model, (complex(0.0, 1.0), 0.0))
-    else:
-        w = rank_one_geodesic_witness(h2_boundary(x1), h2_boundary(x2))
-        pt = Point(model, (w.point_on.data, 0.0))
-    return GeodesicWitness((xi, eta), pt, False)
+    point, rank_one = found
+    return GeodesicWitness((xi, eta), Point(model, point), rank_one)
 
 
 def sample_boundary(model: Model, count: int, rng) -> list[BoundaryPoint]:
     """Seeded sample of boundary points, spread across each model's boundary."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    out: list[BoundaryPoint] = []
-    for _ in range(count):
-        if model is Model.E2:
-            out.append(e2_boundary(rng.uniform(0.0, 2.0 * math.pi)))
-        elif model is Model.H2:
-            phi = rng.uniform(-math.pi, math.pi)
-            out.append(h2_boundary(INF if abs(phi) > math.pi - 1e-12 else math.tan(phi / 2.0)))
-        elif model is Model.T4:
-            length = int(rng.integers(4, 12))
-            word = []
-            for _ in range(length):
-                choices = [ch for ch in _t4.ALPHABET
-                           if not (word and word[-1] == _t4.inv_letter(ch))]
-                word.append(choices[int(rng.integers(0, len(choices)))])
-            prefix = "".join(word)
-            tail = [ch for ch in _t4.ALPHABET if ch != _t4.inv_letter(prefix[-1])]
-            period = tail[int(rng.integers(0, len(tail)))]
-            out.append(t4_boundary(prefix, period))
-        elif model is Model.H2xR:
-            phi = rng.uniform(-math.pi, math.pi)
-            xi = INF if abs(phi) > math.pi - 1e-12 else math.tan(phi / 2.0)
-            alpha = rng.uniform(-_h2xr.HALF_PI * 0.999, _h2xr.HALF_PI * 0.999)
-            out.append(h2xr_boundary(xi, alpha))
-        else:
-            raise UsageError(f"unknown model {model!r}")
-    return out
+    kernel = KERNELS[model]
+    return [BoundaryPoint(model, kernel.random_boundary(rng, tolerance()))
+            for _ in range(count)]

@@ -9,6 +9,10 @@ Usage:
 Each run writes <outdir>/<experiment>-<seed>/report.json (and series.csv when
 the experiment produces a series).  Reports embed the config echo and the
 hypotheses audit; the timing block is the only non-reproducible field.
+
+--threads is accepted and ignored: sample paths run one after another in
+path order, because the per-step walk loop holds the GIL and threads cannot
+speed it up.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .boundary import (
 )
 from .sampling import random_isometry, random_point
 from .models import (
+    DEFAULT_TOLERANCE,
     Model,
     boundary_from_json,
     boundary_to_json,
@@ -210,17 +215,16 @@ def _series_rows(experiment: str, results: dict):
     return None, None
 
 
-def _run_drift(cfg, allow, threads):
+def _run_drift(cfg):
     xi = None
     if "horofunction_xi" in cfg.params:
         xi = boundary_from_json(cfg.params["horofunction_xi"])
     rep = drift_estimate(cfg.distribution, cfg.basepoint, cfg.n, cfg.m_samples,
-                         cfg.seed, horofunction_xi=xi, allow_uncertified=True,
-                         threads=threads)
+                         cfg.seed, horofunction_xi=xi, allow_uncertified=True)
     return rep.to_json()
 
 
-def _run_converge(cfg, allow, threads):
+def _run_converge(cfg):
     checkpoints = cfg.checkpoints or default_checkpoints(cfg.n)
     thin = math.gcd(*checkpoints) if len(checkpoints) > 1 else checkpoints[0]
     paths = []
@@ -235,17 +239,17 @@ def _run_converge(cfg, allow, threads):
     return {"paths": paths, "first_tail_per_path": tails}
 
 
-def _run_hitting(cfg, allow, threads):
+def _run_hitting(cfg):
     bins = _bins_from_params(cfg)
     hist = hitting_measure(cfg.distribution, cfg.basepoint, cfg.n, cfg.m_samples,
-                           bins, cfg.seed, allow_uncertified=True, threads=threads)
+                           bins, cfg.seed, allow_uncertified=True)
     return {"histogram": hist.to_json()}
 
 
-def _run_stationarity(cfg, allow, threads):
+def _run_stationarity(cfg):
     bins = _bins_from_params(cfg)
     hist = hitting_measure(cfg.distribution, cfg.basepoint, cfg.n, cfg.m_samples,
-                           bins, cfg.seed, allow_uncertified=True, threads=threads)
+                           bins, cfg.seed, allow_uncertified=True)
     refinement = int(cfg.params.get("refinement_samples", 32))
     defect = stationarity_defect(cfg.distribution, hist, refinement, seed=cfg.seed)
     return {"histogram": hist.to_json(), "defect": defect,
@@ -257,7 +261,7 @@ def _bins_from_params(cfg):
     return BinScheme.default(cfg.model, res)
 
 
-def _run_dirac(cfg, allow, threads):
+def _run_dirac(cfg):
     if "atoms0" in cfg.params:
         atoms0 = [boundary_from_json(b) for b in cfg.params["atoms0"]]
     else:
@@ -275,7 +279,7 @@ def _run_dirac(cfg, allow, threads):
     return rep.to_json()
 
 
-def _run_gap(cfg, allow, threads):
+def _run_gap(cfg):
     if "xi" not in cfg.params:
         raise ConfigError("gap experiment needs params.xi (a boundary point)")
     xi = boundary_from_json(cfg.params["xi"])
@@ -287,7 +291,7 @@ def _run_gap(cfg, allow, threads):
             "gap_series": [float(v) for v in series], "theil_sen_slope": slope}
 
 
-def _run_cocycle(cfg, allow, threads):
+def _run_cocycle(cfg):
     import numpy as np
 
     count = int(cfg.params.get("count", 100))
@@ -302,12 +306,12 @@ def _run_cocycle(cfg, allow, threads):
     return {"residuals": residuals, "max_residual": max(residuals)}
 
 
-def _run_track(cfg, allow, threads):
+def _run_track(cfg):
     lam = cfg.params.get("lambda", "auto")
     if lam == "auto":
         rep = drift_estimate(cfg.distribution, cfg.basepoint, cfg.n,
                              min(cfg.m_samples, 50), cfg.seed + 1,
-                             allow_uncertified=True, threads=threads)
+                             allow_uncertified=True)
         lam = rep.lambda_hat
     lam = float(lam)
     checkpoints = cfg.checkpoints or default_checkpoints(cfg.n, 10)
@@ -318,7 +322,7 @@ def _run_track(cfg, allow, threads):
             "errors": [float(e) for e in errs]}
 
 
-def _run_northsouth(cfg, allow, threads):
+def _run_northsouth(cfg):
     if "g" not in cfg.params:
         raise ConfigError("northsouth experiment needs params.g (an isometry)")
     g = isometry_from_json(cfg.params["g"])
@@ -344,7 +348,7 @@ def _run_northsouth(cfg, allow, threads):
             "powers": powers, "max_gaps": max_gaps}
 
 
-def _run_pi_convergence(cfg, allow, threads):
+def _run_pi_convergence(cfg):
     if "g" not in cfg.params:
         raise ConfigError("pi-convergence experiment needs params.g")
     g = isometry_from_json(cfg.params["g"])
@@ -370,7 +374,7 @@ def _run_pi_convergence(cfg, allow, threads):
             "max_gaps": gaps}
 
 
-def _run_tits_table(cfg, allow, threads):
+def _run_tits_table(cfg):
     count = int(cfg.params.get("count", 8))
     pts = sample_boundary(cfg.model, count, cfg.seed)
     x = cfg.basepoint
@@ -389,7 +393,7 @@ def _run_tits_table(cfg, allow, threads):
             "pi_ball_trivial": tits_ball_is_trivial(pts[0])}
 
 
-def _run_rankone_audit(cfg, allow, threads):
+def _run_rankone_audit(cfg):
     if cfg.distribution is None:
         raise ConfigError("rankone-audit needs a distribution")
     return rankone_audit(cfg.distribution).to_json()
@@ -411,11 +415,11 @@ _RUNNERS = {
 }
 
 
-def run(cfg: ExperimentConfig, outdir, allow_uncertified: bool = False,
-        threads: int = 1) -> Path:
-    """Execute one experiment config and write its report directory."""
-    if cfg.tolerance is not None:
-        set_tolerance(cfg.tolerance)
+def run(cfg: ExperimentConfig, outdir, allow_uncertified: bool = False) -> Path:
+    """Execute one experiment config and write its report directory.  The
+    config's tolerance applies to this run only; without one the default
+    applies, whatever an earlier run set."""
+    set_tolerance(DEFAULT_TOLERANCE if cfg.tolerance is None else cfg.tolerance)
     needs_dist = cfg.experiment not in ("cocycle", "tits-table", "northsouth",
                                         "pi-convergence")
     if needs_dist and cfg.distribution is None:
@@ -423,7 +427,7 @@ def run(cfg: ExperimentConfig, outdir, allow_uncertified: bool = False,
     hypotheses = _hypotheses_block(cfg)
     _check_gate(cfg, hypotheses, allow_uncertified)
     t0 = time.perf_counter()
-    results = _RUNNERS[cfg.experiment](cfg, allow_uncertified, threads)
+    results = _RUNNERS[cfg.experiment](cfg)
     wall = time.perf_counter() - t0
     report = {
         "schema": REPORT_SCHEMA,
@@ -475,13 +479,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config")
     p_run.add_argument("--outdir", default="out")
     p_run.add_argument("--allow-uncertified", action="store_true")
-    p_run.add_argument("--threads", type=int, default=1)
+    p_run.add_argument("--threads", type=int, default=1, help="accepted and ignored")
 
     p_sweep = sub.add_parser("sweep", help="run every config matching a glob")
     p_sweep.add_argument("pattern")
     p_sweep.add_argument("--outdir", default="out")
     p_sweep.add_argument("--allow-uncertified", action="store_true")
-    p_sweep.add_argument("--threads", type=int, default=1)
+    p_sweep.add_argument("--threads", type=int, default=1, help="accepted and ignored")
 
     p_oracle = sub.add_parser("oracle", help="print independent oracle values")
     o_sub = p_oracle.add_subparsers(dest="oracle", required=True)
@@ -504,8 +508,7 @@ def main(argv=None) -> int:
             return _oracle_main(args)
         if args.command == "run":
             cfg = load_config(args.config)
-            target = run(cfg, args.outdir, allow_uncertified=args.allow_uncertified,
-                         threads=args.threads)
+            target = run(cfg, args.outdir, allow_uncertified=args.allow_uncertified)
             print(f"wrote {target / 'report.json'}")
             return EXIT_OK
         if args.command == "sweep":
@@ -517,8 +520,7 @@ def main(argv=None) -> int:
                 try:
                     cfg = load_config(path)
                     target = run(cfg, args.outdir,
-                                 allow_uncertified=args.allow_uncertified,
-                                 threads=args.threads)
+                                 allow_uncertified=args.allow_uncertified)
                     print(f"{path}: wrote {target / 'report.json'}")
                 except (ConfigError, UncertifiedError, UsageError, DomainError) as exc:
                     failures += 1

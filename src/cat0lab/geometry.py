@@ -9,43 +9,24 @@ from __future__ import annotations
 
 import math
 
-from . import _e2, _h2, _h2xr, _t4
 from .errors import UsageError
 from .models import (
+    KERNELS,
     BoundaryPoint,
     Model,
     Point,
-    e2_boundary,
-    e2_point,
-    h2_point,
-    h2xr_point,
     same_model,
-    t4_point,
     tolerance,
 )
 
 
 def model_basepoint(model: Model) -> Point:
-    if model is Model.E2:
-        return e2_point(0.0, 0.0)
-    if model is Model.H2:
-        return h2_point(0.0, 1.0)
-    if model is Model.T4:
-        return t4_point("")
-    if model is Model.H2xR:
-        return h2xr_point(0.0, 1.0, 0.0)
-    raise UsageError(f"unknown model {model!r}")
+    return Point(model, KERNELS[model].BASEPOINT)
 
 
 def distance(p: Point, q: Point) -> float:
     model = same_model(p, q)
-    if model is Model.E2:
-        return _e2.dist(p.data, q.data)
-    if model is Model.H2:
-        return _h2.dist(p.data, q.data)
-    if model is Model.T4:
-        return float(_t4.dist(p.data, q.data))
-    return _h2xr.dist(p.data, q.data)
+    return float(KERNELS[model].dist(p.data, q.data))
 
 
 def geodesic_point(p: Point, q: Point, t: float) -> Point:
@@ -55,13 +36,7 @@ def geodesic_point(p: Point, q: Point, t: float) -> Point:
     if t < -tolerance() or t > d + tolerance():
         raise UsageError(f"parameter {t} outside [0, {d}]")
     t = min(max(t, 0.0), d)
-    if model is Model.T4:
-        return Point(model, _t4.geodesic_point(p.data, q.data, _t4.as_step(t)))
-    if model is Model.E2:
-        return Point(model, _e2.geodesic_point(p.data, q.data, t))
-    if model is Model.H2:
-        return Point(model, _h2.geodesic_point(p.data, q.data, t))
-    return Point(model, _h2xr.geodesic_point(p.data, q.data, t))
+    return Point(model, KERNELS[model].geodesic_point(p.data, q.data, t))
 
 
 def ray_point(x: Point, xi: BoundaryPoint, t: float) -> Point:
@@ -69,13 +44,7 @@ def ray_point(x: Point, xi: BoundaryPoint, t: float) -> Point:
     model = same_model(x, xi)
     if t < 0:
         raise UsageError("ray parameter must be nonnegative")
-    if model is Model.E2:
-        return Point(model, _e2.ray_point(x.data, xi.data, t))
-    if model is Model.H2:
-        return Point(model, _h2.ray_point(x.data, xi.data, t))
-    if model is Model.T4:
-        return Point(model, _t4.ray_point(x.data, xi.data, _t4.as_step(t)))
-    return Point(model, _h2xr.ray_point(x.data, xi.data, t))
+    return Point(model, KERNELS[model].ray_point(x.data, xi.data, t))
 
 
 def project_to_ball(center: Point, r: float, target) -> Point:
@@ -107,14 +76,7 @@ def comparison_angle(x: Point, y: Point, z: Point) -> float:
 def direction(x: Point, y: Point) -> BoundaryPoint:
     """Boundary coordinate of the ray from x through y."""
     model = same_model(x, y)
-    if model is Model.T4:
-        if x.data == y.data:
-            raise UsageError("direction needs two distinct points")
-        return BoundaryPoint(model, _t4.direction(x.data, y.data))
-    if distance(x, y) <= tolerance():
+    b = KERNELS[model].direction(x.data, y.data, tolerance())
+    if b is None:
         raise UsageError("direction needs two distinct points")
-    if model is Model.E2:
-        return e2_boundary(_e2.direction(x.data, y.data))
-    if model is Model.H2:
-        return BoundaryPoint(model, _h2.direction(x.data, y.data))
-    return BoundaryPoint(model, _h2xr.direction(x.data, y.data))
+    return BoundaryPoint(model, b)

@@ -9,22 +9,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _e2, _h2, _h2xr, _t4
 from .errors import DomainError, UsageError
 from .models import (
+    KERNELS,
     BoundaryPoint,
     Isometry,
-    Model,
     Point,
-    e2_boundary,
     same_model,
     tolerance,
 )
 from .geometry import distance, model_basepoint
 
-KIND_IDENTITY = "identity"
-KIND_ELLIPTIC = "elliptic"
-KIND_PARABOLIC = "parabolic"
 KIND_AXIAL = "axial"
 
 
@@ -44,45 +39,21 @@ class NorthSouthResult:
 
 def apply(g: Isometry, p: Point) -> Point:
     model = same_model(g, p)
-    if model is Model.E2:
-        return Point(model, _e2.apply(g.data, p.data))
-    if model is Model.H2:
-        return Point(model, _h2.apply(g.data, p.data))
-    if model is Model.T4:
-        return Point(model, _t4.mul(g.data, p.data))
-    return Point(model, _h2xr.apply(g.data, p.data))
+    return Point(model, KERNELS[model].apply(g.data, p.data))
 
 
 def apply_boundary(g: Isometry, xi: BoundaryPoint) -> BoundaryPoint:
     model = same_model(g, xi)
-    if model is Model.E2:
-        return e2_boundary(_e2.apply_boundary(g.data, xi.data))
-    if model is Model.H2:
-        return BoundaryPoint(model, _h2.mobius_boundary(g.data, xi.data))
-    if model is Model.T4:
-        return BoundaryPoint(model, _t4.boundary_action(g.data, xi.data))
-    return BoundaryPoint(model, _h2xr.apply_boundary(g.data, xi.data))
+    return BoundaryPoint(model, KERNELS[model].apply_boundary(g.data, xi.data))
 
 
 def compose(g: Isometry, h: Isometry) -> Isometry:
     model = same_model(g, h)
-    if model is Model.E2:
-        return Isometry(model, _e2.compose(g.data, h.data))
-    if model is Model.H2:
-        return Isometry(model, _h2.make_matrix(*_h2.mat_mul(g.data, h.data)))
-    if model is Model.T4:
-        return Isometry(model, _t4.mul(g.data, h.data))
-    return Isometry(model, _h2xr.compose(g.data, h.data))
+    return Isometry(model, KERNELS[model].compose(g.data, h.data))
 
 
 def inverse(g: Isometry) -> Isometry:
-    if g.model is Model.E2:
-        return Isometry(g.model, _e2.inverse(g.data))
-    if g.model is Model.H2:
-        return Isometry(g.model, _h2.sign_normalize(_h2.mat_inv(g.data)))
-    if g.model is Model.T4:
-        return Isometry(g.model, _t4.inv_word(g.data))
-    return Isometry(g.model, _h2xr.inverse(g.data))
+    return Isometry(g.model, KERNELS[g.model].inverse(g.data))
 
 
 def power(g: Isometry, k: int) -> Isometry:
@@ -97,31 +68,7 @@ def power(g: Isometry, k: int) -> Isometry:
 
 
 def classify(g: Isometry) -> IsometryClass:
-    tol = tolerance()
-    if g.model is Model.E2:
-        alpha, v = g.data
-        if _e2.is_rotationless(g.data, tol):
-            if abs(v) <= tol:
-                return IsometryClass(KIND_IDENTITY, 0.0)
-            return IsometryClass(KIND_AXIAL, abs(v))
-        return IsometryClass(KIND_ELLIPTIC, 0.0)
-    if g.model is Model.H2:
-        k = _h2.kind(g.data, tol)
-        return IsometryClass(k, _h2.translation_length(g.data) if k == KIND_AXIAL else 0.0)
-    if g.model is Model.T4:
-        if not g.data:
-            return IsometryClass(KIND_IDENTITY, 0.0)
-        _, core = _t4.cyclic_reduce(g.data)
-        return IsometryClass(KIND_AXIAL, float(len(core)))
-    mat, shift = g.data
-    hk = _h2.kind(mat, tol)
-    if hk == KIND_AXIAL:
-        return IsometryClass(KIND_AXIAL, math.hypot(_h2.translation_length(mat), shift))
-    if hk in (KIND_IDENTITY, KIND_ELLIPTIC):
-        if abs(shift) <= tol:
-            return IsometryClass(hk, 0.0)
-        return IsometryClass(KIND_AXIAL, abs(shift))
-    return IsometryClass(KIND_PARABOLIC, 0.0)
+    return IsometryClass(*KERNELS[g.model].classify(g.data, tolerance()))
 
 
 def _require_axial(g: Isometry) -> IsometryClass:
@@ -134,29 +81,8 @@ def _require_axial(g: Isometry) -> IsometryClass:
 def axis_endpoints(g: Isometry) -> tuple[BoundaryPoint, BoundaryPoint]:
     """Repelling and attracting boundary fixed points (g-, g+) of an axial g."""
     _require_axial(g)
-    tol = tolerance()
-    if g.model is Model.E2:
-        _, v = g.data
-        theta = _e2.wrap_angle(math.atan2(v.imag, v.real))
-        return e2_boundary(theta + math.pi), e2_boundary(theta)
-    if g.model is Model.H2:
-        gm, gp = _h2.fixed_points(g.data, tol)
-        return BoundaryPoint(g.model, gm), BoundaryPoint(g.model, gp)
-    if g.model is Model.T4:
-        u, c = _t4.cyclic_reduce(g.data)
-        plus = _t4.validate_boundary(u, c)
-        minus = _t4.validate_boundary(u, _t4.inv_word(c))
-        return BoundaryPoint(g.model, minus), BoundaryPoint(g.model, plus)
-    mat, shift = g.data
-    if _h2.kind(mat, tol) == KIND_AXIAL:
-        am, ap = _h2.fixed_points(mat, tol)
-        alpha = math.atan2(shift, _h2.translation_length(mat))
-        return (
-            BoundaryPoint(g.model, (am, -alpha)),
-            BoundaryPoint(g.model, (ap, alpha)),
-        )
-    s = _h2xr.HALF_PI if shift > 0 else -_h2xr.HALF_PI
-    return BoundaryPoint(g.model, (None, -s)), BoundaryPoint(g.model, (None, s))
+    minus, plus = KERNELS[g.model].axis_endpoints(g.data, tolerance())
+    return BoundaryPoint(g.model, minus), BoundaryPoint(g.model, plus)
 
 
 def is_rank_one(g: Isometry) -> bool:
@@ -166,107 +92,24 @@ def is_rank_one(g: Isometry) -> bool:
     contracting; every Euclidean line and every product axis lies in a flat
     plane, so those are never rank one.
     """
-    if classify(g).kind != KIND_AXIAL:
-        return False
-    return g.model in (Model.H2, Model.T4)
+    return classify(g).kind == KIND_AXIAL and KERNELS[g.model].RANK_ONE
 
 
 # -- axis coordinates and contraction ----------------------------------------
 
-def _axis_coordinate(g: Isometry, p: Point) -> float:
-    """Arclength position of the projection of p onto the canonical axis."""
-    if g.model is Model.E2:
-        return _e2.axis_coordinate(g.data[1], p.data)
-    if g.model is Model.H2:
-        gm, gp = _h2.fixed_points(g.data, tolerance())
-        return _h2.geodesic_coordinate(p.data, gm, gp)
-    if g.model is Model.T4:
-        u, c = _t4.cyclic_reduce(g.data)
-        return float(_t4.axis_coordinate(u, c, p.data))
-    return _h2xr_axis_coordinate(g, p)[0]
-
-
-def _axis_distance(g: Isometry, p: Point) -> float:
-    if g.model is Model.E2:
-        return _e2.axis_offset(g.data[1], p.data)
-    if g.model is Model.H2:
-        gm, gp = _h2.fixed_points(g.data, tolerance())
-        return _h2.dist(p.data, _h2.project_to_geodesic(p.data, gm, gp))
-    if g.model is Model.T4:
-        u, c = _t4.cyclic_reduce(g.data)
-        return float(_t4.dist(p.data, _t4.axis_projection(u, c, p.data)))
-    return _h2xr_axis_coordinate(g, p)[1]
-
-
-def _h2xr_axis_point(g: Isometry, u: float) -> Point:
-    mat, shift = g.data
-    tol = tolerance()
-    if _h2.kind(mat, tol) == KIND_AXIAL:
-        gm, gp = _h2.fixed_points(mat, tol)
-        alpha = math.atan2(shift, _h2.translation_length(mat))
-        anchor = _h2.project_to_geodesic(complex(0.0, 1.0), gm, gp)
-        if u == 0.0:
-            zh = anchor
-        elif u > 0:
-            zh = _h2.ray_point(anchor, gp, u * math.cos(alpha))
-        else:
-            zh = _h2.ray_point(anchor, gm, -u * math.cos(alpha))
-        return Point(g.model, (zh, u * math.sin(alpha)))
-    fixed = complex(0.0, 1.0)  # vertical axis through the reference fiber
-    return Point(g.model, (fixed, u * (1.0 if shift >= 0 else -1.0)))
-
-
-def _h2xr_axis_coordinate(g: Isometry, p: Point) -> tuple[float, float]:
-    from scipy.optimize import minimize_scalar
-
-    d0 = _h2xr.dist(p.data, _h2xr_axis_point(g, 0.0).data)
-    span = 2.0 * d0 + 2.0
-
-    def f(u: float) -> float:
-        return _h2xr.dist(p.data, _h2xr_axis_point(g, u).data)
-
-    res = minimize_scalar(f, bounds=(-span, span), method="bounded",
-                          options={"xatol": 1e-8})
-    return float(res.x), float(res.fun)
+def _axis_position(g: Isometry, p: Point) -> tuple[float, float]:
+    """Arclength position of the projection of p onto the canonical axis,
+    and the distance of p from the axis."""
+    return KERNELS[g.model].axis_position(g.data, p.data, tolerance())
 
 
 def _sample_in_ball(center: Point, radius: float, rng: np.random.Generator, count: int) -> list[Point]:
-    model = center.model
-    out: list[Point] = []
+    """Seeded points of the ball: the first half (at least four) on its
+    bounding sphere, the rest spread through it."""
+    kernel = KERNELS[center.model]
     n_shell = max(4, count // 2)
-    for i in range(count):
-        if model is Model.T4:
-            word = center.data
-            steps = int(rng.integers(0, radius + 1)) if i >= n_shell else int(radius)
-            w = list(word)
-            for _ in range(steps):
-                choices = [ch for ch in _t4.ALPHABET if not (w and w[-1] == _t4.inv_letter(ch))]
-                w.append(choices[int(rng.integers(0, len(choices)))])
-            out.append(Point(model, "".join(w)))
-            continue
-        r = radius if i < n_shell else radius * math.sqrt(rng.random())
-        if model is Model.E2:
-            theta = rng.uniform(0.0, _e2.TWO_PI)
-            out.append(Point(model, _e2.ray_point(center.data, theta, r)))
-        elif model is Model.H2:
-            xi = _h2_direction_from_angle(center.data, rng.uniform(0.0, _e2.TWO_PI))
-            out.append(Point(model, _h2.ray_point(center.data, xi, r)))
-        else:
-            phi = rng.uniform(0.0, _e2.TWO_PI)
-            beta = math.asin(rng.uniform(-1.0, 1.0))
-            xi = _h2_direction_from_angle(center.data[0], phi)
-            out.append(Point(model, _h2xr.ray_point(center.data, (xi, beta), r)))
-    return out
-
-
-def _h2_direction_from_angle(z: complex, phi: float) -> float:
-    """Endpoint of the geodesic from z with initial Euclidean direction phi."""
-    c_phi = math.cos(phi)
-    if abs(c_phi) < 1e-12:
-        return math.inf if math.sin(phi) > 0 else z.real
-    c = z.real + z.imag * math.tan(phi)
-    r = z.imag / abs(c_phi)
-    return c + r if c_phi > 0 else c - r
+    return [Point(center.model, kernel.ball_point(center.data, radius, rng, i < n_shell))
+            for i in range(count)]
 
 
 def contraction_width(g: Isometry, ball_center: Point, ball_radius: float,
@@ -277,11 +120,11 @@ def contraction_width(g: Isometry, ball_center: Point, ball_radius: float,
     same_model(g, ball_center)
     if not ball_radius > 0:
         raise UsageError("ball radius must be positive")
-    if _axis_distance(g, ball_center) <= ball_radius:
+    if _axis_position(g, ball_center)[1] <= ball_radius:
         raise DomainError("ball intersects the axis")
     rng = np.random.default_rng(seed)
     pts = _sample_in_ball(ball_center, ball_radius, rng, samples)
-    coords = [_axis_coordinate(g, p) for p in pts]
+    coords = [_axis_position(g, p)[0] for p in pts]
     return max(coords) - min(coords)
 
 
@@ -337,38 +180,3 @@ def north_south_constant(g: Isometry, eps_plus: float, eps_minus: float,
         if all(boundary_metric(x0, b, gp) < eps_plus for b in current):
             return NorthSouthResult(k0=k, attained=True, cap=cap, samples=samples)
     return NorthSouthResult(k0=cap, attained=False, cap=cap, samples=samples)
-
-
-def axis_point(g: Isometry, u: float = 0.0) -> Point:
-    """A point on the canonical axis of g (arclength parameter u)."""
-    _require_axial(g)
-    if g.model is Model.E2:
-        _, v = g.data
-        return Point(g.model, (v / abs(v)) * u)
-    if g.model is Model.H2:
-        gm, gp = _h2.fixed_points(g.data, tolerance())
-        base = _h2.project_to_geodesic(complex(0.0, 1.0), gm, gp)
-        if u == 0.0:
-            return Point(g.model, base)
-        target = gp if u > 0 else gm
-        return Point(g.model, _h2.ray_point(base, target, abs(u)))
-    if g.model is Model.T4:
-        uu, c = _t4.cyclic_reduce(g.data)
-        return Point(g.model, _t4.axis_vertex(uu, c, int(round(u))))
-    return _h2xr_axis_point(g, u)
-
-
-def forward_orbit_converges(g: Isometry, x: Point, powers: int = 8) -> bool:
-    """direction(x, g^k x) approaches g+ as k grows (sanity check helper)."""
-    from .boundary import boundary_metric
-    from .geometry import direction
-
-    _, gp = axis_endpoints(g)
-    x0 = model_basepoint(g.model)
-    gaps = []
-    gk = g
-    for _ in range(powers):
-        gk = compose(gk, g)
-        y = apply(gk, x)
-        gaps.append(boundary_metric(x0, direction(x, y), gp))
-    return gaps[-1] <= max(gaps[0], 1e-6)

@@ -8,21 +8,24 @@ Four explicit model spaces are supported:
   with the word metric, vertex granular.
 * ``H2xR`` -- the metric product of ``H2`` and a real line.
 
-Values are immutable and safe to share across threads.  All approximate
-comparisons in the package use one global tolerance, configurable per run.
+Each model's geometry lives in one kernel module (`_e2`, `_h2`, `_t4`,
+`_h2xr`) with the same function names on raw payloads; `KERNELS` maps a
+model to its module.  Public functions unwrap their tagged arguments, look
+the model up once in that table, and re-tag the result, so no estimator
+needs to know which model it runs on.
+
+Values are immutable.  All approximate comparisons in the package use one
+global tolerance, configurable per run.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
 from . import _e2, _h2, _h2xr, _t4
 from .errors import UsageError
-
-INF = math.inf
 
 DEFAULT_TOLERANCE = 1e-9
 _tolerance = DEFAULT_TOLERANCE
@@ -46,6 +49,9 @@ class Model(str, Enum):
     H2 = "H2"
     T4 = "T4"
     H2xR = "H2xR"
+
+
+KERNELS = {Model.E2: _e2, Model.H2: _h2, Model.T4: _t4, Model.H2xR: _h2xr}
 
 
 @dataclass(frozen=True)
@@ -87,74 +93,59 @@ class Isometry:
 # -- constructors -------------------------------------------------------------
 
 def e2_point(x: float, y: float) -> Point:
-    return Point(Model.E2, complex(float(x), float(y)))
+    return Point(Model.E2, _e2.point(x, y))
 
 
 def h2_point(x: float, y: float) -> Point:
-    y = float(y)
-    if not y > 0:
-        raise UsageError("upper half-plane points need a positive second coordinate")
-    return Point(Model.H2, complex(float(x), y))
+    return Point(Model.H2, _h2.point(x, y))
 
 
 def t4_point(word: str) -> Point:
-    return Point(Model.T4, _t4.reduce_word(word))
+    return Point(Model.T4, _t4.point(word))
 
 
 def h2xr_point(x: float, y: float, height: float) -> Point:
-    return Point(Model.H2xR, (h2_point(x, y).data, float(height)))
+    return Point(Model.H2xR, _h2xr.point(x, y, height))
 
 
 def e2_boundary(theta: float) -> BoundaryPoint:
-    return BoundaryPoint(Model.E2, _e2.wrap_angle(float(theta)))
+    return BoundaryPoint(Model.E2, _e2.boundary(theta))
 
 
 def h2_boundary(xi: float) -> BoundaryPoint:
-    return BoundaryPoint(Model.H2, float(xi))
+    return BoundaryPoint(Model.H2, _h2.boundary(xi))
 
 
 def t4_boundary(prefix: str, period: str) -> BoundaryPoint:
-    return BoundaryPoint(Model.T4, _t4.validate_boundary(prefix, period))
+    return BoundaryPoint(Model.T4, _t4.boundary(prefix, period))
 
 
 def h2xr_boundary(xi, alpha: float) -> BoundaryPoint:
-    if xi is not None and not math.isinf(xi):
-        xi = float(xi)
-    return BoundaryPoint(Model.H2xR, _h2xr.validate_boundary(xi, float(alpha), tolerance()))
+    return BoundaryPoint(Model.H2xR, _h2xr.boundary(xi, alpha, tolerance()))
 
 
 def e2_isometry(angle: float, v: tuple[float, float]) -> Isometry:
-    return Isometry(Model.E2, (_e2.wrap_angle(float(angle)), complex(float(v[0]), float(v[1]))))
+    return Isometry(Model.E2, _e2.isometry(angle, v))
 
 
 def h2_isometry(a: float, b: float, c: float, d: float) -> Isometry:
-    return Isometry(Model.H2, _h2.make_matrix(float(a), float(b), float(c), float(d)))
+    return Isometry(Model.H2, _h2.isometry(a, b, c, d))
 
 
 def t4_isometry(word: str) -> Isometry:
-    return Isometry(Model.T4, _t4.reduce_word(word))
+    return Isometry(Model.T4, _t4.isometry(word))
 
 
 def h2xr_isometry(matrix, shift: float) -> Isometry:
     if isinstance(matrix, Isometry):
         if matrix.model is not Model.H2:
             raise UsageError("the horizontal part must be an H2 isometry")
-        mat = matrix.data
-    else:
-        mat = _h2.make_matrix(*[float(e) for e in matrix])
-    return Isometry(Model.H2xR, (mat, float(shift)))
+        return Isometry(Model.H2xR, (matrix.data, float(shift)))
+    return Isometry(Model.H2xR, _h2xr.isometry(matrix, shift))
 
 
 def identity(model: Model) -> Isometry:
-    if model is Model.E2:
-        return e2_isometry(0.0, (0.0, 0.0))
-    if model is Model.H2:
-        return Isometry(Model.H2, _h2.IDENTITY)
-    if model is Model.T4:
-        return Isometry(Model.T4, "")
-    if model is Model.H2xR:
-        return Isometry(Model.H2xR, (_h2.IDENTITY, 0.0))
-    raise UsageError(f"unknown model {model!r}")
+    return Isometry(model, KERNELS[model].IDENTITY)
 
 
 def same_model(*tagged) -> Model:
@@ -167,30 +158,15 @@ def same_model(*tagged) -> Model:
 # -- equality with tolerance ---------------------------------------------------
 
 def points_equal(p: Point, q: Point, tol: float | None = None) -> bool:
-    same_model(p, q)
+    model = same_model(p, q)
     tol = tolerance() if tol is None else tol
-    if p.model is Model.T4:
-        return p.data == q.data
-    if p.model is Model.H2xR:
-        return abs(p.data[0] - q.data[0]) <= tol and abs(p.data[1] - q.data[1]) <= tol
-    return abs(p.data - q.data) <= tol
+    return KERNELS[model].points_equal(p.data, q.data, tol)
 
 
 def boundary_points_equal(b1: BoundaryPoint, b2: BoundaryPoint, tol: float | None = None) -> bool:
-    same_model(b1, b2)
+    model = same_model(b1, b2)
     tol = tolerance() if tol is None else tol
-    if b1.model is Model.E2:
-        return _e2.circle_gap(b1.data, b2.data) <= tol
-    if b1.model is Model.H2:
-        x1, x2 = b1.data, b2.data
-        if math.isinf(x1) or math.isinf(x2):
-            return math.isinf(x1) and math.isinf(x2)
-        return abs(x1 - x2) <= tol * max(1.0, abs(x1), abs(x2))
-    if b1.model is Model.T4:
-        return _t4.boundary_eq(b1.data, b2.data)
-    if b1.model is Model.H2xR:
-        return _h2xr.boundary_eq(b1.data, b2.data, tol)
-    raise UsageError(f"unknown model {b1.model!r}")
+    return KERNELS[model].boundary_eq(b1.data, b2.data, tol)
 
 
 def isometry_key(g: Isometry, digits: int = 9):
@@ -200,101 +176,30 @@ def isometry_key(g: Isometry, digits: int = 9):
         v = round(x, digits)
         return 0.0 if v == 0 else v
 
-    if g.model is Model.T4:
-        return ("T4", g.data)
-    if g.model is Model.E2:
-        a, v = g.data
-        return ("E2", r(math.cos(a)), r(math.sin(a)), r(v.real), r(v.imag))
-    if g.model is Model.H2:
-        return ("H2",) + tuple(r(e) for e in g.data)
-    if g.model is Model.H2xR:
-        m, s = g.data
-        return ("H2xR",) + tuple(r(e) for e in m) + (r(s),)
-    raise UsageError(f"unknown model {g.model!r}")
+    return KERNELS[g.model].isometry_key(g.data, r)
 
 
 # -- JSON codecs ---------------------------------------------------------------
 
-def _num_out(x: float):
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
-
-
-def _num_in(x) -> float:
-    if isinstance(x, str):
-        return INF if x == "inf" else -INF if x == "-inf" else float(x)
-    return float(x)
-
-
-def point_to_json(p: Point) -> dict:
-    if p.model is Model.T4:
-        return {"model": "T4", "word": p.data}
-    if p.model is Model.H2xR:
-        z, h = p.data
-        return {"model": "H2xR", "coords": [z.real, z.imag, h]}
-    return {"model": p.model.value, "coords": [p.data.real, p.data.imag]}
-
-
 def point_from_json(obj: dict) -> Point:
     model = Model(obj["model"])
-    if model is Model.T4:
-        return t4_point(obj["word"])
-    c = obj["coords"]
-    if model is Model.E2:
-        return e2_point(c[0], c[1])
-    if model is Model.H2:
-        return h2_point(c[0], c[1])
-    return h2xr_point(c[0], c[1], c[2])
+    return Point(model, KERNELS[model].point_from_json(obj))
 
 
 def boundary_to_json(b: BoundaryPoint) -> dict:
-    if b.model is Model.E2:
-        return {"model": "E2", "theta": b.data}
-    if b.model is Model.H2:
-        return {"model": "H2", "xi": _num_out(b.data)}
-    if b.model is Model.T4:
-        return {"model": "T4", "word": b.data[0], "periodic": b.data[1]}
-    xi, alpha = b.data
-    return {"model": "H2xR", "xi": None if xi is None else _num_out(xi), "alpha": alpha}
+    return {"model": b.model.value, **KERNELS[b.model].boundary_to_json(b.data)}
 
 
 def boundary_from_json(obj: dict) -> BoundaryPoint:
     model = Model(obj["model"])
-    if model is Model.E2:
-        return e2_boundary(obj["theta"])
-    if model is Model.H2:
-        return h2_boundary(_num_in(obj["xi"]))
-    if model is Model.T4:
-        word = obj["word"]
-        period = obj.get("periodic")
-        if period is None:
-            # a bare prefix denotes the canonical continuation of its last letter
-            period = word[-1] if word else "a"
-        return t4_boundary(word, period)
-    xi = obj["xi"]
-    return h2xr_boundary(None if xi is None else _num_in(xi), obj["alpha"])
+    return BoundaryPoint(model, KERNELS[model].boundary_from_json(obj, tolerance()))
 
 
 def isometry_to_json(g: Isometry) -> dict:
-    if g.model is Model.E2:
-        a, v = g.data
-        return {"model": "E2", "payload": {"angle": a, "v": [v.real, v.imag]}}
-    if g.model is Model.H2:
-        return {"model": "H2", "payload": {"matrix": list(g.data)}}
-    if g.model is Model.T4:
-        return {"model": "T4", "payload": {"word": g.data}}
-    m, s = g.data
-    return {"model": "H2xR", "payload": {"matrix": list(m), "shift": s}}
+    return {"model": g.model.value, "payload": KERNELS[g.model].isometry_to_json(g.data)}
 
 
 def isometry_from_json(obj: dict) -> Isometry:
     model = Model(obj["model"])
     payload = obj["payload"]
-    if model is Model.E2:
-        return e2_isometry(payload["angle"], payload["v"])
-    if model is Model.H2:
-        return h2_isometry(*payload["matrix"])
-    if model is Model.T4:
-        return t4_isometry(payload["word"])
-    return h2xr_isometry(payload["matrix"], payload["shift"])
+    return Isometry(model, KERNELS[model].isometry_from_json(payload))

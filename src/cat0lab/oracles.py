@@ -8,8 +8,6 @@ nearest-neighbour walk on the 4-regular tree.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import _t4
@@ -97,25 +95,3 @@ def tree_hitting_cylinders(probs: dict[str, float], length: int) -> dict[str, fl
 
 def uniform_tree_probs() -> dict[str, float]:
     return {g: 0.25 for g in _LETTERS}
-
-
-def expected_tree_distance_distribution(n: int) -> np.ndarray:
-    """Distribution of d(Z_n x, x) for the uniform tree walk (distance chain)."""
-    p = np.zeros(n + 2)
-    p[0] = 1.0
-    for _ in range(n):
-        q = np.zeros_like(p)
-        q[1] += p[0]
-        q[2:] += 0.75 * p[1:-1]
-        q[:-1] += 0.25 * p[1:]
-        p = q
-    return p[: n + 1]
-
-
-def tree_drift_std(n: int) -> float:
-    """Standard deviation of d(Z_n x, x)/n under the distance chain."""
-    p = expected_tree_distance_distribution(n)
-    d = np.arange(len(p))
-    mean = float((d * p).sum())
-    var = float(((d - mean) ** 2 * p).sum())
-    return math.sqrt(var) / n

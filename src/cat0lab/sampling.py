@@ -3,25 +3,9 @@ experiment and the property-based checks."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from . import _t4
-from .errors import UsageError
-from .models import (
-    Model,
-    Point,
-    Isometry,
-    e2_isometry,
-    e2_point,
-    h2_isometry,
-    h2_point,
-    h2xr_isometry,
-    h2xr_point,
-    t4_isometry,
-    t4_point,
-)
+from .models import KERNELS, Isometry, Model, Point
 
 
 def _rng(seed_or_rng):
@@ -31,74 +15,12 @@ def _rng(seed_or_rng):
 
 
 def random_point(model: Model, rng) -> Point:
-    rng = _rng(rng)
-    if model is Model.E2:
-        return e2_point(rng.uniform(-5, 5), rng.uniform(-5, 5))
-    if model is Model.H2:
-        return h2_point(rng.uniform(-3, 3), math.exp(rng.uniform(-1.5, 1.5)))
-    if model is Model.T4:
-        return t4_point(random_word(rng, int(rng.integers(0, 8))))
-    if model is Model.H2xR:
-        return h2xr_point(rng.uniform(-3, 3), math.exp(rng.uniform(-1.5, 1.5)),
-                          rng.uniform(-4, 4))
-    raise UsageError(f"unknown model {model!r}")
-
-
-def random_word(rng, length: int) -> str:
-    rng = _rng(rng)
-    out: list[str] = []
-    for _ in range(length):
-        choices = [ch for ch in _t4.ALPHABET
-                   if not (out and out[-1] == _t4.inv_letter(ch))]
-        out.append(choices[int(rng.integers(0, len(choices)))])
-    return "".join(out)
-
-
-def random_sl2(rng):
-    """Random well-conditioned real matrix of determinant one (Iwasawa form)."""
-    rng = _rng(rng)
-    theta = rng.uniform(0, 2 * math.pi)
-    t = rng.uniform(-1.2, 1.2)
-    s = rng.uniform(-1.5, 1.5)
-    ct, st = math.cos(theta), math.sin(theta)
-    et = math.exp(t / 2)
-    k = (ct, -st, st, ct)
-    a = (et, 0.0, 0.0, 1.0 / et)
-    nmat = (1.0, s, 0.0, 1.0)
-    from ._h2 import mat_mul
-
-    return mat_mul(mat_mul(k, a), nmat)
+    return Point(model, KERNELS[model].random_point(_rng(rng)))
 
 
 def random_isometry(model: Model, rng) -> Isometry:
-    rng = _rng(rng)
-    if model is Model.E2:
-        return e2_isometry(rng.uniform(0, 2 * math.pi),
-                           (rng.uniform(-3, 3), rng.uniform(-3, 3)))
-    if model is Model.H2:
-        return h2_isometry(*random_sl2(rng))
-    if model is Model.T4:
-        return t4_isometry(random_word(rng, int(rng.integers(1, 7))))
-    if model is Model.H2xR:
-        return h2xr_isometry(random_sl2(rng), rng.uniform(-2, 2))
-    raise UsageError(f"unknown model {model!r}")
+    return Isometry(model, KERNELS[model].random_isometry(_rng(rng)))
 
 
 def random_axial(model: Model, rng) -> Isometry:
-    rng = _rng(rng)
-    if model is Model.E2:
-        v = (rng.uniform(0.3, 3) * (1 if rng.random() < 0.5 else -1),
-             rng.uniform(0.3, 3))
-        return e2_isometry(0.0, v)
-    if model is Model.T4:
-        return t4_isometry(random_word(rng, int(rng.integers(1, 6))))
-    # hyperbolic factor: conjugate a diagonal stretch by a random element
-    from ._h2 import mat_inv, mat_mul
-
-    t = rng.uniform(0.4, 2.0)
-    et = math.exp(t / 2)
-    conj = random_sl2(rng)
-    mat = mat_mul(mat_mul(conj, (et, 0.0, 0.0, 1.0 / et)), mat_inv(conj))
-    if model is Model.H2:
-        return h2_isometry(*mat)
-    return h2xr_isometry(mat, rng.uniform(-2, 2))
+    return Isometry(model, KERNELS[model].random_axial(_rng(rng)))

@@ -2,22 +2,21 @@
 histograms, stationarity defect, Dirac concentration, horofunction gaps,
 cocycle residuals, geodesic tracking, and the pi-convergence scan.
 
-Estimators fan out over sample paths whose random streams depend only on
-(seed, path index), and aggregate in path order, so reports are bit-stable
-for a given seed regardless of worker count.
+Estimators run their sample paths one after another, in path order, and
+each path's random stream depends only on (seed, path index), so reports
+are bit-stable for a given seed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _h2, _t4
+from . import _t4
 from .errors import DomainError, UncertifiedError, UsageError
-from .geometry import distance, direction, model_basepoint, ray_point
+from .geometry import distance, direction, model_basepoint
 from .isometry import (
     apply,
     apply_boundary,
@@ -29,6 +28,7 @@ from .isometry import (
 )
 from .boundary import boundary_metric, horofunction, tits_distance
 from .models import (
+    KERNELS,
     BoundaryPoint,
     Isometry,
     Model,
@@ -39,12 +39,12 @@ from .models import (
     tolerance,
 )
 from .walk import (
-    OrbitWalker,
     StepDistribution,
     WalkTrace,
+    draw_increments,
+    orbit_walker,
     sample_walk,
     snapshot_horofunction,
-    snapshot_point,
     validate_distribution,
 )
 
@@ -65,13 +65,6 @@ def _require_certified(spec: StepDistribution, allow: bool, depth: int) -> None:
             "distribution support not certified to generate a group at depth "
             f"{depth}; pass allow_uncertified=True to override"
         )
-
-
-def _map_paths(fn, m_samples: int, threads: int):
-    if threads <= 1:
-        return [fn(i) for i in range(m_samples)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(m_samples)))
 
 
 # -- drift ---------------------------------------------------------------------
@@ -98,8 +91,8 @@ class DriftReport:
 
 def drift_estimate(spec: StepDistribution, x: Point, n: int, m_samples: int,
                    seed: int, horofunction_xi: BoundaryPoint | None = None,
-                   allow_uncertified: bool = False, certification_depth: int = 4,
-                   threads: int = 1) -> DriftReport:
+                   allow_uncertified: bool = False,
+                   certification_depth: int = 4) -> DriftReport:
     """Monte-Carlo estimate of the escape speed lim d(Z_n x, x)/n over
     independent sample paths; optionally also the horofunction speed
     mean h_xi(Z_n x)/n for a fixed boundary point."""
@@ -115,7 +108,7 @@ def drift_estimate(spec: StepDistribution, x: Point, n: int, m_samples: int,
             hterm = snapshot_horofunction(spec.model, tr.snapshots[-1], x, horofunction_xi) / n
         return term, hterm
 
-    results = _map_paths(one, m_samples, threads)
+    results = [one(i) for i in range(m_samples)]
     terms = np.array([r[0] for r in results])
     lam = float(terms.mean())
     se = float(terms.std(ddof=1) / math.sqrt(m_samples)) if m_samples > 1 else 0.0
@@ -158,9 +151,11 @@ def convergence_profile(trace: WalkTrace, checkpoints) -> ConvergenceProfile:
     for k in checkpoints:
         if int(k) not in step_index:
             raise UsageError(f"checkpoint {k} was not stored in the trace")
-        if trace.base_distances[int(k)] <= tolerance():
+        p = trace.point(step_index[int(k)])
+        # the float orbit point can sit on x even where the log-space
+        # distance of a return does not reach the tolerance
+        if trace.base_distances[int(k)] <= tolerance() or distance(x, p) <= tolerance():
             continue
-        p = snapshot_point(trace.model, trace.snapshots[step_index[int(k)]], x)
         coords.append(direction(x, p))
         kept.append(int(k))
     if not coords:
@@ -210,13 +205,7 @@ class BinScheme:
 
     @classmethod
     def default(cls, model: Model, resolution: int = 0) -> "BinScheme":
-        if model is Model.E2:
-            return cls.angular(resolution or 16)
-        if model is Model.H2:
-            return cls.circle(resolution or 16)
-        if model is Model.T4:
-            return cls.cylinders(resolution or 2)
-        return cls.product(resolution or 8, 4)
+        return KERNELS[model].default_bins(cls, resolution)
 
     @property
     def count(self) -> int:
@@ -315,9 +304,10 @@ class HittingHistogram:
     m_samples: int
 
     def __post_init__(self):
-        if abs(sum(self.masses) - 1.0) > 1e-9:
+        # written as not (value <= bound) so that NaN masses fail
+        if not abs(sum(self.masses) - 1.0) <= 1e-9:
             raise UsageError("histogram masses must sum to 1")
-        if any(m < 0 for m in self.masses):
+        if not all(0.0 <= m for m in self.masses):
             raise UsageError("histogram masses must be nonnegative")
 
     def to_json(self) -> dict:
@@ -327,19 +317,22 @@ class HittingHistogram:
 
 def hitting_measure(spec: StepDistribution, x: Point, n: int, m_samples: int,
                     bins: BinScheme, seed: int, allow_uncertified: bool = False,
-                    certification_depth: int = 4, threads: int = 1) -> HittingHistogram:
+                    certification_depth: int = 4) -> HittingHistogram:
     """Histogram of the terminal directions direction(x, Z_n x) over
-    independent sample paths, in the model's bin scheme."""
+    independent sample paths, in the model's bin scheme.  Paths that end at
+    the basepoint have no direction and are left out; DomainError when no
+    path is left."""
     _require_certified(spec, allow_uncertified, certification_depth)
 
     def one(i: int):
         tr = sample_walk(spec, x, n, seed, path_index=i, thin=n)
         if tr.base_distances[-1] <= tolerance():
             return None
-        p = snapshot_point(spec.model, tr.snapshots[-1], x)
-        return bins.index_of(direction(x, p))
+        return bins.index_of(direction(x, tr.point(-1)))
 
-    hits = [h for h in _map_paths(one, m_samples, threads) if h is not None]
+    hits = [h for h in (one(i) for i in range(m_samples)) if h is not None]
+    if not hits:
+        raise DomainError("no sample path left the basepoint; the histogram is empty")
     counts = np.bincount(hits, minlength=bins.count).astype(float)
     masses = counts / counts.sum()
     return HittingHistogram(bins=bins, masses=tuple(float(v) for v in masses),
@@ -422,19 +415,23 @@ def dirac_concentration(spec: StepDistribution, atoms0, n: int, seed: int,
     checkpoints = sorted(int(k) for k in checkpoints if int(k) >= 1)
     if not checkpoints:
         raise UsageError("need at least one positive checkpoint")
-    from .walk import draw_increments
+    same_model(x, *atoms0, *(atoms1 or ()))
 
     increments = draw_increments(spec, max(checkpoints), seed, 0)
-    walker = OrbitWalker(spec, x)
+    walker = orbit_walker(spec, x)
     want = set(checkpoints)
     spread0, spread1, cross = [], [], []
+
+    def images(atoms):
+        return [BoundaryPoint(x.model, walker.boundary_image(b.data)) for b in atoms]
+
     for k in range(1, max(checkpoints) + 1):
         walker.step(int(increments[k - 1]))
         if k in want:
-            img0 = [walker.boundary_image(b) for b in atoms0]
+            img0 = images(atoms0)
             spread0.append(_cloud_spread(x, img0))
             if atoms1 is not None:
-                img1 = [walker.boundary_image(b) for b in atoms1]
+                img1 = images(atoms1)
                 spread1.append(_cloud_spread(x, img1))
                 cross.append(_cross_spread(x, img0, img1))
     return DiracReport(
@@ -486,26 +483,11 @@ def tracking_error(trace: WalkTrace, lam: float):
         raise UsageError("trace never left the basepoint; no direction proxy")
     ks = [int(k) for k in trace.steps if int(k) > 0]
     step_index = {int(k): i for i, k in enumerate(trace.steps)}
-    if trace.model is Model.H2:
-        mats = [g.data for g in trace.spec.isometries]
-        gaps = _h2.mp_ray_gaps(mats, trace.increments, x.data, lam, ks)
-        errs = [gaps[k] / k for k in ks]
-        return np.array(ks), np.array(errs)
-    if trace.model is Model.H2xR:
-        mats = [g.data[0] for g in trace.spec.isometries]
-        heights = {k: trace.snapshots[step_index[k]][1] + x.data[1] for k in ks}
-        gaps = _h2.mp_ray_gaps(mats, trace.increments, x.data[0], lam, ks,
-                               heights=heights, base_height=x.data[1])
-        errs = [gaps[k] / k for k in ks]
-        return np.array(ks), np.array(errs)
-    final = snapshot_point(trace.model, trace.snapshots[-1], x)
-    xi = direction(x, final)
-    errs = []
-    for k in ks:
-        t = lam * k
-        t_eval = float(round(t)) if trace.model is Model.T4 else t
-        p = snapshot_point(trace.model, trace.snapshots[step_index[k]], x)
-        errs.append(distance(ray_point(x, xi, t_eval), p) / k)
+    snaps = {k: trace.snapshots[step_index[k]] for k in ks}
+    gaps = KERNELS[trace.model].tracking_gaps(
+        [g.data for g in trace.spec.isometries], trace.increments, snaps, x.data, lam,
+        float(trace.base_distances.max()), tolerance())
+    errs = [gaps[k] / k for k in ks]
     return np.array(ks), np.array(errs)
 
 

@@ -2,26 +2,27 @@
 seeded random-walk sampler Z_n = w_1 ... w_n.
 
 Sampling is driven by a counter-based generator keyed by (seed, path index),
-so different paths are independent streams and results never depend on how
-work is scheduled across workers.
+so different paths are independent streams and a path's result does not
+depend on which other paths are sampled, or in which order.
 
-Hyperbolic-factor products are tracked as Frobenius-normalised matrices with
-a log-scale factor; positions, distances to the basepoint and horofunction
-values are extracted from that state in log space, which keeps traces
-faithful far beyond the float64 coordinate range.
+Each model's orbit walker lives in its kernel module (`Walker`, with
+`snapshot_point` and `snapshot_horofunction`).  Hyperbolic-factor products
+are tracked there as Frobenius-normalised matrices with a log-scale factor;
+positions, distances to the basepoint and horofunction values are extracted
+from that state in log space, which keeps traces faithful far beyond the
+float64 coordinate range.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _e2, _h2, _t4
 from .errors import DistributionError, UsageError
 from .models import (
+    KERNELS,
     BoundaryPoint,
     Isometry,
     Model,
@@ -132,135 +133,9 @@ def validate_distribution(spec: StepDistribution, depth: int) -> AdmissibilityRe
     )
 
 
-# -- per-model orbit walkers ---------------------------------------------------
-
-class OrbitWalker:
-    """Incremental left-product state Z_k = Z_{k-1} w_k for one sample path."""
-
-    def __init__(self, spec: StepDistribution, basepoint: Point):
-        same_model(spec.isometries[0], basepoint)
-        self.model = spec.model
-        self.base = basepoint
-        if self.model is Model.E2:
-            self._state = (complex(1.0, 0.0), complex(0.0, 0.0))  # (e^{ia}, v)
-        elif self.model is Model.T4:
-            x = basepoint.data
-            self._conj = [( _t4.mul(_t4.mul(_t4.inv_word(x), g.data), x))
-                          for g in spec.isometries]
-            self._stack: list[str] = []  # x^{-1} Z x as a letter stack
-        elif self.model is Model.H2:
-            self._state = _h2.state_identity()
-            self._frame = _h2.point_frame(basepoint.data)
-        else:
-            self._state = (_h2.state_identity(), 0.0)
-            self._frame = _h2.point_frame(basepoint.data[0])
-        self._atoms = spec.isometries
-
-    def step(self, atom_index: int) -> None:
-        g = self._atoms[atom_index]
-        if self.model is Model.E2:
-            u, w = self._state
-            a, v = g.data
-            self._state = (u * complex(math.cos(a), math.sin(a)), u * v + w)
-        elif self.model is Model.T4:
-            for ch in self._conj[atom_index]:
-                if self._stack and self._stack[-1] == _t4.inv_letter(ch):
-                    self._stack.pop()
-                else:
-                    self._stack.append(ch)
-        elif self.model is Model.H2:
-            self._state = _h2.state_mul(self._state, g.data)
-        else:
-            st, h = self._state
-            mat, shift = g.data
-            self._state = (_h2.state_mul(st, mat), h + shift)
-
-    def dist_to_base(self) -> float:
-        if self.model is Model.E2:
-            u, w = self._state
-            return abs(u * self.base.data + w - self.base.data)
-        if self.model is Model.T4:
-            return float(len(self._stack))
-        if self.model is Model.H2:
-            return _h2.state_dist_to_base(self._state, self._frame)
-        st, h = self._state
-        dh = _h2.state_dist_to_base(st, self._frame)
-        return math.hypot(dh, h)
-
-    def point(self) -> Point:
-        if self.model is Model.E2:
-            u, w = self._state
-            return Point(self.model, u * self.base.data + w)
-        if self.model is Model.T4:
-            return Point(self.model, _t4.mul(self.base.data, "".join(self._stack)))
-        if self.model is Model.H2:
-            return Point(self.model, _h2.state_point(self._state, self.base.data))
-        st, h = self._state
-        return Point(self.model,
-                     (_h2.state_point(st, self.base.data[0]), self.base.data[1] + h))
-
-    def snapshot(self):
-        if self.model is Model.T4:
-            return "".join(self._stack)
-        return self._state
-
-    def boundary_image(self, xi: BoundaryPoint) -> BoundaryPoint:
-        same_model(self.base, xi)
-        if self.model is Model.E2:
-            u, _ = self._state
-            return BoundaryPoint(self.model, _e2.wrap_angle(xi.data + math.atan2(u.imag, u.real)))
-        if self.model is Model.T4:
-            x = self.base.data
-            z_word = _t4.mul(_t4.mul(x, "".join(self._stack)), _t4.inv_word(x))
-            return BoundaryPoint(self.model, _t4.boundary_action(z_word, xi.data))
-        if self.model is Model.H2:
-            return BoundaryPoint(self.model, _h2.state_boundary(self._state, xi.data))
-        st, _ = self._state
-        b, alpha = xi.data
-        if b is None:
-            return xi
-        return BoundaryPoint(self.model, (_h2.state_boundary(st, b), alpha))
-
-
-def snapshot_dist_to_base(model: Model, snap, basepoint: Point) -> float:
-    if model is Model.T4:
-        return float(len(snap))
-    if model is Model.E2:
-        u, w = snap
-        return abs(u * basepoint.data + w - basepoint.data)
-    if model is Model.H2:
-        return _h2.state_dist_to_base(snap, _h2.point_frame(basepoint.data))
-    st, h = snap
-    dh = _h2.state_dist_to_base(st, _h2.point_frame(basepoint.data[0]))
-    return math.hypot(dh, h)
-
-
-def snapshot_point(model: Model, snap, basepoint: Point) -> Point:
-    if model is Model.T4:
-        return Point(model, _t4.mul(basepoint.data, snap))
-    if model is Model.E2:
-        u, w = snap
-        return Point(model, u * basepoint.data + w)
-    if model is Model.H2:
-        return Point(model, _h2.state_point(snap, basepoint.data))
-    st, h = snap
-    return Point(model, (_h2.state_point(st, basepoint.data[0]), basepoint.data[1] + h))
-
-
 def snapshot_horofunction(model: Model, snap, basepoint: Point, xi: BoundaryPoint) -> float:
     """h_xi with basepoint x evaluated at the orbit point Z x of a snapshot."""
-    from .boundary import horofunction
-
-    if model is Model.H2:
-        return _h2.state_horofunction(snap, xi.data, basepoint.data)
-    if model is Model.H2xR:
-        st, h = snap
-        b, alpha = xi.data
-        vert = math.sin(alpha) * (-h)
-        if b is None:
-            return vert
-        return math.cos(alpha) * _h2.state_horofunction(st, b, basepoint.data[0]) + vert
-    return horofunction(xi, basepoint, snapshot_point(model, snap, basepoint))
+    return float(KERNELS[model].snapshot_horofunction(snap, basepoint.data, xi.data))
 
 
 @dataclass(frozen=True)
@@ -282,29 +157,23 @@ class WalkTrace:
     def model(self) -> Model:
         return self.spec.model
 
+    def point(self, i: int) -> Point:
+        """Orbit point Z_k x of the i-th stored snapshot."""
+        return Point(self.model, KERNELS[self.model].snapshot_point(self.snapshots[i],
+                                                                    self.basepoint.data))
+
     @property
     def positions(self) -> list[Point]:
-        return [snapshot_point(self.model, s, self.basepoint) for s in self.snapshots]
+        return [self.point(i) for i in range(len(self.snapshots))]
 
     def to_csv(self, path) -> None:
-        if self.model is Model.T4:
-            pos_cols = ["word"]
-        elif self.model is Model.H2xR:
-            pos_cols = ["x", "y", "height"]
-        else:
-            pos_cols = ["x", "y"]
+        kernel = KERNELS[self.model]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["step", "increment_index", *pos_cols, "dist_to_base"])
+            writer.writerow(["step", "increment_index", *kernel.CSV_COLUMNS, "dist_to_base"])
             for i, k in enumerate(self.steps):
                 inc = "" if k == 0 else int(self.increments[k - 1])
-                p = snapshot_point(self.model, self.snapshots[i], self.basepoint)
-                if self.model is Model.T4:
-                    comps = [p.data]
-                elif self.model is Model.H2xR:
-                    comps = [p.data[0].real, p.data[0].imag, p.data[1]]
-                else:
-                    comps = [p.data.real, p.data.imag]
+                comps = kernel.csv_row(self.point(i).data)
                 writer.writerow([int(k), inc, *comps, float(self.base_distances[k])])
 
 
@@ -320,6 +189,13 @@ def draw_increments(spec: StepDistribution, n: int, seed: int, path_index: int =
     return np.searchsorted(cum, u, side="right").astype(np.int64)
 
 
+def orbit_walker(spec: StepDistribution, basepoint: Point):
+    """The model's incremental walker for Z_k = Z_{k-1} w_k, started at the
+    identity and measured from `basepoint`."""
+    same_model(spec.isometries[0], basepoint)
+    return KERNELS[spec.model].Walker([g.data for g in spec.isometries], basepoint.data)
+
+
 def sample_walk(spec: StepDistribution, x: Point, n: int, seed: int,
                 path_index: int = 0, thin: int = 1) -> WalkTrace:
     """Deterministic walk realization for (spec, x, n, seed, path_index).
@@ -333,16 +209,17 @@ def sample_walk(spec: StepDistribution, x: Point, n: int, seed: int,
     if thin < 1:
         raise UsageError("thinning stride must be at least 1")
     increments = draw_increments(spec, n, seed, path_index)
-    walker = OrbitWalker(spec, x)
+    walker = orbit_walker(spec, x)
+    step, dist_to_base, snapshot = walker.step, walker.dist_to_base, walker.snapshot
     dists = np.zeros(n + 1)
     steps = [0]
-    snaps = [walker.snapshot()]
-    for k in range(1, n + 1):
-        walker.step(int(increments[k - 1]))
-        dists[k] = walker.dist_to_base()
+    snaps = [snapshot()]
+    for k, atom_index in enumerate(increments.tolist(), start=1):
+        step(atom_index)
+        dists[k] = dist_to_base()
         if k % thin == 0 or k == n:
             steps.append(k)
-            snaps.append(walker.snapshot())
+            snaps.append(snapshot())
     return WalkTrace(
         spec=spec,
         basepoint=x,

@@ -1,0 +1,227 @@
+"""Bit-level pins of estimator outputs on all four models.
+
+Each value is the exact `float.hex()` of an estimator output for a fixed
+seed, pinned from commit 0bf6a92.  Any change to the arithmetic of a kernel,
+a walker or an estimator, including a reordering of floating-point
+operations, shows here as a changed hex string.
+"""
+
+import pytest
+
+from cat0lab import (
+    Model,
+    StepDistribution,
+    drift_estimate,
+    e2_boundary,
+    e2_isometry,
+    h2_boundary,
+    h2_isometry,
+    h2xr_boundary,
+    h2xr_isometry,
+    horofunction_gap,
+    model_basepoint,
+    sample_boundary,
+    sample_walk,
+    t4_boundary,
+    t4_isometry,
+    cocycle_residual,
+    dirac_concentration,
+    tracking_error,
+)
+from cat0lab.sampling import random_isometry, random_point
+from cat0lab.walk import snapshot_horofunction
+
+import numpy as np
+
+_H2_MATRICES = ((2, 0, 0, 0.5), (0.5, 0, 0, 2), (1, 1, 1, 2), (2, -1, -1, 1))
+
+SPECS = {
+    Model.E2: [e2_isometry(0, v) for v in ((1, 0), (-1, 0), (0, 1), (0, -1))],
+    Model.H2: [h2_isometry(*m) for m in _H2_MATRICES],
+    Model.T4: [t4_isometry(w) for w in "aAbB"],
+    Model.H2xR: [h2xr_isometry(m, s) for m, s in zip(_H2_MATRICES, (0.5, -0.5, 0.3, -0.3))],
+}
+
+XI = {
+    Model.E2: e2_boundary(1.0),
+    Model.H2: h2_boundary(5.0),
+    Model.T4: t4_boundary("ab", "a"),
+    Model.H2xR: h2xr_boundary(5.0, 0.3),
+}
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def golden_values(model: Model) -> dict:
+    spec = StepDistribution.uniform(SPECS[model])
+    x = model_basepoint(model)
+    xi = XI[model]
+    drift = drift_estimate(spec, x, 200, 4, seed=7, allow_uncertified=True)
+    tr = sample_walk(spec, x, 200, 11, thin=20)
+    _, gaps = horofunction_gap(tr, xi)
+    _, errs = tracking_error(tr, max(drift.lambda_hat, 0.25))
+    dirac = dirac_concentration(spec, sample_boundary(model, 6, 3), 60, 5, [10, 60],
+                                atoms1=sample_boundary(model, 6, 4))
+    rng = np.random.default_rng(13)
+    residuals = []
+    for _ in range(20):
+        g1 = random_isometry(model, rng)
+        g2 = random_isometry(model, rng)
+        b = sample_boundary(model, 1, rng)[0]
+        p = random_point(model, rng)
+        residuals.append(cocycle_residual(g1, g2, b, p))
+    return {
+        "drift_terminal": _hex(drift.per_sample_terminal),
+        "snapshot_horofunction": _hex([snapshot_horofunction(model, tr.snapshots[-1], x, xi)]),
+        "horofunction_gap": _hex(gaps),
+        "tracking_error": _hex(errs),
+        "dirac_spread": _hex(dirac.spread + dirac.spread_second + dirac.cross_spread),
+        "cocycle_residual": _hex(residuals),
+    }
+
+
+GOLDEN = {
+    "E2": {
+        "drift_terminal": [
+            "0x1.d3040f0401837p-5", "0x1.12c49dd0cc1e9p-4", "0x1.eeebeb8ed312ep-5",
+            "0x1.06459fbeb847bp-4",
+        ],
+        "snapshot_horofunction": [
+            "0x1.06778667bd77ep+4",
+        ],
+        "horofunction_gap": [
+            "0x0.0p+0", "0x1.0d5b5709ab4a1p+3", "0x1.b0797df2f397cp+2",
+            "0x1.b7234a6293efep+2", "0x1.d6bafe095f2e8p+0", "0x1.09c02e4064200p-4",
+            "0x1.418737fd97134p-1", "0x1.589dae9e66800p-7", "0x1.26a8f862225e0p-2",
+            "0x1.3ca11f61cef60p-1", "0x1.30ab69b011600p-3",
+        ],
+        "tracking_error": [
+            "0x1.ea15b6baf832bp-2", "0x1.53375684db478p-2", "0x1.2ee6b6d8ef92ep-2",
+            "0x1.ddcb3ca121c1ep-3", "0x1.c9fd4787d20a9p-3", "0x1.c6ae29259e2ddp-3",
+            "0x1.84f47fed1efd6p-3", "0x1.4e601c6c403efp-3", "0x1.5d63056b81ec6p-3",
+            "0x1.567f726986a74p-3",
+        ],
+        "dirac_spread": [
+            "0x1.fff8227fc07ecp+0", "0x1.fff8227fc07ecp+0", "0x1.fe395bbe02efdp+0",
+            "0x1.fe395bbe02efdp+0", "0x1.fffedcda12f2cp+0", "0x1.fffedcda12f2cp+0",
+        ],
+        "cocycle_residual": [
+            "0x1.8000000000000p-51", "0x1.0000000000000p-51", "0x1.4000000000000p-50",
+            "0x1.8000000000000p-50", "0x0.0p+0", "0x1.0000000000000p-49",
+            "0x1.0000000000000p-51", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x1.c000000000000p-48",
+            "0x0.0p+0", "0x1.2000000000000p-51", "0x1.8000000000000p-50",
+            "0x1.0000000000000p-57", "0x1.4000000000000p-49", "0x1.1000000000000p-48",
+            "0x0.0p+0", "0x1.0000000000000p-50",
+        ],
+    },
+    "H2": {
+        "drift_terminal": [
+            "0x1.3e5315aa15269p-1", "0x1.3f8c262e4906bp-1", "0x1.f67aa53faa0c3p-2",
+            "0x1.11a04c0925ca2p-1",
+        ],
+        "snapshot_horofunction": [
+            "0x1.ab3df76f3841ap+6",
+        ],
+        "horofunction_gap": [
+            "0x1.0000000000000p-51", "0x1.af06819b663fcp+1", "0x1.af0689bf5cc20p+1",
+            "0x1.af0689bf58540p+1", "0x1.af0689bf58550p+1", "0x1.af0689bf58520p+1",
+            "0x1.af0689bf58510p+1", "0x1.af0689bf58500p+1", "0x1.af0689bf58500p+1",
+            "0x1.af0689bf58500p+1", "0x1.af0689bf58500p+1",
+        ],
+        "tracking_error": [
+            "0x1.3f8561473626bp-2", "0x1.bed877b6704e0p-4", "0x1.65756b9da91acp-3",
+            "0x1.7a187d24fab4ap-4", "0x1.6df6c624ff34cp-5", "0x1.e6e0a2c985221p-6",
+            "0x1.1e394d2625bf1p-5", "0x1.83cfedaa4aa81p-8", "0x1.d7840d3ec87a5p-7",
+            "0x1.1420c4e7fac88p-6",
+        ],
+        "dirac_spread": [
+            "0x1.0d126d04191c9p-3", "0x0.0p+0", "0x1.e8a6c80b7dc7ep-4",
+            "0x0.0p+0", "0x1.767de14abb9fep-3", "0x0.0p+0",
+        ],
+        "cocycle_residual": [
+            "0x1.8000000000000p-51", "0x1.0000000000000p-50", "0x1.0000000000000p-50",
+            "0x1.0000000000000p-50", "0x1.8000000000000p-51", "0x1.0000000000000p-51",
+            "0x1.0000000000000p-53", "0x0.0p+0", "0x1.0000000000000p-52",
+            "0x1.8000000000000p-52", "0x1.8000000000000p-52", "0x1.0000000000000p-52",
+            "0x0.0p+0", "0x1.4000000000000p-51", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x1.8000000000000p-52",
+            "0x0.0p+0", "0x1.0000000000000p-52",
+        ],
+    },
+    "T4": {
+        "drift_terminal": [
+            "0x1.199999999999ap-1", "0x1.0f5c28f5c28f6p-1", "0x1.ccccccccccccdp-2",
+            "0x1.f5c28f5c28f5cp-2",
+        ],
+        "snapshot_horofunction": [
+            "0x1.8800000000000p+6",
+        ],
+        "horofunction_gap": [
+            "0x0.0p+0", "0x1.0000000000000p+2", "0x1.0000000000000p+2",
+            "0x1.0000000000000p+2", "0x1.0000000000000p+2", "0x1.0000000000000p+2",
+            "0x1.0000000000000p+2", "0x1.0000000000000p+2", "0x1.0000000000000p+2",
+            "0x1.0000000000000p+2", "0x1.0000000000000p+2",
+        ],
+        "tracking_error": [
+            "0x1.999999999999ap-3", "0x1.999999999999ap-5", "0x1.1111111111111p-3",
+            "0x1.999999999999ap-5", "0x1.eb851eb851eb8p-5", "0x1.1111111111111p-7",
+            "0x1.d41d41d41d41dp-8", "0x1.3333333333333p-6", "0x1.6c16c16c16c17p-8",
+            "0x1.47ae147ae147bp-8",
+        ],
+        "dirac_spread": [
+            "0x1.78b56362cef38p-2", "0x1.1e642baeb84a0p-42", "0x1.97db0ccceb0afp-5",
+            "0x1.1e642baeb84a0p-42", "0x1.78b56362cef38p-2", "0x1.1e642baeb84a0p-42",
+        ],
+        "cocycle_residual": [
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0",
+        ],
+    },
+    "H2xR": {
+        "drift_terminal": [
+            "0x1.3eb851fd8e203p-1", "0x1.3f8d181d0b7ebp-1", "0x1.f75b171156517p-2",
+            "0x1.12365b43290a3p-1",
+        ],
+        "snapshot_horofunction": [
+            "0x1.a19dd7bd24544p+6",
+        ],
+        "horofunction_gap": [
+            "0x1.e921dd42f09bap-52", "0x1.002ee0392cbc2p+2", "0x1.1f1b05a0c3298p+2",
+            "0x1.3e861a11ae790p+2", "0x1.416c28cb65ab8p+2", "0x1.5fec078bf43c0p+2",
+            "0x1.58a7b6b8fc498p+2", "0x1.581f4cda97410p+2", "0x1.673e06ce8d670p+2",
+            "0x1.824b42eee7c60p+2", "0x1.84158d97879c0p+2",
+        ],
+        "tracking_error": [
+            "0x1.43195eb09361ap-2", "0x1.e837f67fe78c0p-4", "0x1.6b96718c8ba02p-3",
+            "0x1.83114677ecb0ap-4", "0x1.a96108c8f1b4ap-5", "0x1.1dba76940552dp-5",
+            "0x1.1fdb20af48f33p-5", "0x1.7edf52f0a4ae2p-8", "0x1.f0f223fdfcaeep-7",
+            "0x1.07c1856453d2cp-6",
+        ],
+        "dirac_spread": [
+            "0x1.57677984a974ap+0", "0x1.5767631ff5b5dp+0", "0x1.542edbca53e7bp+0",
+            "0x1.542eca107b0abp+0", "0x1.6a8215d170b7fp+0", "0x1.6a81e237368bfp+0",
+        ],
+        "cocycle_residual": [
+            "0x1.0000000000000p-51", "0x1.8000000000000p-52", "0x1.4000000000000p-50",
+            "0x1.c000000000000p-52", "0x1.8000000000000p-53", "0x1.0000000000000p-51",
+            "0x0.0p+0", "0x1.8000000000000p-52", "0x1.0000000000000p-51",
+            "0x1.0000000000000p-53", "0x1.0000000000000p-52", "0x0.0p+0",
+            "0x1.0000000000000p-54", "0x1.0000000000000p-50", "0x1.0000000000000p-52",
+            "0x1.0000000000000p-51", "0x0.0p+0", "0x1.0000000000000p-52",
+            "0x1.0000000000000p-50", "0x0.0p+0",
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("model", list(SPECS), ids=lambda m: m.value)
+def test_golden_values(model):
+    assert golden_values(model) == GOLDEN[model.value]
