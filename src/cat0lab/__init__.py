@@ -96,6 +96,7 @@ from .stats import (
     drift_estimate,
     hitting_measure,
     horofunction_gap,
+    hypotheses_audit,
     pi_convergence_check,
     rankone_audit,
     stationarity_defect,

@@ -236,14 +236,15 @@ class Walker:
     def snapshot(self):
         return self._state
 
-    def boundary_image(self, theta: float) -> float:
-        u, _ = self._state
-        return wrap_angle(theta + math.atan2(u.imag, u.real))
-
 
 def snapshot_point(snap, base: complex) -> complex:
     u, w = snap
     return u * base + w
+
+
+def snapshot_boundary(snap, base: complex, theta: float) -> float:
+    u, _ = snap
+    return wrap_angle(theta + math.atan2(u.imag, u.real))
 
 
 def snapshot_horofunction(snap, base: complex, theta: float) -> float:

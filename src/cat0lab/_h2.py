@@ -484,10 +484,6 @@ def state_point(st: State, x: complex) -> complex:
     return complex(re, max(im, _TINY))
 
 
-def state_boundary(st: State, xi: float) -> float:
-    return mobius_boundary(st[0], xi)
-
-
 def _log_add(la: float, lb: float) -> float:
     if la == -INF:
         return lb
@@ -525,12 +521,13 @@ class Walker:
     def snapshot(self):
         return self._state
 
-    def boundary_image(self, xi: float) -> float:
-        return state_boundary(self._state, xi)
-
 
 snapshot_point = state_point
 snapshot_horofunction = state_horofunction
+
+
+def snapshot_boundary(st: State, x: complex, xi: float) -> float:
+    return mobius_boundary(st[0], xi)
 
 
 def csv_row(p: complex) -> list:

@@ -327,16 +327,17 @@ class Walker:
     def snapshot(self):
         return self._state
 
-    def boundary_image(self, b):
-        xi, alpha = b
-        if xi is None:
-            return b
-        return (_h2.state_boundary(self._state[0], xi), alpha)
-
 
 def snapshot_point(snap, base):
     st, h = snap
     return (_h2.state_point(st, base[0]), base[1] + h)
+
+
+def snapshot_boundary(snap, base, b):
+    xi, alpha = b
+    if xi is None:
+        return b
+    return (_h2.snapshot_boundary(snap[0], base[0], xi), alpha)
 
 
 def snapshot_horofunction(snap, base, b) -> float:

@@ -378,7 +378,6 @@ class Walker:
     """Left-product state kept as x^{-1} Z x, a reduced word on a letter stack."""
 
     def __init__(self, atoms, base: str):
-        self._base = base
         self._conj = [mul(mul(inv_word(base), g), base) for g in atoms]
         self._stack: list[str] = []
 
@@ -396,14 +395,13 @@ class Walker:
     def snapshot(self) -> str:
         return "".join(self._stack)
 
-    def boundary_image(self, b: tuple[str, str]) -> tuple[str, str]:
-        x = self._base
-        z_word = mul(mul(x, "".join(self._stack)), inv_word(x))
-        return boundary_action(z_word, b)
-
 
 def snapshot_point(snap: str, base: str) -> str:
     return mul(base, snap)
+
+
+def snapshot_boundary(snap: str, base: str, b: tuple[str, str]) -> tuple[str, str]:
+    return boundary_action(mul(mul(base, snap), inv_word(base)), b)
 
 
 def snapshot_horofunction(snap: str, base: str, b: tuple[str, str]) -> int:

@@ -62,6 +62,7 @@ from .stats import (
     drift_estimate,
     hitting_measure,
     horofunction_gap,
+    hypotheses_audit,
     pi_convergence_check,
     rankone_audit,
     stationarity_defect,
@@ -69,18 +70,10 @@ from .stats import (
     theil_sen,
     tracking_error,
 )
-from .walk import StepDistribution, sample_walk, validate_distribution
+from .walk import StepDistribution, sample_walk
 
 CONFIG_SCHEMA = "cat0lab/config/v1"
 REPORT_SCHEMA = "cat0lab/report/v1"
-
-EXPERIMENTS = (
-    "drift", "converge", "hitting", "stationarity", "dirac", "gap", "cocycle",
-    "track", "northsouth", "pi-convergence", "tits-table", "rankone-audit",
-)
-# experiments whose statements assume a certified admissible, non-elementary,
-# rank-one-containing support
-_GATED = {"drift", "converge", "hitting", "stationarity", "dirac", "gap", "track"}
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -118,7 +111,8 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"unsupported config schema {schema!r}")
         experiment = raw["experiment"]
         if experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {experiment!r}; pick from {EXPERIMENTS}")
+            raise ConfigError(f"unknown experiment {experiment!r}; "
+                              f"pick from {', '.join(EXPERIMENTS)}")
         model = Model(raw["model"])
         dist = None
         if "distribution" in raw:
@@ -142,78 +136,15 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
-def _hypotheses_block(cfg: ExperimentConfig, depth: int = 4) -> dict:
+def _hypotheses_block(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
+    """The report's hypotheses block, and the problems that gate a run."""
     if cfg.distribution is None:
-        return {"admissibility": None, "rankone_audit": None}
-    adm = validate_distribution(cfg.distribution, depth)
-    audit = rankone_audit(cfg.distribution)
-    return {
-        "admissibility": {
-            "depth": adm.depth,
-            "elements_reached": adm.elements_reached,
-            "symmetric_closure_hit": adm.symmetric_closure_hit,
-            "certified": adm.certified,
-        },
-        "rankone_audit": audit.to_json(),
-    }
+        return {"admissibility": None, "rankone_audit": None}, []
+    adm, audit, problems = hypotheses_audit(cfg.distribution)
+    return {"admissibility": vars(adm), "rankone_audit": audit.to_json()}, problems
 
 
-def _check_gate(cfg: ExperimentConfig, hypotheses: dict, allow: bool) -> None:
-    if cfg.experiment not in _GATED or allow:
-        return
-    adm = hypotheses["admissibility"]
-    audit = hypotheses["rankone_audit"]
-    problems = []
-    if adm is None:
-        problems.append("no distribution given")
-    else:
-        if not adm["certified"]:
-            problems.append("support not certified admissible")
-        if audit["verdict"] != "certified-non-elementary":
-            problems.append(f"rank-one audit verdict: {audit['verdict']}")
-    if problems:
-        raise UncertifiedError(
-            "; ".join(problems) + " (rerun with --allow-uncertified to force)"
-        )
-
-
-def _series_rows(experiment: str, results: dict):
-    if experiment == "drift":
-        return ["sample", "terminal_over_n"], list(enumerate(results["per_sample_terminal"]))
-    if experiment == "converge":
-        rows = []
-        for path in results["paths"]:
-            for k, tail in zip(path["checkpoints"], path["cauchy_tail"]):
-                rows.append((path["path"], k, tail))
-        return ["path", "checkpoint", "cauchy_tail"], rows
-    if experiment == "hitting":
-        return ["bin", "mass"], list(enumerate(results["histogram"]["masses"]))
-    if experiment == "stationarity":
-        return ["bin", "mass"], list(enumerate(results["histogram"]["masses"]))
-    if experiment == "dirac":
-        rows = []
-        for i, k in enumerate(results["checkpoints"]):
-            cross = results["cross_spread"][i] if results["cross_spread"] else ""
-            second = results["spread_second"][i] if results["spread_second"] else ""
-            rows.append((k, results["spread"][i], second, cross))
-        return ["checkpoint", "spread", "spread_second", "cross_spread"], rows
-    if experiment == "gap":
-        return ["step", "gap"], list(zip(results["steps"], results["gap_series"]))
-    if experiment == "cocycle":
-        return ["case", "residual"], list(enumerate(results["residuals"]))
-    if experiment == "track":
-        return ["step", "error"], list(zip(results["steps"], results["errors"]))
-    if experiment == "northsouth":
-        return ["power", "max_gap_to_attracting"], list(
-            zip(results["powers"], results["max_gaps"])
-        )
-    if experiment == "pi-convergence":
-        return ["index", "max_gap_to_limit"], list(enumerate(results["max_gaps"]))
-    if experiment == "tits-table":
-        return (["i", "j", "tits", "angle_at_basepoint"],
-                [(r["i"], r["j"], r["tits"], r["angle"]) for r in results["table"]])
-    return None, None
-
+# Each runner returns (results, csv header, csv rows); no rows, no series.csv.
 
 def _run_drift(cfg):
     xi = None
@@ -221,44 +152,39 @@ def _run_drift(cfg):
         xi = boundary_from_json(cfg.params["horofunction_xi"])
     rep = drift_estimate(cfg.distribution, cfg.basepoint, cfg.n, cfg.m_samples,
                          cfg.seed, horofunction_xi=xi, allow_uncertified=True)
-    return rep.to_json()
+    return (rep.to_json(), ["sample", "terminal_over_n"],
+            list(enumerate(rep.per_sample_terminal)))
 
 
 def _run_converge(cfg):
     checkpoints = cfg.checkpoints or default_checkpoints(cfg.n)
-    thin = math.gcd(*checkpoints) if len(checkpoints) > 1 else checkpoints[0]
-    paths = []
-    tails = []
+    thin = math.gcd(*checkpoints)
+    paths, tails, rows = [], [], []
     for i in range(cfg.m_samples):
         tr = sample_walk(cfg.distribution, cfg.basepoint, cfg.n, cfg.seed,
                          path_index=i, thin=thin)
         prof = convergence_profile(tr, [k for k in checkpoints if k in set(map(int, tr.steps))])
         paths.append({"path": i, "checkpoints": list(prof.checkpoints),
                       "cauchy_tail": list(prof.cauchy_tail)})
-        tails.append(prof.cauchy_tail[0] if prof.cauchy_tail else float("nan"))
-    return {"paths": paths, "first_tail_per_path": tails}
+        # a path that never leaves the basepoint has no tail: null, not NaN
+        tails.append(prof.cauchy_tail[0] if prof.cauchy_tail else None)
+        rows += [(i, k, tail) for k, tail in zip(prof.checkpoints, prof.cauchy_tail)]
+    return ({"paths": paths, "first_tail_per_path": tails},
+            ["path", "checkpoint", "cauchy_tail"], rows)
 
 
 def _run_hitting(cfg):
-    bins = _bins_from_params(cfg)
+    """hitting, and stationarity, which adds the defect of the same histogram."""
+    bins = BinScheme.default(cfg.model, int(cfg.params.get("bins", 0)))
     hist = hitting_measure(cfg.distribution, cfg.basepoint, cfg.n, cfg.m_samples,
                            bins, cfg.seed, allow_uncertified=True)
-    return {"histogram": hist.to_json()}
-
-
-def _run_stationarity(cfg):
-    bins = _bins_from_params(cfg)
-    hist = hitting_measure(cfg.distribution, cfg.basepoint, cfg.n, cfg.m_samples,
-                           bins, cfg.seed, allow_uncertified=True)
-    refinement = int(cfg.params.get("refinement_samples", 32))
-    defect = stationarity_defect(cfg.distribution, hist, refinement, seed=cfg.seed)
-    return {"histogram": hist.to_json(), "defect": defect,
-            "refinement_samples": refinement}
-
-
-def _bins_from_params(cfg):
-    res = int(cfg.params.get("bins", 0))
-    return BinScheme.default(cfg.model, res)
+    results = {"histogram": hist.to_json()}
+    if cfg.experiment == "stationarity":
+        refinement = int(cfg.params.get("refinement_samples", 32))
+        results["defect"] = stationarity_defect(cfg.distribution, hist, refinement,
+                                                seed=cfg.seed)
+        results["refinement_samples"] = refinement
+    return results, ["bin", "mass"], list(enumerate(hist.masses))
 
 
 def _run_dirac(cfg):
@@ -276,7 +202,10 @@ def _run_dirac(cfg):
     checkpoints = cfg.checkpoints or default_checkpoints(cfg.n, 10)
     rep = dirac_concentration(cfg.distribution, atoms0, cfg.n, cfg.seed,
                               checkpoints, atoms1=atoms1, basepoint=cfg.basepoint)
-    return rep.to_json()
+    second = rep.spread_second or [""] * len(rep.checkpoints)
+    cross = rep.cross_spread or [""] * len(rep.checkpoints)
+    return (rep.to_json(), ["checkpoint", "spread", "spread_second", "cross_spread"],
+            list(zip(rep.checkpoints, rep.spread, second, cross)))
 
 
 def _run_gap(cfg):
@@ -287,8 +216,9 @@ def _run_gap(cfg):
     tr = sample_walk(cfg.distribution, cfg.basepoint, cfg.n, cfg.seed, thin=thin)
     sup_gap, series = horofunction_gap(tr, xi)
     slope = theil_sen(tr.steps, series) if len(series) > 2 else 0.0
-    return {"sup_gap": sup_gap, "steps": [int(k) for k in tr.steps],
-            "gap_series": [float(v) for v in series], "theil_sen_slope": slope}
+    steps, gaps = [int(k) for k in tr.steps], [float(v) for v in series]
+    return ({"sup_gap": sup_gap, "steps": steps, "gap_series": gaps,
+             "theil_sen_slope": slope}, ["step", "gap"], list(zip(steps, gaps)))
 
 
 def _run_cocycle(cfg):
@@ -303,7 +233,8 @@ def _run_cocycle(cfg):
         xi = sample_boundary(cfg.model, 1, rng)[0]
         x = random_point(cfg.model, rng)
         residuals.append(cocycle_residual(g1, g2, xi, x))
-    return {"residuals": residuals, "max_residual": max(residuals)}
+    return ({"residuals": residuals, "max_residual": max(residuals)},
+            ["case", "residual"], list(enumerate(residuals)))
 
 
 def _run_track(cfg):
@@ -315,11 +246,12 @@ def _run_track(cfg):
         lam = rep.lambda_hat
     lam = float(lam)
     checkpoints = cfg.checkpoints or default_checkpoints(cfg.n, 10)
-    thin = math.gcd(*checkpoints) if len(checkpoints) > 1 else checkpoints[0]
-    tr = sample_walk(cfg.distribution, cfg.basepoint, cfg.n, cfg.seed, thin=thin)
+    tr = sample_walk(cfg.distribution, cfg.basepoint, cfg.n, cfg.seed,
+                     thin=math.gcd(*checkpoints))
     ks, errs = tracking_error(tr, lam)
-    return {"lambda": lam, "steps": [int(k) for k in ks],
-            "errors": [float(e) for e in errs]}
+    steps, errors = [int(k) for k in ks], [float(e) for e in errs]
+    return ({"lambda": lam, "steps": steps, "errors": errors},
+            ["step", "error"], list(zip(steps, errors)))
 
 
 def _run_northsouth(cfg):
@@ -343,9 +275,10 @@ def _run_northsouth(cfg):
         current = [apply_boundary(g, b) for b in current]
         powers.append(k)
         max_gaps.append(max(boundary_metric(x, b, gp) for b in current))
-    return {"k0": res.k0, "attained": res.attained, "cap": res.cap,
-            "samples": res.samples, "k0_squared_power": res2.k0,
-            "powers": powers, "max_gaps": max_gaps}
+    return ({"k0": res.k0, "attained": res.attained, "cap": res.cap,
+             "samples": res.samples, "k0_squared_power": res2.k0,
+             "powers": powers, "max_gaps": max_gaps},
+            ["power", "max_gap_to_attracting"], list(zip(powers, max_gaps)))
 
 
 def _run_pi_convergence(cfg):
@@ -365,13 +298,11 @@ def _run_pi_convergence(cfg):
     pool = sample_boundary(cfg.model, 8 * k_count, cfg.seed)
     if eta is not None:
         pool = [b for b in pool if boundary_metric(x, b, eta) >= exclusion]
-    compact = pool[:k_count]
-    res = pi_convergence_check(gs, x, compact, u_eps)
-    gaps = [max(boundary_metric(x, apply_boundary(gg, b), res.xi) for b in compact)
-            for gg in gs]
-    return {"holds": res.holds, "n0": res.n0,
-            "xi": boundary_to_json(res.xi), "eta": boundary_to_json(res.eta),
-            "max_gaps": gaps}
+    res = pi_convergence_check(gs, x, pool[:k_count], u_eps)
+    gaps = list(res.max_gaps)
+    return ({"holds": res.holds, "n0": res.n0,
+             "xi": boundary_to_json(res.xi), "eta": boundary_to_json(res.eta),
+             "max_gaps": gaps}, ["index", "max_gap_to_limit"], list(enumerate(gaps)))
 
 
 def _run_tits_table(cfg):
@@ -389,29 +320,30 @@ def _run_tits_table(cfg):
                           "tits": None if math.isinf(dt) else dt,
                           "tits_infinite": math.isinf(dt),
                           "angle": ang})
-    return {"table": table,
-            "pi_ball_trivial": tits_ball_is_trivial(pts[0])}
+    return ({"table": table, "pi_ball_trivial": tits_ball_is_trivial(pts[0])},
+            ["i", "j", "tits", "angle_at_basepoint"],
+            [(r["i"], r["j"], r["tits"], r["angle"]) for r in table])
 
 
 def _run_rankone_audit(cfg):
-    if cfg.distribution is None:
-        raise ConfigError("rankone-audit needs a distribution")
-    return rankone_audit(cfg.distribution).to_json()
+    return rankone_audit(cfg.distribution).to_json(), None, []
 
 
-_RUNNERS = {
-    "drift": _run_drift,
-    "converge": _run_converge,
-    "hitting": _run_hitting,
-    "stationarity": _run_stationarity,
-    "dirac": _run_dirac,
-    "gap": _run_gap,
-    "cocycle": _run_cocycle,
-    "track": _run_track,
-    "northsouth": _run_northsouth,
-    "pi-convergence": _run_pi_convergence,
-    "tits-table": _run_tits_table,
-    "rankone-audit": _run_rankone_audit,
+# name -> (runner, needs a distribution, gated).  Gated experiments assume a
+# certified admissible, non-elementary, rank-one-containing support.
+EXPERIMENTS = {
+    "drift": (_run_drift, True, True),
+    "converge": (_run_converge, True, True),
+    "hitting": (_run_hitting, True, True),
+    "stationarity": (_run_hitting, True, True),
+    "dirac": (_run_dirac, True, True),
+    "gap": (_run_gap, True, True),
+    "cocycle": (_run_cocycle, False, False),
+    "track": (_run_track, True, True),
+    "northsouth": (_run_northsouth, False, False),
+    "pi-convergence": (_run_pi_convergence, False, False),
+    "tits-table": (_run_tits_table, False, False),
+    "rankone-audit": (_run_rankone_audit, True, False),
 }
 
 
@@ -420,14 +352,16 @@ def run(cfg: ExperimentConfig, outdir, allow_uncertified: bool = False) -> Path:
     config's tolerance applies to this run only; without one the default
     applies, whatever an earlier run set."""
     set_tolerance(DEFAULT_TOLERANCE if cfg.tolerance is None else cfg.tolerance)
-    needs_dist = cfg.experiment not in ("cocycle", "tits-table", "northsouth",
-                                        "pi-convergence")
-    if needs_dist and cfg.distribution is None:
+    runner, needs_distribution, gated = EXPERIMENTS[cfg.experiment]
+    if needs_distribution and cfg.distribution is None:
         raise ConfigError(f"experiment {cfg.experiment!r} needs a distribution")
-    hypotheses = _hypotheses_block(cfg)
-    _check_gate(cfg, hypotheses, allow_uncertified)
+    hypotheses, problems = _hypotheses_block(cfg)
+    if gated and problems and not allow_uncertified:
+        raise UncertifiedError(
+            "; ".join(problems) + " (rerun with --allow-uncertified to force)"
+        )
     t0 = time.perf_counter()
-    results = _RUNNERS[cfg.experiment](cfg)
+    results, header, rows = runner(cfg)
     wall = time.perf_counter() - t0
     report = {
         "schema": REPORT_SCHEMA,
@@ -439,8 +373,8 @@ def run(cfg: ExperimentConfig, outdir, allow_uncertified: bool = False) -> Path:
     }
     target = Path(outdir) / f"{cfg.experiment}-{cfg.seed}"
     target.mkdir(parents=True, exist_ok=True)
-    (target / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
-    header, rows = _series_rows(cfg.experiment, results)
+    (target / "report.json").write_text(
+        json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
     if rows:
         with open(target / "series.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -522,9 +456,9 @@ def main(argv=None) -> int:
                     target = run(cfg, args.outdir,
                                  allow_uncertified=args.allow_uncertified)
                     print(f"{path}: wrote {target / 'report.json'}")
-                except (ConfigError, UncertifiedError, UsageError, DomainError) as exc:
+                except Exception as exc:  # one failed config must not end the sweep
                     failures += 1
-                    print(f"{path}: FAILED ({exc})", file=sys.stderr)
+                    print(f"{path}: FAILED ({type(exc).__name__}: {exc})", file=sys.stderr)
             return EXIT_OK if failures == 0 else EXIT_FAILURE
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:

@@ -41,8 +41,6 @@ from .models import (
 from .walk import (
     StepDistribution,
     WalkTrace,
-    draw_increments,
-    orbit_walker,
     sample_walk,
     snapshot_horofunction,
     validate_distribution,
@@ -404,43 +402,30 @@ def dirac_concentration(spec: StepDistribution, atoms0, n: int, seed: int,
     if len(atoms0) < 2:
         raise UsageError("need at least two initial boundary atoms")
     x = basepoint if basepoint is not None else model_basepoint(spec.model)
-    warnings = []
-    adm = validate_distribution(spec, 4)
-    audit = rankone_audit(spec)
-    certified = adm.certified and audit.verdict == "certified-non-elementary"
-    if not adm.certified:
-        warnings.append("support not certified admissible at depth 4")
-    if audit.verdict != "certified-non-elementary":
-        warnings.append(f"rank-one audit verdict: {audit.verdict}")
-    checkpoints = sorted(int(k) for k in checkpoints if int(k) >= 1)
+    _, _, problems = hypotheses_audit(spec)
+    checkpoints = sorted({int(k) for k in checkpoints if int(k) >= 1})
     if not checkpoints:
         raise UsageError("need at least one positive checkpoint")
     same_model(x, *atoms0, *(atoms1 or ()))
 
-    increments = draw_increments(spec, max(checkpoints), seed, 0)
-    walker = orbit_walker(spec, x)
-    want = set(checkpoints)
+    # snapshots are stored at the multiples of thin, so step k sits at k // thin
+    thin = math.gcd(*checkpoints)
+    trace = sample_walk(spec, x, checkpoints[-1], seed, thin=thin)
     spread0, spread1, cross = [], [], []
-
-    def images(atoms):
-        return [BoundaryPoint(x.model, walker.boundary_image(b.data)) for b in atoms]
-
-    for k in range(1, max(checkpoints) + 1):
-        walker.step(int(increments[k - 1]))
-        if k in want:
-            img0 = images(atoms0)
-            spread0.append(_cloud_spread(x, img0))
-            if atoms1 is not None:
-                img1 = images(atoms1)
-                spread1.append(_cloud_spread(x, img1))
-                cross.append(_cross_spread(x, img0, img1))
+    for k in checkpoints:
+        img0 = [trace.image(k // thin, b) for b in atoms0]
+        spread0.append(_cloud_spread(x, img0))
+        if atoms1 is not None:
+            img1 = [trace.image(k // thin, b) for b in atoms1]
+            spread1.append(_cloud_spread(x, img1))
+            cross.append(_cross_spread(x, img0, img1))
     return DiracReport(
         checkpoints=tuple(checkpoints),
         spread=tuple(spread0),
         spread_second=tuple(spread1) if atoms1 is not None else None,
         cross_spread=tuple(cross) if atoms1 is not None else None,
-        hypotheses_certified=certified,
-        warnings=tuple(warnings),
+        hypotheses_certified=not problems,
+        warnings=tuple(problems),
     )
 
 
@@ -499,12 +484,14 @@ class PiConvergence:
     n0: int
     xi: BoundaryPoint
     eta: BoundaryPoint
+    max_gaps: tuple
 
 
 def pi_convergence_check(gs, x: Point, K, u_eps: float, limits=None) -> PiConvergence:
     """Smallest index from which every compact-set point lands within u_eps
-    of the forward limit under the isometry sequence; the compact set must
-    stay outside the closed Tits pi-ball of the backward limit."""
+    of the forward limit under the isometry sequence, with each index's
+    largest distance to that limit; the compact set must stay outside the
+    closed Tits pi-ball of the backward limit."""
     if not gs:
         raise UsageError("need a nonempty isometry sequence")
     if limits is not None:
@@ -523,16 +510,18 @@ def pi_convergence_check(gs, x: Point, K, u_eps: float, limits=None) -> PiConver
             raise DomainError(
                 "compact set meets the closed Tits pi-ball of the backward limit"
             )
-    ok = []
+    ok, max_gaps = [], []
     for g in gs:
-        images = [apply_boundary(g, kappa) for kappa in K]
-        ok.append(all(boundary_metric(x, im, xi) < u_eps for im in images))
+        gaps = [boundary_metric(x, apply_boundary(g, kappa), xi) for kappa in K]
+        ok.append(all(d < u_eps for d in gaps))
+        max_gaps.append(max(gaps, default=0.0))
     n0 = len(gs)
     for i in range(len(ok) - 1, -1, -1):
         if not ok[i]:
             break
         n0 = i
-    return PiConvergence(holds=n0 < len(gs), n0=n0, xi=xi, eta=eta)
+    return PiConvergence(holds=n0 < len(gs), n0=n0, xi=xi, eta=eta,
+                         max_gaps=tuple(max_gaps))
 
 
 # -- robust trend estimate ------------------------------------------------------------
@@ -629,3 +618,17 @@ def rankone_audit(spec: StepDistribution, exponents=(2, 4, 8)) -> RankOneAudit:
             if increasing and disjoint:
                 verdict = "certified-non-elementary"
     return RankOneAudit(atoms=tuple(atoms), pairs=tuple(pairs), verdict=verdict)
+
+
+def hypotheses_audit(spec: StepDistribution):
+    """(admissibility at depth 4, rank-one audit, problems): the problems
+    name each hypothesis the two leave unproved, and are empty exactly when
+    the support is certified admissible and non-elementary."""
+    adm = validate_distribution(spec, 4)
+    audit = rankone_audit(spec)
+    problems = []
+    if not adm.certified:
+        problems.append("support not certified admissible at depth 4")
+    if audit.verdict != "certified-non-elementary":
+        problems.append(f"rank-one audit verdict: {audit.verdict}")
+    return adm, audit, problems

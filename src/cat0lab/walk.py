@@ -6,11 +6,11 @@ so different paths are independent streams and a path's result does not
 depend on which other paths are sampled, or in which order.
 
 Each model's orbit walker lives in its kernel module (`Walker`, with
-`snapshot_point` and `snapshot_horofunction`).  Hyperbolic-factor products
-are tracked there as Frobenius-normalised matrices with a log-scale factor;
-positions, distances to the basepoint and horofunction values are extracted
-from that state in log space, which keeps traces faithful far beyond the
-float64 coordinate range.
+`snapshot_point`, `snapshot_horofunction` and `snapshot_boundary`).
+Hyperbolic-factor products are tracked there as Frobenius-normalised
+matrices with a log-scale factor; positions, distances to the basepoint and
+horofunction values are extracted from that state in log space, which keeps
+traces faithful far beyond the float64 coordinate range.
 """
 
 from __future__ import annotations
@@ -162,6 +162,11 @@ class WalkTrace:
         return Point(self.model, KERNELS[self.model].snapshot_point(self.snapshots[i],
                                                                     self.basepoint.data))
 
+    def image(self, i: int, xi: BoundaryPoint) -> BoundaryPoint:
+        """Boundary image Z_k xi under the i-th stored snapshot."""
+        return BoundaryPoint(self.model, KERNELS[self.model].snapshot_boundary(
+            self.snapshots[i], self.basepoint.data, xi.data))
+
     @property
     def positions(self) -> list[Point]:
         return [self.point(i) for i in range(len(self.snapshots))]
@@ -189,13 +194,6 @@ def draw_increments(spec: StepDistribution, n: int, seed: int, path_index: int =
     return np.searchsorted(cum, u, side="right").astype(np.int64)
 
 
-def orbit_walker(spec: StepDistribution, basepoint: Point):
-    """The model's incremental walker for Z_k = Z_{k-1} w_k, started at the
-    identity and measured from `basepoint`."""
-    same_model(spec.isometries[0], basepoint)
-    return KERNELS[spec.model].Walker([g.data for g in spec.isometries], basepoint.data)
-
-
 def sample_walk(spec: StepDistribution, x: Point, n: int, seed: int,
                 path_index: int = 0, thin: int = 1) -> WalkTrace:
     """Deterministic walk realization for (spec, x, n, seed, path_index).
@@ -209,7 +207,7 @@ def sample_walk(spec: StepDistribution, x: Point, n: int, seed: int,
     if thin < 1:
         raise UsageError("thinning stride must be at least 1")
     increments = draw_increments(spec, n, seed, path_index)
-    walker = orbit_walker(spec, x)
+    walker = KERNELS[spec.model].Walker([g.data for g in spec.isometries], x.data)
     step, dist_to_base, snapshot = walker.step, walker.dist_to_base, walker.snapshot
     dists = np.zeros(n + 1)
     steps = [0]

@@ -24,8 +24,8 @@ TABLE = (
     "random_point", "random_isometry", "random_axial", "random_boundary",
     "ball_point", "default_bins",
     # walks
-    "Walker", "snapshot_point", "snapshot_horofunction", "CSV_COLUMNS", "csv_row",
-    "tracking_gaps",
+    "Walker", "snapshot_point", "snapshot_horofunction", "snapshot_boundary",
+    "CSV_COLUMNS", "csv_row", "tracking_gaps",
 )
 
 
@@ -50,3 +50,19 @@ def test_walker_snapshot_point_matches_dist_to_base(model):
     p = kernel.snapshot_point(walker.snapshot(), kernel.BASEPOINT)
     assert float(kernel.dist(kernel.BASEPOINT, p)) == pytest.approx(walker.dist_to_base(),
                                                                     rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+def test_snapshot_boundary_is_the_image_under_the_atom_product(model):
+    kernel = KERNELS[model]
+    rng = np.random.default_rng(11)
+    atoms = [kernel.random_isometry(rng) for _ in range(3)]
+    walker = kernel.Walker(atoms, kernel.BASEPOINT)
+    product = kernel.IDENTITY
+    for i in (0, 1, 2, 2, 0, 1):
+        walker.step(i)
+        product = kernel.compose(product, atoms[i])
+    for _ in range(5):
+        b = kernel.random_boundary(rng, 1e-9)
+        image = kernel.snapshot_boundary(walker.snapshot(), kernel.BASEPOINT, b)
+        assert kernel.boundary_eq(image, kernel.apply_boundary(product, b), 1e-9)

@@ -1,7 +1,8 @@
 """Edge inputs of the estimators and the CLI: paths that outrun the drift,
-returns to the basepoint, per-config tolerances in a sweep, and walks whose
-every path returns."""
+returns to the basepoint, per-config tolerances in a sweep, walks whose
+every path returns, repeated checkpoints, and configs that fail mid-sweep."""
 
+import csv
 import json
 
 import numpy as np
@@ -20,7 +21,8 @@ from cat0lab import (
     tolerance,
     tracking_error,
 )
-from cat0lab.cli import EXIT_OK, main
+from cat0lab import cli
+from cat0lab.cli import EXIT_FAILURE, EXIT_OK, main
 from cat0lab.models import DEFAULT_TOLERANCE
 
 
@@ -59,3 +61,62 @@ def test_hitting_measure_rejects_paths_that_all_return(t4_uniform):
     with pytest.raises(DomainError):
         hitting_measure(t4_uniform, t4_point(""), 2, 1, BinScheme.default(Model.T4), 4,
                         allow_uncertified=True)
+
+
+def _uniform_dist(model, payloads):
+    return {"model": model, "atoms": [{"isometry": {"model": model, "payload": q},
+                                       "p": 1.0 / len(payloads)} for q in payloads]}
+
+
+H2_DIST = _uniform_dist("H2", [{"matrix": m} for m in
+                               ([2, 0, 0, 0.5], [0.5, 0, 0, 2], [1, 1, 1, 2], [2, -1, -1, 1])])
+T4_DIST = _uniform_dist("T4", [{"word": w} for w in "aAbB"])
+
+
+def test_dirac_counts_a_repeated_checkpoint_once(tmp_path):
+    # the parent reported three checkpoints and two spreads, and writing the
+    # series then raised IndexError
+    cfg = {"experiment": "dirac", "model": "H2", "distribution": H2_DIST, "n": 200,
+           "seed": 3, "checkpoints": [100, 100, 200], "params": {"atom_count": 4}}
+    (tmp_path / "dirac.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(tmp_path / "dirac.json"), "--outdir", str(out)]) == EXIT_OK
+    results = json.loads((out / "dirac-3" / "report.json").read_text())["results"]
+    assert results["checkpoints"] == [100, 200]
+    assert len(results["spread"]) == len(results["cross_spread"]) == 2
+    with open(out / "dirac-3" / "series.csv", newline="") as fh:
+        assert [row[0] for row in csv.reader(fh)] == ["checkpoint", "100", "200"]
+
+
+def test_sweep_reports_an_uncaught_error_and_runs_the_next_config(tmp_path, monkeypatch,
+                                                                  capsys):
+    def broken(cfg):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "cocycle", (broken, False, False))
+    (tmp_path / "a.json").write_text(json.dumps(
+        {"experiment": "cocycle", "model": "E2", "seed": 1}))
+    (tmp_path / "b.json").write_text(json.dumps(
+        {"experiment": "tits-table", "model": "E2", "seed": 2, "params": {"count": 3}}))
+    out = tmp_path / "out"
+    assert main(["sweep", str(tmp_path / "*.json"), "--outdir", str(out)]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'a.json'}: FAILED (ZeroDivisionError: division by zero)" in err
+    assert (out / "tits-table-2" / "report.json").is_file()
+
+
+def test_converge_report_writes_null_for_a_path_without_tail(tmp_path):
+    # the single path of length 2 returns to the basepoint, so it has no
+    # Cauchy tail; the parent wrote the non-standard JSON token NaN
+    cfg = {"experiment": "converge", "model": "T4", "distribution": T4_DIST, "n": 2,
+           "m_samples": 1, "seed": 4, "checkpoints": [2]}
+    (tmp_path / "converge.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(tmp_path / "converge.json"), "--outdir", str(out)]) == EXIT_OK
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    text = (out / "converge-4" / "report.json").read_text()
+    report = json.loads(text, parse_constant=reject)
+    assert report["results"]["first_tail_per_path"] == [None]
