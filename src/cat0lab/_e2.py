@@ -216,25 +216,20 @@ def default_bins(scheme, resolution: int):
 
 # -- orbit walker ---------------------------------------------------------------
 
-class Walker:
-    """Left-product state Z_k = Z_{k-1} w_k stored as (e^{ia}, v)."""
-
-    def __init__(self, atoms, base: complex):
-        self._atoms = atoms
-        self._base = base
-        self._state = (complex(1.0, 0.0), complex(0.0, 0.0))
-
-    def step(self, atom_index: int) -> None:
-        u, w = self._state
-        a, v = self._atoms[atom_index]
-        self._state = (u * complex(math.cos(a), math.sin(a)), u * v + w)
-
-    def dist_to_base(self) -> float:
-        u, w = self._state
-        return abs(u * self._base + w - self._base)
-
-    def snapshot(self):
-        return self._state
+def orbit(atoms, base: complex, increments, stored):
+    """Distances d(Z_k x, x) for k = 1..n of the left product
+    Z_k = Z_{k-1} w_k, kept as (e^{ia}, v), and the states at step 0 and at
+    the steps in `stored`."""
+    rots = [(complex(math.cos(a), math.sin(a)), v) for a, v in atoms]
+    u, w = complex(1.0, 0.0), complex(0.0, 0.0)
+    dists, snaps = [], [(u, w)]
+    for k, i in enumerate(increments, start=1):
+        r, v = rots[i]
+        u, w = u * r, u * v + w
+        dists.append(abs(u * base + w - base))
+        if k in stored:
+            snaps.append((u, w))
+    return dists, snaps
 
 
 def snapshot_point(snap, base: complex) -> complex:

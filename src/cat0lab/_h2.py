@@ -504,22 +504,19 @@ def state_horofunction(st: State, x: complex, xi: float) -> float:
     return log_num - log_im - cx
 
 
-class Walker:
-    """Left-product state Z_k = Z_{k-1} w_k as a log-scaled matrix state."""
-
-    def __init__(self, atoms, base: complex):
-        self._atoms = atoms
-        self._state = state_identity()
-        self._frame = point_frame(base)
-
-    def step(self, atom_index: int) -> None:
-        self._state = state_mul(self._state, self._atoms[atom_index])
-
-    def dist_to_base(self) -> float:
-        return state_dist_to_base(self._state, self._frame)
-
-    def snapshot(self):
-        return self._state
+def orbit(atoms, base: complex, increments, stored):
+    """Distances d(Z_k x, x) for k = 1..n of the left product
+    Z_k = Z_{k-1} w_k, kept as a log-scaled matrix state, and the states at
+    step 0 and at the steps in `stored`."""
+    frame = point_frame(base)
+    st = state_identity()
+    dists, snaps = [], [st]
+    for k, i in enumerate(increments, start=1):
+        st = state_mul(st, atoms[i])
+        dists.append(state_dist_to_base(st, frame))
+        if k in stored:
+            snaps.append(st)
+    return dists, snaps
 
 
 snapshot_point = state_point

@@ -13,6 +13,7 @@ This module is the H2xR entry of the kernel table in `models.KERNELS`; see
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from . import _h2
@@ -306,26 +307,16 @@ def default_bins(scheme, resolution: int):
 
 # -- orbit walker ---------------------------------------------------------------
 
-class Walker:
-    """Left-product state: the H2 log-scaled matrix state and the height."""
-
-    def __init__(self, atoms, base):
-        self._atoms = atoms
-        self._state = (_h2.state_identity(), 0.0)
-        self._frame = _h2.point_frame(base[0])
-
-    def step(self, atom_index: int) -> None:
-        st, h = self._state
-        mat, shift = self._atoms[atom_index]
-        self._state = (_h2.state_mul(st, mat), h + shift)
-
-    def dist_to_base(self) -> float:
-        st, h = self._state
-        dh = _h2.state_dist_to_base(st, self._frame)
-        return math.hypot(dh, h)
-
-    def snapshot(self):
-        return self._state
+def orbit(atoms, base, increments, stored):
+    """Distances d(Z_k x, x) for k = 1..n of the left product
+    Z_k = Z_{k-1} w_k, and the states (H2 state, height) at step 0 and at the
+    steps in `stored`, which lie in 1..n.  The H2 factor walks in `_h2`; the
+    height is the running sum of the shifts."""
+    dh, states = _h2.orbit([g[0] for g in atoms], base[0], increments, stored)
+    heights = list(itertools.accumulate((atoms[i][1] for i in increments), initial=0.0))
+    dists = [math.hypot(d, h) for d, h in zip(dh, heights[1:])]
+    snaps = [(st, heights[k]) for st, k in zip(states, [0, *sorted(stored)])]
+    return dists, snaps
 
 
 def snapshot_point(snap, base):

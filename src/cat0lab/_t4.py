@@ -374,26 +374,23 @@ def default_bins(scheme, resolution: int):
 
 # -- orbit walker ---------------------------------------------------------------
 
-class Walker:
-    """Left-product state kept as x^{-1} Z x, a reduced word on a letter stack."""
-
-    def __init__(self, atoms, base: str):
-        self._conj = [mul(mul(inv_word(base), g), base) for g in atoms]
-        self._stack: list[str] = []
-
-    def step(self, atom_index: int) -> None:
-        stack = self._stack
-        for ch in self._conj[atom_index]:
+def orbit(atoms, base: str, increments, stored):
+    """Distances d(Z_k x, x) for k = 1..n of the left product
+    Z_k = Z_{k-1} w_k, kept as x^{-1} Z_k x, a reduced word on a letter
+    stack, and those words at step 0 and at the steps in `stored`."""
+    conj = [mul(mul(inv_word(base), g), base) for g in atoms]
+    stack: list[str] = []
+    dists, snaps = [], [""]
+    for k, i in enumerate(increments, start=1):
+        for ch in conj[i]:
             if stack and stack[-1] == inv_letter(ch):
                 stack.pop()
             else:
                 stack.append(ch)
-
-    def dist_to_base(self) -> float:
-        return float(len(self._stack))
-
-    def snapshot(self) -> str:
-        return "".join(self._stack)
+        dists.append(float(len(stack)))
+        if k in stored:
+            snaps.append("".join(stack))
+    return dists, snaps
 
 
 def snapshot_point(snap: str, base: str) -> str:

@@ -35,6 +35,7 @@ class NorthSouthResult:
     attained: bool
     cap: int
     samples: int
+    max_gaps: tuple  # largest distance to g+ at each power 1..k0
 
 
 def apply(g: Isometry, p: Point) -> Point:
@@ -155,7 +156,9 @@ def independence_score(g1: Isometry, g2: Isometry, x: Point, big_m: int,
 def north_south_constant(g: Isometry, eps_plus: float, eps_minus: float,
                          samples: int, seed: int, cap: int = 10 ** 6) -> NorthSouthResult:
     """Smallest power k such that every sampled boundary point at visual
-    distance >= eps_minus from g- lands within eps_plus of g+ under g^k."""
+    distance >= eps_minus from g- lands within eps_plus of g+ under g^k,
+    with the largest visual distance to g+ at each power up to k.  Visual
+    distances are taken at the model basepoint."""
     from .boundary import boundary_metric, sample_boundary
 
     if not is_rank_one(g):
@@ -175,8 +178,13 @@ def north_south_constant(g: Isometry, eps_plus: float, eps_minus: float,
     if len(pts) < samples:
         raise UsageError("could not sample enough boundary points away from g-")
     current = pts
+    max_gaps = []
     for k in range(1, cap + 1):
         current = [apply_boundary(g, b) for b in current]
-        if all(boundary_metric(x0, b, gp) < eps_plus for b in current):
-            return NorthSouthResult(k0=k, attained=True, cap=cap, samples=samples)
-    return NorthSouthResult(k0=cap, attained=False, cap=cap, samples=samples)
+        gaps = [boundary_metric(x0, b, gp) for b in current]
+        max_gaps.append(max(gaps, default=0.0))
+        if all(d < eps_plus for d in gaps):
+            return NorthSouthResult(k0=k, attained=True, cap=cap, samples=samples,
+                                    max_gaps=tuple(max_gaps))
+    return NorthSouthResult(k0=cap, attained=False, cap=cap, samples=samples,
+                            max_gaps=tuple(max_gaps))

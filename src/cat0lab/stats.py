@@ -54,14 +54,14 @@ def default_checkpoints(n: int, count: int = 20) -> list[int]:
     return pts
 
 
-def _require_certified(spec: StepDistribution, allow: bool, depth: int) -> None:
+def _require_certified(spec: StepDistribution, allow: bool) -> None:
     if allow:
         return
-    report = validate_distribution(spec, depth)
+    report = validate_distribution(spec, 4)
     if not report.certified:
         raise UncertifiedError(
-            "distribution support not certified to generate a group at depth "
-            f"{depth}; pass allow_uncertified=True to override"
+            "distribution support not certified to generate a group at depth 4; "
+            "pass allow_uncertified=True to override"
         )
 
 
@@ -89,14 +89,13 @@ class DriftReport:
 
 def drift_estimate(spec: StepDistribution, x: Point, n: int, m_samples: int,
                    seed: int, horofunction_xi: BoundaryPoint | None = None,
-                   allow_uncertified: bool = False,
-                   certification_depth: int = 4) -> DriftReport:
+                   allow_uncertified: bool = False) -> DriftReport:
     """Monte-Carlo estimate of the escape speed lim d(Z_n x, x)/n over
     independent sample paths; optionally also the horofunction speed
     mean h_xi(Z_n x)/n for a fixed boundary point."""
     if n < 1 or m_samples < 1:
         raise UsageError("need positive walk length and sample count")
-    _require_certified(spec, allow_uncertified, certification_depth)
+    _require_certified(spec, allow_uncertified)
 
     def one(i: int):
         tr = sample_walk(spec, x, n, seed, path_index=i, thin=n)
@@ -314,13 +313,13 @@ class HittingHistogram:
 
 
 def hitting_measure(spec: StepDistribution, x: Point, n: int, m_samples: int,
-                    bins: BinScheme, seed: int, allow_uncertified: bool = False,
-                    certification_depth: int = 4) -> HittingHistogram:
+                    bins: BinScheme, seed: int,
+                    allow_uncertified: bool = False) -> HittingHistogram:
     """Histogram of the terminal directions direction(x, Z_n x) over
     independent sample paths, in the model's bin scheme.  Paths that end at
     the basepoint have no direction and are left out; DomainError when no
     path is left."""
-    _require_certified(spec, allow_uncertified, certification_depth)
+    _require_certified(spec, allow_uncertified)
 
     def one(i: int):
         tr = sample_walk(spec, x, n, seed, path_index=i, thin=n)
@@ -581,9 +580,10 @@ class RankOneAudit:
         }
 
 
-def rankone_audit(spec: StepDistribution, exponents=(2, 4, 8)) -> RankOneAudit:
+def rankone_audit(spec: StepDistribution) -> RankOneAudit:
     """Classify every atom, flag rank-one ones, and probe pairwise
-    independence through the growth of shell displacement minima.
+    independence through the growth of shell displacement minima at the
+    exponents 2, 4 and 8.
 
     Verdicts: certified-non-elementary when two rank-one atoms with four
     distinct fixed points show strictly growing shell scores; indeterminate
@@ -604,7 +604,7 @@ def rankone_audit(spec: StepDistribution, exponents=(2, 4, 8)) -> RankOneAudit:
             i, j = rank_one_ids[ii], rank_one_ids[jj]
             g1 = spec.atoms[i][0]
             g2 = spec.atoms[j][0]
-            scores = tuple(independence_score(g1, g2, x, m, shell=True) for m in exponents)
+            scores = tuple(independence_score(g1, g2, x, m, shell=True) for m in (2, 4, 8))
             increasing = all(b > a + tolerance() for a, b in zip(scores, scores[1:]))
             e1 = axis_endpoints(g1)
             e2 = axis_endpoints(g2)

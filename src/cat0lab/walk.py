@@ -5,12 +5,14 @@ Sampling is driven by a counter-based generator keyed by (seed, path index),
 so different paths are independent streams and a path's result does not
 depend on which other paths are sampled, or in which order.
 
-Each model's orbit walker lives in its kernel module (`Walker`, with
-`snapshot_point`, `snapshot_horofunction` and `snapshot_boundary`).
-Hyperbolic-factor products are tracked there as Frobenius-normalised
-matrices with a log-scale factor; positions, distances to the basepoint and
-horofunction values are extracted from that state in log space, which keeps
-traces faithful far beyond the float64 coordinate range.
+Each model's walk loop lives in its kernel module: `orbit(atoms, base,
+increments, stored)` returns the distances d(Z_k x, x) for k = 1..n and the
+product states at step 0 and at the stored steps, which `snapshot_point`,
+`snapshot_horofunction` and `snapshot_boundary` read.  Hyperbolic-factor
+products are tracked there as Frobenius-normalised matrices with a log-scale
+factor; positions, distances to the basepoint and horofunction values are
+extracted from that state in log space, which keeps traces faithful far
+beyond the float64 coordinate range.
 """
 
 from __future__ import annotations
@@ -183,9 +185,13 @@ class WalkTrace:
 
 
 def _uniforms(seed: int, path_index: int, n: int) -> np.ndarray:
-    key = [int(seed) % (1 << 64), int(path_index) % (1 << 64)]
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random(n)
+    # an explicit uint64 key: numpy turns a list holding a value of 2**63 or
+    # more into float64, which collapses distinct seeds onto one stream
+    seed, path_index = int(seed), int(path_index)
+    if not (0 <= seed < 1 << 64 and 0 <= path_index < 1 << 64):
+        raise UsageError("seed and path index must lie in [0, 2**64)")
+    key = np.array([seed, path_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random(n)
 
 
 def draw_increments(spec: StepDistribution, n: int, seed: int, path_index: int = 0) -> np.ndarray:
@@ -207,17 +213,9 @@ def sample_walk(spec: StepDistribution, x: Point, n: int, seed: int,
     if thin < 1:
         raise UsageError("thinning stride must be at least 1")
     increments = draw_increments(spec, n, seed, path_index)
-    walker = KERNELS[spec.model].Walker([g.data for g in spec.isometries], x.data)
-    step, dist_to_base, snapshot = walker.step, walker.dist_to_base, walker.snapshot
-    dists = np.zeros(n + 1)
-    steps = [0]
-    snaps = [snapshot()]
-    for k, atom_index in enumerate(increments.tolist(), start=1):
-        step(atom_index)
-        dists[k] = dist_to_base()
-        if k % thin == 0 or k == n:
-            steps.append(k)
-            snaps.append(snapshot())
+    steps = sorted({*range(0, n + 1, thin), n})
+    dists, snaps = KERNELS[spec.model].orbit([g.data for g in spec.isometries], x.data,
+                                             increments.tolist(), set(steps[1:]))
     return WalkTrace(
         spec=spec,
         basepoint=x,
@@ -226,7 +224,7 @@ def sample_walk(spec: StepDistribution, x: Point, n: int, seed: int,
         n=int(n),
         increments=increments,
         steps=np.array(steps, dtype=np.int64),
-        base_distances=dists,
+        base_distances=np.array([0.0, *dists]),
         snapshots=tuple(snaps),
     )
 

@@ -3,7 +3,8 @@
 Each value is the exact `float.hex()` of an estimator output for a fixed
 seed, pinned from commit 0bf6a92.  Any change to the arithmetic of a kernel,
 a walker or an estimator, including a reordering of floating-point
-operations, shows here as a changed hex string.
+operations, shows here as a changed hex string.  The walks from a basepoint
+other than the model's own (`OFF_BASE`) were pinned from commit 1a40329.
 """
 
 import pytest
@@ -19,11 +20,17 @@ from cat0lab import (
     h2xr_boundary,
     h2xr_isometry,
     horofunction_gap,
+    boundary_metric,
+    distance,
+    e2_point,
+    h2_point,
+    h2xr_point,
     model_basepoint,
     sample_boundary,
     sample_walk,
     t4_boundary,
     t4_isometry,
+    t4_point,
     cocycle_residual,
     dirac_concentration,
     tracking_error,
@@ -225,3 +232,109 @@ GOLDEN = {
 @pytest.mark.parametrize("model", list(SPECS), ids=lambda m: m.value)
 def test_golden_values(model):
     assert golden_values(model) == GOLDEN[model.value]
+
+
+# Walks from these basepoints run through the H2 frame, the T4 conjugation
+# and the E2 offset, which the model basepoints leave trivial.
+OFF_BASE = {
+    Model.E2: e2_point(1.5, -0.5),
+    Model.H2: h2_point(0.3, 2.0),
+    Model.T4: t4_point("ab"),
+    Model.H2xR: h2xr_point(0.3, 2.0, 0.7),
+}
+
+
+def off_base_values(model: Model) -> dict:
+    rng = np.random.default_rng(29)
+    spec = StepDistribution.uniform([random_isometry(model, rng) for _ in range(3)])
+    x, xi = OFF_BASE[model], XI[model]
+    tr = sample_walk(spec, x, 30, 17, thin=10)
+    o = model_basepoint(model)
+    return {
+        "base_distances": _hex(tr.base_distances[tr.steps]),
+        "horofunction": _hex(snapshot_horofunction(model, s, x, xi) for s in tr.snapshots),
+        "point": _hex(distance(o, p) for p in tr.positions),
+        "image": _hex(boundary_metric(x, tr.image(i, xi), xi)
+                      for i in range(len(tr.snapshots))),
+    }
+
+
+OFF_BASE_GOLDEN = {
+    "E2": {
+        "base_distances": [
+            "0x0.0p+0", "0x1.84937a1864306p+1",
+            "0x1.04b07889bcae1p+1", "0x1.5988f1c8f7818p+2",
+        ],
+        "horofunction": [
+            "0x0.0p+0", "0x1.7eb85c428750ap+1",
+            "0x1.7e120e3b9583cp+0", "0x1.0e494584afb3cp+0",
+        ],
+        "point": [
+            "0x1.94c583ada5b53p+0", "0x1.64f001c5979b1p+1",
+            "0x1.1cc8f79cf55c0p+0", "0x1.e912f8aae5fa8p+1",
+        ],
+        "image": [
+            "0x0.0p+0", "0x1.998effc0fb5b7p+0",
+            "0x1.329c21a260caep+0", "0x1.ad6b01d0fa86cp+0",
+        ],
+    },
+    "H2": {
+        "base_distances": [
+            "0x0.0p+0", "0x1.1362466a0f001p+1",
+            "0x1.b38140bf68e5bp+2", "0x1.114dca146a263p+3",
+        ],
+        "horofunction": [
+            "0x0.0p+0", "0x1.1e13d6d5a103cp+0",
+            "0x1.50d42cc7d5018p+2", "0x1.bfd2286b0fb12p+2",
+        ],
+        "point": [
+            "0x1.71e2245613b6cp-1", "0x1.2aa75cf25baf2p+1",
+            "0x1.ca2fbd690d615p+2", "0x1.1ca90564d6c6ep+3",
+        ],
+        "image": [
+            "0x0.0p+0", "0x1.761a2d1cd40dap+0",
+            "0x1.0c684f40e4c94p+0", "0x1.09f5c052501dep+0",
+        ],
+    },
+    "T4": {
+        "base_distances": [
+            "0x0.0p+0", "0x1.3000000000000p+5",
+            "0x1.3800000000000p+6", "0x1.d800000000000p+6",
+        ],
+        "horofunction": [
+            "0x0.0p+0", "0x1.3000000000000p+5",
+            "0x1.3800000000000p+6", "0x1.d800000000000p+6",
+        ],
+        "point": [
+            "0x1.0000000000000p+1", "0x1.4000000000000p+5",
+            "0x1.4000000000000p+6", "0x1.e000000000000p+6",
+        ],
+        "image": [
+            "0x0.0p+0", "0x1.0000000000000p+0",
+            "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        ],
+    },
+    "H2xR": {
+        "base_distances": [
+            "0x0.0p+0", "0x1.9dbae6419f412p+2",
+            "0x1.3fdb7dca2eb77p+3", "0x1.b6e91b74a921dp+3",
+        ],
+        "horofunction": [
+            "0x0.0p+0", "0x1.d2b8bb1ee0abcp+1",
+            "0x1.753a96f27566dp+2", "0x1.4124b04a0aacfp+3",
+        ],
+        "point": [
+            "0x1.0184e11e7a313p+0", "0x1.70db441a6f5b6p+2",
+            "0x1.29ab8c2f94c00p+3", "0x1.a276df30524b8p+3",
+        ],
+        "image": [
+            "0x0.0p+0", "0x1.dd23299b8ab50p+0",
+            "0x1.db1bbd6d7f8d7p+0", "0x1.d1a99cc820517p+0",
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("model", list(OFF_BASE), ids=lambda m: m.value)
+def test_off_base_walk_values(model):
+    assert off_base_values(model) == OFF_BASE_GOLDEN[model.value]

@@ -291,6 +291,9 @@ def test_north_south_h2_finite_and_monotone():
     g = h2_isometry(2, 0, 0, 0.5)
     res = north_south_constant(g, 0.1, 0.01, 80, 7, cap=5000)
     assert res.attained
+    # k0 is the first power whose largest gap to g+ falls below eps_plus
+    assert len(res.max_gaps) == res.k0 >= 2
+    assert res.max_gaps[-1] < 0.1 <= res.max_gaps[-2]
     looser = north_south_constant(g, 0.1, 0.2, 80, 7, cap=5000)
     assert looser.k0 <= res.k0
     squared = north_south_constant(power(g, 2), 0.1, 0.01, 80, 7, cap=5000)

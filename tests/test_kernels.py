@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cat0lab import Model
 from cat0lab.models import KERNELS
@@ -24,7 +26,7 @@ TABLE = (
     "random_point", "random_isometry", "random_axial", "random_boundary",
     "ball_point", "default_bins",
     # walks
-    "Walker", "snapshot_point", "snapshot_horofunction", "snapshot_boundary",
+    "orbit", "snapshot_point", "snapshot_horofunction", "snapshot_boundary",
     "CSV_COLUMNS", "csv_row", "tracking_gaps",
 )
 
@@ -39,16 +41,17 @@ def test_kernel_exposes_the_whole_table(model):
     assert missing == []
 
 
+INCREMENTS = [0, 1, 2, 2, 0, 1]
+
+
 @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
 def test_walker_snapshot_point_matches_dist_to_base(model):
     kernel = KERNELS[model]
     rng = np.random.default_rng(5)
     atoms = [kernel.random_isometry(rng) for _ in range(3)]
-    walker = kernel.Walker(atoms, kernel.BASEPOINT)
-    for i in (0, 1, 2, 2, 0, 1):
-        walker.step(i)
-    p = kernel.snapshot_point(walker.snapshot(), kernel.BASEPOINT)
-    assert float(kernel.dist(kernel.BASEPOINT, p)) == pytest.approx(walker.dist_to_base(),
+    dists, snaps = kernel.orbit(atoms, kernel.BASEPOINT, INCREMENTS, {len(INCREMENTS)})
+    p = kernel.snapshot_point(snaps[-1], kernel.BASEPOINT)
+    assert float(kernel.dist(kernel.BASEPOINT, p)) == pytest.approx(dists[-1],
                                                                     rel=1e-9, abs=1e-9)
 
 
@@ -57,12 +60,38 @@ def test_snapshot_boundary_is_the_image_under_the_atom_product(model):
     kernel = KERNELS[model]
     rng = np.random.default_rng(11)
     atoms = [kernel.random_isometry(rng) for _ in range(3)]
-    walker = kernel.Walker(atoms, kernel.BASEPOINT)
+    _, snaps = kernel.orbit(atoms, kernel.BASEPOINT, INCREMENTS, {len(INCREMENTS)})
     product = kernel.IDENTITY
-    for i in (0, 1, 2, 2, 0, 1):
-        walker.step(i)
+    for i in INCREMENTS:
         product = kernel.compose(product, atoms[i])
     for _ in range(5):
         b = kernel.random_boundary(rng, 1e-9)
-        image = kernel.snapshot_boundary(walker.snapshot(), kernel.BASEPOINT, b)
+        image = kernel.snapshot_boundary(snaps[-1], kernel.BASEPOINT, b)
         assert kernel.boundary_eq(image, kernel.apply_boundary(product, b), 1e-9)
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), atom_count=st.integers(1, 4),
+       draws=st.lists(st.integers(0, 3), max_size=30))
+def test_orbit_states_are_the_atom_products(model, seed, atom_count, draws):
+    # every step is stored, so snaps[k] is the state of Z_k = w_1 ... w_k
+    kernel = KERNELS[model]
+    rng = np.random.default_rng(seed)
+    atoms = [kernel.random_isometry(rng) for _ in range(atom_count)]
+    increments = [d % atom_count for d in draws]
+    n = len(increments)
+    dists, snaps = kernel.orbit(atoms, kernel.BASEPOINT, increments, set(range(1, n + 1)))
+    assert len(dists) == n and len(snaps) == n + 1
+    for k, d in enumerate(dists, start=1):
+        p = kernel.snapshot_point(snaps[k], kernel.BASEPOINT)
+        assert float(kernel.dist(kernel.BASEPOINT, p)) == pytest.approx(d, rel=1e-9, abs=1e-9)
+    # the image under w_1 ... w_k is applied one atom at a time: composing
+    # thirty hyperbolic atoms into one float matrix loses its determinant
+    b = kernel.random_boundary(rng, 1e-9)
+    for k in range(n + 1):
+        expected = b
+        for i in reversed(increments[:k]):
+            expected = kernel.apply_boundary(atoms[i], expected)
+        image = kernel.snapshot_boundary(snaps[k], kernel.BASEPOINT, b)
+        assert kernel.boundary_eq(image, expected, 1e-9)

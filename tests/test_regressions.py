@@ -1,6 +1,7 @@
 """Edge inputs of the estimators and the CLI: paths that outrun the drift,
 returns to the basepoint, per-config tolerances in a sweep, walks whose
-every path returns, repeated checkpoints, and configs that fail mid-sweep."""
+every path returns, repeated checkpoints, configs that fail mid-sweep, and
+seeds and checkpoints out of range."""
 
 import csv
 import json
@@ -12,6 +13,7 @@ from cat0lab import (
     BinScheme,
     DomainError,
     Model,
+    UsageError,
     convergence_profile,
     h2_point,
     hitting_measure,
@@ -22,8 +24,9 @@ from cat0lab import (
     tracking_error,
 )
 from cat0lab import cli
-from cat0lab.cli import EXIT_FAILURE, EXIT_OK, main
+from cat0lab.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, main
 from cat0lab.models import DEFAULT_TOLERANCE
+from cat0lab.walk import draw_increments
 
 
 def test_tracking_digits_cover_paths_that_outrun_the_drift(h2_spec):
@@ -120,3 +123,32 @@ def test_converge_report_writes_null_for_a_path_without_tail(tmp_path):
     text = (out / "converge-4" / "report.json").read_text()
     report = json.loads(text, parse_constant=reject)
     assert report["results"]["first_tail_per_path"] == [None]
+
+
+def test_walk_keys_are_exact_at_and_above_two_to_the_63(t4_uniform):
+    # a float64 key merged 2**63 + 1 with 2**63, and 2**64 - 1 (the alias of
+    # seed -1) with seed 0
+    def inc(seed):
+        return draw_increments(t4_uniform, 50, seed)
+
+    assert not np.array_equal(inc(2 ** 63 + 1), inc(2 ** 63))
+    assert not np.array_equal(inc(2 ** 64 - 1), inc(0))
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(UsageError):
+            inc(seed)
+
+
+@pytest.mark.parametrize("fields", [
+    {"experiment": "cocycle", "seed": -1},
+    {"experiment": "cocycle", "seed": 2 ** 63},
+    {"experiment": "dirac", "distribution": H2_DIST, "n": 50, "checkpoints": [400]},
+    {"experiment": "dirac", "distribution": H2_DIST, "n": 50, "checkpoints": [0, 50]},
+], ids=["seed-negative", "seed-2**63", "checkpoint-above-n", "checkpoint-zero"])
+def test_config_rejects_out_of_range_seeds_and_checkpoints(tmp_path, capsys, fields):
+    # the parent crashed on seed -1, ran seed 2**63, walked to checkpoint 400
+    # at n=50, and dropped checkpoint 0
+    cfg = {"model": "H2", "seed": 1, **fields}
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert main(["run", str(tmp_path / "c.json"), "--outdir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not (tmp_path / "out").exists()
