@@ -217,17 +217,17 @@ def default_bins(scheme, resolution: int):
 # -- orbit walker ---------------------------------------------------------------
 
 def orbit(atoms, base: complex, increments, stored):
-    """Distances d(Z_k x, x) for k = 1..n of the left product
-    Z_k = Z_{k-1} w_k, kept as (e^{ia}, v), and the states at step 0 and at
-    the steps in `stored`."""
+    """The left product Z_k = Z_{k-1} w_k, kept as (e^{ia}, v): the
+    distances d(Z_k x, x) at the steps k in `stored`, in increasing order,
+    and the states at step 0 and at those steps."""
     rots = [(complex(math.cos(a), math.sin(a)), v) for a, v in atoms]
     u, w = complex(1.0, 0.0), complex(0.0, 0.0)
     dists, snaps = [], [(u, w)]
     for k, i in enumerate(increments, start=1):
         r, v = rots[i]
         u, w = u * r, u * v + w
-        dists.append(abs(u * base + w - base))
         if k in stored:
+            dists.append(abs(u * base + w - base))
             snaps.append((u, w))
     return dists, snaps
 

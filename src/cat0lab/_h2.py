@@ -158,7 +158,9 @@ apply_boundary = mobius_boundary
 
 
 def compose(g: Mat, h: Mat) -> Mat:
-    return make_matrix(*mat_mul(g, h))
+    # both factors are normalised SL(2,R) matrices, so the product is one
+    # too; recomputing a*d - b*c would cancel to zero on long products
+    return sign_normalize(mat_mul(g, h))
 
 
 def inverse(g: Mat) -> Mat:
@@ -505,16 +507,16 @@ def state_horofunction(st: State, x: complex, xi: float) -> float:
 
 
 def orbit(atoms, base: complex, increments, stored):
-    """Distances d(Z_k x, x) for k = 1..n of the left product
-    Z_k = Z_{k-1} w_k, kept as a log-scaled matrix state, and the states at
-    step 0 and at the steps in `stored`."""
+    """The left product Z_k = Z_{k-1} w_k, kept as a log-scaled matrix
+    state: the distances d(Z_k x, x) at the steps k in `stored`, in
+    increasing order, and the states at step 0 and at those steps."""
     frame = point_frame(base)
     st = state_identity()
     dists, snaps = [], [st]
     for k, i in enumerate(increments, start=1):
         st = state_mul(st, atoms[i])
-        dists.append(state_dist_to_base(st, frame))
         if k in stored:
+            dists.append(state_dist_to_base(st, frame))
             snaps.append(st)
     return dists, snaps
 

@@ -308,14 +308,15 @@ def default_bins(scheme, resolution: int):
 # -- orbit walker ---------------------------------------------------------------
 
 def orbit(atoms, base, increments, stored):
-    """Distances d(Z_k x, x) for k = 1..n of the left product
-    Z_k = Z_{k-1} w_k, and the states (H2 state, height) at step 0 and at the
-    steps in `stored`, which lie in 1..n.  The H2 factor walks in `_h2`; the
-    height is the running sum of the shifts."""
+    """The left product Z_k = Z_{k-1} w_k: the distances d(Z_k x, x) at the
+    steps k in `stored`, which lie in 1..n, in increasing order, and the
+    states (H2 state, height) at step 0 and at those steps.  The H2 factor
+    walks in `_h2`; the height is the running sum of the shifts."""
     dh, states = _h2.orbit([g[0] for g in atoms], base[0], increments, stored)
     heights = list(itertools.accumulate((atoms[i][1] for i in increments), initial=0.0))
-    dists = [math.hypot(d, h) for d, h in zip(dh, heights[1:])]
-    snaps = [(st, heights[k]) for st, k in zip(states, [0, *sorted(stored)])]
+    ks = sorted(stored)
+    dists = [math.hypot(d, heights[k]) for d, k in zip(dh, ks)]
+    snaps = [(st, heights[k]) for st, k in zip(states, [0, *ks])]
     return dists, snaps
 
 

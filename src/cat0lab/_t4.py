@@ -375,9 +375,10 @@ def default_bins(scheme, resolution: int):
 # -- orbit walker ---------------------------------------------------------------
 
 def orbit(atoms, base: str, increments, stored):
-    """Distances d(Z_k x, x) for k = 1..n of the left product
-    Z_k = Z_{k-1} w_k, kept as x^{-1} Z_k x, a reduced word on a letter
-    stack, and those words at step 0 and at the steps in `stored`."""
+    """The left product Z_k = Z_{k-1} w_k, kept as x^{-1} Z_k x, a reduced
+    word on a letter stack: the distances d(Z_k x, x) at the steps k in
+    `stored`, in increasing order, and the words at step 0 and at those
+    steps."""
     conj = [mul(mul(inv_word(base), g), base) for g in atoms]
     stack: list[str] = []
     dists, snaps = [], [""]
@@ -387,8 +388,8 @@ def orbit(atoms, base: str, increments, stored):
                 stack.pop()
             else:
                 stack.append(ch)
-        dists.append(float(len(stack)))
         if k in stored:
+            dists.append(float(len(stack)))
             snaps.append("".join(stack))
     return dists, snaps
 

@@ -59,7 +59,6 @@ from .stats import (
     horofunction_gap,
     hypotheses_audit,
     pi_convergence_check,
-    rankone_audit,
     stationarity_defect,
     cocycle_residual,
     theil_sen,
@@ -144,9 +143,10 @@ def _hypotheses_block(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
     return {"admissibility": vars(adm), "rankone_audit": audit.to_json()}, problems
 
 
-# Each runner returns (results, csv header, csv rows); no rows, no series.csv.
+# Each runner takes the config and the report's hypotheses block, and returns
+# (results, csv header, csv rows); no rows, no series.csv.
 
-def _run_drift(cfg):
+def _run_drift(cfg, hypotheses):
     xi = None
     if "horofunction_xi" in cfg.params:
         xi = boundary_from_json(cfg.params["horofunction_xi"])
@@ -156,7 +156,7 @@ def _run_drift(cfg):
             list(enumerate(rep.per_sample_terminal)))
 
 
-def _run_converge(cfg):
+def _run_converge(cfg, hypotheses):
     checkpoints = cfg.checkpoints or default_checkpoints(cfg.n)
     thin = math.gcd(*checkpoints)
     paths, tails, rows = [], [], []
@@ -173,7 +173,7 @@ def _run_converge(cfg):
             ["path", "checkpoint", "cauchy_tail"], rows)
 
 
-def _run_hitting(cfg):
+def _run_hitting(cfg, hypotheses):
     """hitting, and stationarity, which adds the defect of the same histogram."""
     bins = BinScheme.default(cfg.model, int(cfg.params.get("bins", 0)))
     hist = hitting_measure(cfg.distribution, cfg.basepoint, cfg.n, cfg.m_samples,
@@ -187,7 +187,7 @@ def _run_hitting(cfg):
     return results, ["bin", "mass"], list(enumerate(hist.masses))
 
 
-def _run_dirac(cfg):
+def _run_dirac(cfg, hypotheses):
     if "atoms0" in cfg.params:
         atoms0 = [boundary_from_json(b) for b in cfg.params["atoms0"]]
     else:
@@ -208,7 +208,7 @@ def _run_dirac(cfg):
             list(zip(rep.checkpoints, rep.spread, second, cross)))
 
 
-def _run_gap(cfg):
+def _run_gap(cfg, hypotheses):
     if "xi" not in cfg.params:
         raise ConfigError("gap experiment needs params.xi (a boundary point)")
     xi = boundary_from_json(cfg.params["xi"])
@@ -221,7 +221,7 @@ def _run_gap(cfg):
              "theil_sen_slope": slope}, ["step", "gap"], list(zip(steps, gaps)))
 
 
-def _run_cocycle(cfg):
+def _run_cocycle(cfg, hypotheses):
     import numpy as np
 
     count = int(cfg.params.get("count", 100))
@@ -237,7 +237,7 @@ def _run_cocycle(cfg):
             ["case", "residual"], list(enumerate(residuals)))
 
 
-def _run_track(cfg):
+def _run_track(cfg, hypotheses):
     lam = cfg.params.get("lambda", "auto")
     if lam == "auto":
         rep = drift_estimate(cfg.distribution, cfg.basepoint, cfg.n,
@@ -254,7 +254,7 @@ def _run_track(cfg):
             ["step", "error"], list(zip(steps, errors)))
 
 
-def _run_northsouth(cfg):
+def _run_northsouth(cfg, hypotheses):
     if "g" not in cfg.params:
         raise ConfigError("northsouth experiment needs params.g (an isometry)")
     g = isometry_from_json(cfg.params["g"])
@@ -272,7 +272,7 @@ def _run_northsouth(cfg):
             ["power", "max_gap_to_attracting"], list(zip(powers, max_gaps)))
 
 
-def _run_pi_convergence(cfg):
+def _run_pi_convergence(cfg, hypotheses):
     if "g" not in cfg.params:
         raise ConfigError("pi-convergence experiment needs params.g")
     g = isometry_from_json(cfg.params["g"])
@@ -296,7 +296,7 @@ def _run_pi_convergence(cfg):
              "max_gaps": gaps}, ["index", "max_gap_to_limit"], list(enumerate(gaps)))
 
 
-def _run_tits_table(cfg):
+def _run_tits_table(cfg, hypotheses):
     count = int(cfg.params.get("count", 8))
     pts = sample_boundary(cfg.model, count, cfg.seed)
     x = cfg.basepoint
@@ -316,8 +316,8 @@ def _run_tits_table(cfg):
             [(r["i"], r["j"], r["tits"], r["angle"]) for r in table])
 
 
-def _run_rankone_audit(cfg):
-    return rankone_audit(cfg.distribution).to_json(), None, []
+def _run_rankone_audit(cfg, hypotheses):
+    return hypotheses["rankone_audit"], None, []
 
 
 # name -> (runner, needs a distribution, gated).  Gated experiments assume a
@@ -352,7 +352,7 @@ def run(cfg: ExperimentConfig, outdir, allow_uncertified: bool = False) -> Path:
             "; ".join(problems) + " (rerun with --allow-uncertified to force)"
         )
     t0 = time.perf_counter()
-    results, header, rows = runner(cfg)
+    results, header, rows = runner(cfg, hypotheses)
     wall = time.perf_counter() - t0
     report = {
         "schema": REPORT_SCHEMA,

@@ -148,10 +148,11 @@ def convergence_profile(trace: WalkTrace, checkpoints) -> ConvergenceProfile:
     for k in checkpoints:
         if int(k) not in step_index:
             raise UsageError(f"checkpoint {k} was not stored in the trace")
-        p = trace.point(step_index[int(k)])
+        i = step_index[int(k)]
+        p = trace.point(i)
         # the float orbit point can sit on x even where the log-space
         # distance of a return does not reach the tolerance
-        if trace.base_distances[int(k)] <= tolerance() or distance(x, p) <= tolerance():
+        if trace.base_distances[i] <= tolerance() or distance(x, p) <= tolerance():
             continue
         coords.append(direction(x, p))
         kept.append(int(k))
@@ -434,9 +435,9 @@ def horofunction_gap(trace: WalkTrace, xi: BoundaryPoint):
     """|h_xi(Z_k x) - d(Z_k x, x)| along the stored steps of a trace."""
     same_model(trace.basepoint, xi)
     gaps = []
-    for i, k in enumerate(trace.steps):
-        h = snapshot_horofunction(trace.model, trace.snapshots[i], trace.basepoint, xi)
-        gaps.append(abs(h - float(trace.base_distances[int(k)])))
+    for snap, d in zip(trace.snapshots, trace.base_distances):
+        h = snapshot_horofunction(trace.model, snap, trace.basepoint, xi)
+        gaps.append(abs(h - float(d)))
     series = np.array(gaps)
     return float(series.max()), series
 
@@ -468,9 +469,14 @@ def tracking_error(trace: WalkTrace, lam: float):
     ks = [int(k) for k in trace.steps if int(k) > 0]
     step_index = {int(k): i for i, k in enumerate(trace.steps)}
     snaps = {k: trace.snapshots[step_index[k]] for k in ks}
-    gaps = KERNELS[trace.model].tracking_gaps(
-        [g.data for g in trace.spec.isometries], trace.increments, snaps, x.data, lam,
-        float(trace.base_distances.max()), tolerance())
+    kernel = KERNELS[trace.model]
+    atoms = [g.data for g in trace.spec.isometries]
+    # the digits must cover the farthest the path strays from x, which can
+    # lie between stored steps: walk the one tracked path again, densely
+    depth = max(kernel.orbit(atoms, x.data, trace.increments.tolist(),
+                             range(1, trace.n + 1))[0], default=0.0)
+    gaps = kernel.tracking_gaps(atoms, trace.increments, snaps, x.data, lam, depth,
+                                tolerance())
     errs = [gaps[k] / k for k in ks]
     return np.array(ks), np.array(errs)
 

@@ -6,13 +6,15 @@ so different paths are independent streams and a path's result does not
 depend on which other paths are sampled, or in which order.
 
 Each model's walk loop lives in its kernel module: `orbit(atoms, base,
-increments, stored)` returns the distances d(Z_k x, x) for k = 1..n and the
-product states at step 0 and at the stored steps, which `snapshot_point`,
-`snapshot_horofunction` and `snapshot_boundary` read.  Hyperbolic-factor
-products are tracked there as Frobenius-normalised matrices with a log-scale
-factor; positions, distances to the basepoint and horofunction values are
-extracted from that state in log space, which keeps traces faithful far
-beyond the float64 coordinate range.
+increments, stored)` returns the distances d(Z_k x, x) at the stored steps
+only, and the product states at step 0 and at those steps, which
+`snapshot_point`, `snapshot_horofunction` and `snapshot_boundary` read.
+Most readers look only at the end of a path, and on H2 a distance costs
+more than the step itself.  Hyperbolic-factor products are tracked
+there as Frobenius-normalised matrices with a log-scale factor; positions,
+distances to the basepoint and horofunction values are extracted from that
+state in log space, which keeps traces faithful far beyond the float64
+coordinate range.
 """
 
 from __future__ import annotations
@@ -142,8 +144,9 @@ def snapshot_horofunction(model: Model, snap, basepoint: Point, xi: BoundaryPoin
 
 @dataclass(frozen=True)
 class WalkTrace:
-    """One seeded realization of the walk, with stored increments, dense
-    distances to the basepoint, and state snapshots at the stored steps."""
+    """One seeded realization of the walk, with stored increments, and the
+    distances to the basepoint and state snapshots at the stored steps:
+    `base_distances[i]` and `snapshots[i]` belong to step `steps[i]`."""
 
     spec: StepDistribution
     basepoint: Point
@@ -181,7 +184,7 @@ class WalkTrace:
             for i, k in enumerate(self.steps):
                 inc = "" if k == 0 else int(self.increments[k - 1])
                 comps = kernel.csv_row(self.point(i).data)
-                writer.writerow([int(k), inc, *comps, float(self.base_distances[k])])
+                writer.writerow([int(k), inc, *comps, float(self.base_distances[i])])
 
 
 def _uniforms(seed: int, path_index: int, n: int) -> np.ndarray:
@@ -204,8 +207,8 @@ def sample_walk(spec: StepDistribution, x: Point, n: int, seed: int,
                 path_index: int = 0, thin: int = 1) -> WalkTrace:
     """Deterministic walk realization for (spec, x, n, seed, path_index).
 
-    Snapshots (and hence positions) are stored every `thin` steps plus the
-    endpoints; distances to the basepoint are stored densely.
+    Snapshots (and hence positions) and distances to the basepoint are
+    stored every `thin` steps plus the endpoints.
     """
     same_model(spec.isometries[0], x)
     if n < 0:

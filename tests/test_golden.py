@@ -251,7 +251,7 @@ def off_base_values(model: Model) -> dict:
     tr = sample_walk(spec, x, 30, 17, thin=10)
     o = model_basepoint(model)
     return {
-        "base_distances": _hex(tr.base_distances[tr.steps]),
+        "base_distances": _hex(tr.base_distances),
         "horofunction": _hex(snapshot_horofunction(model, s, x, xi) for s in tr.snapshots),
         "point": _hex(distance(o, p) for p in tr.positions),
         "image": _hex(boundary_metric(x, tr.image(i, xi), xi)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cat0lab import Model
+from cat0lab import Model, StepDistribution, distance, sample_walk
+from cat0lab.geometry import model_basepoint
 from cat0lab.models import KERNELS
+from cat0lab.sampling import random_isometry
 
 TABLE = (
     # values and codecs
@@ -95,3 +97,18 @@ def test_orbit_states_are_the_atom_products(model, seed, atom_count, draws):
             expected = kernel.apply_boundary(atoms[i], expected)
         image = kernel.snapshot_boundary(snaps[k], kernel.BASEPOINT, b)
         assert kernel.boundary_eq(image, expected, 1e-9)
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), atom_count=st.integers(1, 4),
+       n=st.integers(0, 30), thin=st.integers(1, 35))
+def test_walk_distances_sit_at_the_stored_steps(model, seed, atom_count, n, thin):
+    # base_distances[i] belongs to step steps[i], as point(i) does
+    rng = np.random.default_rng(seed)
+    spec = StepDistribution.uniform([random_isometry(model, rng) for _ in range(atom_count)])
+    x = model_basepoint(model)
+    tr = sample_walk(spec, x, n, seed, thin=thin)
+    assert len(tr.base_distances) == len(tr.steps) == len(tr.snapshots)
+    for i, d in enumerate(tr.base_distances):
+        assert float(distance(x, tr.point(i))) == pytest.approx(d, rel=1e-9, abs=1e-9)

@@ -1,7 +1,8 @@
 """Edge inputs of the estimators and the CLI: paths that outrun the drift,
-returns to the basepoint, per-config tolerances in a sweep, walks whose
-every path returns, repeated checkpoints, configs that fail mid-sweep, and
-seeds and checkpoints out of range."""
+tracking digits sized from the dense walk, returns to the basepoint,
+per-config tolerances in a sweep, walks whose every path returns, repeated
+checkpoints, configs that fail mid-sweep, seeds and checkpoints out of
+range, long H2 products, and one rank-one audit per run."""
 
 import csv
 import json
@@ -13,20 +14,30 @@ from cat0lab import (
     BinScheme,
     DomainError,
     Model,
+    StepDistribution,
     UsageError,
+    apply_boundary,
     convergence_profile,
+    h2_boundary,
+    h2_isometry,
     h2_point,
+    h2xr_isometry,
+    h2xr_point,
     hitting_measure,
+    inverse,
+    power,
     sample_walk,
     set_tolerance,
     t4_point,
     tolerance,
     tracking_error,
 )
-from cat0lab import cli
+from cat0lab import cli, stats
 from cat0lab.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, main
-from cat0lab.models import DEFAULT_TOLERANCE
+from cat0lab.models import DEFAULT_TOLERANCE, KERNELS
 from cat0lab.walk import draw_increments
+
+from conftest import standard_h2_pair
 
 
 def test_tracking_digits_cover_paths_that_outrun_the_drift(h2_spec):
@@ -37,6 +48,34 @@ def test_tracking_digits_cover_paths_that_outrun_the_drift(h2_spec):
     ks, errs = tracking_error(tr, 0.05)
     assert list(ks) == list(range(60, 601, 60))
     assert np.all(np.isfinite(errs))
+
+
+def _h2xr_spec():
+    g, h = standard_h2_pair()
+    return StepDistribution.uniform([h2xr_isometry(a, s) for a, s in zip(
+        [g, inverse(g), h, inverse(h)], [0.5, -0.5, 0.3, -0.3])])
+
+
+@pytest.mark.parametrize("model", [Model.H2, Model.H2xR], ids=lambda m: m.value)
+def test_tracking_digits_cover_the_dense_maximum(h2_spec, monkeypatch, model):
+    # on this path the farthest point from x lies between stored steps, so
+    # the stored distances alone would size the digits too small
+    spec, x = ((h2_spec, h2_point(0, 1)) if model is Model.H2
+               else (_h2xr_spec(), h2xr_point(0, 1, 0)))
+    kernel = KERNELS[model]
+    original = kernel.tracking_gaps
+    seen = []
+
+    def spy(atoms, increments, snaps, base, lam, depth, tol):
+        seen.append(depth)
+        return original(atoms, increments, snaps, base, lam, depth, tol)
+
+    monkeypatch.setattr(kernel, "tracking_gaps", spy)
+    tr = sample_walk(spec, x, 600, 0, thin=60)
+    tracking_error(tr, 0.5)
+    dense_max = sample_walk(spec, x, 600, 0, thin=1).base_distances.max()
+    assert seen == [dense_max]
+    assert dense_max > tr.base_distances.max()
 
 
 def test_convergence_profile_skips_float_returns_to_the_basepoint(h2_spec):
@@ -93,7 +132,7 @@ def test_dirac_counts_a_repeated_checkpoint_once(tmp_path):
 
 def test_sweep_reports_an_uncaught_error_and_runs_the_next_config(tmp_path, monkeypatch,
                                                                   capsys):
-    def broken(cfg):
+    def broken(cfg, hypotheses):
         raise ZeroDivisionError("division by zero")
 
     monkeypatch.setitem(cli.EXPERIMENTS, "cocycle", (broken, False, False))
@@ -152,3 +191,43 @@ def test_config_rejects_out_of_range_seeds_and_checkpoints(tmp_path, capsys, fie
     assert main(["run", str(tmp_path / "c.json"), "--outdir", str(tmp_path / "out")]) == EXIT_CONFIG
     assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not (tmp_path / "out").exists()
+
+
+def test_h2_power_survives_long_products():
+    # a*d - b*c of the unnormalised product cancelled to zero once the
+    # entries reached about 1e8, and compose rejected the 21st power
+    # (its own a*d - b*c cancels too, so the test reads the action instead)
+    g30 = power(h2_isometry(1, 1, 1, 2), 30)
+    # z -> (z + 1)/(z + 2) attracts toward the fixed point (sqrt 5 - 1)/2
+    assert apply_boundary(g30, h2_boundary(0.0)).data == pytest.approx((5 ** 0.5 - 1) / 2)
+
+
+def test_pi_convergence_runs_a_non_diagonal_h2_generator(tmp_path):
+    cfg = {"experiment": "pi-convergence", "model": "H2", "seed": 1,
+           "params": {"g": {"model": "H2", "payload": {"matrix": [1, 1, 1, 2]}}}}
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(tmp_path / "c.json"), "--outdir", str(out)]) == EXIT_OK
+    report = json.loads((out / "pi-convergence-1" / "report.json").read_text())
+    assert report["results"]["xi"]["xi"] == pytest.approx((5 ** 0.5 - 1) / 2, abs=1e-6)
+
+
+def test_one_rankone_audit_per_run(tmp_path, monkeypatch):
+    # the rankone-audit experiment reports the audit of the hypotheses block
+    calls = []
+    original = stats.rankone_audit
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(stats, "rankone_audit", counted)
+    # a name the CLI holds for it would count too
+    monkeypatch.setattr(cli, "rankone_audit", counted, raising=False)
+    (tmp_path / "c.json").write_text(json.dumps(
+        {"experiment": "rankone-audit", "model": "H2", "distribution": H2_DIST, "seed": 1}))
+    out = tmp_path / "out"
+    assert main(["run", str(tmp_path / "c.json"), "--outdir", str(out)]) == EXIT_OK
+    report = json.loads((out / "rankone-audit-1" / "report.json").read_text())
+    assert len(calls) == 1
+    assert report["results"] == report["hypotheses"]["rankone_audit"]
