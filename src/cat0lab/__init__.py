@@ -78,6 +78,7 @@ from .walk import (
     WalkTrace,
     inverse_walk_positions,
     pushforward_atoms,
+    sample_terminals,
     sample_walk,
     validate_distribution,
 )

@@ -15,6 +15,8 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 BASEPOINT = complex(0.0, 0.0)
@@ -232,6 +234,33 @@ def orbit(atoms, base: complex, increments, stored):
     return dists, snaps
 
 
+# Below this many paths, m runs of `orbit` beat one `orbit_paths` (n = 2000).
+BATCH_MIN_PATHS = 40
+
+
+def orbit_paths(atoms, base: complex, increments):
+    """`orbit` for m paths at once, read at the last step only: the terminal
+    distances d(Z_n x, x) and states of the columns of the (n, m) array
+    `increments`, n >= 1.  The products are CPython's complex ones,
+    (ac - bd, ad + bc), on the real rows (Re u, Im u, Re w, Im w): the new
+    rows are Re u * (Re r, Im r, Re v, Im v) + Im u * (-Im r, Re r, -Im v,
+    Re v), plus w on the last two, and ac + b(-d) is ac - bd exactly."""
+    rows = []
+    for a, v in atoms:
+        c, s = math.cos(a), math.sin(a)
+        rows.append((c, s, v.real, v.imag, -s, c, -v.imag, v.real))
+    rots = np.array(rows).T
+    st = np.zeros((4, increments.shape[1]))
+    st[0] = 1.0
+    for inc in increments:
+        g = rots.take(inc, axis=1)
+        new = st[0] * g[:4] + st[1] * g[4:]
+        new[2:] += st[2:]
+        st = new
+    snaps = [(complex(a, b), complex(c, d)) for a, b, c, d in zip(*st.tolist())]
+    return [abs(u * base + w - base) for u, w in snaps], snaps
+
+
 def snapshot_point(snap, base: complex) -> complex:
     u, w = snap
     return u * base + w
@@ -250,8 +279,7 @@ def csv_row(p: complex) -> list:
     return [p.real, p.imag]
 
 
-def tracking_gaps(atoms, increments, snaps, base: complex, lam: float,
-                  depth: float, tol: float) -> dict:
+def tracking_gaps(atoms, increments, snaps, base: complex, lam: float, tol: float) -> dict:
     """d(gamma(lam k), Z_k x) for the snapshots {k: snapshot}, along the ray
     from x toward the last snapshot's orbit point."""
     theta = direction(base, snapshot_point(snaps[max(snaps)], base), tol)

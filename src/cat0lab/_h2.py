@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DomainError, UsageError
 
 INF = math.inf
@@ -521,6 +523,35 @@ def orbit(atoms, base: complex, increments, stored):
     return dists, snaps
 
 
+# Below this many paths, m runs of `orbit` beat one `orbit_paths` (n = 2000).
+BATCH_MIN_PATHS = 16
+
+
+def orbit_paths(atoms, base: complex, increments):
+    """`orbit` for m paths at once, read at the last step only: the terminal
+    distances d(Z_n x, x) and states of the columns of the (n, m) array
+    `increments`, n >= 1.  The matrices are (2, 2, m) arrays, and every float
+    operation is the scalar one, in the same order: `np.float_power(x, 2.0)`
+    is the libm pow behind `x ** 2`, and the logs go through `math.log`,
+    which `np.log` does not match."""
+    mat, s = state_identity()
+    m = increments.shape[1]
+    st = np.repeat(np.reshape(mat, (2, 2, 1)), m, axis=2)
+    s = np.full(m, s)
+    mats = np.reshape(np.array(atoms, dtype=float).T, (2, 2, -1))
+    for inc in increments:
+        g = mats.take(inc, axis=2)
+        p = st[:, :1] * g[:1] + st[:, 1:] * g[1:]
+        q = np.float_power(p, 2.0)
+        fr = np.sqrt(q[0, 0] + q[0, 1] + q[1, 0] + q[1, 1])
+        st = p / fr
+        s = s + np.fromiter(map(math.log, fr.tolist()), float, m)
+    snaps = [((a, b, c, d), sv) for a, b, c, d, sv
+             in zip(*np.reshape(st, (4, m)).tolist(), s.tolist())]
+    frame = point_frame(base)
+    return [state_dist_to_base(snap, frame) for snap in snaps], snaps
+
+
 snapshot_point = state_point
 snapshot_horofunction = state_horofunction
 
@@ -533,10 +564,13 @@ def csv_row(p: complex) -> list:
     return [p.real, p.imag]
 
 
-def tracking_gaps(atoms, increments, snaps, base: complex, lam: float,
-                  depth: float, tol: float) -> dict:
+def tracking_gaps(atoms, increments, snaps, base: complex, lam: float, tol: float) -> dict:
     """d(gamma(lam k), Z_k x) for the snapshot steps k, re-tracked in
-    multiprecision (see mp_ray_gaps)."""
+    multiprecision (see mp_ray_gaps).  The digits must cover the farthest
+    the path strays from x, which can lie between stored steps, so the path
+    is walked again densely for that depth."""
+    depth = max(orbit(atoms, base, increments.tolist(), range(1, len(increments) + 1))[0],
+                default=0.0)
     return mp_ray_gaps(atoms, increments, base, lam, list(snaps), depth)
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
 from . import _h2
 from .errors import UsageError
 
@@ -320,6 +322,23 @@ def orbit(atoms, base, increments, stored):
     return dists, snaps
 
 
+# Below this many paths, m runs of `orbit` beat one `orbit_paths` (n = 2000).
+BATCH_MIN_PATHS = 16
+
+
+def orbit_paths(atoms, base, increments):
+    """`orbit` for m paths at once, read at the last step only: the H2
+    factor walks in `_h2.orbit_paths`, and the heights add one step at a
+    time, as the scalar running sum does."""
+    dh, states = _h2.orbit_paths([g[0] for g in atoms], base[0], increments)
+    shifts = np.array([g[1] for g in atoms])
+    heights = np.zeros(increments.shape[1])
+    for inc in increments:
+        heights = heights + shifts.take(inc)
+    heights = heights.tolist()
+    return [math.hypot(d, h) for d, h in zip(dh, heights)], list(zip(states, heights))
+
+
 def snapshot_point(snap, base):
     st, h = snap
     return (_h2.state_point(st, base[0]), base[1] + h)
@@ -345,10 +364,13 @@ def csv_row(p) -> list:
     return [p[0].real, p[0].imag, p[1]]
 
 
-def tracking_gaps(atoms, increments, snaps, base, lam: float,
-                  depth: float, tol: float) -> dict:
+def tracking_gaps(atoms, increments, snaps, base, lam: float, tol: float) -> dict:
     """Product distances d(gamma(lam k), Z_k x): the horizontal factor is
-    re-tracked in multiprecision, the heights come from the snapshots."""
+    re-tracked in multiprecision, the heights come from the snapshots.  As
+    in `_h2.tracking_gaps`, the digits cover the farthest product distance
+    of a dense re-walk."""
+    depth = max(orbit(atoms, base, increments.tolist(), range(1, len(increments) + 1))[0],
+                default=0.0)
     heights = {k: s[1] + base[1] for k, s in snaps.items()}
     return _h2.mp_ray_gaps([g[0] for g in atoms], increments, base[0], lam, list(snaps),
                            depth, heights=heights, base_height=base[1])

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import UsageError
 
 ALPHABET = "aAbB"
@@ -42,10 +44,12 @@ def reduce_word(word: str) -> str:
     return "".join(out)
 
 
+_CANCELLING = ("aA", "Aa", "bB", "Bb")
+
+
 def is_reduced(word: str) -> bool:
-    return all(ch in ALPHABET for ch in word) and all(
-        word[i] != inv_letter(word[i + 1]) for i in range(len(word) - 1)
-    )
+    # strip leaves nothing exactly when every letter is in the alphabet
+    return not word.strip(ALPHABET) and not any(p in word for p in _CANCELLING)
 
 
 def inv_word(word: str) -> str:
@@ -53,13 +57,20 @@ def inv_word(word: str) -> str:
 
 
 def mul(u: str, v: str) -> str:
-    out = list(u)
-    for ch in v:
-        if out and out[-1] == inv_letter(ch):
-            out.pop()
-        else:
-            out.append(ch)
-    return "".join(out)
+    """u v with each letter of v cancelling the last letter so far when it
+    is its inverse.  A reduced v cancels only where the two words meet."""
+    if not is_reduced(v):
+        out = list(u)
+        for ch in v:
+            if out and out[-1] == inv_letter(ch):
+                out.pop()
+            else:
+                out.append(ch)
+        return "".join(out)
+    k = 0
+    while k < min(len(u), len(v)) and u[-1 - k] == inv_letter(v[k]):
+        k += 1
+    return u[:len(u) - k] + v[k:]
 
 
 def lcp(u: str, v: str) -> int:
@@ -394,6 +405,38 @@ def orbit(atoms, base: str, increments, stored):
     return dists, snaps
 
 
+# Below this many paths, m runs of `orbit` beat one `orbit_paths` (n = 2000).
+BATCH_MIN_PATHS = 32
+
+
+def orbit_paths(atoms, base: str, increments):
+    """`orbit` for m paths at once, read at the last step only: the terminal
+    distances d(Z_n x, x) and words of the columns of the (n, m) array
+    `increments`, n >= 1.  Path p keeps its letters as ASCII codes on row p
+    of one flat stack, after a 0 that no letter cancels, with `top[p]` the
+    index of its last letter.  A letter cancels the last letter of the rows
+    where that is its inverse (the other case, code ^ 32) and is pushed on
+    the others; the shorter conjugated atoms are padded with 0, no letter."""
+    conj = [mul(mul(inv_word(base), g), base).encode() for g in atoms]
+    width = max(map(len, conj))
+    letters = np.zeros((width, len(conj)), dtype=np.uint8)
+    for i, word in enumerate(conj):
+        letters[:len(word), i] = np.frombuffer(word, dtype=np.uint8)
+    n, m = increments.shape
+    row = n * width + 2
+    flat = np.zeros(m * row, dtype=np.uint8)
+    start = np.arange(m) * row
+    top = start.copy()
+    for inc in increments:
+        for ch in letters.take(inc, axis=1):
+            cancel = flat.take(top) == ch ^ 32
+            flat[top + 1] = ch
+            top += ch > 0
+            top -= 2 * cancel  # a cancelling letter was counted as pushed
+    words = [flat[a + 1:b + 1].tobytes().decode() for a, b in zip(start.tolist(), top.tolist())]
+    return [float(len(w)) for w in words], words
+
+
 def snapshot_point(snap: str, base: str) -> str:
     return mul(base, snap)
 
@@ -410,8 +453,7 @@ def csv_row(p: str) -> list:
     return [p]
 
 
-def tracking_gaps(atoms, increments, snaps, base: str, lam: float,
-                  depth: float, tol: float) -> dict:
+def tracking_gaps(atoms, increments, snaps, base: str, lam: float, tol: float) -> dict:
     """d(gamma(lam k), Z_k x) for the snapshots {k: snapshot}, along the ray
     toward the last snapshot's orbit point, at the rounded parameter lam k."""
     b = direction(base, snapshot_point(snaps[max(snaps)], base), tol)

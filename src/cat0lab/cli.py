@@ -10,9 +10,9 @@ Each run writes <outdir>/<experiment>-<seed>/report.json (and series.csv when
 the experiment produces a series).  Reports embed the config echo and the
 hypotheses audit; the timing block is the only non-reproducible field.
 
---threads is accepted and ignored: sample paths run one after another in
-path order, because the per-step walk loop holds the GIL and threads cannot
-speed it up.
+--threads is accepted and ignored: the walk runs in one thread, either one
+path at a time through a per-step Python loop, which holds the GIL, or many
+paths together as numpy state (see `walk.sample_terminals`).
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .stats import (
     hitting_measure,
     horofunction_gap,
     hypotheses_audit,
+    hypotheses_problems,
     pi_convergence_check,
     stationarity_defect,
     cocycle_residual,
@@ -200,8 +201,11 @@ def _run_dirac(cfg, hypotheses):
         atoms1 = sample_boundary(cfg.model, int(cfg.params.get("atom_count", 10)),
                                  cfg.seed + 2)
     checkpoints = cfg.checkpoints or default_checkpoints(cfg.n, 10)
+    problems = hypotheses_problems(hypotheses["admissibility"]["certified"],
+                                   hypotheses["rankone_audit"]["verdict"])
     rep = dirac_concentration(cfg.distribution, atoms0, cfg.n, cfg.seed,
-                              checkpoints, atoms1=atoms1, basepoint=cfg.basepoint)
+                              checkpoints, atoms1=atoms1, basepoint=cfg.basepoint,
+                              problems=problems)
     second = rep.spread_second or [""] * len(rep.checkpoints)
     cross = rep.cross_spread or [""] * len(rep.checkpoints)
     return (rep.to_json(), ["checkpoint", "spread", "spread_second", "cross_spread"],

@@ -2,9 +2,12 @@
 histograms, stationarity defect, Dirac concentration, horofunction gaps,
 cocycle residuals, geodesic tracking, and the pi-convergence scan.
 
-Estimators run their sample paths one after another, in path order, and
-each path's random stream depends only on (seed, path index), so reports
-are bit-stable for a given seed.
+Each path's random stream depends only on (seed, path index), so reports
+are bit-stable for a given seed.  The drift and hitting estimators read
+only the ends of their paths and take them from `walk.sample_terminals`,
+which walks many paths together as numpy state and gives the same bits as
+walking them one at a time; the estimators that read along a path walk it
+alone, through `sample_walk`.
 """
 
 from __future__ import annotations
@@ -41,8 +44,10 @@ from .models import (
 from .walk import (
     StepDistribution,
     WalkTrace,
+    sample_terminals,
     sample_walk,
     snapshot_horofunction,
+    snapshot_point,
     validate_distribution,
 )
 
@@ -96,22 +101,14 @@ def drift_estimate(spec: StepDistribution, x: Point, n: int, m_samples: int,
     if n < 1 or m_samples < 1:
         raise UsageError("need positive walk length and sample count")
     _require_certified(spec, allow_uncertified)
-
-    def one(i: int):
-        tr = sample_walk(spec, x, n, seed, path_index=i, thin=n)
-        term = tr.base_distances[-1] / n
-        hterm = None
-        if horofunction_xi is not None:
-            hterm = snapshot_horofunction(spec.model, tr.snapshots[-1], x, horofunction_xi) / n
-        return term, hterm
-
-    results = [one(i) for i in range(m_samples)]
-    terms = np.array([r[0] for r in results])
+    dists, snaps = sample_terminals(spec, x, n, seed, m_samples)
+    terms = dists / n
     lam = float(terms.mean())
     se = float(terms.std(ddof=1) / math.sqrt(m_samples)) if m_samples > 1 else 0.0
     hlam = None
     if horofunction_xi is not None:
-        hlam = float(np.mean([r[1] for r in results]))
+        hlam = float(np.mean([snapshot_horofunction(spec.model, snap, x, horofunction_xi) / n
+                              for snap in snaps]))
     return DriftReport(
         n=n,
         m_samples=m_samples,
@@ -321,14 +318,9 @@ def hitting_measure(spec: StepDistribution, x: Point, n: int, m_samples: int,
     the basepoint have no direction and are left out; DomainError when no
     path is left."""
     _require_certified(spec, allow_uncertified)
-
-    def one(i: int):
-        tr = sample_walk(spec, x, n, seed, path_index=i, thin=n)
-        if tr.base_distances[-1] <= tolerance():
-            return None
-        return bins.index_of(direction(x, tr.point(-1)))
-
-    hits = [h for h in (one(i) for i in range(m_samples)) if h is not None]
+    dists, snaps = sample_terminals(spec, x, n, seed, m_samples)
+    hits = [bins.index_of(direction(x, snapshot_point(spec.model, snap, x)))
+            for d, snap in zip(dists, snaps) if not d <= tolerance()]
     if not hits:
         raise DomainError("no sample path left the basepoint; the histogram is empty")
     counts = np.bincount(hits, minlength=bins.count).astype(float)
@@ -392,17 +384,21 @@ def _cross_spread(x: Point, cloud1, cloud2) -> float:
 
 
 def dirac_concentration(spec: StepDistribution, atoms0, n: int, seed: int,
-                        checkpoints, atoms1=None, basepoint: Point | None = None) -> DiracReport:
+                        checkpoints, atoms1=None, basepoint: Point | None = None,
+                        problems=None) -> DiracReport:
     """Per-path spread of the pushforward Z_k . atoms under one walk
     realization; a vanishing spread (and cross spread when a second disjoint
     atom set is given) witnesses the Dirac limit of the translated measures.
 
     Hypothesis violations are reported as warnings, not errors, so negative
-    controls run as first-class experiments."""
+    controls run as first-class experiments.  `problems` are those of a
+    `hypotheses_audit` the caller already ran; without them the support is
+    audited here."""
     if len(atoms0) < 2:
         raise UsageError("need at least two initial boundary atoms")
     x = basepoint if basepoint is not None else model_basepoint(spec.model)
-    _, _, problems = hypotheses_audit(spec)
+    if problems is None:
+        _, _, problems = hypotheses_audit(spec)
     checkpoints = sorted({int(k) for k in checkpoints if int(k) >= 1})
     if not checkpoints:
         raise UsageError("need at least one positive checkpoint")
@@ -469,14 +465,9 @@ def tracking_error(trace: WalkTrace, lam: float):
     ks = [int(k) for k in trace.steps if int(k) > 0]
     step_index = {int(k): i for i, k in enumerate(trace.steps)}
     snaps = {k: trace.snapshots[step_index[k]] for k in ks}
-    kernel = KERNELS[trace.model]
     atoms = [g.data for g in trace.spec.isometries]
-    # the digits must cover the farthest the path strays from x, which can
-    # lie between stored steps: walk the one tracked path again, densely
-    depth = max(kernel.orbit(atoms, x.data, trace.increments.tolist(),
-                             range(1, trace.n + 1))[0], default=0.0)
-    gaps = kernel.tracking_gaps(atoms, trace.increments, snaps, x.data, lam, depth,
-                                tolerance())
+    gaps = KERNELS[trace.model].tracking_gaps(atoms, trace.increments, snaps, x.data, lam,
+                                              tolerance())
     errs = [gaps[k] / k for k in ks]
     return np.array(ks), np.array(errs)
 
@@ -632,9 +623,15 @@ def hypotheses_audit(spec: StepDistribution):
     the support is certified admissible and non-elementary."""
     adm = validate_distribution(spec, 4)
     audit = rankone_audit(spec)
+    return adm, audit, hypotheses_problems(adm.certified, audit.verdict)
+
+
+def hypotheses_problems(certified: bool, verdict: str) -> list[str]:
+    """The problems of `hypotheses_audit`, from its admissibility
+    certificate and its rank-one verdict."""
     problems = []
-    if not adm.certified:
+    if not certified:
         problems.append("support not certified admissible at depth 4")
-    if audit.verdict != "certified-non-elementary":
-        problems.append(f"rank-one audit verdict: {audit.verdict}")
-    return adm, audit, problems
+    if verdict != "certified-non-elementary":
+        problems.append(f"rank-one audit verdict: {verdict}")
+    return problems

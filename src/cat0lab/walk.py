@@ -10,11 +10,16 @@ increments, stored)` returns the distances d(Z_k x, x) at the stored steps
 only, and the product states at step 0 and at those steps, which
 `snapshot_point`, `snapshot_horofunction` and `snapshot_boundary` read.
 Most readers look only at the end of a path, and on H2 a distance costs
-more than the step itself.  Hyperbolic-factor products are tracked
-there as Frobenius-normalised matrices with a log-scale factor; positions,
-distances to the basepoint and horofunction values are extracted from that
-state in log space, which keeps traces faithful far beyond the float64
-coordinate range.
+more than the step itself.  Readers of many path ends take them from
+`sample_terminals`, which walks the paths together through the kernel's
+`orbit_paths`, one numpy operation per step for all of them, with the
+scalar loop's float operations in the same order, so every path ends on
+the same bits as when `sample_walk` walks it alone.
+
+Hyperbolic-factor products are tracked as Frobenius-normalised matrices
+with a log-scale factor; positions, distances to the basepoint and
+horofunction values are extracted from that state in log space, which
+keeps traces faithful far beyond the float64 coordinate range.
 """
 
 from __future__ import annotations
@@ -39,6 +44,9 @@ from .models import (
 from .isometry import apply, apply_boundary, compose, inverse
 
 _PROB_TOL = 1e-12
+# paths walked together by `sample_terminals`: a block holds about n KB of
+# increments, and the batched rate levels off from about 512 paths
+_PATH_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -137,6 +145,11 @@ def validate_distribution(spec: StepDistribution, depth: int) -> AdmissibilityRe
     )
 
 
+def snapshot_point(model: Model, snap, basepoint: Point) -> Point:
+    """The orbit point Z x of a snapshot."""
+    return Point(model, KERNELS[model].snapshot_point(snap, basepoint.data))
+
+
 def snapshot_horofunction(model: Model, snap, basepoint: Point, xi: BoundaryPoint) -> float:
     """h_xi with basepoint x evaluated at the orbit point Z x of a snapshot."""
     return float(KERNELS[model].snapshot_horofunction(snap, basepoint.data, xi.data))
@@ -164,8 +177,7 @@ class WalkTrace:
 
     def point(self, i: int) -> Point:
         """Orbit point Z_k x of the i-th stored snapshot."""
-        return Point(self.model, KERNELS[self.model].snapshot_point(self.snapshots[i],
-                                                                    self.basepoint.data))
+        return snapshot_point(self.model, self.snapshots[i], self.basepoint)
 
     def image(self, i: int, xi: BoundaryPoint) -> BoundaryPoint:
         """Boundary image Z_k xi under the i-th stored snapshot."""
@@ -230,6 +242,37 @@ def sample_walk(spec: StepDistribution, x: Point, n: int, seed: int,
         base_distances=np.array([0.0, *dists]),
         snapshots=tuple(snaps),
     )
+
+
+def sample_terminals(spec: StepDistribution, x: Point, n: int, seed: int, m: int):
+    """Terminal distances d(Z_n x, x), as an array, and terminal snapshots of
+    paths 0..m-1: bit for bit what `sample_walk(spec, x, n, seed,
+    path_index=i, thin=n)` stores last.  From the kernel's `BATCH_MIN_PATHS`
+    paths on, blocks of paths walk together through its `orbit_paths`, with
+    the increments of each path in one column; below that, one at a time."""
+    same_model(spec.isometries[0], x)
+    if n < 0:
+        raise UsageError("walk length must be nonnegative")
+    kernel = KERNELS[spec.model]
+    if n == 0 or m < kernel.BATCH_MIN_PATHS:
+        dists, snaps = [], []
+        for i in range(m):
+            tr = sample_walk(spec, x, n, seed, path_index=i, thin=max(n, 1))
+            dists.append(tr.base_distances[-1])
+            snaps.append(tr.snapshots[-1])
+        return np.array(dists, dtype=float), snaps
+    atoms = [g.data for g in spec.isometries]
+    dists, snaps = [], []
+    for first in range(0, m, _PATH_BLOCK):
+        paths = range(first, min(first + _PATH_BLOCK, m))
+        # the smallest integer type that holds every atom index
+        increments = np.empty((n, len(paths)), dtype=np.min_scalar_type(len(atoms) - 1))
+        for j, i in enumerate(paths):
+            increments[:, j] = draw_increments(spec, n, seed, i)
+        block_dists, block_snaps = kernel.orbit_paths(atoms, x.data, increments)
+        dists += block_dists
+        snaps += block_snaps
+    return np.array(dists), snaps
 
 
 def inverse_walk_positions(trace: WalkTrace) -> list[Point]:

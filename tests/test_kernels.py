@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cat0lab import Model, StepDistribution, distance, sample_walk
+from cat0lab import Model, StepDistribution, _t4, distance, sample_terminals, sample_walk, walk
 from cat0lab.geometry import model_basepoint
 from cat0lab.models import KERNELS
-from cat0lab.sampling import random_isometry
+from cat0lab.sampling import random_isometry, random_point
 
 TABLE = (
     # values and codecs
@@ -28,8 +28,8 @@ TABLE = (
     "random_point", "random_isometry", "random_axial", "random_boundary",
     "ball_point", "default_bins",
     # walks
-    "orbit", "snapshot_point", "snapshot_horofunction", "snapshot_boundary",
-    "CSV_COLUMNS", "csv_row", "tracking_gaps",
+    "orbit", "orbit_paths", "BATCH_MIN_PATHS", "snapshot_point", "snapshot_horofunction",
+    "snapshot_boundary", "CSV_COLUMNS", "csv_row", "tracking_gaps",
 )
 
 
@@ -112,3 +112,89 @@ def test_walk_distances_sit_at_the_stored_steps(model, seed, atom_count, n, thin
     assert len(tr.base_distances) == len(tr.steps) == len(tr.snapshots)
     for i, d in enumerate(tr.base_distances):
         assert float(distance(x, tr.point(i))) == pytest.approx(d, rel=1e-9, abs=1e-9)
+
+
+def _terminals_by_path(spec, x, n, seed, m):
+    dists, snaps = [], []
+    for i in range(m):
+        tr = sample_walk(spec, x, n, seed, path_index=i, thin=max(n, 1))
+        dists.append(tr.base_distances[-1])
+        snaps.append(tr.snapshots[-1])
+    return dists, snaps
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), atom_count=st.integers(1, 4),
+       n=st.integers(0, 60), side=st.sampled_from([-1, 1]), offset=st.integers(0, 8))
+def test_sample_terminals_are_the_single_path_ends(model, seed, atom_count, n, side, offset):
+    # m lies on either side of the kernel's crossover, so both the batched
+    # orbit_paths and the one-path-at-a-time loop are compared, with ==
+    m = max(KERNELS[model].BATCH_MIN_PATHS + (offset if side > 0 else -1 - offset), 0)
+    rng = np.random.default_rng(seed)
+    weights = rng.random(atom_count) + 0.1
+    spec = StepDistribution(model, tuple(
+        (random_isometry(model, rng), float(w)) for w in weights / weights.sum()))
+    x = random_point(model, rng)
+    dists, snaps = sample_terminals(spec, x, n, seed, m)
+    expected_dists, expected_snaps = _terminals_by_path(spec, x, n, seed, m)
+    assert dists.tolist() == expected_dists
+    assert snaps == expected_snaps
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+def test_sample_terminals_are_the_single_path_ends_at_full_length(model):
+    # the length and path count of the escape benchmark's drift configs
+    rng = np.random.default_rng(2000)
+    spec = StepDistribution.uniform([random_isometry(model, rng) for _ in range(4)])
+    x = random_point(model, rng)
+    dists, snaps = sample_terminals(spec, x, 2000, 17, 200)
+    expected_dists, expected_snaps = _terminals_by_path(spec, x, 2000, 17, 200)
+    assert dists.tolist() == expected_dists
+    assert snaps == expected_snaps
+
+
+def _is_reduced_by_letters(word):
+    # the letter loop is_reduced replaced, kept as the reference
+    return all(ch in _t4.ALPHABET for ch in word) and all(
+        word[i] != _t4.inv_letter(word[i + 1]) for i in range(len(word) - 1))
+
+
+def _mul_by_letters(u, v):
+    # the letter loop mul replaced, kept as the reference
+    out = list(u)
+    for ch in v:
+        if out and out[-1] == _t4.inv_letter(ch):
+            out.pop()
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+# reduced words, and words of any letters, some outside the alphabet
+WORDS = st.one_of(
+    st.lists(st.sampled_from("aAbB"), max_size=40).map(lambda w: _t4.reduce_word("".join(w))),
+    st.text(alphabet="aAbBcC", max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=WORDS, v=WORDS, k=st.integers(0, 40))
+def test_t4_word_readers_match_their_letter_loops(u, v, k):
+    assert _t4.is_reduced(u) == _is_reduced_by_letters(u)
+    assert _t4.mul(u, v) == _mul_by_letters(u, v)
+    # a reduced word that starts by undoing up to k letters of u
+    w = _mul_by_letters("", _t4.inv_word(u)[:k] + v)
+    assert _t4.mul(u, w) == _mul_by_letters(u, w)
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+def test_sample_terminals_are_the_single_path_ends_across_path_blocks(model):
+    # more paths than one batched block holds, on short walks
+    rng = np.random.default_rng(1024)
+    spec = StepDistribution.uniform([random_isometry(model, rng) for _ in range(3)])
+    x = random_point(model, rng)
+    m = walk._PATH_BLOCK + 3
+    dists, snaps = sample_terminals(spec, x, 7, 5, m)
+    expected_dists, expected_snaps = _terminals_by_path(spec, x, 7, 5, m)
+    assert dists.tolist() == expected_dists
+    assert snaps == expected_snaps

@@ -32,9 +32,9 @@ from cat0lab import (
     tolerance,
     tracking_error,
 )
-from cat0lab import cli, stats
+from cat0lab import _h2, cli, stats
 from cat0lab.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, main
-from cat0lab.models import DEFAULT_TOLERANCE, KERNELS
+from cat0lab.models import DEFAULT_TOLERANCE
 from cat0lab.walk import draw_increments
 
 from conftest import standard_h2_pair
@@ -62,15 +62,15 @@ def test_tracking_digits_cover_the_dense_maximum(h2_spec, monkeypatch, model):
     # the stored distances alone would size the digits too small
     spec, x = ((h2_spec, h2_point(0, 1)) if model is Model.H2
                else (_h2xr_spec(), h2xr_point(0, 1, 0)))
-    kernel = KERNELS[model]
-    original = kernel.tracking_gaps
+    # both kernels hand their depth to the multiprecision re-tracking
+    original = _h2.mp_ray_gaps
     seen = []
 
-    def spy(atoms, increments, snaps, base, lam, depth, tol):
+    def spy(mats, increments, base, lam, steps, depth, **heights):
         seen.append(depth)
-        return original(atoms, increments, snaps, base, lam, depth, tol)
+        return original(mats, increments, base, lam, steps, depth, **heights)
 
-    monkeypatch.setattr(kernel, "tracking_gaps", spy)
+    monkeypatch.setattr(_h2, "mp_ray_gaps", spy)
     tr = sample_walk(spec, x, 600, 0, thin=60)
     tracking_error(tr, 0.5)
     dense_max = sample_walk(spec, x, 600, 0, thin=1).base_distances.max()
@@ -213,7 +213,8 @@ def test_pi_convergence_runs_a_non_diagonal_h2_generator(tmp_path):
 
 
 def test_one_rankone_audit_per_run(tmp_path, monkeypatch):
-    # the rankone-audit experiment reports the audit of the hypotheses block
+    # the rankone-audit experiment reports the audit of the hypotheses block,
+    # and dirac takes its warnings from that block instead of auditing again
     calls = []
     original = stats.rankone_audit
 
@@ -224,10 +225,26 @@ def test_one_rankone_audit_per_run(tmp_path, monkeypatch):
     monkeypatch.setattr(stats, "rankone_audit", counted)
     # a name the CLI holds for it would count too
     monkeypatch.setattr(cli, "rankone_audit", counted, raising=False)
-    (tmp_path / "c.json").write_text(json.dumps(
-        {"experiment": "rankone-audit", "model": "H2", "distribution": H2_DIST, "seed": 1}))
-    out = tmp_path / "out"
-    assert main(["run", str(tmp_path / "c.json"), "--outdir", str(out)]) == EXIT_OK
-    report = json.loads((out / "rankone-audit-1" / "report.json").read_text())
-    assert len(calls) == 1
+    reports = {}
+    # the flat control leaves the rank-one hypothesis unproved
+    e2_dist = _uniform_dist("E2", [{"angle": 0.0, "v": v} for v in ([1, 0], [-1, 0], [0, 1])])
+    for experiment, dist in [("rankone-audit", H2_DIST), ("dirac", H2_DIST), ("dirac", e2_dist)]:
+        cfg = {"experiment": experiment, "model": dist["model"], "distribution": dist,
+               "n": 40, "seed": 1, "params": {"atom_count": 3}}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        out = tmp_path / dist["model"]
+        calls.clear()
+        assert main(["run", str(tmp_path / "c.json"), "--outdir", str(out),
+                     "--allow-uncertified"]) == EXIT_OK
+        assert len(calls) == 1
+        report = json.loads((out / f"{experiment}-1" / "report.json").read_text())
+        reports[experiment, dist["model"]] = report
+    report = reports["rankone-audit", "H2"]
     assert report["results"] == report["hypotheses"]["rankone_audit"]
+    # the warnings are those dirac_concentration finds when it audits itself
+    for model, dist in [("H2", H2_DIST), ("E2", e2_dist)]:
+        results = reports["dirac", model]["results"]
+        _, _, problems = stats.hypotheses_audit(StepDistribution.from_json(dist))
+        assert results["warnings"] == problems
+        assert results["hypotheses_certified"] == (not problems)
+    assert reports["dirac", "E2"]["results"]["warnings"]

@@ -37,6 +37,7 @@ from cat0lab import (
     theil_sen,
     tracking_error,
 )
+from cat0lab.models import KERNELS
 from cat0lab.oracles import tree_drift_expected, tree_hitting_cylinders, uniform_tree_probs
 from cat0lab.sampling import random_isometry, random_point
 
@@ -166,6 +167,23 @@ def test_hitting_biased_tree_asymmetry():
     cyl = tree_hitting_cylinders({"a": 0.5, "A": 1 / 6, "b": 1 / 6, "B": 1 / 6}, 1)
     se = math.sqrt(0.25 / 600)
     assert mass_a == pytest.approx(cyl["a"], abs=4 * se)
+
+
+def test_biased_tree_drift_matches_the_hitting_oracle():
+    # by the letter reversal of the free group, the drift of a nearest-
+    # neighbour tree walk is 1 - 2 sum_g p_g q_{g^-1}, with q the exact
+    # first-letter hitting masses; m is above the T4 crossover, so the
+    # batched kernel walks these non-uniform letters
+    probs = {"a": 0.4, "A": 0.1, "b": 0.3, "B": 0.2}
+    spec = StepDistribution(Model.T4, tuple(
+        (t4_isometry(k), p) for k, p in probs.items()))
+    q = tree_hitting_cylinders(probs, 1)
+    lam = 1.0 - 2.0 * sum(p * q[g.swapcase()] for g, p in probs.items())
+    assert lam == pytest.approx(0.63231, abs=1e-5)
+    m = 400
+    assert m >= KERNELS[Model.T4].BATCH_MIN_PATHS
+    rep = drift_estimate(spec, t4_point(""), 2000, m, 11)
+    assert abs(rep.lambda_hat - lam) <= 5 * rep.std_error
 
 
 def test_tree_cylinder_oracle_uniform_case():
