@@ -62,6 +62,7 @@ from .boundary import (
     GeodesicWitness,
     VisualNeighborhood,
     angle_at_infinity,
+    boundary_distances,
     boundary_metric,
     horofunction,
     horofunction_limit_oracle,

@@ -175,8 +175,9 @@ def tits(theta1: float, theta2: float, tol: float) -> float:
     return circle_gap(theta1, theta2)
 
 
-def boundary_metric(x: complex, theta1: float, theta2: float, r0: float) -> float:
-    return dist(ray_point(x, theta1, r0), ray_point(x, theta2, r0))
+# the visual metric: the distance between the ray points at radius r0
+boundary_chart = ray_point
+chart_dist = dist
 
 
 def geodesic_witness(theta1: float, theta2: float, tol: float):

@@ -355,8 +355,9 @@ def tits(x1: float, x2: float, tol: float) -> float:
     return 0.0 if boundary_eq(x1, x2, tol) else INF
 
 
-def boundary_metric(x: complex, x1: float, x2: float, r0: float) -> float:
-    return dist(ray_point(x, x1, r0), ray_point(x, x2, r0))
+# the visual metric: the distance between the ray points at radius r0
+boundary_chart = ray_point
+chart_dist = dist
 
 
 def geodesic_witness(a: float, b: float, tol: float):

@@ -240,8 +240,9 @@ def tits(b1, b2, tol: float) -> float:
     return math.acos(max(-1.0, min(1.0, c)))
 
 
-def boundary_metric(x, b1, b2, r0: float) -> float:
-    return dist(ray_point(x, b1, r0), ray_point(x, b2, r0))
+# the visual metric: the distance between the ray points at radius r0
+boundary_chart = ray_point
+chart_dist = dist
 
 
 def geodesic_witness(b1, b2, tol: float):

@@ -186,10 +186,15 @@ def gromov_product(x: str, b1: tuple[str, str], b2: tuple[str, str]) -> float:
     return float(k)
 
 
-def boundary_metric(x: str, b1: tuple[str, str], b2: tuple[str, str], r0: float) -> float:
-    """exp(-(b1|b2)_x).  The chordal metric of the continuous models is not
-    separating here because projections are vertex granular, so r0 is unused."""
-    g = gromov_product(x, b1, b2)
+def boundary_chart(x: str, b: tuple[str, str], r0: float) -> tuple[str, tuple[str, str]]:
+    """The visual metric is exp(-(b1|b2)_x), read off the rays from x.  The
+    chordal metric of the continuous models is not separating here because
+    projections are vertex granular, so r0 is unused."""
+    return x, b
+
+
+def chart_dist(p: tuple[str, tuple[str, str]], q: tuple[str, tuple[str, str]]) -> float:
+    g = gromov_product(p[0], p[1], q[1])
     return 0.0 if math.isinf(g) else math.exp(-g)
 
 

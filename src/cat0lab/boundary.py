@@ -1,5 +1,7 @@
 """Boundary machinery: horofunctions, visual neighborhoods, angles at
-infinity, Tits distances, boundary metrics, and geodesic witnesses.
+infinity, Tits distances, the visual metric over all pairs of a point set
+(`boundary_distances`, which charts each point once), and geodesic
+witnesses.
 
 Closed forms are implemented per model; the horofunction limit oracle
 recomputes the defining limit directly (in multiprecision arithmetic for
@@ -145,18 +147,33 @@ def tits_ball_is_trivial(xi: BoundaryPoint) -> bool:
     return KERNELS[xi.model].TITS_BALL_TRIVIAL
 
 
-def boundary_metric(x: Point, xi: BoundaryPoint, eta: BoundaryPoint,
-                    r0: float = 1.0) -> float:
-    """A metric on the boundary compatible with the visual topology.
+def boundary_distances(x: Point, points, others=None, r0: float = 1.0) -> list:
+    """Visual distances at x between boundary points, each charted once:
+    with `others` None, d(points[i], points[j]) for i < j in row order (the
+    condensed triangle of scipy's `pdist`), otherwise the rows
+    [d(p, q) for q in others] for p in points (as `cdist`).
 
-    Continuous models use the chordal distance between ray points at radius
-    r0.  The tree uses exp(-(xi|eta)_x); the chordal construction is not
-    separating there because projections are vertex granular.
+    Continuous models take the chordal distance between ray points at
+    radius r0.  The tree takes exp(-(xi|eta)_x); the chordal construction is
+    not separating there because projections are vertex granular.
     """
-    model = same_model(x, xi, eta)
+    model = same_model(x, *points, *(others or ()))
     if r0 < 0:
         raise UsageError("ray parameter must be nonnegative")
-    return KERNELS[model].boundary_metric(x.data, xi.data, eta.data, r0)
+    kernel = KERNELS[model]
+    dist = kernel.chart_dist
+    charts = [kernel.boundary_chart(x.data, b.data, r0) for b in points]
+    if others is None:
+        return [dist(p, q) for i, p in enumerate(charts) for q in charts[i + 1:]]
+    other_charts = [kernel.boundary_chart(x.data, b.data, r0) for b in others]
+    return [[dist(p, q) for q in other_charts] for p in charts]
+
+
+def boundary_metric(x: Point, xi: BoundaryPoint, eta: BoundaryPoint,
+                    r0: float = 1.0) -> float:
+    """A metric on the boundary compatible with the visual topology: the one
+    pair case of `boundary_distances`."""
+    return boundary_distances(x, [xi], [eta], r0)[0][0]
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .geometry import model_basepoint
 from .isometry import axis_endpoints, north_south_constant, power
 from .boundary import (
     angle_at_infinity,
-    boundary_metric,
+    boundary_distances,
     sample_boundary,
     tits_ball_is_trivial,
     tits_distance,
@@ -78,6 +78,12 @@ EXIT_UNCERTIFIED = 3
 
 class ConfigError(ValueError):
     pass
+
+
+# integer params and their least values, checked at load whatever the
+# experiment; the runners read each of them with int()
+INT_PARAMS = {"bins": 0, "count": 1, "k_count": 1, "samples": 1, "atom_count": 2,
+              "refinement_samples": 1, "thin": 1}
 
 
 @dataclass
@@ -127,12 +133,16 @@ def load_config(path) -> ExperimentConfig:
         if checkpoints is not None and not all(1 <= k <= n for k in checkpoints):
             raise ConfigError(f"checkpoints must lie in [1, n] = [1, {n}]")
         params = dict(raw.get("params", {}))
+        for key, least in INT_PARAMS.items():
+            if key in params and int(params[key]) < least:
+                raise ConfigError(f"params.{key} must be an integer >= {least}")
         tol = raw.get("tolerance")
         return ExperimentConfig(experiment, model, dist, base, n, m, seed,
                                 checkpoints, params, tol, raw)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, DistributionError, UsageError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DistributionError,
+            UsageError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
@@ -292,7 +302,8 @@ def _run_pi_convergence(cfg, hypotheses):
         eta = None
     pool = sample_boundary(cfg.model, 8 * k_count, cfg.seed)
     if eta is not None:
-        pool = [b for b in pool if boundary_metric(x, b, eta) >= exclusion]
+        pool = [b for b, (d,) in zip(pool, boundary_distances(x, pool, [eta]))
+                if d >= exclusion]
     res = pi_convergence_check(gs, x, pool[:k_count], u_eps)
     gaps = list(res.max_gaps)
     return ({"holds": res.holds, "n0": res.n0,

@@ -159,7 +159,7 @@ def north_south_constant(g: Isometry, eps_plus: float, eps_minus: float,
     distance >= eps_minus from g- lands within eps_plus of g+ under g^k,
     with the largest visual distance to g+ at each power up to k.  Visual
     distances are taken at the model basepoint."""
-    from .boundary import boundary_metric, sample_boundary
+    from .boundary import boundary_distances, sample_boundary
 
     if not is_rank_one(g):
         raise DomainError("North-South contraction needs a rank one isometry")
@@ -169,9 +169,10 @@ def north_south_constant(g: Isometry, eps_plus: float, eps_minus: float,
     pts: list[BoundaryPoint] = []
     attempts = 0
     while len(pts) < samples and attempts < 200 * samples:
-        for cand in sample_boundary(g.model, samples, rng):
+        batch = sample_boundary(g.model, samples, rng)
+        for cand, (d,) in zip(batch, boundary_distances(x0, batch, [gm])):
             attempts += 1
-            if boundary_metric(x0, cand, gm) >= eps_minus:
+            if d >= eps_minus:
                 pts.append(cand)
                 if len(pts) == samples:
                     break
@@ -181,7 +182,7 @@ def north_south_constant(g: Isometry, eps_plus: float, eps_minus: float,
     max_gaps = []
     for k in range(1, cap + 1):
         current = [apply_boundary(g, b) for b in current]
-        gaps = [boundary_metric(x0, b, gp) for b in current]
+        gaps = [row[0] for row in boundary_distances(x0, current, [gp])]
         max_gaps.append(max(gaps, default=0.0))
         if all(d < eps_plus for d in gaps):
             return NorthSouthResult(k0=k, attained=True, cap=cap, samples=samples,

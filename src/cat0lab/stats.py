@@ -7,7 +7,11 @@ are bit-stable for a given seed.  The drift and hitting estimators read
 only the ends of their paths and take them from `walk.sample_terminals`,
 which walks many paths together as numpy state and gives the same bits as
 walking them one at a time; the estimators that read along a path walk it
-alone, through `sample_walk`.
+alone, through `sample_walk`.  The readers of the visual metric (the Cauchy
+tail of a convergence profile, the Dirac spreads, the pi-convergence gaps)
+take all their pairs from one `boundary.boundary_distances` call, which
+charts each boundary point once, and reduce them with Python `max` in pair
+order.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .isometry import (
     inverse,
     is_rank_one,
 )
-from .boundary import boundary_metric, horofunction, tits_distance
+from .boundary import boundary_distances, horofunction, tits_distance
 from .models import (
     KERNELS,
     BoundaryPoint,
@@ -156,15 +160,16 @@ def convergence_profile(trace: WalkTrace, checkpoints) -> ConvergenceProfile:
     if not coords:
         return ConvergenceProfile((), (), ())
     m = len(coords)
-    pair = [[0.0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            pair[i][j] = boundary_metric(x, coords[i], coords[j])
+    # row k of the condensed triangle, d(coords[k], coords[j]) for j > k,
+    # is the m - 1 - k entries just before row k + 1
+    pair = boundary_distances(x, coords)
     tail = [0.0] * m
     best = 0.0
+    end = len(pair)
     for k in range(m - 1, -1, -1):
-        row = max(pair[k][k + 1:], default=0.0)
-        best = max(best, row)
+        start = end - (m - 1 - k)
+        best = max(best, max(pair[start:end], default=0.0))
+        end = start
         tail[k] = best
     return ConvergenceProfile(tuple(kept), tuple(coords), tuple(tail))
 
@@ -373,14 +378,13 @@ class DiracReport:
 
 def _cloud_spread(x: Point, cloud) -> float:
     best = 0.0
-    for i in range(len(cloud)):
-        for j in range(i + 1, len(cloud)):
-            best = max(best, boundary_metric(x, cloud[i], cloud[j]))
+    for d in boundary_distances(x, cloud):
+        best = max(best, d)
     return best
 
 
 def _cross_spread(x: Point, cloud1, cloud2) -> float:
-    return max(boundary_metric(x, a, b) for a in cloud1 for b in cloud2)
+    return max(d for row in boundary_distances(x, cloud1, cloud2) for d in row)
 
 
 def dirac_concentration(spec: StepDistribution, atoms0, n: int, seed: int,
@@ -508,7 +512,8 @@ def pi_convergence_check(gs, x: Point, K, u_eps: float, limits=None) -> PiConver
             )
     ok, max_gaps = [], []
     for g in gs:
-        gaps = [boundary_metric(x, apply_boundary(g, kappa), xi) for kappa in K]
+        images = [apply_boundary(g, kappa) for kappa in K]
+        gaps = [row[0] for row in boundary_distances(x, images, [xi])]
         ok.append(all(d < u_eps for d in gaps))
         max_gaps.append(max(gaps, default=0.0))
     n0 = len(gs)

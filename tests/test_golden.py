@@ -4,7 +4,9 @@ Each value is the exact `float.hex()` of an estimator output for a fixed
 seed, pinned from commit 0bf6a92.  Any change to the arithmetic of a kernel,
 a walker or an estimator, including a reordering of floating-point
 operations, shows here as a changed hex string.  The walks from a basepoint
-other than the model's own (`OFF_BASE`) were pinned from commit 1a40329.
+other than the model's own (`OFF_BASE`) were pinned from commit 1a40329,
+and the other readers of the visual metric (`METRIC_READER_GOLDEN`) from
+commit 7fa91ad.
 """
 
 import pytest
@@ -32,7 +34,13 @@ from cat0lab import (
     t4_isometry,
     t4_point,
     cocycle_residual,
+    convergence_profile,
     dirac_concentration,
+    axis_endpoints,
+    is_rank_one,
+    north_south_constant,
+    pi_convergence_check,
+    power,
     tracking_error,
 )
 from cat0lab.sampling import random_isometry, random_point
@@ -338,3 +346,91 @@ OFF_BASE_GOLDEN = {
 @pytest.mark.parametrize("model", list(OFF_BASE), ids=lambda m: m.value)
 def test_off_base_walk_values(model):
     assert off_base_values(model) == OFF_BASE_GOLDEN[model.value]
+
+
+# Axial generators, one per rank-one model, for the North-South and
+# pi-convergence readers of the visual metric (E2 and H2xR have no rank-one
+# isometry, so both readers raise there).
+RANK_ONE_G = {
+    Model.H2: h2_isometry(1, 1, 1, 2),
+    Model.T4: t4_isometry("aB"),
+}
+
+
+def metric_reader_values(model: Model) -> dict:
+    spec = StepDistribution.uniform(SPECS[model])
+    x = model_basepoint(model)
+    tr = sample_walk(spec, x, 60, 11, thin=6)
+    prof = convergence_profile(tr, [int(k) for k in tr.steps if k > 0])
+    values = {"cauchy_tail": _hex(prof.cauchy_tail)}
+    g = RANK_ONE_G.get(model)
+    if g is not None:
+        assert is_rank_one(g)
+        ns = north_south_constant(g, 0.02, 0.1, 25, 3, cap=100)
+        eta, _ = axis_endpoints(g)
+        pool = sample_boundary(model, 120, 5)
+        compact = [b for b in pool if boundary_metric(x, b, eta) >= 0.1][:30]
+        pi = pi_convergence_check([power(g, k) for k in range(1, 13)], x, compact, 0.05)
+        values["north_south_max_gaps"] = _hex(ns.max_gaps)
+        values["pi_convergence_max_gaps"] = _hex(pi.max_gaps)
+    return values
+
+
+METRIC_READER_GOLDEN = {
+    "E2": {
+        "cauchy_tail": [
+            "0x1.2b5f257c880c9p+0", "0x1.e32eb95a12e3fp-1", "0x1.87de2a6aea963p-1",
+            "0x1.87de2a6aea963p-1", "0x1.87de2a6aea963p-1", "0x1.87de2a6aea963p-1",
+            "0x1.87de2a6aea963p-1", "0x1.f476701b10c60p-3", "0x1.f476701b10c60p-3",
+            "0x0.0p+0",
+        ],
+    },
+    "H2": {
+        "cauchy_tail": [
+            "0x1.25b7f28d4e3b3p-11", "0x1.f55fc5cac0963p-19", "0x1.6a09e667f3bcdp-26",
+            "0x1.6a09e667f3bcdp-26", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0",
+        ],
+        "north_south_max_gaps": [
+            "0x1.e9284fb2dcfa0p+0", "0x1.bb8318a4d210dp-1", "0x1.1feb686203469p-3",
+            "0x1.50eadc13d85afp-6", "0x1.894427719b96ap-9",
+        ],
+        "pi_convergence_max_gaps": [
+            "0x1.71bc5a60df452p+0", "0x1.38691ae88a5aap-2", "0x1.711afa57aa9afp-5",
+            "0x1.aeed5b71762a7p-8", "0x1.f6f9677ae3f5fp-11", "0x1.258826e748b34p-13",
+            "0x1.569b17385e045p-16", "0x1.8fe1467fff3b6p-19", "0x1.d279e51208c4ap-22",
+            "0x1.0f876ccdf6cd9p-24", "0x0.0p+0", "0x0.0p+0",
+        ],
+    },
+    "T4": {
+        "cauchy_tail": [
+            "0x1.44e51f113d4d6p-9", "0x1.02cf22526545ap-13", "0x1.be6c6fdb01612p-21",
+            "0x1.be6c6fdb01612p-21", "0x1.e355bbaee85cbp-24", "0x1.1b48655f37267p-29",
+            "0x1.c3527e433fab1p-34", "0x1.853f01d6d53bap-41", "0x1.ee001eed62aa0p-50",
+            "0x0.0p+0",
+        ],
+        "north_south_max_gaps": [
+            "0x1.78b56362cef38p-2", "0x1.97db0ccceb0afp-5", "0x1.b993fe00d5376p-8",
+        ],
+        "pi_convergence_max_gaps": [
+            "0x1.0000000000000p+0", "0x1.152aaa3bf81ccp-3", "0x1.2c155b8213cf4p-6",
+            "0x1.44e51f113d4d6p-9", "0x1.5fc21041027adp-12", "0x1.7cd79b5647c9bp-15",
+            "0x1.9c54c3b43bc8bp-18", "0x1.be6c6fdb01612p-21", "0x1.e355bbaee85cbp-24",
+            "0x1.05a628c699fa1p-26", "0x1.1b48655f37267p-29", "0x1.32b48bf117da2p-32",
+        ],
+    },
+    "H2xR": {
+        "cauchy_tail": [
+            "0x1.3d0f06814264cp-2", "0x1.ded5e818ac9d2p-3", "0x1.920540dc50320p-4",
+            "0x1.6ccb29c3e38e4p-4", "0x1.6ccb29c3e38e4p-4", "0x1.28a143c5d26d1p-4",
+            "0x1.dc49b44d019c7p-5", "0x1.2643749e734b5p-6", "0x1.2643749e734b5p-6",
+            "0x0.0p+0",
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("model", list(SPECS), ids=lambda m: m.value)
+def test_boundary_metric_reader_values(model):
+    assert metric_reader_values(model) == METRIC_READER_GOLDEN[model.value]

@@ -1,11 +1,27 @@
 """The kernel table: one module per model, all with the same names."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cat0lab import Model, StepDistribution, _t4, distance, sample_terminals, sample_walk, walk
+from cat0lab import (
+    Model,
+    StepDistribution,
+    _t4,
+    apply,
+    boundary_distances,
+    boundary_metric,
+    cocycle_residual,
+    distance,
+    horofunction,
+    sample_boundary,
+    sample_terminals,
+    sample_walk,
+    walk,
+)
 from cat0lab.geometry import model_basepoint
 from cat0lab.models import KERNELS
 from cat0lab.sampling import random_isometry, random_point
@@ -22,7 +38,7 @@ TABLE = (
     "apply", "apply_boundary", "compose", "inverse", "classify", "axis_endpoints",
     "axis_position", "RANK_ONE",
     # boundary
-    "tits", "boundary_metric", "geodesic_witness", "TITS_BALL_TRIVIAL",
+    "tits", "boundary_chart", "chart_dist", "geodesic_witness", "TITS_BALL_TRIVIAL",
     "VERTEX_GRANULAR",
     # samplers and bins
     "random_point", "random_isometry", "random_axial", "random_boundary",
@@ -198,3 +214,67 @@ def test_sample_terminals_are_the_single_path_ends_across_path_blocks(model):
     expected_dists, expected_snaps = _terminals_by_path(spec, x, 7, 5, m)
     assert dists.tolist() == expected_dists
     assert snaps == expected_snaps
+
+
+def _metric_by_ray_points(x, a, b, r0):
+    # the per-pair metric the boundary charts replaced, kept as the reference
+    kernel = KERNELS[x.model]
+    if x.model is Model.T4:
+        g = _t4.gromov_product(x.data, a.data, b.data)
+        return 0.0 if math.isinf(g) else math.exp(-g)
+    return kernel.dist(kernel.ray_point(x.data, a.data, r0),
+                       kernel.ray_point(x.data, b.data, r0))
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(0, 7),
+       other_count=st.integers(0, 4), r0=st.floats(0.0, 3.0))
+def test_boundary_distances_are_the_pair_metrics(model, seed, count, other_count, r0):
+    # each entry of the pairwise table is the one-pair metric, compared with ==
+    rng = np.random.default_rng(seed)
+    x = random_point(model, rng)
+    points = sample_boundary(model, count, rng)
+    others = sample_boundary(model, other_count, rng)
+    if points:
+        # a repeated point puts zero distances in both tables
+        points.append(points[0])
+        others.append(points[-1])
+    pairs = [(a, b) for i, a in enumerate(points) for b in points[i + 1:]]
+    condensed = boundary_distances(x, points, r0=r0)
+    assert condensed == [boundary_metric(x, a, b, r0) for a, b in pairs]
+    assert condensed == [_metric_by_ray_points(x, a, b, r0) for a, b in pairs]
+    rows = boundary_distances(x, points, others, r0)
+    assert rows == [[boundary_metric(x, a, b, r0) for b in others] for a in points]
+    assert rows == [[_metric_by_ray_points(x, a, b, r0) for b in others] for a in points]
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), atom_count=st.integers(1, 4),
+       draws=st.lists(st.integers(0, 3), min_size=1, max_size=4))
+def test_isometries_preserve_distance(model, seed, atom_count, draws):
+    # g = w_1 ... w_k is applied one atom at a time, as in the orbit test
+    rng = np.random.default_rng(seed)
+    atoms = [random_isometry(model, rng) for _ in range(atom_count)]
+    p, q = random_point(model, rng), random_point(model, rng)
+    gp, gq = p, q
+    for i in reversed([d % atom_count for d in draws]):
+        gp, gq = apply(atoms[i], gp), apply(atoms[i], gq)
+    if model is Model.T4:
+        assert distance(gp, gq) == distance(p, q)
+    else:
+        assert distance(gp, gq) == pytest.approx(distance(p, q), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_busemann_cocycle_identity_holds(model, seed):
+    # h_xi(g1 g2 x) = h_{g1^-1 xi}(g2 x) + h_xi(g1 x), all based at x
+    rng = np.random.default_rng(seed)
+    g1, g2 = random_isometry(model, rng), random_isometry(model, rng)
+    xi = sample_boundary(model, 1, rng)[0]
+    x = random_point(model, rng)
+    h = horofunction(xi, x, apply(g1, apply(g2, x)))
+    assert cocycle_residual(g1, g2, xi, x) <= 1e-9 * (1.0 + abs(h))

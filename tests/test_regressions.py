@@ -1,8 +1,8 @@
 """Edge inputs of the estimators and the CLI: paths that outrun the drift,
 tracking digits sized from the dense walk, returns to the basepoint,
 per-config tolerances in a sweep, walks whose every path returns, repeated
-checkpoints, configs that fail mid-sweep, seeds and checkpoints out of
-range, long H2 products, and one rank-one audit per run."""
+checkpoints, configs that fail mid-sweep, seeds, checkpoints and integer
+params out of range, long H2 products, and one rank-one audit per run."""
 
 import csv
 import json
@@ -186,6 +186,30 @@ def test_walk_keys_are_exact_at_and_above_two_to_the_63(t4_uniform):
 def test_config_rejects_out_of_range_seeds_and_checkpoints(tmp_path, capsys, fields):
     # the parent crashed on seed -1, ran seed 2**63, walked to checkpoint 400
     # at n=50, and dropped checkpoint 0
+    cfg = {"model": "H2", "seed": 1, **fields}
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert main(["run", str(tmp_path / "c.json"), "--outdir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not (tmp_path / "out").exists()
+
+
+H2_G = {"model": "H2", "payload": {"matrix": [2, 0, 0, 0.5]}}
+
+
+@pytest.mark.parametrize("fields", [
+    {"experiment": "hitting", "distribution": H2_DIST, "n": 20, "params": {"bins": "x"}},
+    {"experiment": "cocycle", "params": {"count": 0}},
+    {"experiment": "pi-convergence", "params": {"g": H2_G, "k_count": -1}},
+    {"experiment": "northsouth", "params": {"g": H2_G, "samples": 0}},
+    {"experiment": "cocycle", "params": {"count": float("inf")}},
+], ids=["bins-not-an-integer", "count-zero", "k_count-negative", "samples-zero",
+        "count-infinite"])
+def test_config_rejects_malformed_integer_params(tmp_path, capsys, fields):
+    # the parent exited 1 with a ValueError traceback on bins "x" and with
+    # "max() arg is an empty sequence" on count 0, reported "holds": true
+    # over an empty compact set on k_count -1 and "attained": true at k0 = 1
+    # over no samples on samples 0, and int() of an Infinity raises
+    # OverflowError
     cfg = {"model": "H2", "seed": 1, **fields}
     (tmp_path / "c.json").write_text(json.dumps(cfg))
     assert main(["run", str(tmp_path / "c.json"), "--outdir", str(tmp_path / "out")]) == EXIT_CONFIG
