@@ -62,6 +62,7 @@ from .boundary import (
     GeodesicWitness,
     VisualNeighborhood,
     angle_at_infinity,
+    angles_at_infinity,
     boundary_distances,
     boundary_metric,
     horofunction,

@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 
+from ._random import uniform
+
 TWO_PI = 2.0 * math.pi
 
 BASEPOINT = complex(0.0, 0.0)
@@ -190,26 +192,26 @@ def geodesic_witness(theta1: float, theta2: float, tol: float):
 # -- samplers -----------------------------------------------------------------
 
 def random_point(rng) -> complex:
-    return point(rng.uniform(-5, 5), rng.uniform(-5, 5))
+    return point(uniform(rng, -5, 5), uniform(rng, -5, 5))
 
 
 def random_isometry(rng):
-    return isometry(rng.uniform(0, 2 * math.pi), (rng.uniform(-3, 3), rng.uniform(-3, 3)))
+    return isometry(uniform(rng, 0, 2 * math.pi), (uniform(rng, -3, 3), uniform(rng, -3, 3)))
 
 
 def random_axial(rng):
-    v = (rng.uniform(0.3, 3) * (1 if rng.random() < 0.5 else -1),
-         rng.uniform(0.3, 3))
+    v = (uniform(rng, 0.3, 3) * (1 if rng.random() < 0.5 else -1),
+         uniform(rng, 0.3, 3))
     return isometry(0.0, v)
 
 
 def random_boundary(rng, tol: float) -> float:
-    return boundary(rng.uniform(0.0, 2.0 * math.pi))
+    return boundary(uniform(rng, 0.0, 2.0 * math.pi))
 
 
 def ball_point(center: complex, radius: float, rng, shell: bool) -> complex:
     r = radius if shell else radius * math.sqrt(rng.random())
-    theta = rng.uniform(0.0, TWO_PI)
+    theta = uniform(rng, 0.0, TWO_PI)
     return ray_point(center, theta, r)
 
 

@@ -27,6 +27,7 @@ import math
 
 import numpy as np
 
+from ._random import uniform
 from .errors import DomainError, UsageError
 
 INF = math.inf
@@ -55,7 +56,14 @@ def sign_normalize(m: Mat) -> Mat:
 def make_matrix(a: float, b: float, c: float, d: float) -> Mat:
     det = a * d - b * c
     if not det > 0:
-        raise UsageError("matrix must have positive determinant")
+        # the float products cancel on large entries, such as those of a
+        # long product of normalised matrices; decide on the exact value
+        if all(map(math.isfinite, (a, b, c, d))):
+            from fractions import Fraction
+
+            det = float(Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c))
+        if not det > 0:
+            raise UsageError("matrix must have positive determinant")
     s = 1.0 / math.sqrt(det)
     return sign_normalize((a * s, b * s, c * s, d * s))
 
@@ -375,9 +383,9 @@ def geodesic_witness(a: float, b: float, tol: float):
 
 def random_sl2(rng) -> Mat:
     """Random well-conditioned real matrix of determinant one (Iwasawa form)."""
-    theta = rng.uniform(0, 2 * math.pi)
-    t = rng.uniform(-1.2, 1.2)
-    s = rng.uniform(-1.5, 1.5)
+    theta = uniform(rng, 0, 2 * math.pi)
+    t = uniform(rng, -1.2, 1.2)
+    s = uniform(rng, -1.5, 1.5)
     ct, st = math.cos(theta), math.sin(theta)
     et = math.exp(t / 2)
     k = (ct, -st, st, ct)
@@ -388,14 +396,14 @@ def random_sl2(rng) -> Mat:
 
 def random_axial_matrix(rng) -> Mat:
     """A diagonal stretch conjugated by a random element."""
-    t = rng.uniform(0.4, 2.0)
+    t = uniform(rng, 0.4, 2.0)
     et = math.exp(t / 2)
     conj = random_sl2(rng)
     return mat_mul(mat_mul(conj, (et, 0.0, 0.0, 1.0 / et)), mat_inv(conj))
 
 
 def random_point(rng) -> complex:
-    return point(rng.uniform(-3, 3), math.exp(rng.uniform(-1.5, 1.5)))
+    return point(uniform(rng, -3, 3), math.exp(uniform(rng, -1.5, 1.5)))
 
 
 def random_isometry(rng) -> Mat:
@@ -407,7 +415,7 @@ def random_axial(rng) -> Mat:
 
 
 def random_boundary(rng, tol: float) -> float:
-    phi = rng.uniform(-math.pi, math.pi)
+    phi = uniform(rng, -math.pi, math.pi)
     return boundary(INF if abs(phi) > math.pi - 1e-12 else math.tan(phi / 2.0))
 
 
@@ -423,7 +431,7 @@ def direction_from_angle(z: complex, phi: float) -> float:
 
 def ball_point(center: complex, radius: float, rng, shell: bool) -> complex:
     r = radius if shell else radius * math.sqrt(rng.random())
-    xi = direction_from_angle(center, rng.uniform(0.0, 2.0 * math.pi))
+    xi = direction_from_angle(center, uniform(rng, 0.0, 2.0 * math.pi))
     return ray_point(center, xi, r)
 
 

@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from . import _h2
+from ._random import uniform
 from .errors import UsageError
 
 INF = math.inf
@@ -277,29 +278,29 @@ def boundary(xi, alpha: float, tol: float):
 # -- samplers -----------------------------------------------------------------
 
 def random_point(rng):
-    return point(rng.uniform(-3, 3), math.exp(rng.uniform(-1.5, 1.5)),
-                 rng.uniform(-4, 4))
+    return point(uniform(rng, -3, 3), math.exp(uniform(rng, -1.5, 1.5)),
+                 uniform(rng, -4, 4))
 
 
 def random_isometry(rng):
-    return isometry(_h2.random_sl2(rng), rng.uniform(-2, 2))
+    return isometry(_h2.random_sl2(rng), uniform(rng, -2, 2))
 
 
 def random_axial(rng):
-    return isometry(_h2.random_axial_matrix(rng), rng.uniform(-2, 2))
+    return isometry(_h2.random_axial_matrix(rng), uniform(rng, -2, 2))
 
 
 def random_boundary(rng, tol: float):
-    phi = rng.uniform(-math.pi, math.pi)
+    phi = uniform(rng, -math.pi, math.pi)
     xi = INF if abs(phi) > math.pi - 1e-12 else math.tan(phi / 2.0)
-    alpha = rng.uniform(-HALF_PI * 0.999, HALF_PI * 0.999)
+    alpha = uniform(rng, -HALF_PI * 0.999, HALF_PI * 0.999)
     return boundary(xi, alpha, tol)
 
 
 def ball_point(center, radius: float, rng, shell: bool):
     r = radius if shell else radius * math.sqrt(rng.random())
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    beta = math.asin(rng.uniform(-1.0, 1.0))
+    phi = uniform(rng, 0.0, 2.0 * math.pi)
+    beta = math.asin(uniform(rng, -1.0, 1.0))
     xi = _h2.direction_from_angle(center[0], phi)
     return ray_point(center, (xi, beta), r)
 

@@ -114,8 +114,12 @@ def validate_boundary(prefix: str, period: str) -> tuple[str, str]:
         raise UsageError("boundary period must be cyclically reduced")
     if prefix and prefix[-1] == inv_letter(period[0]):
         raise UsageError("boundary prefix/period junction is not reduced")
-    # absorb prefix letters that already agree with the periodic tail
-    pre, per = prefix, period
+    return absorb_prefix(prefix, period)
+
+
+def absorb_prefix(pre: str, per: str) -> tuple[str, str]:
+    """Absorb the prefix letters that already agree with the periodic tail
+    of a valid (prefix, period) pair."""
     while pre and pre[-1] == per[-1]:
         pre = pre[:-1]
         per = per[-1] + per[:-1]
@@ -176,14 +180,20 @@ def direction(x: str, y: str, tol: float):
 
 
 def gromov_product(x: str, b1: tuple[str, str], b2: tuple[str, str]) -> float:
-    """Length of the common initial segment of the rays from x to b1 and b2."""
-    if boundary_eq(b1, b2):
+    """Length of the common initial segment of the rays from x to b1 and b2.
+
+    The ray from x toward b climbs from x to x[:m], m = match_len(b, x), and
+    then descends along b.  Rays with different m part where the shorter
+    climb ends.  Rays with the same m descend together until b1 and b2
+    differ, which they do within the prefixes that `boundary_eq` compares."""
+    n = len(b1[0]) + len(b2[0]) + 2 * math.lcm(len(b1[1]), len(b2[1])) + 2
+    w1, w2 = word_prefix(b1, n), word_prefix(b2, n)
+    if w1 == w2:
         return math.inf
-    cap = len(x) + len(b1[0]) + len(b2[0]) + 2 * math.lcm(len(b1[1]), len(b2[1])) + 4
-    k = 0
-    while k <= cap and ray_vertex(x, b1, k + 1) == ray_vertex(x, b2, k + 1):
-        k += 1
-    return float(k)
+    m1, m2 = match_len(b1, x), match_len(b2, x)
+    if m1 != m2:
+        return float(len(x) - max(m1, m2))
+    return float(len(x) - 2 * m1 + lcp(w1, w2))
 
 
 def boundary_chart(x: str, b: tuple[str, str], r0: float) -> tuple[str, tuple[str, str]]:
@@ -211,7 +221,9 @@ def boundary_action(w: str, b: tuple[str, str]) -> tuple[str, str]:
         j = (k - len(prefix)) % len(period)
         tail_prefix = ""
         period = period[j:] + period[:j]
-    return validate_boundary("".join(stack) + tail_prefix, period)
+    # reduced by construction: the letter left on the stack does not cancel
+    # the next letter of the ray
+    return absorb_prefix("".join(stack) + tail_prefix, period)
 
 
 def cyclic_reduce(g: str) -> tuple[str, str]:
@@ -350,13 +362,19 @@ def geodesic_witness(b1: tuple[str, str], b2: tuple[str, str], tol: float):
 
 # -- samplers -----------------------------------------------------------------
 
+# the letters that may follow a word ending in each letter (any letter after
+# the empty word), in ALPHABET order
+_NEXT_LETTERS = {"": ALPHABET, **{ch: ALPHABET.replace(inv_letter(ch), "") for ch in ALPHABET}}
+
+
 def random_word(rng, length: int, start: str = "") -> str:
     """`start` extended by `length` uniformly drawn non-cancelling letters."""
-    out = list(start)
+    out = [start]
+    last = start[-1:]
     for _ in range(length):
-        choices = [ch for ch in ALPHABET
-                   if not (out and out[-1] == inv_letter(ch))]
-        out.append(choices[int(rng.integers(0, len(choices)))])
+        choices = _NEXT_LETTERS[last]
+        last = choices[int(rng.integers(0, len(choices)))]
+        out.append(last)
     return "".join(out)
 
 
@@ -374,9 +392,7 @@ def random_axial(rng) -> str:
 
 def random_boundary(rng, tol: float) -> tuple[str, str]:
     prefix = random_word(rng, int(rng.integers(4, 12)))
-    tail = [ch for ch in ALPHABET if ch != inv_letter(prefix[-1])]
-    period = tail[int(rng.integers(0, len(tail)))]
-    return boundary(prefix, period)
+    return boundary(prefix, random_word(rng, 1, prefix)[-1])
 
 
 def ball_point(center: str, radius: float, rng, shell: bool) -> str:

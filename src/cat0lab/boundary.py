@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._random import uniform
 from .errors import UsageError
-from .geometry import comparison_angle, distance, project_to_ball, ray_point
+from .geometry import angle_of_sides, distance, project_to_ball, ray_point
 from .models import (
     KERNELS,
     BoundaryPoint,
@@ -100,12 +101,15 @@ def neighborhood_nesting_check(x: Point, x2: Point, xi: BoundaryPoint,
         if KERNELS[x.model].VERTEX_GRANULAR:
             extra = r2 + float(rng.integers(1, 4))
         else:
-            extra = r2 + rng.uniform(0.1, 2.0 * r2)
+            extra = r2 + uniform(rng, 0.1, 2.0 * r2)
         z = ray_point(x2, b, extra)
         if visual_contains(inner, z) and not visual_contains(outer, z):
             return False
         checked += 1
     return checked > 0
+
+
+DEFAULT_T_GRID = tuple(float(2 ** k) for k in range(0, 9))
 
 
 @dataclass(frozen=True)
@@ -116,23 +120,44 @@ class AngleLimit:
     values: tuple
 
 
+def angles_at_infinity(x: Point, points, t_grid=None) -> list[AngleLimit]:
+    """`angle_at_infinity` at x for the pairs points[i], points[j], i < j, in
+    row order (the condensed triangle of `boundary_distances`).  Each point's
+    ray point and its distance to x are taken once per grid radius, and each
+    pair's comparison angle is read from those values."""
+    model = same_model(x, *points)
+    t_grid = DEFAULT_T_GRID if t_grid is None else tuple(t_grid)
+    negative = any(t < 0 for t in t_grid)
+    kernel = KERNELS[model]
+    dist, tol = kernel.dist, tolerance()
+    charts = []
+    for b in points:
+        rays = [kernel.ray_point(x.data, b.data, t) for t in t_grid]
+        charts.append([(p, float(dist(x.data, p))) for p in rays])
+    out = []
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if kernel.boundary_eq(points[i].data, points[j].data, tol):
+                out.append(AngleLimit(0.0, 0.0, (), ()))
+                continue
+            if negative:
+                raise UsageError("ray parameter must be nonnegative")
+            vals = [angle_of_sides(a, b, float(dist(p, q)))
+                    for (p, a), (q, b) in zip(charts[i], charts[j])]
+            defect = 0.0
+            for a, b in zip(vals, vals[1:]):
+                defect = max(defect, a - b)
+            out.append(AngleLimit(vals[-1], defect, t_grid, tuple(vals)))
+    return out
+
+
 def angle_at_infinity(x: Point, xi: BoundaryPoint, eta: BoundaryPoint,
                       t_grid=None) -> AngleLimit:
     """Angle at x between two boundary points, via comparison angles of ray
     points on an increasing grid; the limit value is the last grid value and
-    the report carries the worst monotonicity violation."""
-    same_model(x, xi, eta)
-    if boundary_points_equal(xi, eta):
-        return AngleLimit(0.0, 0.0, (), ())
-    if t_grid is None:
-        t_grid = tuple(float(2 ** k) for k in range(0, 9))
-    vals = []
-    for t in t_grid:
-        vals.append(comparison_angle(x, ray_point(x, xi, t), ray_point(x, eta, t)))
-    defect = 0.0
-    for a, b in zip(vals, vals[1:]):
-        defect = max(defect, a - b)
-    return AngleLimit(vals[-1], defect, tuple(t_grid), tuple(vals))
+    the report carries the worst monotonicity violation.  The one pair case
+    of `angles_at_infinity`."""
+    return angles_at_infinity(x, [xi, eta], t_grid)[0]
 
 
 def tits_distance(xi: BoundaryPoint, eta: BoundaryPoint) -> float:

@@ -32,7 +32,7 @@ from .errors import DistributionError, DomainError, UncertifiedError, UsageError
 from .geometry import model_basepoint
 from .isometry import axis_endpoints, north_south_constant, power
 from .boundary import (
-    angle_at_infinity,
+    angles_at_infinity,
     boundary_distances,
     sample_boundary,
     tits_ball_is_trivial,
@@ -314,18 +314,16 @@ def _run_pi_convergence(cfg, hypotheses):
 def _run_tits_table(cfg, hypotheses):
     count = int(cfg.params.get("count", 8))
     pts = sample_boundary(cfg.model, count, cfg.seed)
-    x = cfg.basepoint
+    pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
     table = []
-    for i in range(count):
-        for j in range(i + 1, count):
-            dt = tits_distance(pts[i], pts[j])
-            ang = angle_at_infinity(x, pts[i], pts[j]).value
-            table.append({"i": i, "j": j,
-                          "xi": boundary_to_json(pts[i]),
-                          "eta": boundary_to_json(pts[j]),
-                          "tits": None if math.isinf(dt) else dt,
-                          "tits_infinite": math.isinf(dt),
-                          "angle": ang})
+    for (i, j), ang in zip(pairs, angles_at_infinity(cfg.basepoint, pts)):
+        dt = tits_distance(pts[i], pts[j])
+        table.append({"i": i, "j": j,
+                      "xi": boundary_to_json(pts[i]),
+                      "eta": boundary_to_json(pts[j]),
+                      "tits": None if math.isinf(dt) else dt,
+                      "tits_infinite": math.isinf(dt),
+                      "angle": ang.value})
     return ({"table": table, "pi_ball_trivial": tits_ball_is_trivial(pts[0])},
             ["i", "j", "tits", "angle_at_basepoint"],
             [(r["i"], r["j"], r["tits"], r["angle"]) for r in table])

@@ -64,11 +64,14 @@ def project_to_ball(center: Point, r: float, target) -> Point:
 def comparison_angle(x: Point, y: Point, z: Point) -> float:
     """Angle at x of the Euclidean comparison triangle for (x, y, z)."""
     same_model(x, y, z)
-    a = distance(x, y)
-    b = distance(x, z)
+    return angle_of_sides(distance(x, y), distance(x, z), distance(y, z))
+
+
+def angle_of_sides(a: float, b: float, c: float) -> float:
+    """Angle between the sides a and b of a Euclidean triangle with third
+    side c."""
     if a <= tolerance() or b <= tolerance():
         raise UsageError("comparison angle needs both sides nondegenerate")
-    c = distance(y, z)
     cosv = (a * a + b * b - c * c) / (2.0 * a * b)
     return math.acos(max(-1.0, min(1.0, cosv)))
 

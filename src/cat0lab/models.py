@@ -149,10 +149,15 @@ def identity(model: Model) -> Isometry:
 
 
 def same_model(*tagged) -> Model:
+    if tagged:
+        model = tagged[0].model
+        for v in tagged:
+            if v.model is not model:
+                break
+        else:
+            return model
     models = {v.model for v in tagged}
-    if len(models) != 1:
-        raise UsageError(f"mixed models: {sorted(m.value for m in models)}")
-    return tagged[0].model
+    raise UsageError(f"mixed models: {sorted(m.value for m in models)}")
 
 
 # -- equality with tolerance ---------------------------------------------------

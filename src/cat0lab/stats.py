@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _t4
+from ._random import uniform
 from .errors import DomainError, UncertifiedError, UsageError
 from .geometry import distance, direction, model_basepoint
 from .isometry import (
@@ -33,7 +34,7 @@ from .isometry import (
     inverse,
     is_rank_one,
 )
-from .boundary import boundary_distances, horofunction, tits_distance
+from .boundary import boundary_distances, tits_distance
 from .models import (
     KERNELS,
     BoundaryPoint,
@@ -219,17 +220,21 @@ class BinScheme:
     def index_of(self, b: BoundaryPoint) -> int:
         if b.model is not self.model:
             raise UsageError("boundary point model does not match the bin scheme")
+        return self._index(b.data)
+
+    def _index(self, data) -> int:
+        """`index_of` on a raw boundary payload of the scheme's model."""
         if self.kind == "angle":
             k = self.params[0]
-            return min(int(b.data / (2.0 * math.pi / k)), k - 1)
+            return min(int(data / (2.0 * math.pi / k)), k - 1)
         if self.kind == "circle":
             k = self.params[0]
-            return _circle_index(b.data, k)
+            return _circle_index(data, k)
         if self.kind == "cylinder":
             length, words = self.params
-            return words.index(_t4.word_prefix(b.data, length))
+            return words.index(_t4.word_prefix(data, length))
         k_xi, k_alpha = self.params
-        xi, alpha = b.data
+        xi, alpha = data
         if xi is None:
             return k_xi * k_alpha + (0 if alpha > 0 else 1)
         i = _circle_index(xi, k_xi)
@@ -237,32 +242,35 @@ class BinScheme:
         return i * k_alpha + j
 
     def sample_in_bin(self, i: int, rng) -> BoundaryPoint:
-        from .models import e2_boundary, h2_boundary, h2xr_boundary, t4_boundary
+        return BoundaryPoint(self.model, self._sample(i, rng))
 
+    def _sample(self, i: int, rng):
+        """`sample_in_bin` as a raw boundary payload."""
+        kernel = KERNELS[self.model]
         if self.kind == "angle":
             k = self.params[0]
             w = 2.0 * math.pi / k
-            return e2_boundary(rng.uniform(i * w, (i + 1) * w))
+            return kernel.boundary(uniform(rng, i * w, (i + 1) * w))
         if self.kind == "circle":
             k = self.params[0]
             w = 2.0 * math.pi / k
-            phi = rng.uniform(-math.pi + i * w, -math.pi + (i + 1) * w)
-            return h2_boundary(_xi_from_phi(phi))
+            phi = uniform(rng, -math.pi + i * w, -math.pi + (i + 1) * w)
+            return kernel.boundary(_xi_from_phi(phi))
         if self.kind == "cylinder":
-            length, words = self.params
-            word = words[i]
-            tails = [ch for ch in _t4.ALPHABET if ch != _t4.inv_letter(word[-1])]
-            return t4_boundary(word, tails[int(rng.integers(0, len(tails)))])
+            word = self.params[1][i]
+            return kernel.boundary(word, _t4.random_word(rng, 1, word)[-1])
         k_xi, k_alpha = self.params
+        tol = tolerance()
         if i >= k_xi * k_alpha:
-            return h2xr_boundary(None, math.pi / 2 if i == k_xi * k_alpha else -math.pi / 2)
+            return kernel.boundary(None, math.pi / 2 if i == k_xi * k_alpha else -math.pi / 2,
+                                   tol)
         bi, bj = divmod(i, k_alpha)
         w = 2.0 * math.pi / k_xi
-        phi = rng.uniform(-math.pi + bi * w, -math.pi + (bi + 1) * w)
+        phi = uniform(rng, -math.pi + bi * w, -math.pi + (bi + 1) * w)
         wa = math.pi / k_alpha
-        alpha = rng.uniform(-math.pi / 2 + bj * wa, -math.pi / 2 + (bj + 1) * wa)
+        alpha = uniform(rng, -math.pi / 2 + bj * wa, -math.pi / 2 + (bj + 1) * wa)
         alpha = max(-math.pi / 2 + 1e-9, min(math.pi / 2 - 1e-9, alpha))
-        return h2xr_boundary(_xi_from_phi(phi), alpha)
+        return kernel.boundary(_xi_from_phi(phi), alpha, tol)
 
     def descriptor(self) -> dict:
         if self.kind == "cylinder":
@@ -341,17 +349,21 @@ def stationarity_defect(spec: StepDistribution, hist: HittingHistogram,
     standing in for each bin's mass."""
     if refinement_samples < 1:
         raise UsageError("need at least one refinement sample per bin")
+    bins = hist.bins
+    if spec.model is not bins.model:
+        raise UsageError("step distribution and bin scheme are on different models")
+    act = KERNELS[bins.model].apply_boundary
     rng = np.random.default_rng(seed)
-    pushed = np.zeros(hist.bins.count)
+    pushed = [0.0] * bins.count
     for i, mass in enumerate(hist.masses):
         if mass == 0.0:
             continue
+        moves = [(g.data, mass * p / refinement_samples) for g, p in spec.atoms]
         for _ in range(refinement_samples):
-            b = hist.bins.sample_in_bin(i, rng)
-            for g, p in spec.atoms:
-                img = apply_boundary(g, b)
-                pushed[hist.bins.index_of(img)] += mass * p / refinement_samples
-    return 0.5 * float(np.abs(pushed - np.array(hist.masses)).sum())
+            b = bins._sample(i, rng)
+            for g, w in moves:
+                pushed[bins._index(act(g, b))] += w
+    return 0.5 * float(np.abs(np.array(pushed) - np.array(hist.masses)).sum())
 
 
 # -- Dirac concentration ------------------------------------------------------------
@@ -445,11 +457,13 @@ def horofunction_gap(trace: WalkTrace, xi: BoundaryPoint):
 def cocycle_residual(g1: Isometry, g2: Isometry, xi: BoundaryPoint, x: Point) -> float:
     """Deviation from h_xi(g1 g2 x) = h_{g1^{-1} xi}(g2 x) + h_xi(g1 x),
     all with basepoint x; identically zero up to rounding."""
-    same_model(g1, g2, xi, x)
-    lhs = horofunction(xi, x, apply(g1, apply(g2, x)))
-    rhs = horofunction(apply_boundary(inverse(g1), xi), x, apply(g2, x)) + horofunction(
-        xi, x, apply(g1, x)
-    )
+    kernel = KERNELS[same_model(g1, g2, xi, x)]
+    a, b, p, z = g1.data, g2.data, xi.data, x.data
+    h = kernel.horofunction
+    bz = kernel.apply(b, z)
+    lhs = float(h(p, z, kernel.apply(a, bz)))
+    rhs = float(h(kernel.apply_boundary(kernel.inverse(a), p), z, bz)) + float(
+        h(p, z, kernel.apply(a, z)))
     return abs(lhs - rhs)
 
 

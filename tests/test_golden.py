@@ -5,15 +5,22 @@ seed, pinned from commit 0bf6a92.  Any change to the arithmetic of a kernel,
 a walker or an estimator, including a reordering of floating-point
 operations, shows here as a changed hex string.  The walks from a basepoint
 other than the model's own (`OFF_BASE`) were pinned from commit 1a40329,
-and the other readers of the visual metric (`METRIC_READER_GOLDEN`) from
-commit 7fa91ad.
+the other readers of the visual metric (`METRIC_READER_GOLDEN`) from
+commit 7fa91ad, and the audit readers (`AUDIT_GOLDEN`, `T4_ACTION_GOLDEN`)
+from commit b8f6beb.
 """
 
 import pytest
 
 from cat0lab import (
+    BinScheme,
     Model,
     StepDistribution,
+    _t4,
+    angle_at_infinity,
+    apply_boundary,
+    hitting_measure,
+    stationarity_defect,
     drift_estimate,
     e2_boundary,
     e2_isometry,
@@ -434,3 +441,129 @@ METRIC_READER_GOLDEN = {
 @pytest.mark.parametrize("model", list(SPECS), ids=lambda m: m.value)
 def test_boundary_metric_reader_values(model):
     assert metric_reader_values(model) == METRIC_READER_GOLDEN[model.value]
+
+
+def audit_values(model: Model) -> dict:
+    rng = np.random.default_rng(31)
+    spec = StepDistribution.uniform([random_isometry(model, rng) for _ in range(3)])
+    x = model_basepoint(model)
+    hist = hitting_measure(spec, x, 40, 24, BinScheme.default(model), 9,
+                           allow_uncertified=True)
+    pts = sample_boundary(model, 5, 13)
+    pts.append(pts[1])  # an equal pair, whose angle is 0 without a grid
+    limits = [angle_at_infinity(x, a, b) for i, a in enumerate(pts) for b in pts[i + 1:]]
+    return {
+        "stationarity_defect": _hex([stationarity_defect(spec, hist, 8, seed=4)]),
+        "angle_at_infinity": _hex(a.value for a in limits),
+        "angle_grid": _hex(limits[0].values),
+    }
+
+
+AUDIT_GOLDEN = {
+    "E2": {
+        "stationarity_defect": ["0x1.c38e38e38e38fp-2"],
+        "angle_at_infinity": [
+            "0x1.e8ba9d69321c4p-5", "0x1.59fb6deac829fp-2", "0x1.3f00fdc46e1f7p+1",
+            "0x1.55a5bea3c8202p+0", "0x1.e8ba9d69321c4p-5", "0x1.1ce41a3da1e5ep-2",
+            "0x1.46a3e83a12e7ep+1", "0x1.64eb938f11b12p+0", "0x0.0p+0",
+            "0x1.6a406b81c7249p+1", "0x1.ac249a1e7a2aap+0", "0x1.1ce41a3da1e5ep-2",
+            "0x1.285c3ce5141eap+0", "0x1.46a3e83a12e7ep+1", "0x1.64eb938f11b12p+0",
+        ],
+        "angle_grid": [
+            "0x1.e8ba9d69321c4p-5", "0x1.e8ba9d69321c4p-5", "0x1.e8ba9d69321c4p-5",
+            "0x1.e8ba9d69321c4p-5", "0x1.e8ba9d69321c4p-5", "0x1.e8ba9d69321c4p-5",
+            "0x1.e8ba9d69321c4p-5", "0x1.e8ba9d69321c4p-5", "0x1.e8ba9d69321c4p-5",
+        ],
+    },
+    "H2": {
+        "stationarity_defect": ["0x1.affffffffffffp-2"],
+        "angle_at_infinity": [
+            "0x1.67ab141b17552p+1", "0x1.73e46659c66d1p+1", "0x1.8ce1cbb900378p+1",
+            "0x1.82724c9c7c9e3p+1", "0x1.67ab141b17552p+1", "0x1.724c4cb095fe8p+1",
+            "0x1.8d5f07089bd5fp+1", "0x1.830efd67356fep+1", "0x0.0p+0",
+            "0x1.8fa0740b728ecp+1", "0x1.85c3e5cb85e31p+1", "0x1.724c4cb095fe8p+1",
+            "0x1.808bd55b7f6b4p+1", "0x1.8d5f07089bd5fp+1", "0x1.830efd67356fep+1",
+        ],
+        "angle_grid": [
+            "0x1.1f22870c06cb2p-4", "0x1.ba6d7e1ff953ep-4", "0x1.7ee70ed55943fp-2",
+            "0x1.30ec2ccbb3278p+0", "0x1.ca752a6eda959p+0", "0x1.190dc36518d2ap+1",
+            "0x1.3ceacde416b4dp+1", "0x1.56036d3bfc079p+1", "0x1.67ab141b17552p+1",
+        ],
+    },
+    "T4": {
+        "stationarity_defect": ["0x1.5555555555550p-4"],
+        "angle_at_infinity": [
+            "0x1.7b7d33b928c5bp+1", "0x1.7b7d33b928c5bp+1", "0x1.721a5d8718655p+1",
+            "0x1.921fb54442d18p+1", "0x1.7b7d33b928c5bp+1", "0x1.721a5d8718655p+1",
+            "0x1.7b7d33b928c5bp+1", "0x1.921fb54442d18p+1", "0x0.0p+0",
+            "0x1.7b7d33b928c5bp+1", "0x1.921fb54442d18p+1", "0x1.721a5d8718655p+1",
+            "0x1.921fb54442d18p+1", "0x1.7b7d33b928c5bp+1", "0x1.921fb54442d18p+1",
+        ],
+        "angle_grid": [
+            "0x0.0p+0", "0x1.0c152382d7366p+0", "0x1.b235315c680dcp+0",
+            "0x1.10c066d3e6932p+1", "0x1.3722d2feb24c8p+1", "0x1.51f4bd13f8591p+1",
+            "0x1.64cf55148366fp+1", "0x1.721a5d8718655p+1", "0x1.7b7d33b928c5bp+1",
+        ],
+    },
+    "H2xR": {
+        "stationarity_defect": ["0x1.7e38e38e38e38p-2"],
+        "angle_at_infinity": [
+            "0x1.5dba453049639p+1", "0x1.3e2600722e01ap-1", "0x1.58b31ee327345p+1",
+            "0x1.f55b366313c88p-2", "0x1.5dba453049639p+1", "0x1.3e28ec0725dbfp+1",
+            "0x1.a7cb7e9349f03p-1", "0x1.2de48ebdb8ad4p+1", "0x0.0p+0",
+            "0x1.7daaddd38c92cp+1", "0x1.b514925f555a0p-3", "0x1.3e28ec0725dbfp+1",
+            "0x1.8cc383a44045fp+1", "0x1.a7cb7e9349f03p-1", "0x1.2de48ebdb8ad4p+1",
+        ],
+        "angle_grid": [
+            "0x1.e28c161ab0153p+0", "0x1.e45733e3b8c83p+0", "0x1.ee747f531907ep+0",
+            "0x1.0e022613b5894p+1", "0x1.2bcb416bb83aep+1", "0x1.41ba5b0878967p+1",
+            "0x1.5015922147a95p+1", "0x1.58c957164642cp+1", "0x1.5dba453049639p+1",
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("model", list(SPECS), ids=lambda m: m.value)
+def test_audit_reader_values(model):
+    assert audit_values(model) == AUDIT_GOLDEN[model.value]
+
+
+def t4_boundary_action_images() -> list:
+    rng = np.random.default_rng(37)
+    ends = sample_boundary(Model.T4, 4, rng)
+    ends += [t4_boundary("ab", "a"), t4_boundary("", "abAB"), t4_boundary("BA", "bA")]
+    words = [random_isometry(Model.T4, rng) for _ in range(4)]
+    images = []
+    for b in ends:
+        # words that cancel into the prefix, through it and into the period
+        prefix = _t4.word_prefix(b.data, len(b.data[0]) + 3)
+        ws = words + [t4_isometry(_t4.inv_word(prefix[:k])) for k in range(len(prefix) + 1)]
+        ws += [t4_isometry(w + _t4.inv_word(prefix[:2])) for w in ("a", "bb", "")]
+        images += ["|".join(apply_boundary(g, b).data) for g in ws]
+    return images
+
+
+T4_ACTION_GOLDEN = [
+    "AbbAbaa|B", "bbAbaa|B", "AAbAbaa|B", "bbAABabAbaa|B", "bAbaa|B", "Abaa|B",
+    "baa|B", "aa|B", "a|B", "|B", "|B", "|B",
+    "|B", "abaa|B", "bbbaa|B", "baa|B", "AbAABABB|a", "bAABABB|a",
+    "AAAABABB|a", "bbAABABABB|a", "AABABB|a", "ABABB|a", "BABB|a", "ABB|a",
+    "BB|a", "B|a", "|a", "|a", "|a", "|a",
+    "aBABB|a", "bABB|a", "BABB|a", "AbaBBBBBab|a", "baBBBBBab|a", "ABBBBBab|a",
+    "bbAABaaBBBBBab|a", "aBBBBBab|a", "BBBBBab|a", "BBBBab|a", "BBBab|a", "BBab|a",
+    "Bab|a", "ab|a", "b|a", "|a", "|a", "|a",
+    "|a", "aBBBBab|a", "BBab|a", "BBBBab|a", "AbbbabaaB|A", "bbbabaaB|A",
+    "AAbbabaaB|A", "bbAABabbabaaB|A", "bbabaaB|A", "babaaB|A", "abaaB|A", "baaB|A",
+    "aaB|A", "aB|A", "B|A", "|A", "|A", "|A",
+    "|A", "aabaaB|A", "bbabaaB|A", "abaaB|A", "Abab|a", "bab|a",
+    "Ab|a", "bbAABaab|a", "ab|a", "b|a", "|a", "|a",
+    "|a", "|a", "|a", "bb|a", "|a", "Ab|abAB",
+    "b|abAB", "A|bABa", "bbAABa|abAB", "|abAB", "|bABa", "|ABab",
+    "|BabA", "|BabA", "b|bABa", "|ABab", "A|Ab", "|Ab",
+    "AAB|Ab", "bbAABaB|Ab", "B|Ab", "|Ab", "|bA", "|Ab",
+    "|bA", "a|bA", "bb|bA", "|bA",
+]
+
+
+def test_t4_boundary_action_images():
+    assert t4_boundary_action_images() == T4_ACTION_GOLDEN

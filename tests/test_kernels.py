@@ -8,15 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cat0lab import (
+    BinScheme,
     Model,
     StepDistribution,
+    _e2,
+    _h2,
+    _h2xr,
     _t4,
+    angle_at_infinity,
+    angles_at_infinity,
     apply,
     boundary_distances,
     boundary_metric,
+    boundary_points_equal,
     cocycle_residual,
+    comparison_angle,
     distance,
+    geodesic_point,
     horofunction,
+    ray_point,
     sample_boundary,
     sample_terminals,
     sample_walk,
@@ -203,6 +213,35 @@ def test_t4_word_readers_match_their_letter_loops(u, v, k):
     assert _t4.mul(u, w) == _mul_by_letters(u, w)
 
 
+def _gromov_by_ray_vertices(x, b1, b2):
+    # the vertex-by-vertex walk gromov_product replaced, kept as the reference
+    if _t4.boundary_eq(b1, b2):
+        return math.inf
+    cap = len(x) + len(b1[0]) + len(b2[0]) + 2 * math.lcm(len(b1[1]), len(b2[1])) + 4
+    k = 0
+    while k <= cap and _t4.ray_vertex(x, b1, k + 1) == _t4.ray_vertex(x, b2, k + 1):
+        k += 1
+    return float(k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), shared=st.integers(0, 40),
+       base=st.integers(0, 80), climb=st.integers(0, 5), along=st.integers(0, 2))
+def test_t4_gromov_product_matches_the_ray_vertex_walk(seed, shared, base, climb, along):
+    rng = np.random.default_rng(seed)
+    b1 = _t4.random_boundary(rng, 0.0)
+    # a second end that follows b1 for `shared` letters and may then leave
+    # it (or stay: equal ends have an infinite product)
+    head = _t4.word_prefix(b1, shared)
+    turn = _t4.random_word(rng, 2, head)[len(head):]
+    b2 = _t4.boundary(head + turn[0], turn[1])
+    # a base word far along either ray, or anywhere, then a few letters off
+    start = _t4.word_prefix((b1, b2)[along], base) if along < 2 else ""
+    x = _t4.random_word(rng, climb if along < 2 else base, start)
+    for u, v in ((b1, b2), (b2, b1), (b1, b1)):
+        assert _t4.gromov_product(x, u, v) == _gromov_by_ray_vertices(x, u, v)
+
+
 @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
 def test_sample_terminals_are_the_single_path_ends_across_path_blocks(model):
     # more paths than one batched block holds, on short walks
@@ -250,6 +289,26 @@ def test_boundary_distances_are_the_pair_metrics(model, seed, count, other_count
 
 
 @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(0, 6))
+def test_angles_at_infinity_are_the_pair_angles(model, seed, count):
+    # each pair's grid of comparison angles of ray points, compared with ==
+    rng = np.random.default_rng(seed)
+    x = random_point(model, rng)
+    points = sample_boundary(model, count, rng)
+    if points:
+        points.append(points[0])
+    grid = (1.0, 2.0, 4.0, 8.0)
+    limits = angles_at_infinity(x, points, grid)
+    pairs = [(a, b) for i, a in enumerate(points) for b in points[i + 1:]]
+    assert limits == [angle_at_infinity(x, a, b, grid) for a, b in pairs]
+    for (a, b), limit in zip(pairs, limits):
+        if not boundary_points_equal(a, b):
+            assert limit.values == tuple(
+                comparison_angle(x, ray_point(x, a, t), ray_point(x, b, t)) for t in grid)
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), atom_count=st.integers(1, 4),
        draws=st.lists(st.integers(0, 3), min_size=1, max_size=4))
@@ -278,3 +337,149 @@ def test_busemann_cocycle_identity_holds(model, seed):
     x = random_point(model, rng)
     h = horofunction(xi, x, apply(g1, apply(g2, x)))
     assert cocycle_residual(g1, g2, xi, x) <= 1e-9 * (1.0 + abs(h))
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), frac=st.floats(0.0, 1.0))
+def test_geodesic_triangles_satisfy_the_cat0_comparison(model, seed, frac):
+    # m on [q, r] at t = d(q, m): d(p, m) is at most |p' m'| in the Euclidean
+    # comparison triangle, whose square Stewart's theorem gives as
+    # ((a - t) d(p, q)^2 + t d(p, r)^2) / a - t (a - t) with a = d(q, r)
+    rng = np.random.default_rng(seed)
+    p, q, r = (random_point(model, rng) for _ in range(3))
+    a, pq, pr = distance(q, r), distance(p, q), distance(p, r)
+    if model is Model.T4:
+        a, pq, pr, t = int(a), int(pq), int(pr), round(frac * a)
+        d = int(distance(p, geodesic_point(q, r, t)))
+        assert a * d * d <= (a - t) * pq * pq + t * pr * pr - t * (a - t) * a
+        return
+    t = frac * a
+    d = distance(p, geodesic_point(q, r, t))
+    comparison = pq if a == 0 else math.sqrt(
+        max(0.0, ((a - t) * pq * pq + t * pr * pr) / a - t * (a - t)))
+    assert d <= comparison + 1e-9 * (1.0 + d)
+
+
+# -- the samplers draw what rng.uniform would ------------------------------------
+# Each reference below is a sampler as written with rng.uniform(lo, hi); the
+# kernels draw lo + (hi - lo) * rng.random(), numpy's own formula for it.
+
+def _ref_sl2(rng):
+    theta, t, s = rng.uniform(0, 2 * math.pi), rng.uniform(-1.2, 1.2), rng.uniform(-1.5, 1.5)
+    ct, st_, et = math.cos(theta), math.sin(theta), math.exp(t / 2)
+    return _h2.mat_mul(_h2.mat_mul((ct, -st_, st_, ct), (et, 0.0, 0.0, 1.0 / et)),
+                       (1.0, s, 0.0, 1.0))
+
+
+def _ref_axial_matrix(rng):
+    et = math.exp(rng.uniform(0.4, 2.0) / 2)
+    conj = _ref_sl2(rng)
+    return _h2.mat_mul(_h2.mat_mul(conj, (et, 0.0, 0.0, 1.0 / et)), _h2.mat_inv(conj))
+
+
+def _ref_xi(phi):
+    return math.inf if abs(phi) > math.pi - 1e-12 else math.tan(phi / 2.0)
+
+
+def _ref_radius(radius, rng, shell):
+    return radius if shell else radius * math.sqrt(rng.random())
+
+
+def _ref_e2_ball(rng, center, radius, shell):
+    r = _ref_radius(radius, rng, shell)
+    return _e2.ray_point(center, rng.uniform(0.0, 2.0 * math.pi), r)
+
+
+def _ref_h2_ball(rng, center, radius, shell):
+    r = _ref_radius(radius, rng, shell)
+    xi = _h2.direction_from_angle(center, rng.uniform(0.0, 2.0 * math.pi))
+    return _h2.ray_point(center, xi, r)
+
+
+def _ref_h2xr_ball(rng, center, radius, shell):
+    r = _ref_radius(radius, rng, shell)
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    beta = math.asin(rng.uniform(-1.0, 1.0))
+    return _h2xr.ray_point(center, (_h2.direction_from_angle(center[0], phi), beta), r)
+
+
+REFERENCE_SAMPLERS = {
+    Model.E2: {
+        "random_point": lambda rng: _e2.point(rng.uniform(-5, 5), rng.uniform(-5, 5)),
+        "random_isometry": lambda rng: _e2.isometry(
+            rng.uniform(0, 2 * math.pi), (rng.uniform(-3, 3), rng.uniform(-3, 3))),
+        "random_axial": lambda rng: _e2.isometry(0.0, (
+            rng.uniform(0.3, 3) * (1 if rng.random() < 0.5 else -1), rng.uniform(0.3, 3))),
+        "random_boundary": lambda rng: _e2.boundary(rng.uniform(0.0, 2.0 * math.pi)),
+        "ball_point": _ref_e2_ball,
+    },
+    Model.H2: {
+        "random_point": lambda rng: _h2.point(rng.uniform(-3, 3),
+                                              math.exp(rng.uniform(-1.5, 1.5))),
+        "random_isometry": lambda rng: _h2.isometry(*_ref_sl2(rng)),
+        "random_axial": lambda rng: _h2.isometry(*_ref_axial_matrix(rng)),
+        "random_boundary": lambda rng: _ref_xi(rng.uniform(-math.pi, math.pi)),
+        "ball_point": _ref_h2_ball,
+    },
+    Model.H2xR: {
+        "random_point": lambda rng: _h2xr.point(
+            rng.uniform(-3, 3), math.exp(rng.uniform(-1.5, 1.5)), rng.uniform(-4, 4)),
+        "random_isometry": lambda rng: _h2xr.isometry(_ref_sl2(rng), rng.uniform(-2, 2)),
+        "random_axial": lambda rng: _h2xr.isometry(_ref_axial_matrix(rng),
+                                                   rng.uniform(-2, 2)),
+        "random_boundary": lambda rng: _h2xr.boundary(
+            _ref_xi(rng.uniform(-math.pi, math.pi)),
+            rng.uniform(-math.pi / 2 * 0.999, math.pi / 2 * 0.999), 1e-9),
+        "ball_point": _ref_h2xr_ball,
+    },
+}
+
+
+@pytest.mark.parametrize("model", list(REFERENCE_SAMPLERS), ids=lambda m: m.value)
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 40 + 3])
+def test_continuous_samplers_match_their_uniform_references(model, seed):
+    kernel, ref = KERNELS[model], REFERENCE_SAMPLERS[model]
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for i in range(200):
+        for name in ("random_point", "random_isometry", "random_axial"):
+            assert getattr(kernel, name)(rng) == ref[name](ref_rng)
+        assert kernel.random_boundary(rng, 1e-9) == ref["random_boundary"](ref_rng)
+        shell = i % 2 == 0
+        assert (kernel.ball_point(kernel.BASEPOINT, 1.5, rng, shell)
+                == ref["ball_point"](ref_rng, kernel.BASEPOINT, 1.5, shell))
+    # the streams end in the same state
+    assert rng.random() == ref_rng.random()
+
+
+def _ref_sample_in_bin(scheme, i, rng):
+    if scheme.kind == "angle":
+        w = 2.0 * math.pi / scheme.params[0]
+        return _e2.boundary(rng.uniform(i * w, (i + 1) * w))
+    if scheme.kind == "circle":
+        w = 2.0 * math.pi / scheme.params[0]
+        phi = rng.uniform(-math.pi + i * w, -math.pi + (i + 1) * w)
+        return math.inf if abs(phi) >= math.pi - 1e-12 else math.tan(phi / 2.0)
+    k_xi, k_alpha = scheme.params
+    if i >= k_xi * k_alpha:
+        return (None, math.pi / 2 if i == k_xi * k_alpha else -math.pi / 2)
+    bi, bj = divmod(i, k_alpha)
+    w = 2.0 * math.pi / k_xi
+    phi = rng.uniform(-math.pi + bi * w, -math.pi + (bi + 1) * w)
+    wa = math.pi / k_alpha
+    alpha = rng.uniform(-math.pi / 2 + bj * wa, -math.pi / 2 + (bj + 1) * wa)
+    alpha = max(-math.pi / 2 + 1e-9, min(math.pi / 2 - 1e-9, alpha))
+    xi = math.inf if abs(phi) >= math.pi - 1e-12 else math.tan(phi / 2.0)
+    return _h2xr.boundary(xi, alpha, 1e-9)
+
+
+@pytest.mark.parametrize("scheme", [BinScheme.angular(16), BinScheme.circle(16),
+                                    BinScheme.angular(3), BinScheme.circle(5),
+                                    BinScheme.product(8, 4), BinScheme.product(3, 5)],
+                         ids=lambda s: f"{s.kind}-{s.count}")
+def test_sample_in_bin_matches_its_uniform_reference(scheme):
+    rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+    for _ in range(20):
+        for i in range(scheme.count):
+            assert scheme.sample_in_bin(i, rng).data == _ref_sample_in_bin(scheme, i, ref_rng)
+    assert rng.random() == ref_rng.random()

@@ -2,7 +2,8 @@
 tracking digits sized from the dense walk, returns to the basepoint,
 per-config tolerances in a sweep, walks whose every path returns, repeated
 checkpoints, configs that fail mid-sweep, seeds, checkpoints and integer
-params out of range, long H2 products, and one rank-one audit per run."""
+params out of range, long H2 products and their JSON round trip, and one
+rank-one audit per run."""
 
 import csv
 import json
@@ -34,7 +35,7 @@ from cat0lab import (
 )
 from cat0lab import _h2, cli, stats
 from cat0lab.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, main
-from cat0lab.models import DEFAULT_TOLERANCE
+from cat0lab.models import DEFAULT_TOLERANCE, isometry_from_json, isometry_to_json
 from cat0lab.walk import draw_increments
 
 from conftest import standard_h2_pair
@@ -224,6 +225,17 @@ def test_h2_power_survives_long_products():
     g30 = power(h2_isometry(1, 1, 1, 2), 30)
     # z -> (z + 1)/(z + 2) attracts toward the fixed point (sqrt 5 - 1)/2
     assert apply_boundary(g30, h2_boundary(0.0)).data == pytest.approx((5 ** 0.5 - 1) / 2)
+
+
+def test_long_h2_product_round_trips_through_json():
+    # a*d - b*c of the stored entries (about 1e12) cancels to 0.0 in floats;
+    # the exact determinant is 1, so the matrix reads back unchanged
+    g30 = power(h2_isometry(1, 1, 1, 2), 30)
+    assert isometry_from_json(json.loads(json.dumps(isometry_to_json(g30)))) == g30
+    with pytest.raises(UsageError, match="positive determinant"):
+        h2_isometry(1e12, 1e12, 1e12, 1e12)
+    with pytest.raises(UsageError, match="positive determinant"):
+        h2_isometry(float("nan"), 1.0, 0.0, 1.0)
 
 
 def test_pi_convergence_runs_a_non_diagonal_h2_generator(tmp_path):
