@@ -215,8 +215,29 @@ def ball_point(center: complex, radius: float, rng, shell: bool) -> complex:
     return ray_point(center, theta, r)
 
 
-def default_bins(scheme, resolution: int):
-    return scheme.angular(resolution or 16)
+# -- hitting bins: k equal arcs of angle -----------------------------------------
+
+BIN_KIND = "angle"
+BIN_FIELDS = ()
+DEFAULT_BINS = (16,)
+
+
+def bin_params(k: int) -> tuple:
+    return (int(k),)
+
+
+def bin_count(params) -> int:
+    return params[0]
+
+
+def bin_index(params, theta: float) -> int:
+    k = params[0]
+    return min(int(theta / (TWO_PI / k)), k - 1)
+
+
+def bin_sample(params, i: int, rng, tol: float) -> float:
+    w = TWO_PI / params[0]
+    return boundary(uniform(rng, i * w, (i + 1) * w))
 
 
 # -- orbit walker ---------------------------------------------------------------

@@ -435,8 +435,32 @@ def ball_point(center: complex, radius: float, rng, shell: bool) -> complex:
     return ray_point(center, xi, r)
 
 
-def default_bins(scheme, resolution: int):
-    return scheme.circle(resolution or 16)
+# -- hitting bins: k equal arcs of the half-angle chart phi = 2 atan(xi) ----------
+
+BIN_KIND = "circle"
+BIN_FIELDS = ()
+DEFAULT_BINS = (16,)
+
+
+def bin_params(k: int) -> tuple:
+    return (int(k),)
+
+
+def bin_count(params) -> int:
+    return params[0]
+
+
+def bin_index(params, xi: float) -> int:
+    k = params[0]
+    phi = math.pi if math.isinf(xi) else 2.0 * math.atan(xi)
+    w = 2.0 * math.pi / k
+    return min(int((phi + math.pi) / w), k - 1)
+
+
+def bin_sample(params, i: int, rng, tol: float) -> float:
+    w = 2.0 * math.pi / params[0]
+    phi = uniform(rng, -math.pi + i * w, -math.pi + (i + 1) * w)
+    return boundary(INF if abs(phi) >= math.pi - 1e-12 else math.tan(phi / 2.0))
 
 
 # -- log-scaled orbit states -------------------------------------------------

@@ -305,8 +305,41 @@ def ball_point(center, radius: float, rng, shell: bool):
     return ray_point(center, (xi, beta), r)
 
 
-def default_bins(scheme, resolution: int):
-    return scheme.product(resolution or 8, 4)
+# -- hitting bins: H2 circle arcs x k_alpha slope bands, then the two poles -------
+
+BIN_KIND = "product"
+BIN_FIELDS = ("k_xi", "k_alpha")
+DEFAULT_BINS = (8, 4)
+
+
+def bin_params(k_xi: int, k_alpha: int) -> tuple:
+    return (int(k_xi), int(k_alpha))
+
+
+def bin_count(params) -> int:
+    k_xi, k_alpha = params
+    return k_xi * k_alpha + 2
+
+
+def bin_index(params, b) -> int:
+    k_xi, k_alpha = params
+    xi, alpha = b
+    if xi is None:
+        return k_xi * k_alpha + (0 if alpha > 0 else 1)
+    j = min(int((alpha + HALF_PI) / (math.pi / k_alpha)), k_alpha - 1)
+    return _h2.bin_index((k_xi,), xi) * k_alpha + j
+
+
+def bin_sample(params, i: int, rng, tol: float):
+    k_xi, k_alpha = params
+    if i >= k_xi * k_alpha:
+        return boundary(None, HALF_PI if i == k_xi * k_alpha else -HALF_PI, tol)
+    bi, bj = divmod(i, k_alpha)
+    xi = _h2.bin_sample((k_xi,), bi, rng, tol)
+    wa = math.pi / k_alpha
+    alpha = uniform(rng, -HALF_PI + bj * wa, -HALF_PI + (bj + 1) * wa)
+    alpha = max(-HALF_PI + 1e-9, min(HALF_PI - 1e-9, alpha))
+    return boundary(xi, alpha, tol)
 
 
 # -- orbit walker ---------------------------------------------------------------

@@ -379,15 +379,15 @@ def random_word(rng, length: int, start: str = "") -> str:
 
 
 def random_point(rng) -> str:
-    return point(random_word(rng, int(rng.integers(0, 8))))
+    return random_word(rng, int(rng.integers(0, 8)))
 
 
 def random_isometry(rng) -> str:
-    return isometry(random_word(rng, int(rng.integers(1, 7))))
+    return random_word(rng, int(rng.integers(1, 7)))
 
 
 def random_axial(rng) -> str:
-    return isometry(random_word(rng, int(rng.integers(1, 6))))
+    return random_word(rng, int(rng.integers(1, 6)))
 
 
 def random_boundary(rng, tol: float) -> tuple[str, str]:
@@ -400,8 +400,32 @@ def ball_point(center: str, radius: float, rng, shell: bool) -> str:
     return random_word(rng, steps, center)
 
 
-def default_bins(scheme, resolution: int):
-    return scheme.cylinders(resolution or 2)
+# -- hitting bins: the cylinders of the reduced words of one length -------------
+
+BIN_KIND = "cylinder"
+BIN_FIELDS = ("length",)
+DEFAULT_BINS = (2,)
+
+
+def bin_params(length: int) -> tuple:
+    """(length, the reduced words of that length in ALPHABET order)."""
+    words = [""]
+    for _ in range(int(length)):
+        words = [w + ch for w in words for ch in _NEXT_LETTERS[w[-1:]]]
+    return (int(length), tuple(words))
+
+
+def bin_count(params) -> int:
+    return len(params[1])
+
+
+def bin_index(params, b: tuple[str, str]) -> int:
+    return params[1].index(word_prefix(b, params[0]))
+
+
+def bin_sample(params, i: int, rng, tol: float) -> tuple[str, str]:
+    word = params[1][i]
+    return boundary(word, random_word(rng, 1, word)[-1])
 
 
 # -- orbit walker ---------------------------------------------------------------

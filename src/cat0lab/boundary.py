@@ -120,19 +120,16 @@ class AngleLimit:
     values: tuple
 
 
-def angles_at_infinity(x: Point, points, t_grid=None) -> list[AngleLimit]:
+def angles_at_infinity(x: Point, points) -> list[AngleLimit]:
     """`angle_at_infinity` at x for the pairs points[i], points[j], i < j, in
     row order (the condensed triangle of `boundary_distances`).  Each point's
     ray point and its distance to x are taken once per grid radius, and each
     pair's comparison angle is read from those values."""
-    model = same_model(x, *points)
-    t_grid = DEFAULT_T_GRID if t_grid is None else tuple(t_grid)
-    negative = any(t < 0 for t in t_grid)
-    kernel = KERNELS[model]
+    kernel = KERNELS[same_model(x, *points)]
     dist, tol = kernel.dist, tolerance()
     charts = []
     for b in points:
-        rays = [kernel.ray_point(x.data, b.data, t) for t in t_grid]
+        rays = [kernel.ray_point(x.data, b.data, t) for t in DEFAULT_T_GRID]
         charts.append([(p, float(dist(x.data, p))) for p in rays])
     out = []
     for i in range(len(points)):
@@ -140,24 +137,21 @@ def angles_at_infinity(x: Point, points, t_grid=None) -> list[AngleLimit]:
             if kernel.boundary_eq(points[i].data, points[j].data, tol):
                 out.append(AngleLimit(0.0, 0.0, (), ()))
                 continue
-            if negative:
-                raise UsageError("ray parameter must be nonnegative")
             vals = [angle_of_sides(a, b, float(dist(p, q)))
                     for (p, a), (q, b) in zip(charts[i], charts[j])]
             defect = 0.0
             for a, b in zip(vals, vals[1:]):
                 defect = max(defect, a - b)
-            out.append(AngleLimit(vals[-1], defect, t_grid, tuple(vals)))
+            out.append(AngleLimit(vals[-1], defect, DEFAULT_T_GRID, tuple(vals)))
     return out
 
 
-def angle_at_infinity(x: Point, xi: BoundaryPoint, eta: BoundaryPoint,
-                      t_grid=None) -> AngleLimit:
+def angle_at_infinity(x: Point, xi: BoundaryPoint, eta: BoundaryPoint) -> AngleLimit:
     """Angle at x between two boundary points, via comparison angles of ray
     points on an increasing grid; the limit value is the last grid value and
     the report carries the worst monotonicity violation.  The one pair case
     of `angles_at_infinity`."""
-    return angles_at_infinity(x, [xi, eta], t_grid)[0]
+    return angles_at_infinity(x, [xi, eta])[0]
 
 
 def tits_distance(xi: BoundaryPoint, eta: BoundaryPoint) -> float:

@@ -24,7 +24,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -151,7 +151,7 @@ def _hypotheses_block(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
     if cfg.distribution is None:
         return {"admissibility": None, "rankone_audit": None}, []
     adm, audit, problems = hypotheses_audit(cfg.distribution)
-    return {"admissibility": vars(adm), "rankone_audit": audit.to_json()}, problems
+    return {"admissibility": vars(adm), "rankone_audit": asdict(audit)}, problems
 
 
 # Each runner takes the config and the report's hypotheses block, and returns
@@ -163,7 +163,7 @@ def _run_drift(cfg, hypotheses):
         xi = boundary_from_json(cfg.params["horofunction_xi"])
     rep = drift_estimate(cfg.distribution, cfg.basepoint, cfg.n, cfg.m_samples,
                          cfg.seed, horofunction_xi=xi, allow_uncertified=True)
-    return (rep.to_json(), ["sample", "terminal_over_n"],
+    return (asdict(rep), ["sample", "terminal_over_n"],
             list(enumerate(rep.per_sample_terminal)))
 
 
@@ -174,7 +174,7 @@ def _run_converge(cfg, hypotheses):
     for i in range(cfg.m_samples):
         tr = sample_walk(cfg.distribution, cfg.basepoint, cfg.n, cfg.seed,
                          path_index=i, thin=thin)
-        prof = convergence_profile(tr, [k for k in checkpoints if k in set(map(int, tr.steps))])
+        prof = convergence_profile(tr, checkpoints)
         paths.append({"path": i, "checkpoints": list(prof.checkpoints),
                       "cauchy_tail": list(prof.cauchy_tail)})
         # a path that never leaves the basepoint has no tail: null, not NaN
@@ -218,7 +218,7 @@ def _run_dirac(cfg, hypotheses):
                               problems=problems)
     second = rep.spread_second or [""] * len(rep.checkpoints)
     cross = rep.cross_spread or [""] * len(rep.checkpoints)
-    return (rep.to_json(), ["checkpoint", "spread", "spread_second", "cross_spread"],
+    return (asdict(rep), ["checkpoint", "spread", "spread_second", "cross_spread"],
             list(zip(rep.checkpoints, rep.spread, second, cross)))
 
 

@@ -12,6 +12,11 @@ tail of a convergence profile, the Dirac spreads, the pi-convergence gaps)
 take all their pairs from one `boundary.boundary_distances` call, which
 charts each boundary point once, and reduce them with Python `max` in pair
 order.
+
+No estimator branches on the model.  The hitting bins are laid out by the
+model's kernel (`bin_count`, `bin_index`, `bin_sample` in `models.KERNELS`);
+`BinScheme` only delegates to it.  The results are frozen dataclasses, and
+the CLI writes them through `dataclasses.asdict`.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _t4
-from ._random import uniform
 from .errors import DomainError, UncertifiedError, UsageError
 from .geometry import distance, direction, model_basepoint
 from .isometry import (
@@ -42,7 +45,6 @@ from .models import (
     Model,
     Point,
     boundary_points_equal,
-    boundary_to_json,
     same_model,
     tolerance,
 )
@@ -86,16 +88,6 @@ class DriftReport:
     per_sample_terminal: tuple
     horofunction_lambda: float | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m_samples": self.m_samples,
-            "lambda_hat": self.lambda_hat,
-            "std_error": self.std_error,
-            "horofunction_lambda": self.horofunction_lambda,
-            "per_sample_terminal": list(self.per_sample_terminal),
-        }
-
 
 def drift_estimate(spec: StepDistribution, x: Point, n: int, m_samples: int,
                    seed: int, horofunction_xi: BoundaryPoint | None = None,
@@ -131,13 +123,6 @@ class ConvergenceProfile:
     checkpoints: tuple
     boundary_coords: tuple
     cauchy_tail: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "checkpoints": list(self.checkpoints),
-            "boundary_coords": [boundary_to_json(b) for b in self.boundary_coords],
-            "cauchy_tail": list(self.cauchy_tail),
-        }
 
 
 def convergence_profile(trace: WalkTrace, checkpoints) -> ConvergenceProfile:
@@ -179,129 +164,64 @@ def convergence_profile(trace: WalkTrace, checkpoints) -> ConvergenceProfile:
 
 @dataclass(frozen=True)
 class BinScheme:
-    """Boundary partition used for hitting histograms, per model:
-    angular arcs (E2), circle arcs through the half-angle chart (H2),
-    word cylinders (T4), arc x slope boxes plus two poles (H2xR)."""
+    """Boundary partition used for hitting histograms.  The model's kernel
+    owns the layout (`BIN_KIND`, `BIN_FIELDS`, `DEFAULT_BINS`, `bin_params`,
+    `bin_count`, `bin_index`, `bin_sample`): angular arcs (E2), circle arcs
+    through the half-angle chart (H2), word cylinders (T4), arc x slope
+    boxes plus two poles (H2xR).  The scheme holds the kernel's params and
+    delegates to it."""
 
     model: Model
-    kind: str
     params: tuple
 
     @classmethod
+    def _make(cls, model: Model, *sizes) -> "BinScheme":
+        return cls(model, KERNELS[model].bin_params(*sizes))
+
+    @classmethod
     def angular(cls, k: int) -> "BinScheme":
-        return cls(Model.E2, "angle", (int(k),))
+        return cls._make(Model.E2, k)
 
     @classmethod
     def circle(cls, k: int) -> "BinScheme":
-        return cls(Model.H2, "circle", (int(k),))
+        return cls._make(Model.H2, k)
 
     @classmethod
     def cylinders(cls, length: int) -> "BinScheme":
-        words = _enumerate_reduced(int(length))
-        return cls(Model.T4, "cylinder", (int(length), tuple(words)))
+        return cls._make(Model.T4, length)
 
     @classmethod
     def product(cls, k_xi: int, k_alpha: int) -> "BinScheme":
-        return cls(Model.H2xR, "product", (int(k_xi), int(k_alpha)))
+        return cls._make(Model.H2xR, k_xi, k_alpha)
 
     @classmethod
     def default(cls, model: Model, resolution: int = 0) -> "BinScheme":
-        return KERNELS[model].default_bins(cls, resolution)
+        """The kernel's `DEFAULT_BINS` sizes, the first one replaced by a
+        nonzero resolution."""
+        sizes = KERNELS[model].DEFAULT_BINS
+        return cls._make(model, resolution or sizes[0], *sizes[1:])
+
+    @property
+    def kind(self) -> str:
+        return KERNELS[self.model].BIN_KIND
 
     @property
     def count(self) -> int:
-        if self.kind == "angle" or self.kind == "circle":
-            return self.params[0]
-        if self.kind == "cylinder":
-            return len(self.params[1])
-        k_xi, k_alpha = self.params
-        return k_xi * k_alpha + 2
+        return KERNELS[self.model].bin_count(self.params)
 
     def index_of(self, b: BoundaryPoint) -> int:
         if b.model is not self.model:
             raise UsageError("boundary point model does not match the bin scheme")
-        return self._index(b.data)
-
-    def _index(self, data) -> int:
-        """`index_of` on a raw boundary payload of the scheme's model."""
-        if self.kind == "angle":
-            k = self.params[0]
-            return min(int(data / (2.0 * math.pi / k)), k - 1)
-        if self.kind == "circle":
-            k = self.params[0]
-            return _circle_index(data, k)
-        if self.kind == "cylinder":
-            length, words = self.params
-            return words.index(_t4.word_prefix(data, length))
-        k_xi, k_alpha = self.params
-        xi, alpha = data
-        if xi is None:
-            return k_xi * k_alpha + (0 if alpha > 0 else 1)
-        i = _circle_index(xi, k_xi)
-        j = min(int((alpha + math.pi / 2) / (math.pi / k_alpha)), k_alpha - 1)
-        return i * k_alpha + j
+        return KERNELS[self.model].bin_index(self.params, b.data)
 
     def sample_in_bin(self, i: int, rng) -> BoundaryPoint:
-        return BoundaryPoint(self.model, self._sample(i, rng))
-
-    def _sample(self, i: int, rng):
-        """`sample_in_bin` as a raw boundary payload."""
-        kernel = KERNELS[self.model]
-        if self.kind == "angle":
-            k = self.params[0]
-            w = 2.0 * math.pi / k
-            return kernel.boundary(uniform(rng, i * w, (i + 1) * w))
-        if self.kind == "circle":
-            k = self.params[0]
-            w = 2.0 * math.pi / k
-            phi = uniform(rng, -math.pi + i * w, -math.pi + (i + 1) * w)
-            return kernel.boundary(_xi_from_phi(phi))
-        if self.kind == "cylinder":
-            word = self.params[1][i]
-            return kernel.boundary(word, _t4.random_word(rng, 1, word)[-1])
-        k_xi, k_alpha = self.params
-        tol = tolerance()
-        if i >= k_xi * k_alpha:
-            return kernel.boundary(None, math.pi / 2 if i == k_xi * k_alpha else -math.pi / 2,
-                                   tol)
-        bi, bj = divmod(i, k_alpha)
-        w = 2.0 * math.pi / k_xi
-        phi = uniform(rng, -math.pi + bi * w, -math.pi + (bi + 1) * w)
-        wa = math.pi / k_alpha
-        alpha = uniform(rng, -math.pi / 2 + bj * wa, -math.pi / 2 + (bj + 1) * wa)
-        alpha = max(-math.pi / 2 + 1e-9, min(math.pi / 2 - 1e-9, alpha))
-        return kernel.boundary(_xi_from_phi(phi), alpha, tol)
+        return BoundaryPoint(self.model, KERNELS[self.model].bin_sample(
+            self.params, i, rng, tolerance()))
 
     def descriptor(self) -> dict:
-        if self.kind == "cylinder":
-            return {"model": self.model.value, "kind": self.kind,
-                    "length": self.params[0], "count": self.count}
-        if self.kind == "product":
-            return {"model": self.model.value, "kind": self.kind,
-                    "k_xi": self.params[0], "k_alpha": self.params[1],
-                    "count": self.count}
-        return {"model": self.model.value, "kind": self.kind,
+        fields = dict(zip(KERNELS[self.model].BIN_FIELDS, self.params))
+        return {"model": self.model.value, "kind": self.kind, **fields,
                 "count": self.count}
-
-
-def _enumerate_reduced(length: int) -> list[str]:
-    words = [""]
-    for _ in range(length):
-        words = [w + ch for w in words for ch in _t4.ALPHABET
-                 if not (w and w[-1] == _t4.inv_letter(ch))]
-    return words
-
-
-def _circle_index(xi: float, k: int) -> int:
-    phi = math.pi if math.isinf(xi) else 2.0 * math.atan(xi)
-    w = 2.0 * math.pi / k
-    return min(int((phi + math.pi) / w), k - 1)
-
-
-def _xi_from_phi(phi: float) -> float:
-    if abs(phi) >= math.pi - 1e-12:
-        return math.inf
-    return math.tan(phi / 2.0)
 
 
 @dataclass(frozen=True)
@@ -352,7 +272,9 @@ def stationarity_defect(spec: StepDistribution, hist: HittingHistogram,
     bins = hist.bins
     if spec.model is not bins.model:
         raise UsageError("step distribution and bin scheme are on different models")
-    act = KERNELS[bins.model].apply_boundary
+    kernel = KERNELS[bins.model]
+    act, index, sample = kernel.apply_boundary, kernel.bin_index, kernel.bin_sample
+    params, tol = bins.params, tolerance()
     rng = np.random.default_rng(seed)
     pushed = [0.0] * bins.count
     for i, mass in enumerate(hist.masses):
@@ -360,9 +282,9 @@ def stationarity_defect(spec: StepDistribution, hist: HittingHistogram,
             continue
         moves = [(g.data, mass * p / refinement_samples) for g, p in spec.atoms]
         for _ in range(refinement_samples):
-            b = bins._sample(i, rng)
+            b = sample(params, i, rng, tol)
             for g, w in moves:
-                pushed[bins._index(act(g, b))] += w
+                pushed[index(params, act(g, b))] += w
     return 0.5 * float(np.abs(np.array(pushed) - np.array(hist.masses)).sum())
 
 
@@ -376,16 +298,6 @@ class DiracReport:
     cross_spread: tuple | None
     hypotheses_certified: bool
     warnings: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "checkpoints": list(self.checkpoints),
-            "spread": list(self.spread),
-            "spread_second": None if self.spread_second is None else list(self.spread_second),
-            "cross_spread": None if self.cross_spread is None else list(self.cross_spread),
-            "hypotheses_certified": self.hypotheses_certified,
-            "warnings": list(self.warnings),
-        }
 
 
 def _cloud_spread(x: Point, cloud) -> float:
@@ -583,17 +495,6 @@ class RankOneAudit:
     atoms: tuple
     pairs: tuple
     verdict: str
-
-    def to_json(self) -> dict:
-        return {
-            "atoms": [vars(a) for a in self.atoms],
-            "pairs": [
-                {"i": p.i, "j": p.j, "scores": list(p.scores),
-                 "increasing": p.increasing, "endpoints_disjoint": p.endpoints_disjoint}
-                for p in self.pairs
-            ],
-            "verdict": self.verdict,
-        }
 
 
 def rankone_audit(spec: StepDistribution) -> RankOneAudit:

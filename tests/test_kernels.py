@@ -32,6 +32,7 @@ from cat0lab import (
     sample_walk,
     walk,
 )
+from cat0lab.boundary import DEFAULT_T_GRID
 from cat0lab.geometry import model_basepoint
 from cat0lab.models import KERNELS
 from cat0lab.sampling import random_isometry, random_point
@@ -52,7 +53,8 @@ TABLE = (
     "VERTEX_GRANULAR",
     # samplers and bins
     "random_point", "random_isometry", "random_axial", "random_boundary",
-    "ball_point", "default_bins",
+    "ball_point", "BIN_KIND", "BIN_FIELDS", "bin_params", "DEFAULT_BINS", "bin_count",
+    "bin_index", "bin_sample",
     # walks
     "orbit", "orbit_paths", "BATCH_MIN_PATHS", "snapshot_point", "snapshot_horofunction",
     "snapshot_boundary", "CSV_COLUMNS", "csv_row", "tracking_gaps",
@@ -298,14 +300,14 @@ def test_angles_at_infinity_are_the_pair_angles(model, seed, count):
     points = sample_boundary(model, count, rng)
     if points:
         points.append(points[0])
-    grid = (1.0, 2.0, 4.0, 8.0)
-    limits = angles_at_infinity(x, points, grid)
+    limits = angles_at_infinity(x, points)
     pairs = [(a, b) for i, a in enumerate(points) for b in points[i + 1:]]
-    assert limits == [angle_at_infinity(x, a, b, grid) for a, b in pairs]
+    assert limits == [angle_at_infinity(x, a, b) for a, b in pairs]
     for (a, b), limit in zip(pairs, limits):
         if not boundary_points_equal(a, b):
             assert limit.values == tuple(
-                comparison_angle(x, ray_point(x, a, t), ray_point(x, b, t)) for t in grid)
+                comparison_angle(x, ray_point(x, a, t), ray_point(x, b, t))
+                for t in DEFAULT_T_GRID)
 
 
 @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
@@ -460,6 +462,10 @@ def _ref_sample_in_bin(scheme, i, rng):
         w = 2.0 * math.pi / scheme.params[0]
         phi = rng.uniform(-math.pi + i * w, -math.pi + (i + 1) * w)
         return math.inf if abs(phi) >= math.pi - 1e-12 else math.tan(phi / 2.0)
+    if scheme.kind == "cylinder":
+        word = scheme.params[1][i]
+        letters = [ch for ch in "aAbB" if ch != word[-1].swapcase()]
+        return _t4.boundary(word, letters[int(rng.integers(0, 3))])
     k_xi, k_alpha = scheme.params
     if i >= k_xi * k_alpha:
         return (None, math.pi / 2 if i == k_xi * k_alpha else -math.pi / 2)
@@ -475,7 +481,8 @@ def _ref_sample_in_bin(scheme, i, rng):
 
 @pytest.mark.parametrize("scheme", [BinScheme.angular(16), BinScheme.circle(16),
                                     BinScheme.angular(3), BinScheme.circle(5),
-                                    BinScheme.product(8, 4), BinScheme.product(3, 5)],
+                                    BinScheme.product(8, 4), BinScheme.product(3, 5),
+                                    BinScheme.cylinders(1), BinScheme.cylinders(2)],
                          ids=lambda s: f"{s.kind}-{s.count}")
 def test_sample_in_bin_matches_its_uniform_reference(scheme):
     rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
@@ -483,3 +490,24 @@ def test_sample_in_bin_matches_its_uniform_reference(scheme):
         for i in range(scheme.count):
             assert scheme.sample_in_bin(i, rng).data == _ref_sample_in_bin(scheme, i, ref_rng)
     assert rng.random() == ref_rng.random()
+
+
+# the report's histogram.bins block, captured before the bin layouts moved
+# into the kernels
+BIN_DESCRIPTORS = [
+    (BinScheme.default(Model.E2), {"model": "E2", "kind": "angle", "count": 16}),
+    (BinScheme.default(Model.H2), {"model": "H2", "kind": "circle", "count": 16}),
+    (BinScheme.default(Model.T4),
+     {"model": "T4", "kind": "cylinder", "length": 2, "count": 12}),
+    (BinScheme.default(Model.H2xR),
+     {"model": "H2xR", "kind": "product", "k_xi": 8, "k_alpha": 4, "count": 34}),
+    (BinScheme.product(3, 5),
+     {"model": "H2xR", "kind": "product", "k_xi": 3, "k_alpha": 5, "count": 17}),
+]
+
+
+@pytest.mark.parametrize("scheme, descriptor", BIN_DESCRIPTORS,
+                         ids=[f"{s.model.value}-{s.count}" for s, _ in BIN_DESCRIPTORS])
+def test_bin_descriptor_and_count_are_pinned(scheme, descriptor):
+    assert scheme.count == descriptor["count"]
+    assert scheme.descriptor() == descriptor
