@@ -12,10 +12,12 @@ s = log tan(phi/2) where phi is the polar angle around the circle centre,
 which gives closed forms for every geodesic evaluation.
 
 Products of many isometries leave the float64 range long before desk-scale
-walk lengths are exhausted, so walk tracking uses Frobenius-normalised
-matrices with a separate log-scale factor (`Stat e` tuples below) and all
-orbit statistics (distance to basepoint, horofunctions, positions) are
-extracted from that representation in log space.
+walk lengths are exhausted, so a walk keeps its product as a float matrix
+with a separate power-of-two exponent, rescaled exactly every few steps.
+The stored steps read it as a Frobenius-normalised matrix with a log-scale
+factor (`State` tuples below), and all orbit statistics (distance to
+basepoint, horofunctions, positions) are extracted from that
+representation in log space.
 
 This module is the H2 entry of the kernel table in `models.KERNELS`; see
 `_e2` for the shared function names.
@@ -463,26 +465,50 @@ def bin_sample(params, i: int, rng, tol: float) -> float:
     return boundary(INF if abs(phi) >= math.pi - 1e-12 else math.tan(phi / 2.0))
 
 
-# -- log-scaled orbit states -------------------------------------------------
-# A state (m, s) stands for the true matrix e^s * m with ||m||_F = 1 and
-# true determinant one, i.e. det m = e^{-2s}.
+# -- orbit states --------------------------------------------------------------
+# The walk keeps the product Z_k as a float matrix p and an integer exponent
+# e, the true matrix being 2^e * p, so a step is the matrix product alone.
+# Every `renorm_period(atoms)` steps p is rescaled by the binary exponent of
+# its largest |entry|, which is exact.  The stored steps read the product as
+# a state (m, s), which stands for the true matrix e^s * m with ||m||_F = 1
+# and true determinant one, i.e. det m = e^{-2s}; `snapshot` takes it from
+# the canonical rescale, so a state does not depend on the renorm schedule.
+# An entry more than 2^-1074 below the largest |entry| flushes to zero, as
+# in a unit-norm matrix; between rescales the largest |entry| stays within
+# 2^(+-_RENORM_BITS) of one, which can bring that limit up to 2^-1010.
 
 State = tuple[Mat, float]
+
+_LN2 = math.log(2.0)
+_RENORM_BITS = 64
 
 
 def frob(m: Mat) -> float:
     return math.sqrt(m[0] ** 2 + m[1] ** 2 + m[2] ** 2 + m[3] ** 2)
 
 
-def state_identity() -> State:
-    f = frob(IDENTITY)
-    return ((1.0 / f, 0.0, 0.0, 1.0 / f), math.log(f))
+def renorm_period(atoms) -> int:
+    """Steps between rescales.  One step by a determinant-one g moves the
+    largest |entry| of the product by at most a factor 2 ||g||_F either way
+    (g^{-1} has the norm of g), so this many steps move it by at most
+    2^_RENORM_BITS."""
+    growth = math.log2(2.0 * max(math.hypot(*g) for g in atoms))
+    return max(1, int(_RENORM_BITS / growth))
 
 
-def state_mul(st: State, m: Mat) -> State:
-    p = mat_mul(st[0], m)
+def rescale(p: Mat, e: int) -> tuple[Mat, int]:
+    """(2^-k p, e + k) for the binary exponent k of the largest |entry|,
+    which then lies in [1/2, 1)."""
+    a, b, c, d = p
+    k = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+    return (math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(c, -k), math.ldexp(d, -k)), e + k
+
+
+def snapshot(p: Mat, e: int) -> State:
+    """The state (m, s) of the product 2^e * p."""
+    p, e = rescale(p, e)
     f = frob(p)
-    return ((p[0] / f, p[1] / f, p[2] / f, p[3] / f), st[1] + math.log(f))
+    return (p[0] / f, p[1] / f, p[2] / f, p[3] / f), e * _LN2 + math.log(f)
 
 
 def _acosh_log(log_u: float) -> float:
@@ -542,15 +568,19 @@ def state_horofunction(st: State, x: complex, xi: float) -> float:
 
 
 def orbit(atoms, base: complex, increments, stored):
-    """The left product Z_k = Z_{k-1} w_k, kept as a log-scaled matrix
-    state: the distances d(Z_k x, x) at the steps k in `stored`, in
+    """The left product Z_k = Z_{k-1} w_k, kept as a power-of-two scaled
+    matrix: the distances d(Z_k x, x) at the steps k in `stored`, in
     increasing order, and the states at step 0 and at those steps."""
     frame = point_frame(base)
-    st = state_identity()
-    dists, snaps = [], [st]
+    period = renorm_period(atoms)
+    p, e = IDENTITY, 0
+    dists, snaps = [], [snapshot(p, e)]
     for k, i in enumerate(increments, start=1):
-        st = state_mul(st, atoms[i])
+        p = mat_mul(p, atoms[i])
+        if k % period == 0:
+            p, e = rescale(p, e)
         if k in stored:
+            st = snapshot(p, e)
             dists.append(state_dist_to_base(st, frame))
             snaps.append(st)
     return dists, snaps
@@ -563,24 +593,23 @@ BATCH_MIN_PATHS = 16
 def orbit_paths(atoms, base: complex, increments):
     """`orbit` for m paths at once, read at the last step only: the terminal
     distances d(Z_n x, x) and states of the columns of the (n, m) array
-    `increments`, n >= 1.  The matrices are (2, 2, m) arrays, and every float
-    operation is the scalar one, in the same order: `np.float_power(x, 2.0)`
-    is the libm pow behind `x ** 2`, and the logs go through `math.log`,
-    which `np.log` does not match."""
-    mat, s = state_identity()
+    `increments`, n >= 1.  The matrices are (2, 2, m) arrays, with the
+    scalar loop's products and rescales in the same order; the states are
+    taken by the scalar `snapshot`."""
+    period = renorm_period(atoms)
     m = increments.shape[1]
-    st = np.repeat(np.reshape(mat, (2, 2, 1)), m, axis=2)
-    s = np.full(m, s)
+    p = np.repeat(np.reshape(IDENTITY, (2, 2, 1)), m, axis=2)
+    e = np.zeros(m, dtype=np.int64)
     mats = np.reshape(np.array(atoms, dtype=float).T, (2, 2, -1))
-    for inc in increments:
+    for k, inc in enumerate(increments, start=1):
         g = mats.take(inc, axis=2)
-        p = st[:, :1] * g[:1] + st[:, 1:] * g[1:]
-        q = np.float_power(p, 2.0)
-        fr = np.sqrt(q[0, 0] + q[0, 1] + q[1, 0] + q[1, 1])
-        st = p / fr
-        s = s + np.fromiter(map(math.log, fr.tolist()), float, m)
-    snaps = [((a, b, c, d), sv) for a, b, c, d, sv
-             in zip(*np.reshape(st, (4, m)).tolist(), s.tolist())]
+        p = p[:, :1] * g[:1] + p[:, 1:] * g[1:]
+        if k % period == 0:
+            scale = np.frexp(np.abs(p).max(axis=(0, 1)))[1]
+            p = np.ldexp(p, -scale)
+            e += scale
+    snaps = [snapshot(q, ek) for q, ek
+             in zip(zip(*np.reshape(p, (4, m)).tolist()), e.tolist())]
     frame = point_frame(base)
     return [state_dist_to_base(snap, frame) for snap in snaps], snaps
 

@@ -358,19 +358,18 @@ def orbit(atoms, base, increments, stored):
 
 
 # Below this many paths, m runs of `orbit` beat one `orbit_paths` (n = 2000).
-BATCH_MIN_PATHS = 16
+BATCH_MIN_PATHS = 14
 
 
 def orbit_paths(atoms, base, increments):
     """`orbit` for m paths at once, read at the last step only: the H2
-    factor walks in `_h2.orbit_paths`, and the heights add one step at a
-    time, as the scalar running sum does."""
+    factor walks in `_h2.orbit_paths`, and the heights are running sums down
+    the columns, which add in the order of the scalar running sum."""
     dh, states = _h2.orbit_paths([g[0] for g in atoms], base[0], increments)
     shifts = np.array([g[1] for g in atoms])
-    heights = np.zeros(increments.shape[1])
-    for inc in increments:
-        heights = heights + shifts.take(inc)
-    heights = heights.tolist()
+    steps = shifts.take(increments)
+    # 0.0 + turns a sum of -0.0 shifts into the 0.0 the scalar sum starts from
+    heights = (0.0 + np.cumsum(steps, axis=0, out=steps)[-1]).tolist()
     return [math.hypot(d, h) for d, h in zip(dh, heights)], list(zip(states, heights))
 
 

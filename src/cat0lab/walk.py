@@ -16,10 +16,12 @@ more than the step itself.  Readers of many path ends take them from
 scalar loop's float operations in the same order, so every path ends on
 the same bits as when `sample_walk` walks it alone.
 
-Hyperbolic-factor products are tracked as Frobenius-normalised matrices
-with a log-scale factor; positions, distances to the basepoint and
-horofunction values are extracted from that state in log space, which
-keeps traces faithful far beyond the float64 coordinate range.
+Hyperbolic-factor products are tracked as float matrices with a separate
+power-of-two exponent, so a step is one matrix product.  The stored steps
+read them as Frobenius-normalised matrices with a log-scale factor;
+positions, distances to the basepoint and horofunction values are extracted
+from that state in log space, which keeps traces faithful far beyond the
+float64 coordinate range.
 """
 
 from __future__ import annotations

@@ -86,6 +86,13 @@ def test_diagonal_walks_keep_their_distance_when_the_small_entry_flushes(k):
     _check_diagonal_walk(k, 6)
 
 
+@pytest.mark.parametrize("k", [601, 700, 1000])
+def test_diagonal_walks_with_atoms_beyond_the_square_range(k):
+    # entries above 2^512 have no float square: no Frobenius norm of the
+    # unscaled product may be taken
+    _check_diagonal_walk(k, 6)
+
+
 def test_atoms_near_1e150_walk_without_overflow():
     # one step moves the largest entry by about 2^500: a renormalisation
     # every 16 steps would overflow long before the next one

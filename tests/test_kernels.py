@@ -182,6 +182,16 @@ def test_sample_terminals_are_the_single_path_ends_at_full_length(model):
     assert snaps == expected_snaps
 
 
+def test_h2xr_batched_heights_end_where_the_running_sum_does():
+    # the scalar running sum starts from 0.0, so -0.0 shifts sum to 0.0
+    atoms = [(_h2.IDENTITY, -0.0), (_h2.isometry(2, 0, 0, 0.5), -0.0)]
+    increments = np.array([[0, 1], [1, 1], [0, 0]], dtype=np.uint8)
+    _, snaps = _h2xr.orbit_paths(atoms, _h2xr.BASEPOINT, increments)
+    for path, (_, h) in zip(increments.T.tolist(), snaps):
+        _, states = _h2xr.orbit(atoms, _h2xr.BASEPOINT, path, {len(path)})
+        assert math.copysign(1.0, h) == math.copysign(1.0, states[-1][1]) == 1.0
+
+
 def _is_reduced_by_letters(word):
     # the letter loop is_reduced replaced, kept as the reference
     return all(ch in _t4.ALPHABET for ch in word) and all(
