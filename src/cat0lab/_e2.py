@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from ._random import uniform
+from .errors import UsageError
 
 TWO_PI = 2.0 * math.pi
 
@@ -223,6 +224,8 @@ DEFAULT_BINS = (16,)
 
 
 def bin_params(k: int) -> tuple:
+    if int(k) < 1:
+        raise UsageError("a bin scheme needs at least one arc")
     return (int(k),)
 
 

@@ -445,6 +445,8 @@ DEFAULT_BINS = (16,)
 
 
 def bin_params(k: int) -> tuple:
+    if int(k) < 1:
+        raise UsageError("a bin scheme needs at least one arc")
     return (int(k),)
 
 

@@ -313,7 +313,8 @@ DEFAULT_BINS = (8, 4)
 
 
 def bin_params(k_xi: int, k_alpha: int) -> tuple:
-    return (int(k_xi), int(k_alpha))
+    # circle arcs and slope arcs alike: at least one of each
+    return _h2.bin_params(k_xi) + _h2.bin_params(k_alpha)
 
 
 def bin_count(params) -> int:

@@ -409,6 +409,8 @@ DEFAULT_BINS = (2,)
 
 def bin_params(length: int) -> tuple:
     """(length, the reduced words of that length in ALPHABET order)."""
+    if int(length) < 0:
+        raise UsageError("a cylinder length must be nonnegative")
     words = [""]
     for _ in range(int(length)):
         words = [w + ch for w in words for ch in _NEXT_LETTERS[w[-1:]]]
@@ -420,7 +422,13 @@ def bin_count(params) -> int:
 
 
 def bin_index(params, b: tuple[str, str]) -> int:
-    return params[1].index(word_prefix(b, params[0]))
+    # the words are listed in mixed radix: 4 first letters, then 3 each
+    index, last = 0, ""
+    for ch in word_prefix(b, params[0]):
+        choices = _NEXT_LETTERS[last]
+        index = index * len(choices) + choices.index(ch)
+        last = ch
+    return index
 
 
 def bin_sample(params, i: int, rng, tol: float) -> tuple[str, str]:

@@ -169,7 +169,8 @@ class BinScheme:
     `bin_count`, `bin_index`, `bin_sample`): angular arcs (E2), circle arcs
     through the half-angle chart (H2), word cylinders (T4), arc x slope
     boxes plus two poles (H2xR).  The scheme holds the kernel's params and
-    delegates to it."""
+    delegates to it; `bin_params` raises UsageError for a scheme with no arcs
+    or a negative cylinder length."""
 
     model: Model
     params: tuple

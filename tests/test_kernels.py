@@ -521,3 +521,13 @@ BIN_DESCRIPTORS = [
 def test_bin_descriptor_and_count_are_pinned(scheme, descriptor):
     assert scheme.count == descriptor["count"]
     assert scheme.descriptor() == descriptor
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), length=st.integers(0, 6))
+def test_t4_bin_index_is_the_position_in_the_word_list(seed, length):
+    rng = np.random.default_rng(seed)
+    params = _t4.bin_params(length)
+    for _ in range(5):
+        b = _t4.random_boundary(rng, 0.0)
+        assert _t4.bin_index(params, b) == params[1].index(_t4.word_prefix(b, length))

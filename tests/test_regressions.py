@@ -2,8 +2,8 @@
 tracking digits sized from the dense walk, returns to the basepoint,
 per-config tolerances in a sweep, walks whose every path returns, repeated
 checkpoints, configs that fail mid-sweep, seeds, checkpoints and integer
-params out of range, long H2 products and their JSON round trip, and one
-rank-one audit per run."""
+params out of range, long H2 products and their JSON round trip, one
+rank-one audit per run, and bin schemes with no arcs."""
 
 import csv
 import json
@@ -284,3 +284,14 @@ def test_one_rankone_audit_per_run(tmp_path, monkeypatch):
         assert results["warnings"] == problems
         assert results["hypotheses_certified"] == (not problems)
     assert reports["dirac", "E2"]["results"]["warnings"]
+
+
+@pytest.mark.parametrize("make", [lambda: BinScheme.angular(0), lambda: BinScheme.circle(0),
+                                  lambda: BinScheme.product(0, 4),
+                                  lambda: BinScheme.product(8, 0),
+                                  lambda: BinScheme.cylinders(-1)],
+                         ids=["angular", "circle", "product-xi", "product-alpha", "cylinders"])
+def test_bin_schemes_without_arcs_fail_at_construction(make):
+    # index_of divides by the arc count, so a scheme needs at least one arc
+    with pytest.raises(UsageError):
+        make()
