@@ -368,9 +368,14 @@ def orbit_paths(atoms, base, increments):
     the columns, which add in the order of the scalar running sum."""
     dh, states = _h2.orbit_paths([g[0] for g in atoms], base[0], increments)
     shifts = np.array([g[1] for g in atoms])
-    steps = shifts.take(increments)
-    # 0.0 + turns a sum of -0.0 shifts into the 0.0 the scalar sum starts from
-    heights = (0.0 + np.cumsum(steps, axis=0, out=steps)[-1]).tolist()
+    heights = np.zeros(increments.shape[1])
+    # 64 rows at a time: the shifts of a whole (n, m) block would cost more
+    # memory than the walk itself
+    for first in range(0, len(increments), 64):
+        steps = shifts.take(increments[first:first + 64])
+        steps[0] += heights
+        heights = np.cumsum(steps, axis=0, out=steps)[-1]
+    heights = heights.tolist()
     return [math.hypot(d, h) for d, h in zip(dh, heights)], list(zip(states, heights))
 
 
