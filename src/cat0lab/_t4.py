@@ -421,12 +421,17 @@ def bin_count(params) -> int:
     return len(params[1])
 
 
+# each letter's position among the letters that may follow the previous one
+_NEXT_POSITION = {last: {ch: i for i, ch in enumerate(choices)}
+                  for last, choices in _NEXT_LETTERS.items()}
+
+
 def bin_index(params, b: tuple[str, str]) -> int:
-    # the words are listed in mixed radix: 4 first letters, then 3 each
+    # the words are listed in mixed radix: a digit of 4 first letters (which
+    # starts from index 0, so it is never scaled), then one of 3 per letter
     index, last = 0, ""
     for ch in word_prefix(b, params[0]):
-        choices = _NEXT_LETTERS[last]
-        index = index * len(choices) + choices.index(ch)
+        index = 3 * index + _NEXT_POSITION[last][ch]
         last = ch
     return index
 
