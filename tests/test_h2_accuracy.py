@@ -23,7 +23,8 @@ WORKLOAD_ATOMS = [h2_isometry(*m).data for m in
 # a bound on the relative error of a distance on the seeded paths below,
 # which err by at most 1.1e-14.  A path that strays far and comes back
 # amplifies the rounding of any float product: among 600 paths of the
-# escape workload's H2 drift one errs by about 1e-12 (the median is 1e-15)
+# escape workload's H2 drift one errs by about 1e-12, while the median
+# lies below 1e-15
 REL_TOL = 5e-14
 
 
