@@ -169,12 +169,11 @@ def _run_drift(cfg, hypotheses):
 
 def _run_converge(cfg, hypotheses):
     checkpoints = cfg.checkpoints or default_checkpoints(cfg.n)
-    thin = math.gcd(*checkpoints)
     paths, tails, rows = [], [], []
     for i in range(cfg.m_samples):
         tr = sample_walk(cfg.distribution, cfg.basepoint, cfg.n, cfg.seed,
-                         path_index=i, thin=thin)
-        prof = convergence_profile(tr, checkpoints)
+                         path_index=i, steps=checkpoints)
+        prof = convergence_profile(tr)
         paths.append({"path": i, "checkpoints": list(prof.checkpoints),
                       "cauchy_tail": list(prof.cauchy_tail)})
         # a path that never leaves the basepoint has no tail: null, not NaN
@@ -213,7 +212,7 @@ def _run_dirac(cfg, hypotheses):
     checkpoints = cfg.checkpoints or default_checkpoints(cfg.n, 10)
     problems = hypotheses_problems(hypotheses["admissibility"]["certified"],
                                    hypotheses["rankone_audit"]["verdict"])
-    rep = dirac_concentration(cfg.distribution, atoms0, cfg.n, cfg.seed,
+    rep = dirac_concentration(cfg.distribution, atoms0, cfg.seed,
                               checkpoints, atoms1=atoms1, basepoint=cfg.basepoint,
                               problems=problems)
     second = rep.spread_second or [""] * len(rep.checkpoints)
@@ -227,7 +226,8 @@ def _run_gap(cfg, hypotheses):
         raise ConfigError("gap experiment needs params.xi (a boundary point)")
     xi = boundary_from_json(cfg.params["xi"])
     thin = int(cfg.params.get("thin", 1))
-    tr = sample_walk(cfg.distribution, cfg.basepoint, cfg.n, cfg.seed, thin=thin)
+    tr = sample_walk(cfg.distribution, cfg.basepoint, cfg.n, cfg.seed,
+                     steps=[*range(thin, cfg.n + 1, thin), cfg.n])
     sup_gap, series = horofunction_gap(tr, xi)
     slope = theil_sen(tr.steps, series) if len(series) > 2 else 0.0
     steps, gaps = [int(k) for k in tr.steps], [float(v) for v in series]
@@ -260,8 +260,9 @@ def _run_track(cfg, hypotheses):
         lam = rep.lambda_hat
     lam = float(lam)
     checkpoints = cfg.checkpoints or default_checkpoints(cfg.n, 10)
+    # n is stored too, so the ray points at Z_n x
     tr = sample_walk(cfg.distribution, cfg.basepoint, cfg.n, cfg.seed,
-                     thin=math.gcd(*checkpoints))
+                     steps=[*checkpoints, cfg.n])
     ks, errs = tracking_error(tr, lam)
     steps, errors = [int(k) for k in ks], [float(e) for e in errs]
     return ({"lambda": lam, "steps": steps, "errors": errors},

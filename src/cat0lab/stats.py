@@ -7,11 +7,11 @@ are bit-stable for a given seed.  The drift and hitting estimators read
 only the ends of their paths and take them from `walk.sample_terminals`,
 which walks many paths together as numpy state and gives the same bits as
 walking them one at a time; the estimators that read along a path walk it
-alone, through `sample_walk`.  The readers of the visual metric (the Cauchy
-tail of a convergence profile, the Dirac spreads, the pi-convergence gaps)
-take all their pairs from one `boundary.boundary_distances` call, which
-charts each boundary point once, and reduce them with Python `max` in pair
-order.
+alone, through `sample_walk`, and read every step it stored for them.  The
+readers of the visual metric (the Cauchy tail of a convergence profile,
+the Dirac spreads, the pi-convergence gaps) take all their pairs from one
+`boundary.boundary_distances` call, which charts each boundary point once,
+and reduce them with Python `max` in pair order.
 
 No estimator branches on the model.  The hitting bins are laid out by the
 model's kernel (`bin_count`, `bin_index`, `bin_sample` in `models.KERNELS`);
@@ -125,17 +125,14 @@ class ConvergenceProfile:
     cauchy_tail: tuple
 
 
-def convergence_profile(trace: WalkTrace, checkpoints) -> ConvergenceProfile:
-    """Directions direction(x, Z_k x) at the requested stored checkpoints and
-    the suffix spread sup_{j,l >= k} of their pairwise boundary distances."""
-    step_index = {int(s): i for i, s in enumerate(trace.steps)}
+def convergence_profile(trace: WalkTrace) -> ConvergenceProfile:
+    """Directions direction(x, Z_k x) at the stored steps of a trace and the
+    suffix spread sup_{j,l >= k} of their pairwise boundary distances.  Steps
+    at the basepoint, step 0 among them, have no direction and are left out."""
     coords = []
     kept = []
     x = trace.basepoint
-    for k in checkpoints:
-        if int(k) not in step_index:
-            raise UsageError(f"checkpoint {k} was not stored in the trace")
-        i = step_index[int(k)]
+    for i, k in enumerate(trace.steps):
         p = trace.point(i)
         # the float orbit point can sit on x even where the log-space
         # distance of a return does not reach the tolerance
@@ -312,12 +309,13 @@ def _cross_spread(x: Point, cloud1, cloud2) -> float:
     return max(d for row in boundary_distances(x, cloud1, cloud2) for d in row)
 
 
-def dirac_concentration(spec: StepDistribution, atoms0, n: int, seed: int,
-                        checkpoints, atoms1=None, basepoint: Point | None = None,
+def dirac_concentration(spec: StepDistribution, atoms0, seed: int, checkpoints,
+                        atoms1=None, basepoint: Point | None = None,
                         problems=None) -> DiracReport:
-    """Per-path spread of the pushforward Z_k . atoms under one walk
-    realization; a vanishing spread (and cross spread when a second disjoint
-    atom set is given) witnesses the Dirac limit of the translated measures.
+    """Per-path spread of the pushforward Z_k . atoms at the positive
+    checkpoints k of one walk realization, which runs to the last of them; a
+    vanishing spread (and cross spread when a second disjoint atom set is
+    given) witnesses the Dirac limit of the translated measures.
 
     Hypothesis violations are reported as warnings, not errors, so negative
     controls run as first-class experiments.  `problems` are those of a
@@ -333,15 +331,14 @@ def dirac_concentration(spec: StepDistribution, atoms0, n: int, seed: int,
         raise UsageError("need at least one positive checkpoint")
     same_model(x, *atoms0, *(atoms1 or ()))
 
-    # snapshots are stored at the multiples of thin, so step k sits at k // thin
-    thin = math.gcd(*checkpoints)
-    trace = sample_walk(spec, x, checkpoints[-1], seed, thin=thin)
+    trace = sample_walk(spec, x, checkpoints[-1], seed, steps=checkpoints)
     spread0, spread1, cross = [], [], []
-    for k in checkpoints:
-        img0 = [trace.image(k // thin, b) for b in atoms0]
+    # stored step i is checkpoint i - 1, after step 0
+    for i in range(1, len(trace.steps)):
+        img0 = [trace.image(i, b) for b in atoms0]
         spread0.append(_cloud_spread(x, img0))
         if atoms1 is not None:
-            img1 = [trace.image(k // thin, b) for b in atoms1]
+            img1 = [trace.image(i, b) for b in atoms1]
             spread1.append(_cloud_spread(x, img1))
             cross.append(_cross_spread(x, img0, img1))
     return DiracReport(
@@ -393,9 +390,8 @@ def tracking_error(trace: WalkTrace, lam: float):
     x = trace.basepoint
     if trace.base_distances[-1] <= tolerance():
         raise UsageError("trace never left the basepoint; no direction proxy")
-    ks = [int(k) for k in trace.steps if int(k) > 0]
-    step_index = {int(k): i for i, k in enumerate(trace.steps)}
-    snaps = {k: trace.snapshots[step_index[k]] for k in ks}
+    ks = [int(k) for k in trace.steps[1:]]
+    snaps = dict(zip(ks, trace.snapshots[1:]))
     atoms = [g.data for g in trace.spec.isometries]
     gaps = KERNELS[trace.model].tracking_gaps(atoms, trace.increments, snaps, x.data, lam,
                                               tolerance())

@@ -9,12 +9,12 @@ Each model's walk loop lives in its kernel module: `orbit(atoms, base,
 increments, stored)` returns the distances d(Z_k x, x) at the stored steps
 only, and the product states at step 0 and at those steps, which
 `snapshot_point`, `snapshot_horofunction` and `snapshot_boundary` read.
-Most readers look only at the end of a path, and on H2 a distance costs
-more than the step itself.  Readers of many path ends take them from
-`sample_terminals`, which walks the paths together through the kernel's
-`orbit_paths`, one numpy operation per step for all of them, with the
-scalar loop's float operations in the same order, so every path ends on
-the same bits as when `sample_walk` walks it alone.
+`sample_walk` stores step 0 and only the steps its reader names: on H2 a
+distance costs more than the step itself.  Readers of many path ends take
+them from `sample_terminals`, which walks the paths together through the
+kernel's `orbit_paths`, one numpy operation per step for all of them, with
+the scalar loop's float operations in the same order, so every path ends
+on the same bits as when `sample_walk` walks it alone.
 
 Hyperbolic-factor products are tracked as float matrices with a separate
 power-of-two exponent, so a step is one matrix product.  The stored steps
@@ -218,19 +218,20 @@ def draw_increments(spec: StepDistribution, n: int, seed: int, path_index: int =
 
 
 def sample_walk(spec: StepDistribution, x: Point, n: int, seed: int,
-                path_index: int = 0, thin: int = 1) -> WalkTrace:
+                path_index: int = 0, steps=None) -> WalkTrace:
     """Deterministic walk realization for (spec, x, n, seed, path_index).
 
     Snapshots (and hence positions) and distances to the basepoint are
-    stored every `thin` steps plus the endpoints.
+    stored at step 0 and at the named `steps`, each in [0, n]; `None`
+    names every step.  Which steps are stored never changes the walk.
     """
     same_model(spec.isometries[0], x)
     if n < 0:
         raise UsageError("walk length must be nonnegative")
-    if thin < 1:
-        raise UsageError("thinning stride must be at least 1")
+    steps = sorted({0, *(range(n + 1) if steps is None else map(int, steps))})
+    if steps[0] < 0 or steps[-1] > n:
+        raise UsageError(f"stored steps must lie in [0, n] = [0, {n}]")
     increments = draw_increments(spec, n, seed, path_index)
-    steps = sorted({*range(0, n + 1, thin), n})
     dists, snaps = KERNELS[spec.model].orbit([g.data for g in spec.isometries], x.data,
                                              increments.tolist(), set(steps[1:]))
     return WalkTrace(
@@ -248,10 +249,10 @@ def sample_walk(spec: StepDistribution, x: Point, n: int, seed: int,
 
 def sample_terminals(spec: StepDistribution, x: Point, n: int, seed: int, m: int):
     """Terminal distances d(Z_n x, x), as an array, and terminal snapshots of
-    paths 0..m-1: bit for bit what `sample_walk(spec, x, n, seed,
-    path_index=i, thin=n)` stores last.  From the kernel's `BATCH_MIN_PATHS`
-    paths on, blocks of paths walk together through its `orbit_paths`, with
-    the increments of each path in one column; below that, one at a time."""
+    paths 0..m-1: bit for bit what `sample_walk(spec, x, n, seed, path_index=i,
+    steps=(n,))` stores last.  From the kernel's `BATCH_MIN_PATHS` paths on,
+    blocks of paths walk together through its `orbit_paths`, with the
+    increments of each path in one column; below that, one at a time."""
     same_model(spec.isometries[0], x)
     if n < 0:
         raise UsageError("walk length must be nonnegative")
@@ -259,7 +260,7 @@ def sample_terminals(spec: StepDistribution, x: Point, n: int, seed: int, m: int
     if n == 0 or m < kernel.BATCH_MIN_PATHS:
         dists, snaps = [], []
         for i in range(m):
-            tr = sample_walk(spec, x, n, seed, path_index=i, thin=max(n, 1))
+            tr = sample_walk(spec, x, n, seed, path_index=i, steps=(n,))
             dists.append(tr.base_distances[-1])
             snaps.append(tr.snapshots[-1])
         return np.array(dists, dtype=float), snaps

@@ -121,14 +121,14 @@ def test_boundary_convergence_and_flat_control(h2_spec, e2_centered):
     checkpoints = list(range(500, 1001, 50))
     settled = 0
     for seed in range(100):
-        tr = sample_walk(h2_spec, h2_point(0, 1), 1000, seed, thin=50)
-        prof = convergence_profile(tr, checkpoints)
+        tr = sample_walk(h2_spec, h2_point(0, 1), 1000, seed, steps=checkpoints)
+        prof = convergence_profile(tr)
         if prof.cauchy_tail and prof.cauchy_tail[0] <= 1e-2:
             settled += 1
     wandering = 0
     for seed in range(100):
-        tr = sample_walk(e2_centered, e2_point(0, 0), 1000, seed, thin=50)
-        prof = convergence_profile(tr, checkpoints)
+        tr = sample_walk(e2_centered, e2_point(0, 0), 1000, seed, steps=checkpoints)
+        prof = convergence_profile(tr)
         if not prof.cauchy_tail or prof.cauchy_tail[0] > 1e-2:
             wandering += 1
     ok = settled >= 95 and wandering >= 50
@@ -145,7 +145,7 @@ def test_dirac_concentration_and_uniqueness(h2_spec):
     atoms1 = sample_boundary(Model.H2, 10, 1002)
     good = 0
     for seed in range(100):
-        rep = dirac_concentration(h2_spec, atoms0, 200, seed, [200], atoms1=atoms1)
+        rep = dirac_concentration(h2_spec, atoms0, seed, [200], atoms1=atoms1)
         if (rep.spread[-1] <= 1e-3 and rep.spread_second[-1] <= 1e-3
                 and rep.cross_spread[-1] <= 1e-3):
             good += 1
@@ -221,7 +221,8 @@ def test_horofunction_gap_stays_bounded(h2_spec):
     xi = h2_boundary(5.0)
     no_growth = 0
     for seed in range(50):
-        tr = sample_walk(h2_spec, h2_point(0, 1), 10000, 3000 + seed, thin=50)
+        tr = sample_walk(h2_spec, h2_point(0, 1), 10000, 3000 + seed,
+                         steps=range(50, 10001, 50))
         _, series = horofunction_gap_series(tr, xi)
         ks = np.asarray([int(k) for k in tr.steps])
         keep = ks >= 1000
@@ -341,7 +342,7 @@ def test_rank_one_predicate_and_contraction_trends():
 def test_geodesic_tracking_tree(t4_uniform):
     good = 0
     for seed in range(100):
-        tr = sample_walk(t4_uniform, t4_point(""), 5000, seed, thin=5000)
+        tr = sample_walk(t4_uniform, t4_point(""), 5000, seed, steps=[5000])
         ks, errs = tracking_error(tr, 0.5)
         if errs[-1] <= 0.05:
             good += 1

@@ -163,6 +163,20 @@ def test_hitting_and_stationarity_run(tmp_path):
     assert rep2["results"]["defect"] < 0.2
 
 
+def test_track_reports_its_checkpoints_and_n(tmp_path):
+    # the walk stores the checkpoints and n, not every multiple of their gcd
+    out = tmp_path / "out"
+    for seed, checkpoints, steps in ((5, [7, 300], [7, 300]), (6, [7, 150], [7, 150, 300])):
+        cfg = write_config(tmp_path, f"track-{seed}.json", {
+            "experiment": "track", "model": "H2", "distribution": H2_CERTIFIED_DIST,
+            "n": 300, "m_samples": 10, "seed": seed, "checkpoints": checkpoints,
+        })
+        assert main(["run", str(cfg), "--outdir", str(out)]) == EXIT_OK
+        rep = read_report(out, "track", seed)
+        assert rep["results"]["steps"] == steps
+        assert len(rep["results"]["errors"]) == len(steps)
+
+
 def test_track_cocycle_northsouth_pi_tits(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, "track.json", {

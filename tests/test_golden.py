@@ -83,10 +83,10 @@ def golden_values(model: Model) -> dict:
     x = model_basepoint(model)
     xi = XI[model]
     drift = drift_estimate(spec, x, 200, 4, seed=7, allow_uncertified=True)
-    tr = sample_walk(spec, x, 200, 11, thin=20)
+    tr = sample_walk(spec, x, 200, 11, steps=range(20, 201, 20))
     _, gaps = horofunction_gap(tr, xi)
     _, errs = tracking_error(tr, max(drift.lambda_hat, 0.25))
-    dirac = dirac_concentration(spec, sample_boundary(model, 6, 3), 60, 5, [10, 60],
+    dirac = dirac_concentration(spec, sample_boundary(model, 6, 3), 5, [10, 60],
                                 atoms1=sample_boundary(model, 6, 4))
     rng = np.random.default_rng(13)
     residuals = []
@@ -265,7 +265,7 @@ def off_base_values(model: Model) -> dict:
     rng = np.random.default_rng(29)
     spec = StepDistribution.uniform([random_isometry(model, rng) for _ in range(3)])
     x, xi = OFF_BASE[model], XI[model]
-    tr = sample_walk(spec, x, 30, 17, thin=10)
+    tr = sample_walk(spec, x, 30, 17, steps=[10, 20, 30])
     o = model_basepoint(model)
     return {
         "base_distances": _hex(tr.base_distances),
@@ -369,8 +369,8 @@ RANK_ONE_G = {
 def metric_reader_values(model: Model) -> dict:
     spec = StepDistribution.uniform(SPECS[model])
     x = model_basepoint(model)
-    tr = sample_walk(spec, x, 60, 11, thin=6)
-    prof = convergence_profile(tr, [int(k) for k in tr.steps if k > 0])
+    tr = sample_walk(spec, x, 60, 11, steps=range(6, 61, 6))
+    prof = convergence_profile(tr)
     values = {"cauchy_tail": _hex(prof.cauchy_tail)}
     g = RANK_ONE_G.get(model)
     if g is not None:

@@ -130,14 +130,22 @@ def test_orbit_states_are_the_atom_products(model, seed, atom_count, draws):
 @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), atom_count=st.integers(1, 4),
-       n=st.integers(0, 30), thin=st.integers(1, 35))
-def test_walk_distances_sit_at_the_stored_steps(model, seed, atom_count, n, thin):
-    # base_distances[i] belongs to step steps[i], as point(i) does
+       n=st.integers(0, 30), data=st.data())
+def test_walk_distances_sit_at_the_stored_steps(model, seed, atom_count, n, data):
+    # base_distances[i] belongs to step steps[i], as point(i) does, and
+    # storing a step never changes the walk: every stored value is the one
+    # the every-step walk stores at that step
+    steps = data.draw(st.none() | st.sets(st.integers(0, n)))
     rng = np.random.default_rng(seed)
     spec = StepDistribution.uniform([random_isometry(model, rng) for _ in range(atom_count)])
     x = model_basepoint(model)
-    tr = sample_walk(spec, x, n, seed, thin=thin)
+    tr = sample_walk(spec, x, n, seed, steps=steps)
+    every = sample_walk(spec, x, n, seed)
+    assert list(every.steps) == list(range(n + 1))
+    assert list(tr.steps) == sorted({0, *(every.steps if steps is None else steps)})
     assert len(tr.base_distances) == len(tr.steps) == len(tr.snapshots)
+    assert list(tr.base_distances) == [every.base_distances[k] for k in tr.steps]
+    assert list(tr.snapshots) == [every.snapshots[k] for k in tr.steps]
     for i, d in enumerate(tr.base_distances):
         assert float(distance(x, tr.point(i))) == pytest.approx(d, rel=1e-9, abs=1e-9)
 
@@ -145,7 +153,7 @@ def test_walk_distances_sit_at_the_stored_steps(model, seed, atom_count, n, thin
 def _terminals_by_path(spec, x, n, seed, m):
     dists, snaps = [], []
     for i in range(m):
-        tr = sample_walk(spec, x, n, seed, path_index=i, thin=max(n, 1))
+        tr = sample_walk(spec, x, n, seed, path_index=i, steps=(n,))
         dists.append(tr.base_distances[-1])
         snaps.append(tr.snapshots[-1])
     return dists, snaps

@@ -45,7 +45,7 @@ def test_tracking_digits_cover_paths_that_outrun_the_drift(h2_spec):
     # the path gets far beyond lam * n = 30 nats; digits sized from lam * n
     # alone cancel the multiprecision orbit coordinates to zero
     # (ZeroDivisionError)
-    tr = sample_walk(h2_spec, h2_point(0, 1), 600, 3, thin=60)
+    tr = sample_walk(h2_spec, h2_point(0, 1), 600, 3, steps=range(60, 601, 60))
     ks, errs = tracking_error(tr, 0.05)
     assert list(ks) == list(range(60, 601, 60))
     assert np.all(np.isfinite(errs))
@@ -72,9 +72,9 @@ def test_tracking_digits_cover_the_dense_maximum(h2_spec, monkeypatch, model):
         return original(mats, increments, base, lam, steps, depth, **heights)
 
     monkeypatch.setattr(_h2, "mp_ray_gaps", spy)
-    tr = sample_walk(spec, x, 600, 0, thin=60)
+    tr = sample_walk(spec, x, 600, 0, steps=range(60, 601, 60))
     tracking_error(tr, 0.5)
-    dense_max = sample_walk(spec, x, 600, 0, thin=1).base_distances.max()
+    dense_max = sample_walk(spec, x, 600, 0).base_distances.max()
     assert seen == [dense_max]
     assert dense_max > tr.base_distances.max()
 
@@ -82,8 +82,8 @@ def test_tracking_digits_cover_the_dense_maximum(h2_spec, monkeypatch, model):
 def test_convergence_profile_skips_float_returns_to_the_basepoint(h2_spec):
     # at step 10 the log-space distance of this return is 6.66e-8, above the
     # tolerance, while the float orbit point sits on the basepoint
-    tr = sample_walk(h2_spec, h2_point(0, 1), 20, 1001, path_index=4, thin=10)
-    prof = convergence_profile(tr, [10, 20])
+    tr = sample_walk(h2_spec, h2_point(0, 1), 20, 1001, path_index=4, steps=[10, 20])
+    prof = convergence_profile(tr)
     assert prof.checkpoints == (20,)
 
 

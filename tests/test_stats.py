@@ -10,7 +10,6 @@ from cat0lab import (
     Model,
     StepDistribution,
     UncertifiedError,
-    UsageError,
     boundary_metric,
     cocycle_residual,
     convergence_profile,
@@ -65,8 +64,8 @@ def test_drift_basepoint_change_bound(h2_spec):
     from cat0lab import distance
 
     for i in range(5):
-        tx = sample_walk(h2_spec, x, n, 31, path_index=i, thin=n)
-        tz = sample_walk(h2_spec, z, n, 31, path_index=i, thin=n)
+        tx = sample_walk(h2_spec, x, n, 31, path_index=i, steps=[n])
+        tz = sample_walk(h2_spec, z, n, 31, path_index=i, steps=[n])
         assert abs(tx.base_distances[-1] - tz.base_distances[-1]) <= 2 * distance(x, z) + 1e-7
 
 
@@ -99,15 +98,15 @@ def test_drift_report_consistency(t4_uniform):
 def test_convergence_profile_deterministic_constant():
     g = h2_isometry(2, 0, 0, 0.5)
     det = StepDistribution(Model.H2, ((g, 1.0),))
-    tr = sample_walk(det, h2_point(0, 1), 30, 0, thin=3)
-    prof = convergence_profile(tr, [3, 9, 15, 21, 27, 30])
+    tr = sample_walk(det, h2_point(0, 1), 30, 0, steps=[3, 9, 15, 21, 27, 30])
+    prof = convergence_profile(tr)
     assert all(v == 0.0 for v in prof.cauchy_tail)
     assert all(b.data == math.inf for b in prof.boundary_coords)
 
 
 def test_convergence_profile_tail_nonincreasing(h2_spec):
-    tr = sample_walk(h2_spec, h2_point(0, 1), 300, 3, thin=20)
-    prof = convergence_profile(tr, list(range(20, 301, 20)))
+    tr = sample_walk(h2_spec, h2_point(0, 1), 300, 3, steps=range(20, 301, 20))
+    prof = convergence_profile(tr)
     tail = prof.cauchy_tail
     assert all(a >= b - 1e-15 for a, b in zip(tail, tail[1:]))
 
@@ -115,24 +114,19 @@ def test_convergence_profile_tail_nonincreasing(h2_spec):
 def test_convergence_profile_h2_settles_e2_wanders(h2_spec, e2_centered):
     settled = 0
     for i in range(10):
-        tr = sample_walk(h2_spec, h2_point(0, 1), 600, 100 + i, thin=30)
-        prof = convergence_profile(tr, list(range(300, 601, 30)))
+        tr = sample_walk(h2_spec, h2_point(0, 1), 600, 100 + i, steps=range(300, 601, 30))
+        prof = convergence_profile(tr)
         if prof.cauchy_tail and prof.cauchy_tail[0] <= 1e-2:
             settled += 1
     assert settled >= 9
     wandered = 0
     for i in range(10):
-        tr = sample_walk(e2_centered, e2_point(0, 0), 600, 200 + i, thin=30)
-        prof = convergence_profile(tr, list(range(300, 601, 30)))
+        tr = sample_walk(e2_centered, e2_point(0, 0), 600, 200 + i,
+                         steps=range(300, 601, 30))
+        prof = convergence_profile(tr)
         if prof.cauchy_tail and prof.cauchy_tail[0] > 1e-2:
             wandered += 1
     assert wandered >= 5
-
-
-def test_convergence_profile_requires_stored_checkpoints(h2_spec):
-    tr = sample_walk(h2_spec, h2_point(0, 1), 100, 1, thin=10)
-    with pytest.raises(UsageError):
-        convergence_profile(tr, [15])
 
 
 def test_hitting_single_atom_unit_mass():
@@ -259,7 +253,7 @@ def test_dirac_deterministic_rank_one():
     g = h2_isometry(2, 0, 0, 0.5)
     det = StepDistribution(Model.H2, ((g, 1.0),))
     atoms = [h2_boundary(v) for v in (1.0, 2.0, -3.0, 0.5)]
-    rep = dirac_concentration(det, atoms, 40, 0, [5, 10, 20, 40])
+    rep = dirac_concentration(det, atoms, 0, [5, 10, 20, 40])
     assert rep.spread[0] > rep.spread[-1]
     assert rep.spread[-1] <= 1e-6
     assert not rep.hypotheses_certified  # single atom cannot be non-elementary
@@ -269,7 +263,7 @@ def test_dirac_deterministic_rank_one():
 def test_dirac_uniqueness_witness(h2_spec):
     atoms0 = sample_boundary(Model.H2, 8, 11)
     atoms1 = sample_boundary(Model.H2, 8, 12)
-    rep = dirac_concentration(h2_spec, atoms0, 120, 5, [30, 60, 120], atoms1=atoms1)
+    rep = dirac_concentration(h2_spec, atoms0, 5, [30, 60, 120], atoms1=atoms1)
     assert rep.hypotheses_certified
     assert rep.spread[-1] <= 1e-3
     assert rep.spread_second[-1] <= 1e-3
@@ -278,7 +272,7 @@ def test_dirac_uniqueness_witness(h2_spec):
 
 def test_dirac_translation_control_spread_constant(e2_centered):
     atoms = [e2_boundary(t) for t in (0.1, 1.0, 2.5, 4.0)]
-    rep = dirac_concentration(e2_centered, atoms, 60, 3, [10, 30, 60])
+    rep = dirac_concentration(e2_centered, atoms, 3, [10, 30, 60])
     assert rep.spread[0] == pytest.approx(rep.spread[-1])  # translations fix the circle
     assert not rep.hypotheses_certified
 
@@ -314,7 +308,7 @@ def test_gap_series_obeys_cocycle_decomposition(h2_spec, t4_uniform):
 
 
 def test_gap_bounded_for_certified_h2(h2_spec):
-    tr = sample_walk(h2_spec, h2_point(0, 1), 3000, 17, thin=30)
+    tr = sample_walk(h2_spec, h2_point(0, 1), 3000, 17, steps=range(30, 3001, 30))
     sup_gap, series = horofunction_gap(tr, h2_boundary(5.0))
     ks = [int(k) for k in tr.steps]
     slope = theil_sen(ks[10:], series[10:])
@@ -324,7 +318,7 @@ def test_gap_bounded_for_certified_h2(h2_spec):
 
 
 def test_gap_grows_for_e2_control(e2_centered):
-    tr = sample_walk(e2_centered, e2_point(0, 0), 4000, 3, thin=40)
+    tr = sample_walk(e2_centered, e2_point(0, 0), 4000, 3, steps=range(40, 4001, 40))
     sup_gap, series = horofunction_gap(tr, e2_boundary(0.0))
     ks = [int(k) for k in tr.steps]
     slope = theil_sen(ks, series)
@@ -365,13 +359,13 @@ def test_cocycle_exact_on_tree(rng):
 def test_tracking_deterministic_zero():
     g = h2_isometry(2, 0, 0, 0.5)
     det = StepDistribution(Model.H2, ((g, 1.0),))
-    tr = sample_walk(det, h2_point(0, 1), 40, 0, thin=4)
+    tr = sample_walk(det, h2_point(0, 1), 40, 0, steps=range(4, 41, 4))
     ks, errs = tracking_error(tr, 2 * math.log(2))
     assert max(errs) <= 1e-9
 
 
 def test_tracking_tree_uniform_decreases(t4_uniform):
-    tr = sample_walk(t4_uniform, t4_point(""), 3000, 5, thin=300)
+    tr = sample_walk(t4_uniform, t4_point(""), 3000, 5, steps=range(300, 3001, 300))
     ks, errs = tracking_error(tr, 0.5)
     assert errs[-1] <= 0.05
     assert theil_sen(ks, errs) <= 0.0
@@ -380,7 +374,8 @@ def test_tracking_tree_uniform_decreases(t4_uniform):
 def test_tracking_h2_decreasing_trend(h2_spec):
     slopes = []
     for seed in range(5):
-        tr = sample_walk(h2_spec, h2_point(0, 1), 1200, 400 + seed, thin=60)
+        tr = sample_walk(h2_spec, h2_point(0, 1), 1200, 400 + seed,
+                         steps=range(60, 1201, 60))
         lam = tr.base_distances[-1] / 1200
         ks, errs = tracking_error(tr, lam)
         slopes.append(theil_sen(ks, errs))

@@ -7,6 +7,7 @@ from cat0lab import (
     DistributionError,
     Model,
     StepDistribution,
+    UsageError,
     apply,
     boundary_points_equal,
     compose,
@@ -76,7 +77,7 @@ def test_determinism_bitwise(h2_spec):
 
 
 def test_atom_frequencies_within_three_sigma(t4_uniform):
-    tr = sample_walk(t4_uniform, t4_point(""), 100000, 1, thin=100000)
+    tr = sample_walk(t4_uniform, t4_point(""), 100000, 1, steps=[100000])
     freqs = np.bincount(tr.increments, minlength=4) / 100000
     sigma = math.sqrt(0.25 * 0.75 / 100000)
     assert np.all(np.abs(freqs - 0.25) <= 3 * sigma)
@@ -121,10 +122,18 @@ def test_base_distance_matches_positions(h2_spec):
 
 def test_thinning_keeps_endpoints(h2_spec):
     x = h2_point(0, 1)
-    tr = sample_walk(h2_spec, x, 103, 7, thin=20)
+    tr = sample_walk(h2_spec, x, 103, 7, steps=[*range(20, 104, 20), 103])
     assert list(tr.steps) == [0, 20, 40, 60, 80, 100, 103]
     assert len(tr.snapshots) == len(tr.steps)
     assert len(tr.base_distances) == len(tr.steps)
+
+
+def test_walk_stores_exactly_the_named_steps(h2_spec):
+    x = h2_point(0, 1)
+    assert list(sample_walk(h2_spec, x, 10, 7, steps=[3, 7]).steps) == [0, 3, 7]
+    for outside in ([11], [-1]):
+        with pytest.raises(UsageError):
+            sample_walk(h2_spec, x, 10, 7, steps=outside)
 
 
 def test_inverse_walk_examples(t4_uniform):
