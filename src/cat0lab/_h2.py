@@ -20,7 +20,7 @@ basepoint, horofunctions, positions) are extracted from that
 representation in log space.
 
 This module is the H2 entry of the kernel table in `models.KERNELS`; see
-`_e2` for the shared function names.
+`_e2` for the shared function names; `_h2xr` calls it for its H2 factor.
 """
 
 from __future__ import annotations
@@ -629,13 +629,8 @@ def csv_row(p: complex) -> list:
 
 
 def tracking_gaps(atoms, increments, snaps, base: complex, lam: float, tol: float) -> dict:
-    """d(gamma(lam k), Z_k x) for the snapshot steps k, re-tracked in
-    multiprecision (see mp_ray_gaps).  The digits must cover the farthest
-    the path strays from x, which can lie between stored steps, so the path
-    is walked again densely for that depth."""
-    depth = max(orbit(atoms, base, increments.tolist(), range(1, len(increments) + 1))[0],
-                default=0.0)
-    return mp_ray_gaps(atoms, increments, base, lam, list(snaps), depth)
+    """d(gamma(lam k), Z_k x) at the snapshot steps k (see mp_ray_gaps)."""
+    return mp_ray_gaps(atoms, increments, base, lam, list(snaps))[0]
 
 
 # -- multiprecision kernel ----------------------------------------------------
@@ -696,21 +691,23 @@ def busemann_limit(xi: float, x: complex, z: complex, t: float) -> float:
         return float(d - mp.mpf(t))
 
 
-def mp_ray_gaps(mats, increments, x: complex, lam: float, steps, depth: float,
-                heights=None, base_height: float = 0.0):
-    """d(gamma(lam k), Z_k x) at the given steps, for the ray gamma from x
-    toward direction(x, Z_N x) at the final recorded step N.
+def mp_ray_gaps(mats, increments, x: complex, lam: float, steps, rise: float = 0.0):
+    """(gaps, alpha): d(gamma(lam k cos alpha), Z_k x) at the given steps, for
+    the ray gamma from x toward direction(x, Z_N x) at the final recorded
+    step N, and the slope alpha = atan2(rise, d(x, Z_N x)) of a product
+    model whose path rises by `rise` in its other factor.
 
     The matrix product runs in multiprecision with depth-adapted digits:
     float64 cannot hold the transverse position of a deep hyperbolic orbit,
     so no fixed-precision reframing recovers the tracking geometry.  The
-    digits cover the larger of lam * N and `depth`, the farthest the path
-    got from x: a path that outruns lam * N by some hundred nats otherwise
-    cancels its orbit coordinates to zero.  With `heights` the walk is the
-    horizontal factor of a product: the ray slope comes from the recorded
-    vertical displacement and the returned gaps are full product distances."""
+    digits cover the larger of lam * N and the farthest any step of the
+    path gets from x, found by a dense float re-walk: a path that outruns
+    lam * N by some hundred nats otherwise cancels its orbit coordinates to
+    zero."""
     import mpmath as mp
 
+    increments = increments.tolist()
+    depth = max(orbit(mats, x, increments, range(1, len(increments) + 1))[0], default=0.0)
     steps = [int(k) for k in steps if int(k) > 0]
     n = max(steps)
     want = set(steps)
@@ -720,31 +717,22 @@ def mp_ray_gaps(mats, increments, x: complex, lam: float, steps, depth: float,
         a, b, c, d = one, zero, zero, one
         atoms = [tuple(mp.mpf(e) for e in m) for m in mats]
         xr, xim = mp.mpf(x.real), mp.mpf(x.imag)
-        orbit = {}
+        images = {}
         for k in range(1, n + 1):
-            e, f, g, h = atoms[int(increments[k - 1])]
+            e, f, g, h = atoms[increments[k - 1]]
             a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
             if k in want:
                 den = (c * xr + d) ** 2 + (c * xim) ** 2
                 wr = ((a * xr + b) * (c * xr + d) + a * c * xim * xim) / den
                 wi = (a * d - b * c) * xim / den
-                orbit[k] = (wr, wi)
-        wr_n, wi_n = orbit[n]
+                images[k] = (wr, wi)
+        wr_n, wi_n = images[n]
         xi_dir = _mp_direction(xr, xim, wr_n, wi_n, mp)
-        cos_a, sin_a = 1.0, 0.0
-        if heights is not None:
-            dh_n = _mp_dist(xr, xim, wr_n, wi_n, mp)
-            alpha = math.atan2(heights[n] - base_height, float(dh_n))
-            cos_a, sin_a = math.cos(alpha), math.sin(alpha)
+        alpha = math.atan2(rise, float(_mp_dist(xr, xim, wr_n, wi_n, mp)))
+        cos_a = mp.mpf(math.cos(alpha))
         gaps = {}
         for k in steps:
-            wr, wi = orbit[k]
-            t = mp.mpf(lam) * k
-            pr, pi = _mp_ray(xr, xim, xi_dir, t * mp.mpf(cos_a), mp)
-            dh = float(_mp_dist(pr, pi, wr, wi, mp))
-            if heights is None:
-                gaps[k] = dh
-            else:
-                dv = (base_height + float(t) * sin_a) - heights[k]
-                gaps[k] = math.hypot(dh, dv)
-        return gaps
+            wr, wi = images[k]
+            pr, pi = _mp_ray(xr, xim, xi_dir, mp.mpf(lam) * k * cos_a, mp)
+            gaps[k] = float(_mp_dist(pr, pi, wr, wi, mp))
+        return gaps, alpha

@@ -5,7 +5,9 @@ The squared distance is the sum of the squared factor distances.  Boundary
 directions are pairs (xi, alpha) with xi a boundary point of the hyperbolic
 factor and alpha in [-pi/2, pi/2] the slope toward the +R direction; the
 two vertical directions alpha = +-pi/2 have no horizontal component
-(xi = None).  Isometries are pairs (matrix, vertical shift).
+(xi = None).  Isometries are pairs (matrix, vertical shift).  Every
+operation on the hyperbolic factor calls `_h2`; this module adds the
+height, the shift or the slope.
 
 This module is the H2xR entry of the kernel table in `models.KERNELS`; see
 `_e2` for the shared function names.
@@ -22,7 +24,6 @@ from . import _h2
 from ._random import uniform
 from .errors import UsageError
 
-INF = math.inf
 HALF_PI = math.pi / 2.0
 
 BASEPOINT = (complex(0.0, 1.0), 0.0)
@@ -153,11 +154,11 @@ def apply_boundary(iso, b):
 
 
 def compose(g, h):
-    return (_h2.make_matrix(*_h2.mat_mul(g[0], h[0])), g[1] + h[1])
+    return (_h2.compose(g[0], h[0]), g[1] + h[1])
 
 
 def inverse(g):
-    return (_h2.sign_normalize(_h2.mat_inv(g[0])), -g[1])
+    return (_h2.inverse(g[0]), -g[1])
 
 
 def classify(g, tol: float) -> tuple[str, float]:
@@ -291,8 +292,7 @@ def random_axial(rng):
 
 
 def random_boundary(rng, tol: float):
-    phi = uniform(rng, -math.pi, math.pi)
-    xi = INF if abs(phi) > math.pi - 1e-12 else math.tan(phi / 2.0)
+    xi = _h2.random_boundary(rng, tol)
     alpha = uniform(rng, -HALF_PI * 0.999, HALF_PI * 0.999)
     return boundary(xi, alpha, tol)
 
@@ -405,12 +405,12 @@ def csv_row(p) -> list:
 
 
 def tracking_gaps(atoms, increments, snaps, base, lam: float, tol: float) -> dict:
-    """Product distances d(gamma(lam k), Z_k x): the horizontal factor is
-    re-tracked in multiprecision, the heights come from the snapshots.  As
-    in `_h2.tracking_gaps`, the digits cover the farthest product distance
-    of a dense re-walk."""
-    depth = max(orbit(atoms, base, increments.tolist(), range(1, len(increments) + 1))[0],
-                default=0.0)
+    """Product distances d(gamma(lam k), Z_k x): `_h2.mp_ray_gaps` re-tracks
+    the horizontal factor along the slope of the final recorded step, and
+    the heights come from the snapshots."""
     heights = {k: s[1] + base[1] for k, s in snaps.items()}
-    return _h2.mp_ray_gaps([g[0] for g in atoms], increments, base[0], lam, list(snaps),
-                           depth, heights=heights, base_height=base[1])
+    rise = heights[max(heights)] - base[1]
+    gaps, alpha = _h2.mp_ray_gaps([g[0] for g in atoms], increments, base[0], lam,
+                                  list(snaps), rise)
+    return {k: math.hypot(dh, (base[1] + lam * k * math.sin(alpha)) - heights[k])
+            for k, dh in gaps.items()}

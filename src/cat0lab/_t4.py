@@ -142,10 +142,17 @@ def word_prefix(b: tuple[str, str], n: int) -> str:
     return prefix + (period * reps)[:k]
 
 
+def separating_prefixes(b1: tuple[str, str], b2: tuple[str, str]) -> tuple[str, str]:
+    """Initial words of b1 and b2 that differ unless the ends are equal: the
+    tails agree for good once they agree over the lcm of their periods."""
+    n = len(b1[0]) + len(b2[0]) + 2 * math.lcm(len(b1[1]), len(b2[1])) + 2
+    return word_prefix(b1, n), word_prefix(b2, n)
+
+
 def boundary_eq(b1: tuple[str, str], b2: tuple[str, str], tol: float = 0.0) -> bool:
     """Exact comparison; the tolerance of the other models does not apply."""
-    n = len(b1[0]) + len(b2[0]) + 2 * math.lcm(len(b1[1]), len(b2[1])) + 2
-    return word_prefix(b1, n) == word_prefix(b2, n)
+    w1, w2 = separating_prefixes(b1, b2)
+    return w1 == w2
 
 
 def match_len(b: tuple[str, str], word: str) -> int:
@@ -185,9 +192,8 @@ def gromov_product(x: str, b1: tuple[str, str], b2: tuple[str, str]) -> float:
     The ray from x toward b climbs from x to x[:m], m = match_len(b, x), and
     then descends along b.  Rays with different m part where the shorter
     climb ends.  Rays with the same m descend together until b1 and b2
-    differ, which they do within the prefixes that `boundary_eq` compares."""
-    n = len(b1[0]) + len(b2[0]) + 2 * math.lcm(len(b1[1]), len(b2[1])) + 2
-    w1, w2 = word_prefix(b1, n), word_prefix(b2, n)
+    differ, which they do within their `separating_prefixes`."""
+    w1, w2 = separating_prefixes(b1, b2)
     if w1 == w2:
         return math.inf
     m1, m2 = match_len(b1, x), match_len(b2, x)
@@ -356,8 +362,8 @@ def tits(b1: tuple[str, str], b2: tuple[str, str], tol: float) -> float:
 
 def geodesic_witness(b1: tuple[str, str], b2: tuple[str, str], tol: float):
     """The branch vertex of two distinct ends; tree geodesics are contracting."""
-    k = int(lcp(word_prefix(b1, 64), word_prefix(b2, 64)))
-    return word_prefix(b1, k), True
+    w1, w2 = separating_prefixes(b1, b2)
+    return w1[:lcp(w1, w2)], True
 
 
 # -- samplers -----------------------------------------------------------------

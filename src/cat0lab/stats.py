@@ -97,6 +97,8 @@ def drift_estimate(spec: StepDistribution, x: Point, n: int, m_samples: int,
     mean h_xi(Z_n x)/n for a fixed boundary point."""
     if n < 1 or m_samples < 1:
         raise UsageError("need positive walk length and sample count")
+    if horofunction_xi is not None:
+        same_model(x, horofunction_xi)
     _require_certified(spec, allow_uncertified)
     dists, snaps = sample_terminals(spec, x, n, seed, m_samples)
     terms = dists / n

@@ -7,6 +7,7 @@ from cat0lab import (
     Model,
     UsageError,
     VisualNeighborhood,
+    _t4,
     angle_at_infinity,
     boundary_metric,
     boundary_points_equal,
@@ -267,6 +268,15 @@ def test_rank_one_witness_examples():
     t = rank_one_geodesic_witness(t4_boundary("a", "a"), t4_boundary("b", "b"))
     assert t is not None and t.rank_one
     assert t.point_on.data == ""
+
+
+def test_t4_witness_is_the_branch_vertex_of_ends_that_part_late():
+    # the witness compared 64 letters only: here it stopped at a^64, 6 steps
+    # short of the geodesic joining the two ends
+    b1, b2 = t4_boundary("a" * 70, "b"), t4_boundary("a" * 70, "B")
+    w = rank_one_geodesic_witness(b1, b2)
+    assert w.point_on.data == "a" * 70
+    assert _t4.gromov_product(w.point_on.data, b1.data, b2.data) == 0.0
 
 
 def test_rank_one_witness_h2xr():

@@ -357,6 +357,17 @@ def test_off_base_walk_values(model):
     assert off_base_values(model) == OFF_BASE_GOLDEN[model.value]
 
 
+def test_off_base_h2xr_tracking_error():
+    # the ray of an off-base H2xR walk starts at height 0.7, which the slope
+    # of its rise and the vertical gaps both read; pinned from commit 0721bca
+    rng = np.random.default_rng(29)
+    spec = StepDistribution.uniform([random_isometry(Model.H2xR, rng) for _ in range(3)])
+    tr = sample_walk(spec, OFF_BASE[Model.H2xR], 30, 17, steps=[10, 20, 30])
+    _, errs = tracking_error(tr, 0.25)
+    assert _hex(errs) == ["0x1.9fe8829372008p-2", "0x1.09ed07164dbf9p-2",
+                          "0x1.a857b209f1593p-3"]
+
+
 # Axial generators, one per rank-one model, for the North-South and
 # pi-convergence readers of the visual metric (E2 and H2xR have no rank-one
 # isometry, so both readers raise there).

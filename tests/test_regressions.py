@@ -7,7 +7,9 @@ rank-one audit per run, and bin schemes with no arcs."""
 
 import csv
 import json
+import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ from cat0lab import (
     tolerance,
     tracking_error,
 )
-from cat0lab import _h2, cli, stats
+from cat0lab import cli, stats
 from cat0lab.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, main
 from cat0lab.models import DEFAULT_TOLERANCE, isometry_from_json, isometry_to_json
 from cat0lab.walk import draw_increments
@@ -60,23 +62,33 @@ def _h2xr_spec():
 @pytest.mark.parametrize("model", [Model.H2, Model.H2xR], ids=lambda m: m.value)
 def test_tracking_digits_cover_the_dense_maximum(h2_spec, monkeypatch, model):
     # on this path the farthest point from x lies between stored steps, so
-    # the stored distances alone would size the digits too small
+    # the stored distances alone would size the digits too small; lam * n
+    # is far below either, so the depth alone sets the digits
     spec, x = ((h2_spec, h2_point(0, 1)) if model is Model.H2
                else (_h2xr_spec(), h2xr_point(0, 1, 0)))
-    # both kernels hand their depth to the multiprecision re-tracking
-    original = _h2.mp_ray_gaps
-    seen = []
+    dps = []
+    original = mpmath.workdps
 
-    def spy(mats, increments, base, lam, steps, depth, **heights):
-        seen.append(depth)
-        return original(mats, increments, base, lam, steps, depth, **heights)
+    def recorded(n, *args, **kwargs):
+        dps.append(n)
+        return original(n, *args, **kwargs)
 
-    monkeypatch.setattr(_h2, "mp_ray_gaps", spy)
-    tr = sample_walk(spec, x, 600, 0, steps=range(60, 601, 60))
-    tracking_error(tr, 0.5)
-    dense_max = sample_walk(spec, x, 600, 0).base_distances.max()
-    assert seen == [dense_max]
-    assert dense_max > tr.base_distances.max()
+    monkeypatch.setattr(mpmath, "workdps", recorded)
+    tr = sample_walk(spec, x, 600, 56, steps=range(60, 601, 60))
+    tracking_error(tr, 0.05)
+    # the hyperbolic factor of both walks is the H2 walk of h2_spec, which
+    # draws the same increments
+    dense_max = sample_walk(h2_spec, h2_point(0, 1), 600, 56).base_distances.max()
+    stored_max = sample_walk(h2_spec, h2_point(0, 1), 600, 56,
+                             steps=range(60, 601, 60)).base_distances.max()
+    assert dense_max > stored_max
+
+    def digits(depth):
+        return int((depth + 80.0) / math.log(10.0)) + 40
+
+    # 232 digits; the stored maximum gives 230, and the H2xR product
+    # distances of the dense walk give 233
+    assert dps == [digits(dense_max)] and digits(dense_max) > digits(stored_max)
 
 
 def test_convergence_profile_skips_float_returns_to_the_basepoint(h2_spec):
@@ -114,6 +126,17 @@ def _uniform_dist(model, payloads):
 H2_DIST = _uniform_dist("H2", [{"matrix": m} for m in
                                ([2, 0, 0, 0.5], [0.5, 0, 0, 2], [1, 1, 1, 2], [2, -1, -1, 1])])
 T4_DIST = _uniform_dist("T4", [{"word": w} for w in "aAbB"])
+
+
+def test_drift_rejects_a_horofunction_end_of_another_model(tmp_path, capsys):
+    # the parent exited 1 with a TypeError traceback from the H2 kernel
+    cfg = {"experiment": "drift", "model": "H2", "seed": 1, "distribution": H2_DIST,
+           "n": 20, "m_samples": 2,
+           "params": {"horofunction_xi": {"model": "T4", "word": "ab", "periodic": "a"}}}
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert main(["run", str(tmp_path / "c.json"), "--outdir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "mixed models" in json.loads(capsys.readouterr().err)["detail"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_dirac_counts_a_repeated_checkpoint_once(tmp_path):
@@ -225,6 +248,14 @@ def test_h2_power_survives_long_products():
     g30 = power(h2_isometry(1, 1, 1, 2), 30)
     # z -> (z + 1)/(z + 2) attracts toward the fixed point (sqrt 5 - 1)/2
     assert apply_boundary(g30, h2_boundary(0.0)).data == pytest.approx((5 ** 0.5 - 1) / 2)
+
+
+def test_h2xr_power_multiplies_its_matrix_as_h2_does():
+    # the H2xR product renormalised by a*d - b*c, which drifts from the H2
+    # product (translation length 37.80 against 38.50 at the 20th power) and
+    # cancels to zero by the 25th
+    h = h2_isometry(1, 1, 1, 2)
+    assert power(h2xr_isometry(h, 0.3), 30).data[0] == power(h, 30).data
 
 
 def test_long_h2_product_round_trips_through_json():
