@@ -58,7 +58,6 @@ from .stats import (
     hitting_measure,
     horofunction_gap,
     hypotheses_audit,
-    hypotheses_problems,
     pi_convergence_check,
     stationarity_defect,
     cocycle_residual,
@@ -80,10 +79,38 @@ class ConfigError(ValueError):
     pass
 
 
-# integer params and their least values, checked at load whatever the
-# experiment; the runners read each of them with int()
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError, DistributionError,
+              DomainError, UsageError)
+
+
+# The params the runners read, checked and converted at load whatever the
+# experiment: integers with their least values, finite floats (lambda may
+# also be "auto"), a JSON boolean, and isometry and boundary payloads.
 INT_PARAMS = {"bins": 0, "count": 1, "k_count": 1, "samples": 1, "atom_count": 2,
-              "refinement_samples": 1, "thin": 1}
+              "refinement_samples": 1, "thin": 1, "powers": 1, "cap": 1}
+FLOAT_PARAMS = ("eps_plus", "eps_minus", "u_eps", "exclusion", "lambda")
+
+
+def _param(key: str, value, tol: float):
+    """One param as its runner reads it; boundary payloads parse under the
+    config's own tolerance."""
+    if key in INT_PARAMS:
+        if int(value) < INT_PARAMS[key]:
+            raise ValueError(f"must be an integer >= {INT_PARAMS[key]}")
+        return int(value)
+    if key in FLOAT_PARAMS and not (key == "lambda" and value == "auto"):
+        if not math.isfinite(x := float(value)):
+            raise ValueError("must be a finite number")
+        return x
+    if key == "second_set" and not isinstance(value, bool):
+        raise ValueError("must be true or false")
+    if key == "g":
+        return isometry_from_json(value)
+    if key in ("xi", "horofunction_xi"):
+        return boundary_from_json(value, tol)
+    if key in ("atoms0", "atoms1"):
+        return [boundary_from_json(b, tol) for b in value]
+    return value
 
 
 @dataclass
@@ -96,8 +123,8 @@ class ExperimentConfig:
     m_samples: int
     seed: int
     checkpoints: list[int] | None
-    params: dict
-    tolerance: float | None
+    params: dict  # as the runners read them: numbers, isometries, boundary points
+    tolerance: float  # the default when the config gives none
     raw: dict
 
 
@@ -132,17 +159,21 @@ def load_config(path) -> ExperimentConfig:
         checkpoints = [int(k) for k in raw["checkpoints"]] if "checkpoints" in raw else None
         if checkpoints is not None and not all(1 <= k <= n for k in checkpoints):
             raise ConfigError(f"checkpoints must lie in [1, n] = [1, {n}]")
-        params = dict(raw.get("params", {}))
-        for key, least in INT_PARAMS.items():
-            if key in params and int(params[key]) < least:
-                raise ConfigError(f"params.{key} must be an integer >= {least}")
         tol = raw.get("tolerance")
+        tol = DEFAULT_TOLERANCE if tol is None else float(tol)
+        if not 0 < tol < math.inf:
+            raise ConfigError("tolerance must be a positive finite number")
+        params = {}
+        for key, value in dict(raw.get("params", {})).items():
+            try:
+                params[key] = _param(key, value, tol)
+            except _MALFORMED as exc:
+                raise ConfigError(f"params.{key} is malformed: {exc}") from exc
         return ExperimentConfig(experiment, model, dist, base, n, m, seed,
                                 checkpoints, params, tol, raw)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError, DistributionError,
-            UsageError) as exc:
+    except _MALFORMED as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
@@ -154,20 +185,18 @@ def _hypotheses_block(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
     return {"admissibility": vars(adm), "rankone_audit": asdict(audit)}, problems
 
 
-# Each runner takes the config and the report's hypotheses block, and returns
-# (results, csv header, csv rows); no rows, no series.csv.
+# Each runner takes the config, the report's hypotheses block and the problems
+# `hypotheses_audit` found, and returns (results, csv header, csv rows); no
+# rows, no series.csv.
 
-def _run_drift(cfg, hypotheses):
-    xi = None
-    if "horofunction_xi" in cfg.params:
-        xi = boundary_from_json(cfg.params["horofunction_xi"])
+def _run_drift(cfg, hypotheses, problems):
     rep = drift_estimate(cfg.distribution, cfg.basepoint, cfg.n, cfg.m_samples,
-                         cfg.seed, horofunction_xi=xi, allow_uncertified=True)
+                         cfg.seed, horofunction_xi=cfg.params.get("horofunction_xi"))
     return (asdict(rep), ["sample", "terminal_over_n"],
             list(enumerate(rep.per_sample_terminal)))
 
 
-def _run_converge(cfg, hypotheses):
+def _run_converge(cfg, hypotheses, problems):
     checkpoints = cfg.checkpoints or default_checkpoints(cfg.n)
     paths, tails, rows = [], [], []
     for i in range(cfg.m_samples):
@@ -183,49 +212,43 @@ def _run_converge(cfg, hypotheses):
             ["path", "checkpoint", "cauchy_tail"], rows)
 
 
-def _run_hitting(cfg, hypotheses):
+def _run_hitting(cfg, hypotheses, problems):
     """hitting, and stationarity, which adds the defect of the same histogram."""
-    bins = BinScheme.default(cfg.model, int(cfg.params.get("bins", 0)))
+    bins = BinScheme.default(cfg.model, cfg.params.get("bins", 0))
     hist = hitting_measure(cfg.distribution, cfg.basepoint, cfg.n, cfg.m_samples,
-                           bins, cfg.seed, allow_uncertified=True)
+                           bins, cfg.seed)
     results = {"histogram": hist.to_json()}
     if cfg.experiment == "stationarity":
-        refinement = int(cfg.params.get("refinement_samples", 32))
+        refinement = cfg.params.get("refinement_samples", 32)
         results["defect"] = stationarity_defect(cfg.distribution, hist, refinement,
                                                 seed=cfg.seed)
         results["refinement_samples"] = refinement
     return results, ["bin", "mass"], list(enumerate(hist.masses))
 
 
-def _run_dirac(cfg, hypotheses):
-    if "atoms0" in cfg.params:
-        atoms0 = [boundary_from_json(b) for b in cfg.params["atoms0"]]
-    else:
-        atoms0 = sample_boundary(cfg.model, int(cfg.params.get("atom_count", 10)),
-                                 cfg.seed + 1)
-    atoms1 = None
-    if "atoms1" in cfg.params:
-        atoms1 = [boundary_from_json(b) for b in cfg.params["atoms1"]]
-    elif cfg.params.get("second_set", True):
-        atoms1 = sample_boundary(cfg.model, int(cfg.params.get("atom_count", 10)),
-                                 cfg.seed + 2)
+def _run_dirac(cfg, hypotheses, problems):
+    count = cfg.params.get("atom_count", 10)
+    atoms0 = cfg.params.get("atoms0")
+    if atoms0 is None:
+        atoms0 = sample_boundary(cfg.model, count, cfg.seed + 1)
+    atoms1 = cfg.params.get("atoms1")
+    if atoms1 is None and cfg.params.get("second_set", True):
+        atoms1 = sample_boundary(cfg.model, count, cfg.seed + 2)
     checkpoints = cfg.checkpoints or default_checkpoints(cfg.n, 10)
-    problems = hypotheses_problems(hypotheses["admissibility"]["certified"],
-                                   hypotheses["rankone_audit"]["verdict"])
     rep = dirac_concentration(cfg.distribution, atoms0, cfg.seed,
-                              checkpoints, atoms1=atoms1, basepoint=cfg.basepoint,
-                              problems=problems)
+                              checkpoints, atoms1=atoms1, basepoint=cfg.basepoint)
     second = rep.spread_second or [""] * len(rep.checkpoints)
     cross = rep.cross_spread or [""] * len(rep.checkpoints)
-    return (asdict(rep), ["checkpoint", "spread", "spread_second", "cross_spread"],
+    return ({**asdict(rep), "hypotheses_certified": not problems, "warnings": problems},
+            ["checkpoint", "spread", "spread_second", "cross_spread"],
             list(zip(rep.checkpoints, rep.spread, second, cross)))
 
 
-def _run_gap(cfg, hypotheses):
+def _run_gap(cfg, hypotheses, problems):
     if "xi" not in cfg.params:
         raise ConfigError("gap experiment needs params.xi (a boundary point)")
-    xi = boundary_from_json(cfg.params["xi"])
-    thin = int(cfg.params.get("thin", 1))
+    xi = cfg.params["xi"]
+    thin = cfg.params.get("thin", 1)
     tr = sample_walk(cfg.distribution, cfg.basepoint, cfg.n, cfg.seed,
                      steps=[*range(thin, cfg.n + 1, thin), cfg.n])
     sup_gap, series = horofunction_gap(tr, xi)
@@ -235,10 +258,10 @@ def _run_gap(cfg, hypotheses):
              "theil_sen_slope": slope}, ["step", "gap"], list(zip(steps, gaps)))
 
 
-def _run_cocycle(cfg, hypotheses):
+def _run_cocycle(cfg, hypotheses, problems):
     import numpy as np
 
-    count = int(cfg.params.get("count", 100))
+    count = cfg.params.get("count", 100)
     rng = np.random.default_rng(cfg.seed)
     residuals = []
     for _ in range(count):
@@ -251,14 +274,12 @@ def _run_cocycle(cfg, hypotheses):
             ["case", "residual"], list(enumerate(residuals)))
 
 
-def _run_track(cfg, hypotheses):
+def _run_track(cfg, hypotheses, problems):
     lam = cfg.params.get("lambda", "auto")
     if lam == "auto":
         rep = drift_estimate(cfg.distribution, cfg.basepoint, cfg.n,
-                             min(cfg.m_samples, 50), cfg.seed + 1,
-                             allow_uncertified=True)
+                             min(cfg.m_samples, 50), cfg.seed + 1)
         lam = rep.lambda_hat
-    lam = float(lam)
     checkpoints = cfg.checkpoints or default_checkpoints(cfg.n, 10)
     # n is stored too, so the ray points at Z_n x
     tr = sample_walk(cfg.distribution, cfg.basepoint, cfg.n, cfg.seed,
@@ -269,14 +290,14 @@ def _run_track(cfg, hypotheses):
             ["step", "error"], list(zip(steps, errors)))
 
 
-def _run_northsouth(cfg, hypotheses):
+def _run_northsouth(cfg, hypotheses, problems):
     if "g" not in cfg.params:
         raise ConfigError("northsouth experiment needs params.g (an isometry)")
-    g = isometry_from_json(cfg.params["g"])
-    eps_plus = float(cfg.params.get("eps_plus", 0.01))
-    eps_minus = float(cfg.params.get("eps_minus", 0.1))
-    samples = int(cfg.params.get("samples", 200))
-    cap = int(cfg.params.get("cap", 10 ** 6))
+    g = cfg.params["g"]
+    eps_plus = cfg.params.get("eps_plus", 0.01)
+    eps_minus = cfg.params.get("eps_minus", 0.1)
+    samples = cfg.params.get("samples", 200)
+    cap = cfg.params.get("cap", 10 ** 6)
     res = north_south_constant(g, eps_plus, eps_minus, samples, cfg.seed, cap=cap)
     res2 = north_south_constant(power(g, 2), eps_plus, eps_minus, samples,
                                 cfg.seed, cap=cap)
@@ -287,15 +308,14 @@ def _run_northsouth(cfg, hypotheses):
             ["power", "max_gap_to_attracting"], list(zip(powers, max_gaps)))
 
 
-def _run_pi_convergence(cfg, hypotheses):
+def _run_pi_convergence(cfg, hypotheses, problems):
     if "g" not in cfg.params:
         raise ConfigError("pi-convergence experiment needs params.g")
-    g = isometry_from_json(cfg.params["g"])
-    count = int(cfg.params.get("powers", 30))
-    gs = [power(g, k) for k in range(1, count + 1)]
-    u_eps = float(cfg.params.get("u_eps", 0.05))
-    k_count = int(cfg.params.get("k_count", 50))
-    exclusion = float(cfg.params.get("exclusion", 0.1))
+    g = cfg.params["g"]
+    gs = [power(g, k) for k in range(1, cfg.params.get("powers", 30) + 1)]
+    u_eps = cfg.params.get("u_eps", 0.05)
+    k_count = cfg.params.get("k_count", 50)
+    exclusion = cfg.params.get("exclusion", 0.1)
     x = cfg.basepoint
     try:
         eta, _ = axis_endpoints(g)
@@ -312,8 +332,8 @@ def _run_pi_convergence(cfg, hypotheses):
              "max_gaps": gaps}, ["index", "max_gap_to_limit"], list(enumerate(gaps)))
 
 
-def _run_tits_table(cfg, hypotheses):
-    count = int(cfg.params.get("count", 8))
+def _run_tits_table(cfg, hypotheses, problems):
+    count = cfg.params.get("count", 8)
     pts = sample_boundary(cfg.model, count, cfg.seed)
     pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
     table = []
@@ -330,7 +350,7 @@ def _run_tits_table(cfg, hypotheses):
             [(r["i"], r["j"], r["tits"], r["angle"]) for r in table])
 
 
-def _run_rankone_audit(cfg, hypotheses):
+def _run_rankone_audit(cfg, hypotheses, problems):
     return hypotheses["rankone_audit"], None, []
 
 
@@ -356,7 +376,7 @@ def run(cfg: ExperimentConfig, outdir, allow_uncertified: bool = False) -> Path:
     """Execute one experiment config and write its report directory.  The
     config's tolerance applies to this run only; without one the default
     applies, whatever an earlier run set."""
-    set_tolerance(DEFAULT_TOLERANCE if cfg.tolerance is None else cfg.tolerance)
+    set_tolerance(cfg.tolerance)
     runner, needs_distribution, gated = EXPERIMENTS[cfg.experiment]
     if needs_distribution and cfg.distribution is None:
         raise ConfigError(f"experiment {cfg.experiment!r} needs a distribution")
@@ -366,7 +386,7 @@ def run(cfg: ExperimentConfig, outdir, allow_uncertified: bool = False) -> Path:
             "; ".join(problems) + " (rerun with --allow-uncertified to force)"
         )
     t0 = time.perf_counter()
-    results, header, rows = runner(cfg, hypotheses)
+    results, header, rows = runner(cfg, hypotheses, problems)
     wall = time.perf_counter() - t0
     report = {
         "schema": REPORT_SCHEMA,

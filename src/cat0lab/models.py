@@ -28,6 +28,7 @@ from . import _e2, _h2, _h2xr, _t4
 from .errors import UsageError
 
 DEFAULT_TOLERANCE = 1e-9
+ISOMETRY_KEY_DIGITS = 9  # decimal places an isometry key keeps of each entry
 _tolerance = DEFAULT_TOLERANCE
 
 
@@ -174,11 +175,11 @@ def boundary_points_equal(b1: BoundaryPoint, b2: BoundaryPoint, tol: float | Non
     return KERNELS[model].boundary_eq(b1.data, b2.data, tol)
 
 
-def isometry_key(g: Isometry, digits: int = 9):
+def isometry_key(g: Isometry):
     """Hashable canonical key used for closure bookkeeping."""
 
     def r(x: float):
-        v = round(x, digits)
+        v = round(x, ISOMETRY_KEY_DIGITS)
         return 0.0 if v == 0 else v
 
     return KERNELS[g.model].isometry_key(g.data, r)
@@ -195,9 +196,10 @@ def boundary_to_json(b: BoundaryPoint) -> dict:
     return {"model": b.model.value, **KERNELS[b.model].boundary_to_json(b.data)}
 
 
-def boundary_from_json(obj: dict) -> BoundaryPoint:
+def boundary_from_json(obj: dict, tol: float | None = None) -> BoundaryPoint:
     model = Model(obj["model"])
-    return BoundaryPoint(model, KERNELS[model].boundary_from_json(obj, tolerance()))
+    tol = tolerance() if tol is None else tol
+    return BoundaryPoint(model, KERNELS[model].boundary_from_json(obj, tol))
 
 
 def isometry_to_json(g: Isometry) -> dict:

@@ -13,6 +13,12 @@ the Dirac spreads, the pi-convergence gaps) take all their pairs from one
 `boundary.boundary_distances` call, which charts each boundary point once,
 and reduce them with Python `max` in pair order.
 
+No estimator certifies its step distribution: each returns its estimate
+for any support, negative controls included.  `hypotheses_audit` holds the
+one certification policy (admissible at depth 4, and a rank-one audit
+verdict of certified-non-elementary), and `cli.run` is the one caller that
+gates on it.
+
 No estimator branches on the model.  The hitting bins are laid out by the
 model's kernel (`bin_count`, `bin_index`, `bin_sample` in `models.KERNELS`);
 `BinScheme` only delegates to it.  The results are frozen dataclasses, and
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UncertifiedError, UsageError
+from .errors import DomainError, UsageError
 from .geometry import distance, direction, model_basepoint
 from .isometry import (
     apply,
@@ -66,17 +72,6 @@ def default_checkpoints(n: int, count: int = 20) -> list[int]:
     return pts
 
 
-def _require_certified(spec: StepDistribution, allow: bool) -> None:
-    if allow:
-        return
-    report = validate_distribution(spec, 4)
-    if not report.certified:
-        raise UncertifiedError(
-            "distribution support not certified to generate a group at depth 4; "
-            "pass allow_uncertified=True to override"
-        )
-
-
 # -- drift ---------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -90,8 +85,7 @@ class DriftReport:
 
 
 def drift_estimate(spec: StepDistribution, x: Point, n: int, m_samples: int,
-                   seed: int, horofunction_xi: BoundaryPoint | None = None,
-                   allow_uncertified: bool = False) -> DriftReport:
+                   seed: int, horofunction_xi: BoundaryPoint | None = None) -> DriftReport:
     """Monte-Carlo estimate of the escape speed lim d(Z_n x, x)/n over
     independent sample paths; optionally also the horofunction speed
     mean h_xi(Z_n x)/n for a fixed boundary point."""
@@ -99,7 +93,6 @@ def drift_estimate(spec: StepDistribution, x: Point, n: int, m_samples: int,
         raise UsageError("need positive walk length and sample count")
     if horofunction_xi is not None:
         same_model(x, horofunction_xi)
-    _require_certified(spec, allow_uncertified)
     dists, snaps = sample_terminals(spec, x, n, seed, m_samples)
     terms = dists / n
     lam = float(terms.mean())
@@ -244,13 +237,11 @@ class HittingHistogram:
 
 
 def hitting_measure(spec: StepDistribution, x: Point, n: int, m_samples: int,
-                    bins: BinScheme, seed: int,
-                    allow_uncertified: bool = False) -> HittingHistogram:
+                    bins: BinScheme, seed: int) -> HittingHistogram:
     """Histogram of the terminal directions direction(x, Z_n x) over
     independent sample paths, in the model's bin scheme.  Paths that end at
     the basepoint have no direction and are left out; DomainError when no
     path is left."""
-    _require_certified(spec, allow_uncertified)
     dists, snaps = sample_terminals(spec, x, n, seed, m_samples)
     hits = [bins.index_of(direction(x, snapshot_point(spec.model, snap, x)))
             for d, snap in zip(dists, snaps) if not d <= tolerance()]
@@ -296,8 +287,6 @@ class DiracReport:
     spread: tuple
     spread_second: tuple | None
     cross_spread: tuple | None
-    hypotheses_certified: bool
-    warnings: tuple
 
 
 def _cloud_spread(x: Point, cloud) -> float:
@@ -312,22 +301,14 @@ def _cross_spread(x: Point, cloud1, cloud2) -> float:
 
 
 def dirac_concentration(spec: StepDistribution, atoms0, seed: int, checkpoints,
-                        atoms1=None, basepoint: Point | None = None,
-                        problems=None) -> DiracReport:
+                        atoms1=None, basepoint: Point | None = None) -> DiracReport:
     """Per-path spread of the pushforward Z_k . atoms at the positive
     checkpoints k of one walk realization, which runs to the last of them; a
     vanishing spread (and cross spread when a second disjoint atom set is
-    given) witnesses the Dirac limit of the translated measures.
-
-    Hypothesis violations are reported as warnings, not errors, so negative
-    controls run as first-class experiments.  `problems` are those of a
-    `hypotheses_audit` the caller already ran; without them the support is
-    audited here."""
+    given) witnesses the Dirac limit of the translated measures."""
     if len(atoms0) < 2:
         raise UsageError("need at least two initial boundary atoms")
     x = basepoint if basepoint is not None else model_basepoint(spec.model)
-    if problems is None:
-        _, _, problems = hypotheses_audit(spec)
     checkpoints = sorted({int(k) for k in checkpoints if int(k) >= 1})
     if not checkpoints:
         raise UsageError("need at least one positive checkpoint")
@@ -348,8 +329,6 @@ def dirac_concentration(spec: StepDistribution, atoms0, seed: int, checkpoints,
         spread=tuple(spread0),
         spread_second=tuple(spread1) if atoms1 is not None else None,
         cross_spread=tuple(cross) if atoms1 is not None else None,
-        hypotheses_certified=not problems,
-        warnings=tuple(problems),
     )
 
 
@@ -452,14 +431,17 @@ def pi_convergence_check(gs, x: Point, K, u_eps: float, limits=None) -> PiConver
 
 # -- robust trend estimate ------------------------------------------------------------
 
-def theil_sen(xs, ys, max_points: int = 300) -> float:
+THEIL_SEN_MAX_POINTS = 300  # a longer series is strided down to at most this many
+
+
+def theil_sen(xs, ys) -> float:
     """Median of pairwise slopes; robust trend indicator for gap series."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if len(xs) != len(ys) or len(xs) < 2:
         raise UsageError("need two equal-length series with at least 2 points")
-    if len(xs) > max_points:
-        stride = len(xs) // max_points + 1
+    if len(xs) > THEIL_SEN_MAX_POINTS:
+        stride = len(xs) // THEIL_SEN_MAX_POINTS + 1
         xs, ys = xs[::stride], ys[::stride]
     slopes = []
     for i in range(len(xs)):
@@ -542,15 +524,9 @@ def hypotheses_audit(spec: StepDistribution):
     the support is certified admissible and non-elementary."""
     adm = validate_distribution(spec, 4)
     audit = rankone_audit(spec)
-    return adm, audit, hypotheses_problems(adm.certified, audit.verdict)
-
-
-def hypotheses_problems(certified: bool, verdict: str) -> list[str]:
-    """The problems of `hypotheses_audit`, from its admissibility
-    certificate and its rank-one verdict."""
     problems = []
-    if not certified:
+    if not adm.certified:
         problems.append("support not certified admissible at depth 4")
-    if verdict != "certified-non-elementary":
-        problems.append(f"rank-one audit verdict: {verdict}")
-    return problems
+    if audit.verdict != "certified-non-elementary":
+        problems.append(f"rank-one audit verdict: {audit.verdict}")
+    return adm, audit, problems

@@ -82,7 +82,7 @@ def golden_values(model: Model) -> dict:
     spec = StepDistribution.uniform(SPECS[model])
     x = model_basepoint(model)
     xi = XI[model]
-    drift = drift_estimate(spec, x, 200, 4, seed=7, allow_uncertified=True)
+    drift = drift_estimate(spec, x, 200, 4, seed=7)
     tr = sample_walk(spec, x, 200, 11, steps=range(20, 201, 20))
     _, gaps = horofunction_gap(tr, xi)
     _, errs = tracking_error(tr, max(drift.lambda_hat, 0.25))
@@ -460,8 +460,7 @@ def audit_values(model: Model) -> dict:
     rng = np.random.default_rng(31)
     spec = StepDistribution.uniform([random_isometry(model, rng) for _ in range(3)])
     x = model_basepoint(model)
-    hist = hitting_measure(spec, x, 40, 24, BinScheme.default(model), 9,
-                           allow_uncertified=True)
+    hist = hitting_measure(spec, x, 40, 24, BinScheme.default(model), 9)
     pts = sample_boundary(model, 5, 13)
     pts.append(pts[1])  # an equal pair, whose angle is 0 without a grid
     limits = [angle_at_infinity(x, a, b) for i, a in enumerate(pts) for b in pts[i + 1:]]

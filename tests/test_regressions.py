@@ -114,8 +114,7 @@ def test_sweep_resets_tolerance_between_configs(tmp_path):
 def test_hitting_measure_rejects_paths_that_all_return(t4_uniform):
     # the single path of length 2 returns to the basepoint: no direction, no mass
     with pytest.raises(DomainError):
-        hitting_measure(t4_uniform, t4_point(""), 2, 1, BinScheme.default(Model.T4), 4,
-                        allow_uncertified=True)
+        hitting_measure(t4_uniform, t4_point(""), 2, 1, BinScheme.default(Model.T4), 4)
 
 
 def _uniform_dist(model, payloads):
@@ -156,7 +155,7 @@ def test_dirac_counts_a_repeated_checkpoint_once(tmp_path):
 
 def test_sweep_reports_an_uncaught_error_and_runs_the_next_config(tmp_path, monkeypatch,
                                                                   capsys):
-    def broken(cfg, hypotheses):
+    def broken(*runner_args):
         raise ZeroDivisionError("division by zero")
 
     monkeypatch.setitem(cli.EXPERIMENTS, "cocycle", (broken, False, False))
@@ -226,19 +225,61 @@ H2_G = {"model": "H2", "payload": {"matrix": [2, 0, 0, 0.5]}}
     {"experiment": "pi-convergence", "params": {"g": H2_G, "k_count": -1}},
     {"experiment": "northsouth", "params": {"g": H2_G, "samples": 0}},
     {"experiment": "cocycle", "params": {"count": float("inf")}},
+    {"experiment": "pi-convergence", "params": {"g": H2_G, "powers": "x"}},
+    {"experiment": "northsouth", "params": {"g": H2_G, "cap": "x"}},
 ], ids=["bins-not-an-integer", "count-zero", "k_count-negative", "samples-zero",
-        "count-infinite"])
+        "count-infinite", "powers-not-an-integer", "cap-not-an-integer"])
 def test_config_rejects_malformed_integer_params(tmp_path, capsys, fields):
     # the parent exited 1 with a ValueError traceback on bins "x" and with
     # "max() arg is an empty sequence" on count 0, reported "holds": true
     # over an empty compact set on k_count -1 and "attained": true at k0 = 1
     # over no samples on samples 0, and int() of an Infinity raises
-    # OverflowError
+    # OverflowError; powers and cap were read only by their runners, and
+    # exited 1 with a ValueError traceback
+    _assert_config_error(tmp_path, capsys, fields)
+
+
+def _assert_config_error(tmp_path, capsys, fields):
     cfg = {"model": "H2", "seed": 1, **fields}
     (tmp_path / "c.json").write_text(json.dumps(cfg))
     assert main(["run", str(tmp_path / "c.json"), "--outdir", str(tmp_path / "out")]) == EXIT_CONFIG
     assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fields", [
+    {"experiment": "track", "distribution": H2_DIST, "n": 20, "params": {"lambda": "abc"}},
+    {"experiment": "northsouth", "params": {"g": H2_G, "eps_plus": "x"}},
+    {"experiment": "northsouth", "params": {"g": {"model": "H2", "payload": {"matrix": [2, 0]}}}},
+    {"experiment": "gap", "distribution": H2_DIST, "n": 20, "params": {"xi": {"xi": 1.0}}},
+    {"experiment": "dirac", "distribution": H2_DIST, "n": 20,
+     "params": {"atoms0": [{"model": "H2"}]}},
+    {"experiment": "drift", "distribution": H2_DIST, "n": 20,
+     "params": {"horofunction_xi": {"model": "H2", "xi": "abc"}}},
+    {"experiment": "cocycle", "tolerance": "abc"},
+    {"experiment": "pi-convergence", "params": {"g": H2_G, "u_eps": "nan"}},
+    {"experiment": "dirac", "distribution": H2_DIST, "n": 20, "params": {"second_set": "no"}},
+], ids=["lambda-not-a-number", "eps_plus-not-a-number", "g-two-entry-matrix",
+        "xi-without-model", "atoms0-without-xi", "horofunction_xi-not-a-number",
+        "tolerance-not-a-number", "u_eps-nan", "second_set-a-string"])
+def test_config_rejects_malformed_params(tmp_path, capsys, fields):
+    # the runners read these params, and the parent exited 1 with a
+    # traceback on each, except on u_eps "nan", which reported "holds":
+    # false, and on second_set "no", which it read as true
+    _assert_config_error(tmp_path, capsys, fields)
+
+
+def test_config_boundary_params_parse_under_the_config_tolerance(tmp_path):
+    # a sweep loads each config while the previous one's tolerance is set;
+    # under 0.5 the slope 1.5 would round to the pole pi/2
+    cfg = {"experiment": "gap", "model": "H2xR",
+           "params": {"xi": {"model": "H2xR", "xi": 0.0, "alpha": 1.5}}}
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    set_tolerance(0.5)
+    try:
+        assert cli.load_config(tmp_path / "c.json").params["xi"].data == (0.0, 1.5)
+    finally:
+        set_tolerance(DEFAULT_TOLERANCE)
 
 
 def test_h2_power_survives_long_products():
@@ -308,7 +349,7 @@ def test_one_rankone_audit_per_run(tmp_path, monkeypatch):
         reports[experiment, dist["model"]] = report
     report = reports["rankone-audit", "H2"]
     assert report["results"] == report["hypotheses"]["rankone_audit"]
-    # the warnings are those dirac_concentration finds when it audits itself
+    # the warnings are the problems of hypotheses_audit on the same support
     for model, dist in [("H2", H2_DIST), ("E2", e2_dist)]:
         results = reports["dirac", model]["results"]
         _, _, problems = stats.hypotheses_audit(StepDistribution.from_json(dist))
