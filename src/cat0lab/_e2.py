@@ -245,20 +245,25 @@ def bin_sample(params, i: int, rng, tol: float) -> float:
 
 # -- orbit walker ---------------------------------------------------------------
 
-def orbit(atoms, base: complex, increments, stored):
+def orbit(atoms, base: complex, increments, stored, xi=None):
     """The left product Z_k = Z_{k-1} w_k, kept as (e^{ia}, v): the
-    distances d(Z_k x, x) at the steps k in `stored`, in increasing order,
-    and the states at step 0 and at those steps."""
+    distances d(Z_k x, x) at the steps k of the increasing sequence
+    `stored`, and the reads at step 0 and at those steps: the states, or
+    with a boundary point `xi` the horofunction values h_xi(Z_k x) with
+    basepoint x, taken from each state as `snapshot_horofunction` does."""
     rots = [(complex(math.cos(a), math.sin(a)), v) for a, v in atoms]
     u, w = complex(1.0, 0.0), complex(0.0, 0.0)
-    dists, snaps = [], [(u, w)]
+    dists, reads = [], [(u, w) if xi is None else snapshot_horofunction((u, w), base, xi)]
+    ahead = iter(stored)
+    due = next(ahead, 0)
     for k, i in enumerate(increments, start=1):
         r, v = rots[i]
         u, w = u * r, u * v + w
-        if k in stored:
+        if k == due:
             dists.append(abs(u * base + w - base))
-            snaps.append((u, w))
-    return dists, snaps
+            reads.append((u, w) if xi is None else snapshot_horofunction((u, w), base, xi))
+            due = next(ahead, 0)
+    return dists, reads
 
 
 # Below this many paths, m runs of `orbit` beat one `orbit_paths` (n = 2000).

@@ -569,23 +569,30 @@ def state_horofunction(st: State, x: complex, xi: float) -> float:
     return log_num - log_im - cx
 
 
-def orbit(atoms, base: complex, increments, stored):
+def orbit(atoms, base: complex, increments, stored, xi=None):
     """The left product Z_k = Z_{k-1} w_k, kept as a power-of-two scaled
-    matrix: the distances d(Z_k x, x) at the steps k in `stored`, in
-    increasing order, and the states at step 0 and at those steps."""
+    matrix: the distances d(Z_k x, x) at the steps k of the increasing
+    sequence `stored`, and the reads at step 0 and at those steps: the
+    states, or with a boundary point `xi` the horofunction values
+    h_xi(Z_k x) with basepoint x, taken from each state, which is then
+    dropped."""
     frame = point_frame(base)
     period = renorm_period(atoms)
     p, e = IDENTITY, 0
-    dists, snaps = [], [snapshot(p, e)]
+    st = snapshot(p, e)
+    dists, reads = [], [st if xi is None else state_horofunction(st, base, xi)]
+    ahead = iter(stored)
+    due = next(ahead, 0)
     for k, i in enumerate(increments, start=1):
         p = mat_mul(p, atoms[i])
         if k % period == 0:
             p, e = rescale(p, e)
-        if k in stored:
+        if k == due:
             st = snapshot(p, e)
             dists.append(state_dist_to_base(st, frame))
-            snaps.append(st)
-    return dists, snaps
+            reads.append(st if xi is None else state_horofunction(st, base, xi))
+            due = next(ahead, 0)
+    return dists, reads
 
 
 # Below this many paths, m runs of `orbit` beat one `orbit_paths` (n = 2000).
@@ -703,11 +710,13 @@ def mp_ray_gaps(mats, increments, x: complex, lam: float, steps, rise: float = 0
     digits cover the larger of lam * N and the farthest any step of the
     path gets from x, found by a dense float re-walk: a path that outruns
     lam * N by some hundred nats otherwise cancels its orbit coordinates to
-    zero."""
+    zero.  The re-walk reads h at infinity, the cheapest read, and so keeps
+    no state."""
     import mpmath as mp
 
     increments = increments.tolist()
-    depth = max(orbit(mats, x, increments, range(1, len(increments) + 1))[0], default=0.0)
+    depth = max(orbit(mats, x, increments, range(1, len(increments) + 1), INF)[0],
+                default=0.0)
     steps = [int(k) for k in steps if int(k) > 0]
     n = max(steps)
     want = set(steps)

@@ -345,17 +345,30 @@ def bin_sample(params, i: int, rng, tol: float):
 
 # -- orbit walker ---------------------------------------------------------------
 
-def orbit(atoms, base, increments, stored):
+def orbit(atoms, base, increments, stored, xi=None):
     """The left product Z_k = Z_{k-1} w_k: the distances d(Z_k x, x) at the
-    steps k in `stored`, which lie in 1..n, in increasing order, and the
-    states (H2 state, height) at step 0 and at those steps.  The H2 factor
-    walks in `_h2`; the height is the running sum of the shifts."""
-    dh, states = _h2.orbit([g[0] for g in atoms], base[0], increments, stored)
-    heights = list(itertools.accumulate((atoms[i][1] for i in increments), initial=0.0))
-    ks = sorted(stored)
-    dists = [math.hypot(d, heights[k]) for d, k in zip(dh, ks)]
-    snaps = [(st, heights[k]) for st, k in zip(states, [0, *ks])]
-    return dists, snaps
+    steps k of the increasing sequence `stored`, which lie in 1..n, and the
+    reads at step 0 and at those steps: the states (H2 state, height), or
+    with a boundary point `xi` the horofunction values h_xi(Z_k x) with
+    basepoint x.  The H2 factor walks in `_h2`, which reads its states or
+    its own horofunction values; the height is the running sum of the
+    shifts, read at the stored steps."""
+    heights, ahead, due = [], iter(stored), 0
+    for k, h in enumerate(itertools.accumulate((atoms[i][1] for i in increments),
+                                               initial=0.0)):
+        if k == due:
+            heights.append(h)
+            due = next(ahead, -1)
+    mats = [g[0] for g in atoms]
+    if xi is None:
+        dh, states = _h2.orbit(mats, base[0], increments, stored)
+        reads = list(zip(states, heights))
+    else:
+        # a vertical xi reads no H2 value; the one at infinity is the cheapest
+        h2_xi = _h2.INF if xi[0] is None else xi[0]
+        dh, values = _h2.orbit(mats, base[0], increments, stored, h2_xi)
+        reads = [_horofunction(xi, v, h) for v, h in zip(values, heights)]
+    return [math.hypot(d, h) for d, h in zip(dh, heights[1:])], reads
 
 
 # Below this many paths, m runs of `orbit` beat one `orbit_paths` (n = 2000).
@@ -391,13 +404,20 @@ def snapshot_boundary(snap, base, b):
     return (_h2.snapshot_boundary(snap[0], base[0], xi), alpha)
 
 
-def snapshot_horofunction(snap, base, b) -> float:
-    st, h = snap
+def _horofunction(b, h2_value, height: float) -> float:
+    """h_b at the point of relative height `height` over an H2 point whose
+    horofunction toward b's H2 part is `h2_value` (unread for vertical b)."""
     xi, alpha = b
-    vert = math.sin(alpha) * (-h)
+    vert = math.sin(alpha) * (-height)
     if xi is None:
         return vert
-    return math.cos(alpha) * _h2.state_horofunction(st, base[0], xi) + vert
+    return math.cos(alpha) * h2_value + vert
+
+
+def snapshot_horofunction(snap, base, b) -> float:
+    st, h = snap
+    xi = b[0]
+    return _horofunction(b, None if xi is None else _h2.state_horofunction(st, base[0], xi), h)
 
 
 def csv_row(p) -> list:

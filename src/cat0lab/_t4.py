@@ -449,24 +449,39 @@ def bin_sample(params, i: int, rng, tol: float) -> tuple[str, str]:
 
 # -- orbit walker ---------------------------------------------------------------
 
-def orbit(atoms, base: str, increments, stored):
+def orbit(atoms, base: str, increments, stored, xi=None):
     """The left product Z_k = Z_{k-1} w_k, kept as x^{-1} Z_k x, a reduced
-    word on a letter stack: the distances d(Z_k x, x) at the steps k in
-    `stored`, in increasing order, and the words at step 0 and at those
-    steps."""
-    conj = [mul(mul(inv_word(base), g), base) for g in atoms]
+    word on a letter stack: the distances d(Z_k x, x) at the steps k of the
+    increasing sequence `stored`, and the reads at step 0 and at those
+    steps: the words, or with a boundary point `xi` the horofunction values
+    h_xi(Z_k x) with basepoint x.  These equal h_eta(x^{-1} Z_k x) with
+    basepoint the root for eta = x^{-1} xi, i.e. |stack| - 2 `matched`,
+    where `matched` counts the initial letters of the stack on the ray of
+    eta: a pop below it lowers it, and a push at it extends it when the
+    letter is the ray's next one, so no word is joined."""
+    conj = [[(ch, inv_letter(ch)) for ch in mul(mul(inv_word(base), g), base)]
+            for g in atoms]
+    eta = None if xi is None else boundary_action(inv_word(base), xi)
     stack: list[str] = []
-    dists, snaps = [], [""]
+    matched = -1 if xi is None else 0  # -1 is no stack height: nothing is matched
+    dists, reads = [], ["" if xi is None else 0.0]
+    ahead = iter(stored)
+    due = next(ahead, 0)
     for k, i in enumerate(increments, start=1):
-        for ch in conj[i]:
-            if stack and stack[-1] == inv_letter(ch):
+        for ch, inv in conj[i]:
+            if stack and stack[-1] == inv:
                 stack.pop()
+                if len(stack) < matched:
+                    matched -= 1
             else:
+                if matched == len(stack) and ch == letter_at(eta, matched):
+                    matched += 1
                 stack.append(ch)
-        if k in stored:
+        if k == due:
             dists.append(float(len(stack)))
-            snaps.append("".join(stack))
-    return dists, snaps
+            reads.append("".join(stack) if xi is None else float(len(stack) - 2 * matched))
+            due = next(ahead, 0)
+    return dists, reads
 
 
 # Below this many paths, m runs of `orbit` beat one `orbit_paths` (n = 2000).

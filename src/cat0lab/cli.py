@@ -186,8 +186,8 @@ def _hypotheses_block(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
 
 
 # Each runner takes the config, the report's hypotheses block and the problems
-# `hypotheses_audit` found, and returns (results, csv header, csv rows); no
-# rows, no series.csv.
+# `hypotheses_audit` found, and returns (results, csv header, csv rows), the
+# rows as a list or, for a long series, an iterator; no rows, no series.csv.
 
 def _run_drift(cfg, hypotheses, problems):
     rep = drift_estimate(cfg.distribution, cfg.basepoint, cfg.n, cfg.m_samples,
@@ -250,12 +250,12 @@ def _run_gap(cfg, hypotheses, problems):
     xi = cfg.params["xi"]
     thin = cfg.params.get("thin", 1)
     tr = sample_walk(cfg.distribution, cfg.basepoint, cfg.n, cfg.seed,
-                     steps=[*range(thin, cfg.n + 1, thin), cfg.n])
+                     steps=[*range(thin, cfg.n + 1, thin), cfg.n], xi=xi)
     sup_gap, series = horofunction_gap(tr, xi)
     slope = theil_sen(tr.steps, series) if len(series) > 2 else 0.0
     steps, gaps = [int(k) for k in tr.steps], [float(v) for v in series]
     return ({"sup_gap": sup_gap, "steps": steps, "gap_series": gaps,
-             "theil_sen_slope": slope}, ["step", "gap"], list(zip(steps, gaps)))
+             "theil_sen_slope": slope}, ["step", "gap"], zip(steps, gaps))
 
 
 def _run_cocycle(cfg, hypotheses, problems):
@@ -398,8 +398,13 @@ def run(cfg: ExperimentConfig, outdir, allow_uncertified: bool = False) -> Path:
     }
     target = Path(outdir) / f"{cfg.experiment}-{cfg.seed}"
     target.mkdir(parents=True, exist_ok=True)
-    (target / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
+    path = target / "report.json"
+    try:
+        with open(path, "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
+    except (TypeError, ValueError):  # a value JSON cannot hold: leave no partial report
+        path.unlink(missing_ok=True)
+        raise
     if rows:
         with open(target / "series.csv", "w", newline="") as fh:
             writer = csv.writer(fh)

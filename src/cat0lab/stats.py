@@ -335,13 +335,18 @@ def dirac_concentration(spec: StepDistribution, atoms0, seed: int, checkpoints,
 # -- horofunction statistics -----------------------------------------------------------
 
 def horofunction_gap(trace: WalkTrace, xi: BoundaryPoint):
-    """|h_xi(Z_k x) - d(Z_k x, x)| along the stored steps of a trace."""
+    """|h_xi(Z_k x) - d(Z_k x, x)| along the stored steps of a trace: the
+    values h_xi(Z_k x) that a walk read toward xi holds, or else those of
+    its snapshots."""
     same_model(trace.basepoint, xi)
-    gaps = []
-    for snap, d in zip(trace.snapshots, trace.base_distances):
-        h = snapshot_horofunction(trace.model, snap, trace.basepoint, xi)
-        gaps.append(abs(h - float(d)))
-    series = np.array(gaps)
+    if trace.xi is None:
+        h = np.array([snapshot_horofunction(trace.model, snap, trace.basepoint, xi)
+                      for snap in trace.snapshots])
+    elif trace.xi == xi:
+        h = trace.horofunctions
+    else:
+        raise UsageError("the trace was read toward another boundary point")
+    series = np.abs(h - trace.base_distances)
     return float(series.max()), series
 
 
@@ -444,12 +449,11 @@ def theil_sen(xs, ys) -> float:
         stride = len(xs) // THEIL_SEN_MAX_POINTS + 1
         xs, ys = xs[::stride], ys[::stride]
     slopes = []
-    for i in range(len(xs)):
+    for i in range(len(xs) - 1):
         dx = xs[i + 1:] - xs[i]
-        dy = ys[i + 1:] - ys[i]
         keep = dx != 0
-        slopes.extend((dy[keep] / dx[keep]).tolist())
-    return float(np.median(slopes))
+        slopes.append((ys[i + 1:] - ys[i])[keep] / dx[keep])
+    return float(np.median(np.concatenate(slopes)))
 
 
 # -- hypotheses audit ----------------------------------------------------------------

@@ -6,9 +6,14 @@ so different paths are independent streams and a path's result does not
 depend on which other paths are sampled, or in which order.
 
 Each model's walk loop lives in its kernel module: `orbit(atoms, base,
-increments, stored)` returns the distances d(Z_k x, x) at the stored steps
-only, and the product states at step 0 and at those steps, which
-`snapshot_point`, `snapshot_horofunction` and `snapshot_boundary` read.
+increments, stored, xi=None)` takes the stored steps as one increasing
+sequence, which it consumes as it walks, and returns the distances
+d(Z_k x, x) at those steps only, and the product states at step 0 and at
+those steps, which `snapshot_point`, `snapshot_horofunction` and
+`snapshot_boundary` read.  Given a boundary point xi it returns the
+horofunction values h_xi(Z_k x) in place of the states, read inside the
+loop (on T4 from the match length of its letter stack, kept as letters
+are pushed and popped), so a dense read keeps no per-step state.
 `sample_walk` stores step 0 and only the steps its reader names: on H2 a
 distance costs more than the step itself.  Readers of many path ends take
 them from `sample_terminals`, which walks the paths together through the
@@ -161,7 +166,10 @@ def snapshot_horofunction(model: Model, snap, basepoint: Point, xi: BoundaryPoin
 class WalkTrace:
     """One seeded realization of the walk, with stored increments, and the
     distances to the basepoint and state snapshots at the stored steps:
-    `base_distances[i]` and `snapshots[i]` belong to step `steps[i]`."""
+    `base_distances[i]` and `snapshots[i]` belong to step `steps[i]`.  A
+    walk read toward a boundary point `xi` keeps no snapshots: it holds the
+    horofunction values `horofunctions[i]` = h_xi(Z_k x) with basepoint x
+    instead."""
 
     spec: StepDistribution
     basepoint: Point
@@ -172,6 +180,8 @@ class WalkTrace:
     steps: np.ndarray
     base_distances: np.ndarray
     snapshots: tuple = field(repr=False)
+    xi: BoundaryPoint | None = None
+    horofunctions: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def model(self) -> Model:
@@ -218,22 +228,27 @@ def draw_increments(spec: StepDistribution, n: int, seed: int, path_index: int =
 
 
 def sample_walk(spec: StepDistribution, x: Point, n: int, seed: int,
-                path_index: int = 0, steps=None) -> WalkTrace:
+                path_index: int = 0, steps=None, xi: BoundaryPoint | None = None) -> WalkTrace:
     """Deterministic walk realization for (spec, x, n, seed, path_index).
 
     Snapshots (and hence positions) and distances to the basepoint are
     stored at step 0 and at the named `steps`, each in [0, n]; `None`
-    names every step.  Which steps are stored never changes the walk.
+    names every step.  Given a boundary point `xi`, the kernel reads
+    h_xi(Z_k x) at those steps inside its walk loop and no snapshot is
+    kept.  Which steps are stored never changes the walk.
     """
     same_model(spec.isometries[0], x)
+    if xi is not None:
+        same_model(x, xi)
     if n < 0:
         raise UsageError("walk length must be nonnegative")
-    steps = sorted({0, *(range(n + 1) if steps is None else map(int, steps))})
+    steps = range(n + 1) if steps is None else sorted({0, *map(int, steps)})
     if steps[0] < 0 or steps[-1] > n:
         raise UsageError(f"stored steps must lie in [0, n] = [0, {n}]")
     increments = draw_increments(spec, n, seed, path_index)
-    dists, snaps = KERNELS[spec.model].orbit([g.data for g in spec.isometries], x.data,
-                                             increments.tolist(), set(steps[1:]))
+    dists, reads = KERNELS[spec.model].orbit([g.data for g in spec.isometries], x.data,
+                                             increments.tolist(), steps[1:],
+                                             None if xi is None else xi.data)
     return WalkTrace(
         spec=spec,
         basepoint=x,
@@ -243,7 +258,9 @@ def sample_walk(spec: StepDistribution, x: Point, n: int, seed: int,
         increments=increments,
         steps=np.array(steps, dtype=np.int64),
         base_distances=np.array([0.0, *dists]),
-        snapshots=tuple(snaps),
+        snapshots=tuple(reads) if xi is None else (),
+        xi=xi,
+        horofunctions=None if xi is None else np.array(reads, dtype=float),
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -7,8 +8,10 @@ from cat0lab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_UNCERTIFIED,
+    EXPERIMENTS,
     load_config,
     main,
+    run,
 )
 
 T4_UNIFORM_DIST = {
@@ -141,6 +144,27 @@ def test_converge_and_dirac_and_gap_run(tmp_path):
     assert main(["run", str(cfg3), "--outdir", str(out)]) == EXIT_OK
     rep3 = read_report(out, "gap", 2)
     assert rep3["results"]["sup_gap"] > 0
+
+
+def test_streamed_report_has_the_bytes_of_one_dumped_string(tmp_path):
+    cfg = write_config(tmp_path, "gap.json", {
+        "experiment": "gap", "model": "T4", "distribution": T4_UNIFORM_DIST, "n": 400,
+        "seed": 4, "params": {"xi": {"model": "T4", "word": "ab", "periodic": "a"}}})
+    target = run(load_config(cfg), tmp_path / "out")
+    text = (target / "report.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True, allow_nan=False)
+    assert len(json.loads(text)["results"]["gap_series"]) == 401
+
+
+def test_non_finite_result_leaves_no_report(tmp_path, monkeypatch):
+    def nan_runner(cfg, hypotheses, problems):
+        return {"value": math.nan}, [], []
+
+    monkeypatch.setitem(EXPERIMENTS, "cocycle", (nan_runner, False, False))
+    cfg = write_config(tmp_path, "c.json", {"experiment": "cocycle", "model": "H2", "seed": 1})
+    with pytest.raises(ValueError):
+        run(load_config(cfg), tmp_path / "out")
+    assert not (tmp_path / "out" / "cocycle-1" / "report.json").exists()
 
 
 def test_hitting_and_stationarity_run(tmp_path):

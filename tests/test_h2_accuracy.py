@@ -55,7 +55,7 @@ def test_orbit_distances_match_the_exact_product():
     increments = _workload_paths(n, 40)
     worst = 0.0
     for path in increments.T.tolist():
-        dists, _ = _h2.orbit(WORKLOAD_ATOMS, BASE, path, set(stored))
+        dists, _ = _h2.orbit(WORKLOAD_ATOMS, BASE, path, stored)
         for k, d in zip(stored, dists):
             exact = exact_distance(WORKLOAD_ATOMS, path[:k])
             worst = max(worst, abs(d - exact) / exact)
@@ -77,7 +77,7 @@ def _check_diagonal_walk(k, n):
     expected = [2 * j * k * math.log(2) for j in range(1, n + 1)]
     for i in (0, 1):
         steps = [i] * n
-        dists, _ = _h2.orbit(atoms, BASE, steps, set(range(1, n + 1)))
+        dists, _ = _h2.orbit(atoms, BASE, steps, range(1, n + 1))
         assert dists == pytest.approx(expected, rel=1e-15)
         dists, _ = _h2.orbit_paths(atoms, BASE, np.array([steps, steps]).T)
         assert dists == pytest.approx(expected[-1:] * 2, rel=1e-15)
@@ -105,6 +105,6 @@ def test_atoms_near_1e150_walk_without_overflow():
     dists, _ = _h2.orbit_paths(atoms, BASE, increments)
     for path, batched in zip(increments.T.tolist(), dists):
         exact = exact_distance(atoms, path)
-        single, _ = _h2.orbit(atoms, BASE, path, {len(path)})
+        single, _ = _h2.orbit(atoms, BASE, path, [len(path)])
         assert math.isfinite(batched) and single == [batched]
         assert abs(batched - exact) <= REL_TOL * exact

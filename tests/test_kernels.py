@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cat0lab import (
     BinScheme,
+    BoundaryPoint,
     Model,
     StepDistribution,
     _e2,
@@ -30,6 +31,7 @@ from cat0lab import (
     sample_boundary,
     sample_terminals,
     sample_walk,
+    t4_isometry,
     walk,
 )
 from cat0lab.boundary import DEFAULT_T_GRID
@@ -79,7 +81,7 @@ def test_walker_snapshot_point_matches_dist_to_base(model):
     kernel = KERNELS[model]
     rng = np.random.default_rng(5)
     atoms = [kernel.random_isometry(rng) for _ in range(3)]
-    dists, snaps = kernel.orbit(atoms, kernel.BASEPOINT, INCREMENTS, {len(INCREMENTS)})
+    dists, snaps = kernel.orbit(atoms, kernel.BASEPOINT, INCREMENTS, [len(INCREMENTS)])
     p = kernel.snapshot_point(snaps[-1], kernel.BASEPOINT)
     assert float(kernel.dist(kernel.BASEPOINT, p)) == pytest.approx(dists[-1],
                                                                     rel=1e-9, abs=1e-9)
@@ -90,7 +92,7 @@ def test_snapshot_boundary_is_the_image_under_the_atom_product(model):
     kernel = KERNELS[model]
     rng = np.random.default_rng(11)
     atoms = [kernel.random_isometry(rng) for _ in range(3)]
-    _, snaps = kernel.orbit(atoms, kernel.BASEPOINT, INCREMENTS, {len(INCREMENTS)})
+    _, snaps = kernel.orbit(atoms, kernel.BASEPOINT, INCREMENTS, [len(INCREMENTS)])
     product = kernel.IDENTITY
     for i in INCREMENTS:
         product = kernel.compose(product, atoms[i])
@@ -111,7 +113,7 @@ def test_orbit_states_are_the_atom_products(model, seed, atom_count, draws):
     atoms = [kernel.random_isometry(rng) for _ in range(atom_count)]
     increments = [d % atom_count for d in draws]
     n = len(increments)
-    dists, snaps = kernel.orbit(atoms, kernel.BASEPOINT, increments, set(range(1, n + 1)))
+    dists, snaps = kernel.orbit(atoms, kernel.BASEPOINT, increments, range(1, n + 1))
     assert len(dists) == n and len(snaps) == n + 1
     for k, d in enumerate(dists, start=1):
         p = kernel.snapshot_point(snaps[k], kernel.BASEPOINT)
@@ -148,6 +150,68 @@ def test_walk_distances_sit_at_the_stored_steps(model, seed, atom_count, n, data
     assert list(tr.snapshots) == [every.snapshots[k] for k in tr.steps]
     for i, d in enumerate(tr.base_distances):
         assert float(distance(x, tr.point(i))) == pytest.approx(d, rel=1e-9, abs=1e-9)
+
+
+def _special_boundary(model, x, rng):
+    """A boundary point the random samplers rarely give: H2's point at
+    infinity, a vertical H2xR direction, and for T4 an end x eta with eta
+    a short ray from the root, which the walk x^{-1} Z_k x from the root
+    steps on and off."""
+    if model is Model.H2:
+        return BoundaryPoint(model, math.inf)
+    if model is Model.H2xR:
+        return BoundaryPoint(model, (None, math.copysign(_h2xr.HALF_PI, rng.random() - 0.5)))
+    if model is Model.T4:
+        prefix = _t4.random_word(rng, int(rng.integers(0, 3)))
+        eta = _t4.boundary(prefix, _t4.random_word(rng, 1, prefix)[-1])
+        return BoundaryPoint(model, _t4.boundary_action(x.data, eta))
+    return sample_boundary(model, 1, rng)[0]
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), atom_count=st.integers(1, 4),
+       n=st.integers(0, 40), special=st.booleans(), data=st.data())
+def test_walk_read_toward_xi_holds_the_snapshot_horofunctions(model, seed, atom_count, n,
+                                                              special, data):
+    # the kernel reads h_xi inside its walk loop; at every stored step it is
+    # what snapshot_horofunction reads off the state that walk would store,
+    # with the same distances and no state kept
+    steps = data.draw(st.none() | st.sets(st.integers(0, n)))
+    rng = np.random.default_rng(seed)
+    if model is Model.T4 and special:
+        spec = StepDistribution.uniform([t4_isometry(w) for w in "aAbB"])
+    else:
+        spec = StepDistribution.uniform([random_isometry(model, rng) for _ in range(atom_count)])
+    x = random_point(model, rng)
+    xi = _special_boundary(model, x, rng) if special else sample_boundary(model, 1, rng)[0]
+    read = sample_walk(spec, x, n, seed, steps=steps, xi=xi)
+    stored = sample_walk(spec, x, n, seed, steps=steps)
+    assert read.snapshots == () and read.xi == xi
+    assert list(read.steps) == list(stored.steps)
+    assert list(read.base_distances) == list(stored.base_distances)
+    assert list(read.horofunctions) == [walk.snapshot_horofunction(model, snap, x, xi)
+                                        for snap in stored.snapshots]
+
+
+def test_t4_match_length_follows_the_stack_below_and_back_onto_the_ray():
+    # the ray of xi = aaa... from the root; the walk climbs it to aaa, pops
+    # below the match length, steps off the ray to aab and back, climbs to
+    # aaa again and pops down to the root and past it
+    xi = ("", "a")
+    increments = [0, 0, 0, 1, 2, 3, 0, 1, 1, 1, 2, 3, 0]  # a a a A b B a A A A b B a
+    stored = range(1, len(increments) + 1)
+    dists, values = _t4.orbit(list("aAbB"), "", increments, stored, xi)
+    assert values == [0.0, -1.0, -2.0, -3.0, -2.0, -1.0, -2.0, -3.0, -2.0, -1.0, 0.0, 1.0,
+                      0.0, -1.0]
+    assert dists == [1.0, 2.0, 3.0, 2.0, 3.0, 2.0, 3.0, 2.0, 1.0, 0.0, 1.0, 0.0, 1.0]
+    _, words = _t4.orbit(list("aAbB"), "", increments, stored)
+    assert values == [float(_t4.snapshot_horofunction(w, "", xi)) for w in words]
+    # from a basepoint off the ray, the same walk read toward the same end
+    base = "Bab"
+    _, values = _t4.orbit(list("aAbB"), base, increments, stored, xi)
+    _, words = _t4.orbit(list("aAbB"), base, increments, stored)
+    assert values == [float(_t4.snapshot_horofunction(w, base, xi)) for w in words]
 
 
 def _terminals_by_path(spec, x, n, seed, m):
@@ -196,7 +260,7 @@ def test_h2xr_batched_heights_end_where_the_running_sum_does():
     increments = np.array([[0, 1], [1, 1], [0, 0]], dtype=np.uint8)
     _, snaps = _h2xr.orbit_paths(atoms, _h2xr.BASEPOINT, increments)
     for path, (_, h) in zip(increments.T.tolist(), snaps):
-        _, states = _h2xr.orbit(atoms, _h2xr.BASEPOINT, path, {len(path)})
+        _, states = _h2xr.orbit(atoms, _h2xr.BASEPOINT, path, [len(path)])
         assert math.copysign(1.0, h) == math.copysign(1.0, states[-1][1]) == 1.0
 
 

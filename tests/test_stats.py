@@ -36,6 +36,7 @@ from cat0lab import (
     theil_sen,
     tracking_error,
 )
+from cat0lab.errors import UsageError
 from cat0lab.models import KERNELS
 from cat0lab.oracles import tree_drift_expected, tree_hitting_cylinders, uniform_tree_probs
 from cat0lab.sampling import random_isometry, random_point
@@ -306,6 +307,20 @@ def test_gap_series_obeys_cocycle_decomposition(h2_spec, t4_uniform):
         assert total == pytest.approx(direct, abs=1e-8)
 
 
+def test_gap_of_a_walk_read_toward_xi_is_the_snapshot_gap(h2_spec, t4_uniform):
+    for spec, x, xi, other in (
+        (h2_spec, h2_point(0.5, 2.0), h2_boundary(5.0), h2_boundary(-1.0)),
+        (t4_uniform, t4_point("bA"), t4_boundary("ab", "a"), t4_boundary("b", "b")),
+    ):
+        steps = range(0, 301, 3)
+        read = sample_walk(spec, x, 300, 8, steps=steps, xi=xi)
+        sup_gap, series = horofunction_gap(read, xi)
+        expected_sup, expected = horofunction_gap(sample_walk(spec, x, 300, 8, steps=steps), xi)
+        assert sup_gap == expected_sup and series.tolist() == expected.tolist()
+        with pytest.raises(UsageError):
+            horofunction_gap(read, other)
+
+
 def test_gap_bounded_for_certified_h2(h2_spec):
     tr = sample_walk(h2_spec, h2_point(0, 1), 3000, 17, steps=range(30, 3001, 30))
     sup_gap, series = horofunction_gap(tr, h2_boundary(5.0))
@@ -435,6 +450,33 @@ def test_theil_sen_basic():
     xs = np.arange(50)
     assert theil_sen(xs, 3.0 * xs + 2) == pytest.approx(3.0)
     assert abs(theil_sen(xs, np.ones(50))) <= 1e-12
+
+
+def _theil_sen_by_list(xs, ys):
+    # the Python float list theil_sen gathered its slopes in, kept as the
+    # reference
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if len(xs) > 300:
+        stride = len(xs) // 300 + 1
+        xs, ys = xs[::stride], ys[::stride]
+    slopes = []
+    for i in range(len(xs)):
+        dx = xs[i + 1:] - xs[i]
+        dy = ys[i + 1:] - ys[i]
+        keep = dx != 0
+        slopes.extend((dy[keep] / dx[keep]).tolist())
+    return float(np.median(slopes))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_theil_sen_is_the_median_of_the_slope_list(seed):
+    # repeated x drop their pairs; the longer series are strided first
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 700))
+    xs = np.sort(rng.integers(0, max(2, n // 3), n)).astype(float)
+    xs[-1] = xs[0] + 1.0  # at least two distinct x
+    ys = rng.normal(size=n) + 0.01 * xs
+    assert theil_sen(xs, ys) == _theil_sen_by_list(xs, ys)
 
 
 def test_rankone_audit_verdicts(h2_spec, e2_centered):
