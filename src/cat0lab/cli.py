@@ -24,6 +24,7 @@ import json
 import math
 import sys
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -83,34 +84,35 @@ _MALFORMED = (KeyError, TypeError, ValueError, OverflowError, DistributionError,
               DomainError, UsageError)
 
 
-# The params the runners read, checked and converted at load whatever the
-# experiment: integers with their least values, finite floats (lambda may
-# also be "auto"), a JSON boolean, and isometry and boundary payloads.
-INT_PARAMS = {"bins": 0, "count": 1, "k_count": 1, "samples": 1, "atom_count": 2,
-              "refinement_samples": 1, "thin": 1, "powers": 1, "cap": 1}
-FLOAT_PARAMS = ("eps_plus", "eps_minus", "u_eps", "exclusion", "lambda")
+REQUIRED = object()
+Param = namedtuple("Param", "kind default least", defaults=(REQUIRED, None))
 
 
-def _param(key: str, value, tol: float):
-    """One param as its runner reads it; boundary payloads parse under the
-    config's own tolerance."""
-    if key in INT_PARAMS:
-        if int(value) < INT_PARAMS[key]:
-            raise ValueError(f"must be an integer >= {INT_PARAMS[key]}")
-        return int(value)
-    if key in FLOAT_PARAMS and not (key == "lambda" and value == "auto"):
-        if not math.isfinite(x := float(value)):
-            raise ValueError("must be a finite number")
-        return x
-    if key == "second_set" and not isinstance(value, bool):
-        raise ValueError("must be true or false")
-    if key == "g":
-        return isometry_from_json(value)
-    if key in ("xi", "horofunction_xi"):
-        return boundary_from_json(value, tol)
-    if key in ("atoms0", "atoms1"):
-        return [boundary_from_json(b, tol) for b in value]
-    return value
+def _param(key: str, given: dict, kind: str, default=REQUIRED, least=None, tol=None):
+    """`given[key]` checked as a `kind` and converted as the runners read it,
+    or the default; boundary payloads parse under the given tolerance."""
+    if key not in given:
+        if default is REQUIRED:
+            raise ConfigError(f"{key} is required ({kind})")
+        return default
+    value = given[key]
+    try:
+        if kind == "isometry":
+            return isometry_from_json(value)
+        if kind == "boundary":
+            return boundary_from_json(value, tol)
+        if kind == "boundaries":
+            return [boundary_from_json(b, tol) for b in value]
+        if (kind == "bool" and type(value) is bool  # a bool is no int or number here
+                or kind == "int" and type(value) is int and value >= least
+                or kind == "positive or auto" and value == "auto"):
+            return value
+        if kind in ("float", "positive", "positive or auto") and type(value) in (int, float):
+            if math.isfinite(x := float(value)) and (x >= least if kind == "float" else x > 0):
+                return x
+    except _MALFORMED as exc:
+        raise ConfigError(f"{key} is malformed: {exc}") from exc
+    raise ConfigError(f"{key} must be {kind}" + ("" if least is None else f" >= {least}"))
 
 
 @dataclass
@@ -129,10 +131,14 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    """Read a config file, or raise ConfigError unless it is a JSON object whose
+    values and params are all of their kinds; fill in the params' defaults."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
     try:
         schema = raw.get("schema")
         if schema is not None and schema != CONFIG_SCHEMA:
@@ -148,29 +154,22 @@ def load_config(path) -> ExperimentConfig:
             if dist.model is not model:
                 raise ConfigError("distribution model does not match config model")
         base = point_from_json(raw["basepoint"]) if "basepoint" in raw else model_basepoint(model)
-        n = int(raw.get("n", 1000))
-        m = int(raw.get("m_samples", 100))
-        if n < 0 or m < 1:
-            raise ConfigError("n must be nonnegative and m_samples positive")
-        seed = int(raw.get("seed", 0))
+        n = _param("n", raw, "int", 1000, 0)
+        m = _param("m_samples", raw, "int", 100, 1)
+        seed = _param("seed", raw, "int", 0, 0)
         # runners derive seeds up to seed + 2, which must stay below 2**64
-        if not 0 <= seed < 1 << 63:
+        if seed >= 1 << 63:
             raise ConfigError("seed must lie in [0, 2**63)")
-        checkpoints = [int(k) for k in raw["checkpoints"]] if "checkpoints" in raw else None
-        if checkpoints is not None and not all(1 <= k <= n for k in checkpoints):
-            raise ConfigError(f"checkpoints must lie in [1, n] = [1, {n}]")
-        tol = raw.get("tolerance")
-        tol = DEFAULT_TOLERANCE if tol is None else float(tol)
-        if not 0 < tol < math.inf:
-            raise ConfigError("tolerance must be a positive finite number")
-        params = {}
-        for key, value in dict(raw.get("params", {})).items():
-            try:
-                params[key] = _param(key, value, tol)
-            except _MALFORMED as exc:
-                raise ConfigError(f"params.{key} is malformed: {exc}") from exc
+        checkpoints = raw.get("checkpoints", [])
+        if not all(type(k) is int and 1 <= k <= n for k in checkpoints):
+            raise ConfigError(f"checkpoints must be integers in [1, n] = [1, {n}]")
+        tol = _param("tolerance", raw, "positive", DEFAULT_TOLERANCE)
+        given, table = raw.get("params", {}), EXPERIMENTS[experiment][3]
+        if not isinstance(given, dict) or not given.keys() <= table.keys():
+            raise ConfigError(f"params must be an object with keys from {sorted(table)}")
+        params = {key: _param(key, given, *spec, tol=tol) for key, spec in table.items()}
         return ExperimentConfig(experiment, model, dist, base, n, m, seed,
-                                checkpoints, params, tol, raw)
+                                checkpoints or None, params, tol, raw)
     except ConfigError:
         raise
     except _MALFORMED as exc:
@@ -191,7 +190,7 @@ def _hypotheses_block(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
 
 def _run_drift(cfg, hypotheses, problems):
     rep = drift_estimate(cfg.distribution, cfg.basepoint, cfg.n, cfg.m_samples,
-                         cfg.seed, horofunction_xi=cfg.params.get("horofunction_xi"))
+                         cfg.seed, horofunction_xi=cfg.params["horofunction_xi"])
     return (asdict(rep), ["sample", "terminal_over_n"],
             list(enumerate(rep.per_sample_terminal)))
 
@@ -214,12 +213,12 @@ def _run_converge(cfg, hypotheses, problems):
 
 def _run_hitting(cfg, hypotheses, problems):
     """hitting, and stationarity, which adds the defect of the same histogram."""
-    bins = BinScheme.default(cfg.model, cfg.params.get("bins", 0))
+    bins = BinScheme.default(cfg.model, cfg.params["bins"])
     hist = hitting_measure(cfg.distribution, cfg.basepoint, cfg.n, cfg.m_samples,
                            bins, cfg.seed)
     results = {"histogram": hist.to_json()}
     if cfg.experiment == "stationarity":
-        refinement = cfg.params.get("refinement_samples", 32)
+        refinement = cfg.params["refinement_samples"]
         results["defect"] = stationarity_defect(cfg.distribution, hist, refinement,
                                                 seed=cfg.seed)
         results["refinement_samples"] = refinement
@@ -227,12 +226,12 @@ def _run_hitting(cfg, hypotheses, problems):
 
 
 def _run_dirac(cfg, hypotheses, problems):
-    count = cfg.params.get("atom_count", 10)
-    atoms0 = cfg.params.get("atoms0")
+    count = cfg.params["atom_count"]
+    atoms0 = cfg.params["atoms0"]
     if atoms0 is None:
         atoms0 = sample_boundary(cfg.model, count, cfg.seed + 1)
-    atoms1 = cfg.params.get("atoms1")
-    if atoms1 is None and cfg.params.get("second_set", True):
+    atoms1 = cfg.params["atoms1"]
+    if atoms1 is None and cfg.params["second_set"]:
         atoms1 = sample_boundary(cfg.model, count, cfg.seed + 2)
     checkpoints = cfg.checkpoints or default_checkpoints(cfg.n, 10)
     rep = dirac_concentration(cfg.distribution, atoms0, cfg.seed,
@@ -245,10 +244,8 @@ def _run_dirac(cfg, hypotheses, problems):
 
 
 def _run_gap(cfg, hypotheses, problems):
-    if "xi" not in cfg.params:
-        raise ConfigError("gap experiment needs params.xi (a boundary point)")
     xi = cfg.params["xi"]
-    thin = cfg.params.get("thin", 1)
+    thin = cfg.params["thin"]
     tr = sample_walk(cfg.distribution, cfg.basepoint, cfg.n, cfg.seed,
                      steps=[*range(thin, cfg.n + 1, thin), cfg.n], xi=xi)
     sup_gap, series = horofunction_gap(tr, xi)
@@ -261,10 +258,9 @@ def _run_gap(cfg, hypotheses, problems):
 def _run_cocycle(cfg, hypotheses, problems):
     import numpy as np
 
-    count = cfg.params.get("count", 100)
     rng = np.random.default_rng(cfg.seed)
     residuals = []
-    for _ in range(count):
+    for _ in range(cfg.params["count"]):
         g1 = random_isometry(cfg.model, rng)
         g2 = random_isometry(cfg.model, rng)
         xi = sample_boundary(cfg.model, 1, rng)[0]
@@ -275,7 +271,7 @@ def _run_cocycle(cfg, hypotheses, problems):
 
 
 def _run_track(cfg, hypotheses, problems):
-    lam = cfg.params.get("lambda", "auto")
+    lam = cfg.params["lambda"]
     if lam == "auto":
         rep = drift_estimate(cfg.distribution, cfg.basepoint, cfg.n,
                              min(cfg.m_samples, 50), cfg.seed + 1)
@@ -291,16 +287,10 @@ def _run_track(cfg, hypotheses, problems):
 
 
 def _run_northsouth(cfg, hypotheses, problems):
-    if "g" not in cfg.params:
-        raise ConfigError("northsouth experiment needs params.g (an isometry)")
-    g = cfg.params["g"]
-    eps_plus = cfg.params.get("eps_plus", 0.01)
-    eps_minus = cfg.params.get("eps_minus", 0.1)
-    samples = cfg.params.get("samples", 200)
-    cap = cfg.params.get("cap", 10 ** 6)
-    res = north_south_constant(g, eps_plus, eps_minus, samples, cfg.seed, cap=cap)
-    res2 = north_south_constant(power(g, 2), eps_plus, eps_minus, samples,
-                                cfg.seed, cap=cap)
+    p = cfg.params
+    args = (p["eps_plus"], p["eps_minus"], p["samples"], cfg.seed)
+    res = north_south_constant(p["g"], *args, cap=p["cap"])
+    res2 = north_south_constant(power(p["g"], 2), *args, cap=p["cap"])
     powers, max_gaps = list(range(1, res.k0 + 1)), list(res.max_gaps)
     return ({"k0": res.k0, "attained": res.attained, "cap": res.cap,
              "samples": res.samples, "k0_squared_power": res2.k0,
@@ -309,13 +299,9 @@ def _run_northsouth(cfg, hypotheses, problems):
 
 
 def _run_pi_convergence(cfg, hypotheses, problems):
-    if "g" not in cfg.params:
-        raise ConfigError("pi-convergence experiment needs params.g")
     g = cfg.params["g"]
-    gs = [power(g, k) for k in range(1, cfg.params.get("powers", 30) + 1)]
-    u_eps = cfg.params.get("u_eps", 0.05)
-    k_count = cfg.params.get("k_count", 50)
-    exclusion = cfg.params.get("exclusion", 0.1)
+    k_count = cfg.params["k_count"]
+    gs = [power(g, k) for k in range(1, cfg.params["powers"] + 1)]
     x = cfg.basepoint
     try:
         eta, _ = axis_endpoints(g)
@@ -324,8 +310,8 @@ def _run_pi_convergence(cfg, hypotheses, problems):
     pool = sample_boundary(cfg.model, 8 * k_count, cfg.seed)
     if eta is not None:
         pool = [b for b, (d,) in zip(pool, boundary_distances(x, pool, [eta]))
-                if d >= exclusion]
-    res = pi_convergence_check(gs, x, pool[:k_count], u_eps)
+                if d >= cfg.params["exclusion"]]
+    res = pi_convergence_check(gs, x, pool[:k_count], cfg.params["u_eps"])
     gaps = list(res.max_gaps)
     return ({"holds": res.holds, "n0": res.n0,
              "xi": boundary_to_json(res.xi), "eta": boundary_to_json(res.eta),
@@ -333,7 +319,7 @@ def _run_pi_convergence(cfg, hypotheses, problems):
 
 
 def _run_tits_table(cfg, hypotheses, problems):
-    count = cfg.params.get("count", 8)
+    count = cfg.params["count"]
     pts = sample_boundary(cfg.model, count, cfg.seed)
     pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
     table = []
@@ -354,21 +340,33 @@ def _run_rankone_audit(cfg, hypotheses, problems):
     return hypotheses["rankone_audit"], None, []
 
 
-# name -> (runner, needs a distribution, gated).  Gated experiments assume a
-# certified admissible, non-elementary, rank-one-containing support.
+# name -> (runner, needs a distribution, gated, params).  Gated experiments
+# assume a certified admissible, non-elementary, rank-one-containing support.
+# The params, the only ones a config may give, each have a kind and a default
+# (or are REQUIRED): an "int" is a JSON integer and a "float" a finite JSON
+# number, each at least `least`; "positive" is a finite number above 0, and
+# "positive or auto" also "auto"; the rest are a bool and JSON payloads.
 EXPERIMENTS = {
-    "drift": (_run_drift, True, True),
-    "converge": (_run_converge, True, True),
-    "hitting": (_run_hitting, True, True),
-    "stationarity": (_run_hitting, True, True),
-    "dirac": (_run_dirac, True, True),
-    "gap": (_run_gap, True, True),
-    "cocycle": (_run_cocycle, False, False),
-    "track": (_run_track, True, True),
-    "northsouth": (_run_northsouth, False, False),
-    "pi-convergence": (_run_pi_convergence, False, False),
-    "tits-table": (_run_tits_table, False, False),
-    "rankone-audit": (_run_rankone_audit, True, False),
+    "drift": (_run_drift, True, True, {"horofunction_xi": Param("boundary", None)}),
+    "converge": (_run_converge, True, True, {}),
+    "hitting": (_run_hitting, True, True, {"bins": Param("int", 0, 0)}),
+    "stationarity": (_run_hitting, True, True,
+                     {"bins": Param("int", 0, 0), "refinement_samples": Param("int", 32, 1)}),
+    "dirac": (_run_dirac, True, True, {
+        "atom_count": Param("int", 10, 2), "atoms0": Param("boundaries", None),
+        "atoms1": Param("boundaries", None), "second_set": Param("bool", True)}),
+    "gap": (_run_gap, True, True, {"xi": Param("boundary"), "thin": Param("int", 1, 1)}),
+    "cocycle": (_run_cocycle, False, False, {"count": Param("int", 100, 1)}),
+    "track": (_run_track, True, True, {"lambda": Param("positive or auto", "auto")}),
+    "northsouth": (_run_northsouth, False, False, {
+        "g": Param("isometry"), "eps_plus": Param("positive", 0.01),
+        "eps_minus": Param("positive", 0.1), "samples": Param("int", 200, 1),
+        "cap": Param("int", 10 ** 6, 1)}),
+    "pi-convergence": (_run_pi_convergence, False, False, {
+        "g": Param("isometry"), "powers": Param("int", 30, 1), "u_eps": Param("positive", 0.05),
+        "k_count": Param("int", 50, 1), "exclusion": Param("float", 0.1, 0)}),
+    "tits-table": (_run_tits_table, False, False, {"count": Param("int", 8, 1)}),
+    "rankone-audit": (_run_rankone_audit, True, False, {}),
 }
 
 
@@ -377,7 +375,7 @@ def run(cfg: ExperimentConfig, outdir, allow_uncertified: bool = False) -> Path:
     config's tolerance applies to this run only; without one the default
     applies, whatever an earlier run set."""
     set_tolerance(cfg.tolerance)
-    runner, needs_distribution, gated = EXPERIMENTS[cfg.experiment]
+    runner, needs_distribution, gated, _ = EXPERIMENTS[cfg.experiment]
     if needs_distribution and cfg.distribution is None:
         raise ConfigError(f"experiment {cfg.experiment!r} needs a distribution")
     hypotheses, problems = _hypotheses_block(cfg)

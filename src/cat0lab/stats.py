@@ -453,7 +453,9 @@ def theil_sen(xs, ys) -> float:
         dx = xs[i + 1:] - xs[i]
         keep = dx != 0
         slopes.append((ys[i + 1:] - ys[i])[keep] / dx[keep])
-    return float(np.median(np.concatenate(slopes)))
+    if not (slopes := np.concatenate(slopes)).size:
+        raise UsageError("need two points with distinct x")
+    return float(np.median(slopes))
 
 
 # -- hypotheses audit ----------------------------------------------------------------

@@ -9,6 +9,7 @@ from cat0lab.cli import (
     EXIT_OK,
     EXIT_UNCERTIFIED,
     EXPERIMENTS,
+    REQUIRED,
     load_config,
     main,
     run,
@@ -160,7 +161,7 @@ def test_non_finite_result_leaves_no_report(tmp_path, monkeypatch):
     def nan_runner(cfg, hypotheses, problems):
         return {"value": math.nan}, [], []
 
-    monkeypatch.setitem(EXPERIMENTS, "cocycle", (nan_runner, False, False))
+    monkeypatch.setitem(EXPERIMENTS, "cocycle", (nan_runner, False, False, {}))
     cfg = write_config(tmp_path, "c.json", {"experiment": "cocycle", "model": "H2", "seed": 1})
     with pytest.raises(ValueError):
         run(load_config(cfg), tmp_path / "out")
@@ -282,3 +283,22 @@ def test_load_config_defaults(tmp_path):
     parsed = load_config(cfg)
     assert parsed.n == 1000 and parsed.m_samples == 100 and parsed.seed == 0
     assert parsed.basepoint.data == ""
+
+
+def test_readme_param_table_is_the_experiments_table():
+    # README.md lists each experiment's params; a param added, dropped or
+    # changed in EXPERIMENTS without the README fails here
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    header = "| experiment | param | kind | least | default |"
+    rows = text.split(header)[1].split("\n\n")[0].splitlines()[2:]
+    listed = {}
+    for row in rows:
+        experiment, name, kind, least, default = (
+            cell.strip().strip("`") for cell in row.strip("|").split("|"))
+        listed[experiment, name] = (
+            kind, REQUIRED if default == "required" else json.loads(default),
+            json.loads(least) if least else None)
+    table = {(experiment, name): tuple(spec)
+             for experiment, (*_, params) in EXPERIMENTS.items()
+             for name, spec in params.items()}
+    assert listed == table

@@ -158,7 +158,7 @@ def test_sweep_reports_an_uncaught_error_and_runs_the_next_config(tmp_path, monk
     def broken(*runner_args):
         raise ZeroDivisionError("division by zero")
 
-    monkeypatch.setitem(cli.EXPERIMENTS, "cocycle", (broken, False, False))
+    monkeypatch.setitem(cli.EXPERIMENTS, "cocycle", (broken, False, False, {}))
     (tmp_path / "a.json").write_text(json.dumps(
         {"experiment": "cocycle", "model": "E2", "seed": 1}))
     (tmp_path / "b.json").write_text(json.dumps(
@@ -205,15 +205,21 @@ def test_walk_keys_are_exact_at_and_above_two_to_the_63(t4_uniform):
     {"experiment": "cocycle", "seed": 2 ** 63},
     {"experiment": "dirac", "distribution": H2_DIST, "n": 50, "checkpoints": [400]},
     {"experiment": "dirac", "distribution": H2_DIST, "n": 50, "checkpoints": [0, 50]},
-], ids=["seed-negative", "seed-2**63", "checkpoint-above-n", "checkpoint-zero"])
+    {"experiment": "cocycle", "n": 2.5},
+    {"experiment": "cocycle", "n": True},
+    {"experiment": "cocycle", "seed": 1.9},
+    {"experiment": "cocycle", "checkpoints": [3.5]},
+    {"experiment": "cocycle", "m_samples": "7"},
+    {"experiment": "cocycle", "tolerance": True},
+], ids=["seed-negative", "seed-2**63", "checkpoint-above-n", "checkpoint-zero",
+        "n-fraction", "n-true", "seed-fraction", "checkpoint-fraction", "m_samples-string",
+        "tolerance-true"])
 def test_config_rejects_out_of_range_seeds_and_checkpoints(tmp_path, capsys, fields):
     # the parent crashed on seed -1, ran seed 2**63, walked to checkpoint 400
-    # at n=50, and dropped checkpoint 0
-    cfg = {"model": "H2", "seed": 1, **fields}
-    (tmp_path / "c.json").write_text(json.dumps(cfg))
-    assert main(["run", str(tmp_path / "c.json"), "--outdir", str(tmp_path / "out")]) == EXIT_CONFIG
-    assert json.loads(capsys.readouterr().err)["error"] == "config"
-    assert not (tmp_path / "out").exists()
+    # at n=50, and dropped checkpoint 0; it truncated n 2.5 to 2, n true to 1,
+    # seed 1.9 to 1 and checkpoint 3.5 to 3, read m_samples "7" as 7, and
+    # tolerance true as 1.0
+    _assert_config_error(tmp_path, capsys, fields)
 
 
 H2_G = {"model": "H2", "payload": {"matrix": [2, 0, 0, 0.5]}}
@@ -227,15 +233,20 @@ H2_G = {"model": "H2", "payload": {"matrix": [2, 0, 0, 0.5]}}
     {"experiment": "cocycle", "params": {"count": float("inf")}},
     {"experiment": "pi-convergence", "params": {"g": H2_G, "powers": "x"}},
     {"experiment": "northsouth", "params": {"g": H2_G, "cap": "x"}},
+    {"experiment": "cocycle", "params": {"count": 2.7}},
+    {"experiment": "cocycle", "params": {"count": "5"}},
+    {"experiment": "hitting", "distribution": H2_DIST, "n": 20, "params": {"bins": True}},
 ], ids=["bins-not-an-integer", "count-zero", "k_count-negative", "samples-zero",
-        "count-infinite", "powers-not-an-integer", "cap-not-an-integer"])
+        "count-infinite", "powers-not-an-integer", "cap-not-an-integer", "count-fraction",
+        "count-string", "bins-true"])
 def test_config_rejects_malformed_integer_params(tmp_path, capsys, fields):
     # the parent exited 1 with a ValueError traceback on bins "x" and with
     # "max() arg is an empty sequence" on count 0, reported "holds": true
     # over an empty compact set on k_count -1 and "attained": true at k0 = 1
     # over no samples on samples 0, and int() of an Infinity raises
     # OverflowError; powers and cap were read only by their runners, and
-    # exited 1 with a ValueError traceback
+    # exited 1 with a ValueError traceback; int() truncated count 2.7 to 2
+    # and read "5" as 5 and true as 1
     _assert_config_error(tmp_path, capsys, fields)
 
 
@@ -245,6 +256,9 @@ def _assert_config_error(tmp_path, capsys, fields):
     assert main(["run", str(tmp_path / "c.json"), "--outdir", str(tmp_path / "out")]) == EXIT_CONFIG
     assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not (tmp_path / "out").exists()
+    # the config fails at load, before any runner starts
+    with pytest.raises(cli.ConfigError):
+        cli.load_config(tmp_path / "c.json")
 
 
 @pytest.mark.parametrize("fields", [
@@ -259,14 +273,37 @@ def _assert_config_error(tmp_path, capsys, fields):
     {"experiment": "cocycle", "tolerance": "abc"},
     {"experiment": "pi-convergence", "params": {"g": H2_G, "u_eps": "nan"}},
     {"experiment": "dirac", "distribution": H2_DIST, "n": 20, "params": {"second_set": "no"}},
+    {"experiment": "northsouth", "params": {"g": H2_G, "eps_plus": -1, "cap": 10}},
+    {"experiment": "track", "distribution": H2_DIST, "n": 20, "params": {"lambda": -1}},
+    {"experiment": "pi-convergence", "params": {"g": H2_G, "exclusion": -1}},
+    {"experiment": "northsouth", "params": {"g": H2_G, "sampels": 7}},
+    {"experiment": "northsouth", "params": {"g": H2_G, "count": 3}},
+    {"experiment": "gap", "distribution": H2_DIST, "n": 20},
+    {"experiment": "northsouth"},
+    {"experiment": "cocycle", "params": ["ab"]},
 ], ids=["lambda-not-a-number", "eps_plus-not-a-number", "g-two-entry-matrix",
         "xi-without-model", "atoms0-without-xi", "horofunction_xi-not-a-number",
-        "tolerance-not-a-number", "u_eps-nan", "second_set-a-string"])
+        "tolerance-not-a-number", "u_eps-nan", "second_set-a-string", "eps_plus-negative",
+        "lambda-negative", "exclusion-negative", "unknown-param", "param-of-another-experiment",
+        "gap-without-xi", "northsouth-without-g", "params-not-an-object"])
 def test_config_rejects_malformed_params(tmp_path, capsys, fields):
     # the runners read these params, and the parent exited 1 with a
     # traceback on each, except on u_eps "nan", which reported "holds":
-    # false, and on second_set "no", which it read as true
+    # false, and on second_set "no", which it read as true; it ran eps_plus,
+    # lambda and exclusion -1, ran samples 200 past "sampels" and ignored
+    # count on northsouth, failed a missing xi or g only in the runner, and
+    # read params ["ab"] as {"a": "b"}
     _assert_config_error(tmp_path, capsys, fields)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "7", '"gap"'])
+def test_config_file_must_hold_an_object(tmp_path, capsys, text):
+    # the parent exited 1 with "AttributeError: 'list' object has no
+    # attribute 'get'"
+    (tmp_path / "c.json").write_text(text)
+    assert main(["run", str(tmp_path / "c.json"), "--outdir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_boundary_params_parse_under_the_config_tolerance(tmp_path):
@@ -338,7 +375,9 @@ def test_one_rankone_audit_per_run(tmp_path, monkeypatch):
     e2_dist = _uniform_dist("E2", [{"angle": 0.0, "v": v} for v in ([1, 0], [-1, 0], [0, 1])])
     for experiment, dist in [("rankone-audit", H2_DIST), ("dirac", H2_DIST), ("dirac", e2_dist)]:
         cfg = {"experiment": experiment, "model": dist["model"], "distribution": dist,
-               "n": 40, "seed": 1, "params": {"atom_count": 3}}
+               "n": 40, "seed": 1}
+        if experiment == "dirac":
+            cfg["params"] = {"atom_count": 3}
         (tmp_path / "c.json").write_text(json.dumps(cfg))
         out = tmp_path / dist["model"]
         calls.clear()

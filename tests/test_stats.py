@@ -450,6 +450,9 @@ def test_theil_sen_basic():
     xs = np.arange(50)
     assert theil_sen(xs, 3.0 * xs + 2) == pytest.approx(3.0)
     assert abs(theil_sen(xs, np.ones(50))) <= 1e-12
+    # no two distinct x values give no slope at all: the parent returned NaN
+    with pytest.raises(UsageError):
+        theil_sen([1, 1, 1], [1, 2, 3])
 
 
 def _theil_sen_by_list(xs, ys):
