@@ -59,27 +59,20 @@ from .isometry import (
 )
 from .boundary import (
     AngleLimit,
-    GeodesicWitness,
-    VisualNeighborhood,
     angle_at_infinity,
     angles_at_infinity,
     boundary_distances,
     boundary_metric,
     horofunction,
     horofunction_limit_oracle,
-    neighborhood_nesting_check,
-    rank_one_geodesic_witness,
     sample_boundary,
     tits_ball_is_trivial,
     tits_distance,
-    visual_contains,
 )
 from .walk import (
     AdmissibilityReport,
     StepDistribution,
     WalkTrace,
-    inverse_walk_positions,
-    pushforward_atoms,
     sample_terminals,
     sample_walk,
     validate_distribution,

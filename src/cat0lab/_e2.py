@@ -26,8 +26,6 @@ BASEPOINT = complex(0.0, 0.0)
 IDENTITY = (0.0, complex(0.0, 0.0))
 RANK_ONE = False  # every line lies in a flat plane
 TITS_BALL_TRIVIAL = False
-VERTEX_GRANULAR = False
-CSV_COLUMNS = ("x", "y")
 
 
 def wrap_angle(theta: float) -> float:
@@ -183,13 +181,6 @@ boundary_chart = ray_point
 chart_dist = dist
 
 
-def geodesic_witness(theta1: float, theta2: float, tol: float):
-    """Only antipodal directions are joined, by a line in a flat."""
-    if circle_gap(theta1, theta2) < math.pi - tol:
-        return None
-    return complex(0.0, 0.0), False
-
-
 # -- samplers -----------------------------------------------------------------
 
 def random_point(rng) -> complex:
@@ -305,10 +296,6 @@ def snapshot_boundary(snap, base: complex, theta: float) -> float:
 
 def snapshot_horofunction(snap, base: complex, theta: float) -> float:
     return horofunction(theta, base, snapshot_point(snap, base))
-
-
-def csv_row(p: complex) -> list:
-    return [p.real, p.imag]
 
 
 def tracking_gaps(atoms, increments, snaps, base: complex, lam: float, tol: float) -> dict:

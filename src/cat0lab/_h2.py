@@ -44,8 +44,6 @@ _J: Mat = (0.0, -1.0, 1.0, 0.0)  # z -> -1/z
 BASEPOINT = complex(0.0, 1.0)
 RANK_ONE = True  # every axis is contracting
 TITS_BALL_TRIVIAL = True
-VERTEX_GRANULAR = False
-CSV_COLUMNS = ("x", "y")
 
 
 def sign_normalize(m: Mat) -> Mat:
@@ -370,17 +368,6 @@ boundary_chart = ray_point
 chart_dist = dist
 
 
-def geodesic_witness(a: float, b: float, tol: float):
-    """A point on the geodesic joining two distinct boundary points; every
-    such geodesic is contracting."""
-    if math.isinf(a) or math.isinf(b):
-        fin = b if math.isinf(a) else a
-        return complex(fin, 1.0), True
-    c = (a + b) / 2.0
-    r = abs(a - b) / 2.0
-    return complex(c, r), True
-
-
 # -- samplers -----------------------------------------------------------------
 
 def random_sl2(rng) -> Mat:
@@ -629,10 +616,6 @@ snapshot_horofunction = state_horofunction
 
 def snapshot_boundary(st: State, x: complex, xi: float) -> float:
     return mobius_boundary(st[0], xi)
-
-
-def csv_row(p: complex) -> list:
-    return [p.real, p.imag]
 
 
 def tracking_gaps(atoms, increments, snaps, base: complex, lam: float, tol: float) -> dict:

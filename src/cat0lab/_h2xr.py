@@ -30,8 +30,6 @@ BASEPOINT = (complex(0.0, 1.0), 0.0)
 IDENTITY = (_h2.IDENTITY, 0.0)
 RANK_ONE = False  # every axis lies in a flat plane
 TITS_BALL_TRIVIAL = False
-VERTEX_GRANULAR = False
-CSV_COLUMNS = ("x", "y", "height")
 
 
 # -- values and codecs --------------------------------------------------------
@@ -247,21 +245,6 @@ boundary_chart = ray_point
 chart_dist = dist
 
 
-def geodesic_witness(b1, b2, tol: float):
-    """A point on a geodesic joining two distinct boundary points, if any:
-    only slopes of opposite sign over distinct horizontal ends (or the two
-    poles) are joined, by a geodesic in a flat strip."""
-    (x1, a1), (x2, a2) = b1, b2
-    joined = abs(a1 + a2) <= tol and ((x1 is None) == (x2 is None))
-    if x1 is not None and x2 is not None:
-        joined = joined and not _h2.boundary_eq(x1, x2, tol)
-    if not joined:
-        return None
-    if x1 is None:
-        return (complex(0.0, 1.0), 0.0), False
-    return (_h2.geodesic_witness(x1, x2, tol)[0], 0.0), False
-
-
 def boundary(xi, alpha: float, tol: float):
     if xi is not None and not math.isinf(xi):
         xi = float(xi)
@@ -418,10 +401,6 @@ def snapshot_horofunction(snap, base, b) -> float:
     st, h = snap
     xi = b[0]
     return _horofunction(b, None if xi is None else _h2.state_horofunction(st, base[0], xi), h)
-
-
-def csv_row(p) -> list:
-    return [p[0].real, p[0].imag, p[1]]
 
 
 def tracking_gaps(atoms, increments, snaps, base, lam: float, tol: float) -> dict:

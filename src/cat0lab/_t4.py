@@ -24,8 +24,6 @@ BASEPOINT = ""
 IDENTITY = ""
 RANK_ONE = True  # every axis is contracting
 TITS_BALL_TRIVIAL = True
-VERTEX_GRANULAR = True
-CSV_COLUMNS = ("word",)
 
 
 def inv_letter(ch: str) -> str:
@@ -360,12 +358,6 @@ def tits(b1: tuple[str, str], b2: tuple[str, str], tol: float) -> float:
     return 0.0 if boundary_eq(b1, b2) else math.inf
 
 
-def geodesic_witness(b1: tuple[str, str], b2: tuple[str, str], tol: float):
-    """The branch vertex of two distinct ends; tree geodesics are contracting."""
-    w1, w2 = separating_prefixes(b1, b2)
-    return w1[:lcp(w1, w2)], True
-
-
 # -- samplers -----------------------------------------------------------------
 
 # the letters that may follow a word ending in each letter (any letter after
@@ -526,10 +518,6 @@ def snapshot_boundary(snap: str, base: str, b: tuple[str, str]) -> tuple[str, st
 
 def snapshot_horofunction(snap: str, base: str, b: tuple[str, str]) -> int:
     return horofunction(b, base, snapshot_point(snap, base))
-
-
-def csv_row(p: str) -> list:
-    return [p]
 
 
 def tracking_gaps(atoms, increments, snaps, base: str, lam: float, tol: float) -> dict:

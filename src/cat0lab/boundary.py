@@ -1,7 +1,6 @@
-"""Boundary machinery: horofunctions, visual neighborhoods, angles at
-infinity, Tits distances, the visual metric over all pairs of a point set
-(`boundary_distances`, which charts each point once), and geodesic
-witnesses.
+"""Boundary machinery: horofunctions, angles at infinity, Tits distances,
+the visual metric over all pairs of a point set (`boundary_distances`,
+which charts each point once), and seeded boundary samples.
 
 Closed forms are implemented per model; the horofunction limit oracle
 recomputes the defining limit directly (in multiprecision arithmetic for
@@ -15,15 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._random import uniform
 from .errors import UsageError
-from .geometry import angle_of_sides, distance, project_to_ball, ray_point
+from .geometry import angle_of_sides
 from .models import (
     KERNELS,
     BoundaryPoint,
     Model,
     Point,
-    boundary_points_equal,
     same_model,
     tolerance,
 )
@@ -43,70 +40,6 @@ def horofunction_limit_oracle(xi: BoundaryPoint, x: Point, z: Point, t: float) -
     if t < 0:
         raise UsageError("ray parameter must be nonnegative")
     return KERNELS[model].busemann_limit(xi.data, x.data, z.data, t)
-
-
-@dataclass(frozen=True)
-class VisualNeighborhood:
-    """Basic open set of the visual topology: points whose projection to the
-    sphere of radius r around the base lands within eps of the ray point."""
-
-    base: Point
-    target: BoundaryPoint
-    r: float
-    eps: float
-
-    def __post_init__(self):
-        same_model(self.base, self.target)
-        if not self.r > 0 or not self.eps > 0:
-            raise UsageError("visual neighborhood needs positive r and eps")
-        if not self.r > self.eps:
-            raise UsageError("visual neighborhood needs r > eps")
-
-
-def visual_contains(u: VisualNeighborhood, target) -> bool:
-    if isinstance(target, Point):
-        same_model(u.base, target)
-        if distance(u.base, target) <= u.r:
-            return False
-    else:
-        same_model(u.base, target)
-    anchor = ray_point(u.base, u.target, u.r)
-    proj = project_to_ball(u.base, u.r, target)
-    return distance(proj, anchor) < u.eps
-
-
-def neighborhood_nesting_check(x: Point, x2: Point, xi: BoundaryPoint,
-                               r: float, eps: float, r2: float,
-                               samples: int, seed: int = 0) -> bool:
-    """Empirically test the basepoint-change inclusion
-    U(x2, xi, r2, eps/3) inside U(x, xi, r, eps) on sampled members."""
-    same_model(x, x2, xi)
-    if not r2 > r:
-        raise UsageError("the inner neighborhood must use a larger radius")
-    inner = VisualNeighborhood(x2, xi, r2, eps / 3.0)
-    outer = VisualNeighborhood(x, xi, r, eps)
-    rng = np.random.default_rng(seed)
-    members: list = [xi]
-    pool = sample_boundary(x.model, 4 * samples, rng)
-    for cand in pool:
-        if len(members) >= samples:
-            break
-        if visual_contains(inner, cand):
-            members.append(cand)
-    checked = 0
-    for b in members:
-        if not visual_contains(outer, b):
-            return False
-        # interior points along the ray toward b stay inside the inner set
-        if KERNELS[x.model].VERTEX_GRANULAR:
-            extra = r2 + float(rng.integers(1, 4))
-        else:
-            extra = r2 + uniform(rng, 0.1, 2.0 * r2)
-        z = ray_point(x2, b, extra)
-        if visual_contains(inner, z) and not visual_contains(outer, z):
-            return False
-        checked += 1
-    return checked > 0
 
 
 DEFAULT_T_GRID = tuple(float(2 ** k) for k in range(0, 9))
@@ -193,26 +126,6 @@ def boundary_metric(x: Point, xi: BoundaryPoint, eta: BoundaryPoint,
     """A metric on the boundary compatible with the visual topology: the one
     pair case of `boundary_distances`."""
     return boundary_distances(x, [xi], [eta], r0)[0][0]
-
-
-@dataclass(frozen=True)
-class GeodesicWitness:
-    endpoints: tuple[BoundaryPoint, BoundaryPoint]
-    point_on: Point
-    rank_one: bool
-
-
-def rank_one_geodesic_witness(xi: BoundaryPoint, eta: BoundaryPoint):
-    """A geodesic joining xi to eta when one exists, flagged by whether it is
-    contracting; None when the two points are not joined in the space."""
-    model = same_model(xi, eta)
-    if boundary_points_equal(xi, eta):
-        return None
-    found = KERNELS[model].geodesic_witness(xi.data, eta.data, tolerance())
-    if found is None:
-        return None
-    point, rank_one = found
-    return GeodesicWitness((xi, eta), Point(model, point), rank_one)
 
 
 def sample_boundary(model: Model, count: int, rng) -> list[BoundaryPoint]:

@@ -68,6 +68,8 @@ from .stats import (
 from .walk import StepDistribution, sample_walk
 
 CONFIG_SCHEMA = "cat0lab/config/v1"
+CONFIG_KEYS = frozenset({"schema", "experiment", "model", "distribution", "basepoint", "n",
+                         "m_samples", "seed", "checkpoints", "tolerance", "params"})
 REPORT_SCHEMA = "cat0lab/report/v1"
 
 EXIT_OK = 0
@@ -131,8 +133,9 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read a config file, or raise ConfigError unless it is a JSON object whose
-    values and params are all of their kinds; fill in the params' defaults."""
+    """Read a config file, or raise ConfigError unless it is a JSON object with
+    only `CONFIG_KEYS`, a distribution where the experiment needs one, and
+    values and params all of their kinds; fill in the params' defaults."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -147,12 +150,17 @@ def load_config(path) -> ExperimentConfig:
         if experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {experiment!r}; "
                               f"pick from {', '.join(EXPERIMENTS)}")
+        if not raw.keys() <= CONFIG_KEYS:
+            raise ConfigError(f"unknown config keys {sorted(raw.keys() - CONFIG_KEYS)}; "
+                              f"pick from {sorted(CONFIG_KEYS)}")
         model = Model(raw["model"])
         dist = None
         if "distribution" in raw:
             dist = StepDistribution.from_json(raw["distribution"])
             if dist.model is not model:
                 raise ConfigError("distribution model does not match config model")
+        elif EXPERIMENTS[experiment][1]:
+            raise ConfigError(f"experiment {experiment!r} needs a distribution")
         base = point_from_json(raw["basepoint"]) if "basepoint" in raw else model_basepoint(model)
         n = _param("n", raw, "int", 1000, 0)
         m = _param("m_samples", raw, "int", 100, 1)
@@ -375,9 +383,7 @@ def run(cfg: ExperimentConfig, outdir, allow_uncertified: bool = False) -> Path:
     config's tolerance applies to this run only; without one the default
     applies, whatever an earlier run set."""
     set_tolerance(cfg.tolerance)
-    runner, needs_distribution, gated, _ = EXPERIMENTS[cfg.experiment]
-    if needs_distribution and cfg.distribution is None:
-        raise ConfigError(f"experiment {cfg.experiment!r} needs a distribution")
+    runner, _, gated, _ = EXPERIMENTS[cfg.experiment]
     hypotheses, problems = _hypotheses_block(cfg)
     if gated and problems and not allow_uncertified:
         raise UncertifiedError(
@@ -420,12 +426,16 @@ def _oracle_main(args) -> int:
     if args.oracle == "busemann-limit":
         from .boundary import horofunction, horofunction_limit_oracle
 
-        xi = boundary_from_json(json.loads(args.xi))
-        x = point_from_json(json.loads(args.x))
-        z = point_from_json(json.loads(args.z))
-        limit = horofunction_limit_oracle(xi, x, z, args.t)
+        try:
+            xi = boundary_from_json(json.loads(args.xi))
+            x = point_from_json(json.loads(args.x))
+            z = point_from_json(json.loads(args.z))
+        except _MALFORMED as exc:  # json.JSONDecodeError is a ValueError
+            raise ConfigError(f"oracle input is malformed: {exc}") from exc
+        t = _param("t", vars(args), "float", least=0)
+        limit = horofunction_limit_oracle(xi, x, z, t)
         closed = horofunction(xi, x, z)
-        print(json.dumps({"oracle": "busemann-limit", "t": args.t,
+        print(json.dumps({"oracle": "busemann-limit", "t": t,
                           "limit_value": limit, "closed_form": closed,
                           "abs_difference": abs(limit - closed)}))
         return EXIT_OK

@@ -31,7 +31,6 @@ float64 coordinate range.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +47,7 @@ from .models import (
     isometry_to_json,
     same_model,
 )
-from .isometry import apply, apply_boundary, compose, inverse
+from .isometry import compose, inverse
 
 _PROB_TOL = 1e-12
 # paths walked together by `sample_terminals`: a block holds about n KB of
@@ -200,16 +199,6 @@ class WalkTrace:
     def positions(self) -> list[Point]:
         return [self.point(i) for i in range(len(self.snapshots))]
 
-    def to_csv(self, path) -> None:
-        kernel = KERNELS[self.model]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "increment_index", *kernel.CSV_COLUMNS, "dist_to_base"])
-            for i, k in enumerate(self.steps):
-                inc = "" if k == 0 else int(self.increments[k - 1])
-                comps = kernel.csv_row(self.point(i).data)
-                writer.writerow([int(k), inc, *comps, float(self.base_distances[i])])
-
 
 def _uniforms(seed: int, path_index: int, n: int) -> np.ndarray:
     # an explicit uint64 key: numpy turns a list holding a value of 2**63 or
@@ -294,30 +283,3 @@ def sample_terminals(spec: StepDistribution, x: Point, n: int, seed: int, m: int
         snaps += block_snaps
     return np.array(dists), snaps
 
-
-def inverse_walk_positions(trace: WalkTrace) -> list[Point]:
-    """Positions Z_k^{-1} x for k = 0..n, built incrementally from the left:
-    Z_{k+1}^{-1} x = w_{k+1}^{-1} (Z_k^{-1} x)."""
-    inv_atoms = [inverse(g) for g in trace.spec.isometries]
-    q = trace.basepoint
-    out = [q]
-    for idx in trace.increments:
-        q = apply(inv_atoms[int(idx)], q)
-        out.append(q)
-    return out
-
-
-def pushforward_atoms(spec: StepDistribution,
-                      points: list[BoundaryPoint]) -> list[tuple[BoundaryPoint, float]]:
-    """Convolution of the step distribution with the uniform measure on the
-    given boundary atoms, as a finitely supported boundary measure."""
-    if not points:
-        raise UsageError("need at least one boundary atom")
-    for b in points:
-        same_model(spec.isometries[0], b)
-    w = 1.0 / len(points)
-    out = []
-    for g, p in spec.atoms:
-        for b in points:
-            out.append((apply_boundary(g, b), p * w))
-    return out

@@ -5,9 +5,6 @@ import pytest
 
 from cat0lab import (
     Model,
-    UsageError,
-    VisualNeighborhood,
-    _t4,
     angle_at_infinity,
     boundary_metric,
     boundary_points_equal,
@@ -21,15 +18,11 @@ from cat0lab import (
     horofunction,
     horofunction_limit_oracle,
     model_basepoint,
-    neighborhood_nesting_check,
-    points_equal,
-    rank_one_geodesic_witness,
     sample_boundary,
     t4_boundary,
     t4_point,
     tits_ball_is_trivial,
     tits_distance,
-    visual_contains,
 )
 from cat0lab.models import boundary_from_json, boundary_to_json
 from cat0lab.sampling import random_point
@@ -116,33 +109,6 @@ def test_horofunction_basepoint_change_bound(rng):
             xi = sample_boundary(model, 1, rng)[0]
             gap = abs(horofunction(xi, x, z) - horofunction(xi, x2, z))
             assert gap <= distance(x, x2) + 1e-9
-
-
-def test_visual_neighborhood_invariant():
-    with pytest.raises(UsageError):
-        VisualNeighborhood(e2_point(0, 0), e2_boundary(0), 1.0, 1.5)
-    with pytest.raises(UsageError):
-        VisualNeighborhood(e2_point(0, 0), e2_boundary(0), -1.0, 0.1)
-
-
-def test_visual_contains_examples():
-    u = VisualNeighborhood(e2_point(0, 0), e2_boundary(0), 1.0, 0.1)
-    assert visual_contains(u, e2_point(5, 0)) is True
-    assert visual_contains(u, e2_point(0, 5)) is False
-    uh = VisualNeighborhood(h2_point(0, 1), h2_boundary(math.inf), 2.0, 0.5)
-    assert visual_contains(uh, h2_boundary(math.inf)) is True
-
-
-def test_nesting_check_same_base_trivial():
-    x = e2_point(0, 0)
-    assert neighborhood_nesting_check(x, x, e2_boundary(0), 1.0, 0.3, 5.0, 100, seed=1)
-
-
-def test_nesting_check_e2_cases():
-    x, x2 = e2_point(0, 0), e2_point(0, 1)
-    xi = e2_boundary(0)
-    assert neighborhood_nesting_check(x, x2, xi, 1.0, 0.3, 100.0, 300, seed=4) is True
-    assert neighborhood_nesting_check(x, x2, xi, 1.0, 0.3, 1.01, 400, seed=4) is False
 
 
 def test_angle_at_infinity_examples():
@@ -243,50 +209,6 @@ def test_boundary_metric_properties(rng):
                 for c in pts:
                     assert boundary_metric(base, a, c) <= (
                         dab + boundary_metric(base, b, c) + 1e-9)
-
-
-def test_boundary_metric_tracks_visual_membership(rng):
-    # small metric value exactly when both points sit in a thin visual cone
-    for model in (Model.E2, Model.H2):
-        x = model_basepoint(model)
-        pts = sample_boundary(model, 40, rng)
-        for xi in pts[:5]:
-            u = VisualNeighborhood(x, xi, 1.0, 0.05)
-            for eta in pts:
-                inside = visual_contains(u, eta)
-                small = boundary_metric(x, xi, eta) < 0.05
-                assert inside == small
-
-
-def test_rank_one_witness_examples():
-    w = rank_one_geodesic_witness(h2_boundary(-1.0), h2_boundary(1.0))
-    assert w is not None and w.rank_one
-    assert points_equal(w.point_on, h2_point(0, 1))
-    assert rank_one_geodesic_witness(e2_boundary(0), e2_boundary(math.pi / 2)) is None
-    flat = rank_one_geodesic_witness(e2_boundary(0), e2_boundary(math.pi))
-    assert flat is not None and flat.rank_one is False
-    t = rank_one_geodesic_witness(t4_boundary("a", "a"), t4_boundary("b", "b"))
-    assert t is not None and t.rank_one
-    assert t.point_on.data == ""
-
-
-def test_t4_witness_is_the_branch_vertex_of_ends_that_part_late():
-    # the witness compared 64 letters only: here it stopped at a^64, 6 steps
-    # short of the geodesic joining the two ends
-    b1, b2 = t4_boundary("a" * 70, "b"), t4_boundary("a" * 70, "B")
-    w = rank_one_geodesic_witness(b1, b2)
-    assert w.point_on.data == "a" * 70
-    assert _t4.gromov_product(w.point_on.data, b1.data, b2.data) == 0.0
-
-
-def test_rank_one_witness_h2xr():
-    # opposite slopes over distinct horizontal ends are joined by a flat line
-    j = rank_one_geodesic_witness(h2xr_boundary(0.0, 0.4), h2xr_boundary(1.0, -0.4))
-    assert j is not None and j.rank_one is False
-    assert rank_one_geodesic_witness(h2xr_boundary(0.0, 0.4), h2xr_boundary(1.0, 0.4)) is None
-    poles = rank_one_geodesic_witness(h2xr_boundary(None, math.pi / 2),
-                                      h2xr_boundary(None, -math.pi / 2))
-    assert poles is not None and poles.rank_one is False
 
 
 def test_boundary_json_roundtrip(rng):

@@ -51,15 +51,14 @@ TABLE = (
     "apply", "apply_boundary", "compose", "inverse", "classify", "axis_endpoints",
     "axis_position", "RANK_ONE",
     # boundary
-    "tits", "boundary_chart", "chart_dist", "geodesic_witness", "TITS_BALL_TRIVIAL",
-    "VERTEX_GRANULAR",
+    "tits", "boundary_chart", "chart_dist", "TITS_BALL_TRIVIAL",
     # samplers and bins
     "random_point", "random_isometry", "random_axial", "random_boundary",
     "ball_point", "BIN_KIND", "BIN_FIELDS", "bin_params", "DEFAULT_BINS", "bin_count",
     "bin_index", "bin_sample",
     # walks
     "orbit", "orbit_paths", "BATCH_MIN_PATHS", "snapshot_point", "snapshot_horofunction",
-    "snapshot_boundary", "CSV_COLUMNS", "csv_row", "tracking_gaps",
+    "snapshot_boundary", "tracking_gaps",
 )
 
 

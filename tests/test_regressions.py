@@ -211,14 +211,17 @@ def test_walk_keys_are_exact_at_and_above_two_to_the_63(t4_uniform):
     {"experiment": "cocycle", "checkpoints": [3.5]},
     {"experiment": "cocycle", "m_samples": "7"},
     {"experiment": "cocycle", "tolerance": True},
+    {"experiment": "cocycle", "m_sampels": 7},
+    {"experiment": "drift", "n": 20},
 ], ids=["seed-negative", "seed-2**63", "checkpoint-above-n", "checkpoint-zero",
         "n-fraction", "n-true", "seed-fraction", "checkpoint-fraction", "m_samples-string",
-        "tolerance-true"])
+        "tolerance-true", "unknown-top-level-key", "drift-without-distribution"])
 def test_config_rejects_out_of_range_seeds_and_checkpoints(tmp_path, capsys, fields):
     # the parent crashed on seed -1, ran seed 2**63, walked to checkpoint 400
     # at n=50, and dropped checkpoint 0; it truncated n 2.5 to 2, n true to 1,
     # seed 1.9 to 1 and checkpoint 3.5 to 3, read m_samples "7" as 7, and
-    # tolerance true as 1.0
+    # tolerance true as 1.0; it loaded "m_sampels" 7 and ran m_samples 100,
+    # and loaded a drift config without a distribution, failing it only in run
     _assert_config_error(tmp_path, capsys, fields)
 
 
@@ -296,6 +299,24 @@ def test_config_rejects_malformed_params(tmp_path, capsys, fields):
     _assert_config_error(tmp_path, capsys, fields)
 
 
+@pytest.mark.parametrize("flags", [
+    ["--xi", "notjson"],
+    ["--xi", '{"model": "H2"}'],
+    ["--xi", "[1]"],
+    ["--t", "nan"],
+    ["--t", "inf"],
+], ids=["xi-not-json", "xi-without-coordinate", "xi-a-list", "t-nan", "t-infinite"])
+def test_oracle_input_exits_2(capsys, flags):
+    # the parent exited 1 with a JSONDecodeError, KeyError, TypeError,
+    # TypeError and ZeroDivisionError traceback
+    args = {"--xi": '{"model": "H2", "xi": 0.5}', "--x": '{"model": "H2", "coords": [0, 1]}',
+            "--z": '{"model": "H2", "coords": [1, 2]}', "--t": "10000", **dict([flags])}
+    assert main(["oracle", "busemann-limit", *(a for kv in args.items() for a in kv)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "config"
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", "7", '"gap"'])
 def test_config_file_must_hold_an_object(tmp_path, capsys, text):
     # the parent exited 1 with "AttributeError: 'list' object has no
@@ -310,6 +331,7 @@ def test_config_boundary_params_parse_under_the_config_tolerance(tmp_path):
     # a sweep loads each config while the previous one's tolerance is set;
     # under 0.5 the slope 1.5 would round to the pole pi/2
     cfg = {"experiment": "gap", "model": "H2xR",
+           "distribution": _uniform_dist("H2xR", [{"matrix": [2, 0, 0, 0.5], "shift": 1.0}]),
            "params": {"xi": {"model": "H2xR", "xi": 0.0, "alpha": 1.5}}}
     (tmp_path / "c.json").write_text(json.dumps(cfg))
     set_tolerance(0.5)

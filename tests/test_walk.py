@@ -9,18 +9,13 @@ from cat0lab import (
     StepDistribution,
     UsageError,
     apply,
-    boundary_points_equal,
     compose,
     distance,
     e2_isometry,
-    h2_isometry,
     h2_point,
     identity,
     inverse,
-    inverse_walk_positions,
     points_equal,
-    pushforward_atoms,
-    sample_boundary,
     sample_walk,
     t4_isometry,
     t4_point,
@@ -136,47 +131,6 @@ def test_walk_stores_exactly_the_named_steps(h2_spec):
             sample_walk(h2_spec, x, 10, 7, steps=outside)
 
 
-def test_inverse_walk_examples(t4_uniform):
-    x = t4_point("")
-    tr0 = sample_walk(t4_uniform, x, 0, 1)
-    assert [p.data for p in inverse_walk_positions(tr0)] == [""]
-    g = h2_isometry(2, 0, 0, 0.5)
-    det = StepDistribution(Model.H2, ((g, 1.0),))
-    xh = h2_point(0, 1)
-    trd = sample_walk(det, xh, 5, 0)
-    inv_pos = inverse_walk_positions(trd)
-    gk = identity(Model.H2)
-    for k in range(6):
-        assert points_equal(inv_pos[k], apply(gk, xh), 1e-9)
-        gk = compose(gk, inverse(g))
-
-
-def test_inverse_walk_distance_consistency(h2_spec):
-    x = h2_point(0, 1)
-    tr = sample_walk(h2_spec, x, 200, 11)
-    inv_pos = inverse_walk_positions(tr)
-    for k in range(0, 201, 20):
-        assert distance(inv_pos[k], x) == pytest.approx(
-            float(tr.base_distances[k]), abs=1e-6)
-
-
-def test_pushforward_atoms_examples(t4_uniform):
-    ident = StepDistribution(Model.T4, ((identity(Model.T4), 1.0),))
-    pts = sample_boundary(Model.T4, 3, 0)
-    out = pushforward_atoms(ident, pts)
-    assert len(out) == 3
-    for (img, w), src in zip(out, pts):
-        assert boundary_points_equal(img, src)
-        assert w == pytest.approx(1 / 3)
-    single = StepDistribution(Model.T4, ((t4_isometry("a"), 1.0),))
-    out1 = pushforward_atoms(single, pts[:1])
-    assert len(out1) == 1 and out1[0][1] == 1.0
-    out6 = pushforward_atoms(
-        StepDistribution.uniform([t4_isometry("a"), t4_isometry("b")]), pts)
-    assert len(out6) == 6
-    assert sum(w for _, w in out6) == pytest.approx(1.0)
-
-
 def test_subadditivity_in_expectation(t4_uniform):
     x = t4_point("")
 
@@ -191,19 +145,6 @@ def test_subadditivity_in_expectation(t4_uniform):
         second, se_s = mean_dist(m_len, 3)
         bound = first + second + 3 * math.sqrt(se_t ** 2 + se_f ** 2 + se_s ** 2)
         assert total <= bound
-
-
-def test_trace_csv_export(tmp_path, t4_uniform, h2_spec):
-    tr = sample_walk(t4_uniform, t4_point(""), 25, 3)
-    out = tmp_path / "trace.csv"
-    tr.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "step,increment_index,word,dist_to_base"
-    assert len(lines) == 27
-    trh = sample_walk(h2_spec, h2_point(0, 1), 10, 3)
-    outh = tmp_path / "trace_h2.csv"
-    trh.to_csv(outh)
-    assert outh.read_text().splitlines()[0] == "step,increment_index,x,y,dist_to_base"
 
 
 def test_distribution_json_roundtrip(h2_spec):
