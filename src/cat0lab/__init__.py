@@ -50,7 +50,6 @@ from .isometry import (
     axis_endpoints,
     classify,
     compose,
-    contraction_width,
     independence_score,
     inverse,
     is_rank_one,

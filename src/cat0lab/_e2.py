@@ -160,16 +160,6 @@ def axis_endpoints(g, tol: float):
     return boundary(theta + math.pi), boundary(theta)
 
 
-def axis_position(g, p: complex, tol: float) -> tuple[float, float]:
-    """Signed position of the projection of p on the line through the
-    origin with direction v (the canonical axis of the translation by v),
-    and the distance of p from that line."""
-    v = g[1]
-    u = v / abs(v)
-    w = p * u.conjugate()
-    return w.real, abs(w.imag)
-
-
 # -- boundary -----------------------------------------------------------------
 
 def tits(theta1: float, theta2: float, tol: float) -> float:
@@ -199,12 +189,6 @@ def random_axial(rng):
 
 def random_boundary(rng, tol: float) -> float:
     return boundary(uniform(rng, 0.0, 2.0 * math.pi))
-
-
-def ball_point(center: complex, radius: float, rng, shell: bool) -> complex:
-    r = radius if shell else radius * math.sqrt(rng.random())
-    theta = uniform(rng, 0.0, TWO_PI)
-    return ray_point(center, theta, r)
 
 
 # -- hitting bins: k equal arcs of angle -----------------------------------------

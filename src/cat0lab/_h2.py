@@ -308,34 +308,6 @@ def fixed_points(m: Mat, tol: float) -> tuple[float, float]:
     return (z1, z2)
 
 
-def std_map(e1: float, e2: float) -> Mat:
-    """Matrix sending the geodesic with endpoints (e1, e2) to the imaginary
-    axis, with e1 -> 0 and e2 -> inf."""
-    if math.isinf(e1) and math.isinf(e2):
-        raise UsageError("geodesic endpoints must be distinct")
-    if math.isinf(e2):
-        return make_matrix(1.0, -e1, 0.0, 1.0)
-    if math.isinf(e1):
-        return make_matrix(0.0, -1.0, 1.0, -e2)
-    if e1 == e2:
-        raise UsageError("geodesic endpoints must be distinct")
-    if e1 > e2:
-        return make_matrix(1.0, -e1, 1.0, -e2)
-    return make_matrix(-1.0, e1, 1.0, -e2)
-
-
-def geodesic_coordinate(z: complex, e1: float, e2: float) -> float:
-    """Arclength position of the projection of z on the geodesic (e1, e2)."""
-    w = mobius(std_map(e1, e2), z)
-    return math.log(abs(w))
-
-
-def project_to_geodesic(z: complex, e1: float, e2: float) -> complex:
-    t = std_map(e1, e2)
-    w = mobius(t, z)
-    return apply(mat_inv(t), complex(0.0, abs(w)))
-
-
 def horofunction(xi: float, x: complex, z: complex) -> float:
     if math.isinf(xi):
         return math.log(x.imag) - math.log(z.imag)
@@ -350,11 +322,6 @@ def classify(m: Mat, tol: float) -> tuple[str, float]:
 
 
 axis_endpoints = fixed_points
-
-
-def axis_position(m: Mat, z: complex, tol: float) -> tuple[float, float]:
-    gm, gp = fixed_points(m, tol)
-    return geodesic_coordinate(z, gm, gp), dist(z, project_to_geodesic(z, gm, gp))
 
 
 # -- boundary -----------------------------------------------------------------
@@ -406,22 +373,6 @@ def random_axial(rng) -> Mat:
 def random_boundary(rng, tol: float) -> float:
     phi = uniform(rng, -math.pi, math.pi)
     return boundary(INF if abs(phi) > math.pi - 1e-12 else math.tan(phi / 2.0))
-
-
-def direction_from_angle(z: complex, phi: float) -> float:
-    """Endpoint of the geodesic from z with initial Euclidean direction phi."""
-    c_phi = math.cos(phi)
-    if abs(c_phi) < 1e-12:
-        return math.inf if math.sin(phi) > 0 else z.real
-    c = z.real + z.imag * math.tan(phi)
-    r = z.imag / abs(c_phi)
-    return c + r if c_phi > 0 else c - r
-
-
-def ball_point(center: complex, radius: float, rng, shell: bool) -> complex:
-    r = radius if shell else radius * math.sqrt(rng.random())
-    xi = direction_from_angle(center, uniform(rng, 0.0, 2.0 * math.pi))
-    return ray_point(center, xi, r)
 
 
 # -- hitting bins: k equal arcs of the half-angle chart phi = 2 atan(xi) ----------

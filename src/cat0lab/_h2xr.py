@@ -181,39 +181,6 @@ def axis_endpoints(g, tol: float):
     return (None, -s), (None, s)
 
 
-def axis_point(g, u: float, tol: float):
-    """The point at arclength u on the canonical axis of an axial g."""
-    mat, shift = g
-    if _h2.kind(mat, tol) == "axial":
-        gm, gp = _h2.fixed_points(mat, tol)
-        alpha = math.atan2(shift, _h2.translation_length(mat))
-        anchor = _h2.project_to_geodesic(complex(0.0, 1.0), gm, gp)
-        if u == 0.0:
-            zh = anchor
-        elif u > 0:
-            zh = _h2.ray_point(anchor, gp, u * math.cos(alpha))
-        else:
-            zh = _h2.ray_point(anchor, gm, -u * math.cos(alpha))
-        return (zh, u * math.sin(alpha))
-    fixed = complex(0.0, 1.0)  # vertical axis through the reference fiber
-    return (fixed, u * (1.0 if shift >= 0 else -1.0))
-
-
-def axis_position(g, p, tol: float) -> tuple[float, float]:
-    """(axis coordinate, distance) of the point of the axis closest to p."""
-    from scipy.optimize import minimize_scalar
-
-    d0 = dist(p, axis_point(g, 0.0, tol))
-    span = 2.0 * d0 + 2.0
-
-    def f(u: float) -> float:
-        return dist(p, axis_point(g, u, tol))
-
-    res = minimize_scalar(f, bounds=(-span, span), method="bounded",
-                          options={"xatol": 1e-8})
-    return float(res.x), float(res.fun)
-
-
 # -- boundary -----------------------------------------------------------------
 
 def boundary_eq(b1, b2, tol: float) -> bool:
@@ -278,14 +245,6 @@ def random_boundary(rng, tol: float):
     xi = _h2.random_boundary(rng, tol)
     alpha = uniform(rng, -HALF_PI * 0.999, HALF_PI * 0.999)
     return boundary(xi, alpha, tol)
-
-
-def ball_point(center, radius: float, rng, shell: bool):
-    r = radius if shell else radius * math.sqrt(rng.random())
-    phi = uniform(rng, 0.0, 2.0 * math.pi)
-    beta = math.asin(uniform(rng, -1.0, 1.0))
-    xi = _h2.direction_from_angle(center[0], phi)
-    return ray_point(center, (xi, beta), r)
 
 
 # -- hitting bins: H2 circle arcs x k_alpha slope bands, then the two poles -------

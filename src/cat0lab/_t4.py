@@ -240,28 +240,6 @@ def cyclic_reduce(g: str) -> tuple[str, str]:
     return "".join(u), w
 
 
-def axis_vertex(u: str, c: str, k: int) -> str:
-    if k >= 0:
-        reps = k // len(c) + 1
-        return u + (c * reps)[:k]
-    ci = inv_word(c)
-    k = -k
-    reps = k // len(ci) + 1
-    return u + (ci * reps)[:k]
-
-
-def median(p: str, a: str, b: str) -> str:
-    t = (dist(a, p) + dist(a, b) - dist(b, p)) // 2
-    return geodesic_vertex(a, b, t)
-
-
-def axis_projection(g_u: str, g_c: str, p: str) -> str:
-    reach = dist(p, g_u) + len(g_c) + 2
-    a = axis_vertex(g_u, g_c, -reach)
-    b = axis_vertex(g_u, g_c, reach)
-    return median(p, a, b)
-
-
 def horofunction(b: tuple[str, str], x: str, z: str) -> int:
     return (len(z) - 2 * match_len(b, z)) - (len(x) - 2 * match_len(b, x))
 
@@ -343,15 +321,6 @@ def axis_endpoints(g: str, tol: float):
     return minus, plus
 
 
-def axis_position(g: str, p: str, tol: float) -> tuple[float, float]:
-    """Signed vertex position of the projection of p on the axis of g, and
-    the distance of p from the axis."""
-    u, c = cyclic_reduce(g)
-    m = axis_projection(u, c, p)
-    k = dist(u, m)
-    return float(k if m == axis_vertex(u, c, k) else -k), float(dist(p, m))
-
-
 # -- boundary -----------------------------------------------------------------
 
 def tits(b1: tuple[str, str], b2: tuple[str, str], tol: float) -> float:
@@ -391,11 +360,6 @@ def random_axial(rng) -> str:
 def random_boundary(rng, tol: float) -> tuple[str, str]:
     prefix = random_word(rng, int(rng.integers(4, 12)))
     return boundary(prefix, random_word(rng, 1, prefix)[-1])
-
-
-def ball_point(center: str, radius: float, rng, shell: bool) -> str:
-    steps = int(radius) if shell else int(rng.integers(0, radius + 1))
-    return random_word(rng, steps, center)
 
 
 # -- hitting bins: the cylinders of the reduced words of one length -------------

@@ -70,6 +70,8 @@ from .walk import StepDistribution, sample_walk
 CONFIG_SCHEMA = "cat0lab/config/v1"
 CONFIG_KEYS = frozenset({"schema", "experiment", "model", "distribution", "basepoint", "n",
                          "m_samples", "seed", "checkpoints", "tolerance", "params"})
+# the experiments whose runners read `checkpoints`; the others reject the key
+CHECKPOINT_EXPERIMENTS = frozenset({"converge", "dirac", "track"})
 REPORT_SCHEMA = "cat0lab/report/v1"
 
 EXIT_OK = 0
@@ -134,8 +136,9 @@ class ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Read a config file, or raise ConfigError unless it is a JSON object with
-    only `CONFIG_KEYS`, a distribution where the experiment needs one, and
-    values and params all of their kinds; fill in the params' defaults."""
+    only `CONFIG_KEYS`, a distribution where the experiment needs one,
+    checkpoints only where it reads them, and values and params all of their
+    kinds; fill in the params' defaults."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -168,6 +171,8 @@ def load_config(path) -> ExperimentConfig:
         # runners derive seeds up to seed + 2, which must stay below 2**64
         if seed >= 1 << 63:
             raise ConfigError("seed must lie in [0, 2**63)")
+        if "checkpoints" in raw and experiment not in CHECKPOINT_EXPERIMENTS:
+            raise ConfigError(f"experiment {experiment!r} reads no checkpoints")
         checkpoints = raw.get("checkpoints", [])
         if not all(type(k) is int and 1 <= k <= n for k in checkpoints):
             raise ConfigError(f"checkpoints must be integers in [1, n] = [1, {n}]")

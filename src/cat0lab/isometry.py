@@ -1,5 +1,5 @@
 """Isometries of the model spaces: group operations, classification,
-axes, the rank-one predicate, and the empirical contraction / independence /
+axes, the rank-one predicate, and the empirical independence and
 North-South measurements used to audit walk hypotheses."""
 
 from __future__ import annotations
@@ -96,47 +96,10 @@ def is_rank_one(g: Isometry) -> bool:
     return classify(g).kind == KIND_AXIAL and KERNELS[g.model].RANK_ONE
 
 
-# -- axis coordinates and contraction ----------------------------------------
-
-def _axis_position(g: Isometry, p: Point) -> tuple[float, float]:
-    """Arclength position of the projection of p onto the canonical axis,
-    and the distance of p from the axis."""
-    return KERNELS[g.model].axis_position(g.data, p.data, tolerance())
-
-
-def _sample_in_ball(center: Point, radius: float, rng: np.random.Generator, count: int) -> list[Point]:
-    """Seeded points of the ball: the first half (at least four) on its
-    bounding sphere, the rest spread through it."""
-    kernel = KERNELS[center.model]
-    n_shell = max(4, count // 2)
-    return [Point(center.model, kernel.ball_point(center.data, radius, rng, i < n_shell))
-            for i in range(count)]
-
-
-def contraction_width(g: Isometry, ball_center: Point, ball_radius: float,
-                      samples: int, seed: int = 0) -> float:
-    """Diameter of the axis projection of a sampled ball disjoint from the
-    axis of g; stays bounded for contracting axes, grows for flat ones."""
-    _require_axial(g)
-    same_model(g, ball_center)
-    if not ball_radius > 0:
-        raise UsageError("ball radius must be positive")
-    if _axis_position(g, ball_center)[1] <= ball_radius:
-        raise DomainError("ball intersects the axis")
-    rng = np.random.default_rng(seed)
-    pts = _sample_in_ball(ball_center, ball_radius, rng, samples)
-    coords = [_axis_position(g, p)[0] for p in pts]
-    return max(coords) - min(coords)
-
-
-def independence_score(g1: Isometry, g2: Isometry, x: Point, big_m: int,
-                       shell: bool = False) -> float:
-    """min d(g1^m x, g2^n x) over nonzero exponents with |m|, |n| <= big_m.
-
-    With shell=True the minimum runs over max(|m|, |n|) = big_m only, which
-    grows with big_m exactly when the pair acts properly (the two axes are
-    genuinely independent); the plain box minimum is monotone in big_m.
-    """
+def independence_score(g1: Isometry, g2: Isometry, x: Point, big_m: int) -> float:
+    """min d(g1^m x, g2^n x) over nonzero exponents with max(|m|, |n|) =
+    big_m, which grows with big_m exactly when the pair acts properly (the
+    two axes are genuinely independent)."""
     _require_axial(g1)
     _require_axial(g2)
     same_model(g1, g2, x)
@@ -147,9 +110,8 @@ def independence_score(g1: Isometry, g2: Isometry, x: Point, big_m: int,
     best = math.inf
     for m, pm in orbit1.items():
         for n, pn in orbit2.items():
-            if shell and max(abs(m), abs(n)) != big_m:
-                continue
-            best = min(best, distance(pm, pn))
+            if max(abs(m), abs(n)) == big_m:
+                best = min(best, distance(pm, pn))
     return best
 
 

@@ -508,7 +508,7 @@ def rankone_audit(spec: StepDistribution) -> RankOneAudit:
             i, j = rank_one_ids[ii], rank_one_ids[jj]
             g1 = spec.atoms[i][0]
             g2 = spec.atoms[j][0]
-            scores = tuple(independence_score(g1, g2, x, m, shell=True) for m in (2, 4, 8))
+            scores = tuple(independence_score(g1, g2, x, m) for m in (2, 4, 8))
             increasing = all(b > a + tolerance() for a, b in zip(scores, scores[1:]))
             e1 = axis_endpoints(g1)
             e2 = axis_endpoints(g2)

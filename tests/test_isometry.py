@@ -13,7 +13,6 @@ from cat0lab import (
     boundary_points_equal,
     classify,
     compose,
-    contraction_width,
     direction,
     distance,
     e2_boundary,
@@ -23,7 +22,6 @@ from cat0lab import (
     h2_isometry,
     h2_point,
     h2xr_isometry,
-    h2xr_point,
     identity,
     independence_score,
     inverse,
@@ -239,41 +237,14 @@ def test_rank_one_truth_table():
     assert is_rank_one(h2_isometry(1, 1, 0, 1)) is False  # parabolic
 
 
-def test_contraction_width_h2_bounded_and_decreasing():
-    g = h2_isometry(2, 0, 0, 0.5)
-    widths = [contraction_width(g, h2_point(c, 1.0), 0.5, 120, seed=3)
-              for c in (10.0, 100.0, 1000.0)]
-    assert all(w < 2 for w in widths)
-    assert widths[-1] < widths[0]
-
-
-def test_contraction_width_e2_is_ball_diameter():
-    g = e2_isometry(0, (1, 0))
-    w = contraction_width(g, e2_point(0, 10), 1.0, 300, seed=2)
-    assert w == pytest.approx(2.0, abs=0.1)
-
-
-def test_contraction_width_h2xr_grows_with_radius():
-    g = h2xr_isometry([2, 0, 0, 0.5], 1.0)
-    center = h2xr_point(math.sinh(10.0), 1.0, 0.0)
-    w1 = contraction_width(g, center, 1.0, 40, seed=5)
-    w8 = contraction_width(g, center, 8.0, 40, seed=5)
-    assert w8 > 4 * w1
-
-
-def test_contraction_width_rejects_meeting_axis():
-    g = h2_isometry(2, 0, 0, 0.5)
-    with pytest.raises(DomainError):
-        contraction_width(g, h2_point(0.0, 3.0), 1.0, 10, seed=1)
-
-
 def test_independence_score_t4_exhaustive():
-    # min over the 100 signed pairs is attained at |m| = |n| = 1
+    # d(a^m, b^n) = |m| + |n|; with max(|m|, |n|) = 5 the minimum is 5 + 1
     score = independence_score(t4_isometry("a"), t4_isometry("b"), t4_point(""), 5)
-    assert score == 2.0
+    assert score == 6.0
 
 
 def test_independence_score_same_element_zero():
+    # the shell max(|m|, |n|) = 3 holds m = n = 3
     g = h2_isometry(2, 0, 0, 0.5)
     assert independence_score(g, g, h2_point(0, 1), 3) == 0.0
 
@@ -281,9 +252,9 @@ def test_independence_score_same_element_zero():
 def test_independence_shell_trend():
     g, h = standard_h2_pair()
     x = h2_point(0, 1)
-    scores = [independence_score(g, h, x, m, shell=True) for m in (2, 4, 8)]
+    scores = [independence_score(g, h, x, m) for m in (2, 4, 8)]
     assert scores[0] < scores[1] < scores[2]
-    dependent = [independence_score(g, power(g, 2), x, m, shell=True) for m in (2, 4, 8)]
+    dependent = [independence_score(g, power(g, 2), x, m) for m in (2, 4, 8)]
     assert max(dependent) == 0.0
 
 

@@ -49,13 +49,13 @@ TABLE = (
     "busemann_limit",
     # the group and axes
     "apply", "apply_boundary", "compose", "inverse", "classify", "axis_endpoints",
-    "axis_position", "RANK_ONE",
+    "RANK_ONE",
     # boundary
     "tits", "boundary_chart", "chart_dist", "TITS_BALL_TRIVIAL",
     # samplers and bins
     "random_point", "random_isometry", "random_axial", "random_boundary",
-    "ball_point", "BIN_KIND", "BIN_FIELDS", "bin_params", "DEFAULT_BINS", "bin_count",
-    "bin_index", "bin_sample",
+    "BIN_KIND", "BIN_FIELDS", "bin_params", "DEFAULT_BINS", "bin_count", "bin_index",
+    "bin_sample",
     # walks
     "orbit", "orbit_paths", "BATCH_MIN_PATHS", "snapshot_point", "snapshot_horofunction",
     "snapshot_boundary", "tracking_gaps",
@@ -465,28 +465,6 @@ def _ref_xi(phi):
     return math.inf if abs(phi) > math.pi - 1e-12 else math.tan(phi / 2.0)
 
 
-def _ref_radius(radius, rng, shell):
-    return radius if shell else radius * math.sqrt(rng.random())
-
-
-def _ref_e2_ball(rng, center, radius, shell):
-    r = _ref_radius(radius, rng, shell)
-    return _e2.ray_point(center, rng.uniform(0.0, 2.0 * math.pi), r)
-
-
-def _ref_h2_ball(rng, center, radius, shell):
-    r = _ref_radius(radius, rng, shell)
-    xi = _h2.direction_from_angle(center, rng.uniform(0.0, 2.0 * math.pi))
-    return _h2.ray_point(center, xi, r)
-
-
-def _ref_h2xr_ball(rng, center, radius, shell):
-    r = _ref_radius(radius, rng, shell)
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    beta = math.asin(rng.uniform(-1.0, 1.0))
-    return _h2xr.ray_point(center, (_h2.direction_from_angle(center[0], phi), beta), r)
-
-
 REFERENCE_SAMPLERS = {
     Model.E2: {
         "random_point": lambda rng: _e2.point(rng.uniform(-5, 5), rng.uniform(-5, 5)),
@@ -495,7 +473,6 @@ REFERENCE_SAMPLERS = {
         "random_axial": lambda rng: _e2.isometry(0.0, (
             rng.uniform(0.3, 3) * (1 if rng.random() < 0.5 else -1), rng.uniform(0.3, 3))),
         "random_boundary": lambda rng: _e2.boundary(rng.uniform(0.0, 2.0 * math.pi)),
-        "ball_point": _ref_e2_ball,
     },
     Model.H2: {
         "random_point": lambda rng: _h2.point(rng.uniform(-3, 3),
@@ -503,7 +480,6 @@ REFERENCE_SAMPLERS = {
         "random_isometry": lambda rng: _h2.isometry(*_ref_sl2(rng)),
         "random_axial": lambda rng: _h2.isometry(*_ref_axial_matrix(rng)),
         "random_boundary": lambda rng: _ref_xi(rng.uniform(-math.pi, math.pi)),
-        "ball_point": _ref_h2_ball,
     },
     Model.H2xR: {
         "random_point": lambda rng: _h2xr.point(
@@ -514,7 +490,6 @@ REFERENCE_SAMPLERS = {
         "random_boundary": lambda rng: _h2xr.boundary(
             _ref_xi(rng.uniform(-math.pi, math.pi)),
             rng.uniform(-math.pi / 2 * 0.999, math.pi / 2 * 0.999), 1e-9),
-        "ball_point": _ref_h2xr_ball,
     },
 }
 
@@ -524,13 +499,10 @@ REFERENCE_SAMPLERS = {
 def test_continuous_samplers_match_their_uniform_references(model, seed):
     kernel, ref = KERNELS[model], REFERENCE_SAMPLERS[model]
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for i in range(200):
+    for _ in range(200):
         for name in ("random_point", "random_isometry", "random_axial"):
             assert getattr(kernel, name)(rng) == ref[name](ref_rng)
         assert kernel.random_boundary(rng, 1e-9) == ref["random_boundary"](ref_rng)
-        shell = i % 2 == 0
-        assert (kernel.ball_point(kernel.BASEPOINT, 1.5, rng, shell)
-                == ref["ball_point"](ref_rng, kernel.BASEPOINT, 1.5, shell))
     # the streams end in the same state
     assert rng.random() == ref_rng.random()
 

@@ -3,11 +3,14 @@ tracking digits sized from the dense walk, returns to the basepoint,
 per-config tolerances in a sweep, walks whose every path returns, repeated
 checkpoints, configs that fail mid-sweep, seeds, checkpoints and integer
 params out of range, long H2 products and their JSON round trip, one
-rank-one audit per run, and bin schemes with no arcs."""
+rank-one audit per run, bin schemes with no arcs, and package modules with
+no scipy import."""
 
+import ast
 import csv
 import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -208,20 +211,25 @@ def test_walk_keys_are_exact_at_and_above_two_to_the_63(t4_uniform):
     {"experiment": "cocycle", "n": 2.5},
     {"experiment": "cocycle", "n": True},
     {"experiment": "cocycle", "seed": 1.9},
-    {"experiment": "cocycle", "checkpoints": [3.5]},
+    {"experiment": "dirac", "distribution": H2_DIST, "n": 50, "checkpoints": [3.5]},
     {"experiment": "cocycle", "m_samples": "7"},
     {"experiment": "cocycle", "tolerance": True},
     {"experiment": "cocycle", "m_sampels": 7},
     {"experiment": "drift", "n": 20},
+    {"experiment": "cocycle", "checkpoints": [3]},
+    {"experiment": "drift", "distribution": H2_DIST, "checkpoints": [5]},
 ], ids=["seed-negative", "seed-2**63", "checkpoint-above-n", "checkpoint-zero",
         "n-fraction", "n-true", "seed-fraction", "checkpoint-fraction", "m_samples-string",
-        "tolerance-true", "unknown-top-level-key", "drift-without-distribution"])
+        "tolerance-true", "unknown-top-level-key", "drift-without-distribution",
+        "checkpoints-on-cocycle", "checkpoints-on-drift"])
 def test_config_rejects_out_of_range_seeds_and_checkpoints(tmp_path, capsys, fields):
     # the parent crashed on seed -1, ran seed 2**63, walked to checkpoint 400
     # at n=50, and dropped checkpoint 0; it truncated n 2.5 to 2, n true to 1,
     # seed 1.9 to 1 and checkpoint 3.5 to 3, read m_samples "7" as 7, and
     # tolerance true as 1.0; it loaded "m_sampels" 7 and ran m_samples 100,
-    # and loaded a drift config without a distribution, failing it only in run
+    # and loaded a drift config without a distribution, failing it only in run;
+    # it accepted, echoed and ignored checkpoints given to cocycle and drift,
+    # whose runners never read them
     _assert_config_error(tmp_path, capsys, fields)
 
 
@@ -428,3 +436,17 @@ def test_bin_schemes_without_arcs_fail_at_construction(make):
     # index_of divides by the arc count, so a scheme needs at least one arc
     with pytest.raises(UsageError):
         make()
+
+
+def test_no_package_module_imports_scipy():
+    # scipy is a test dependency only, so no module of the package may import
+    # it, not even lazily inside a function
+    for path in sorted(Path(cli.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert all(m.split(".")[0] != "scipy" for m in modules), (path, node.lineno)
