@@ -57,7 +57,6 @@ from .isometry import (
     power,
 )
 from .boundary import (
-    AngleLimit,
     angle_at_infinity,
     angles_at_infinity,
     boundary_distances,

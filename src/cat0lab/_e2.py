@@ -55,10 +55,6 @@ def isometry(angle: float, v) -> tuple[float, complex]:
     return (wrap_angle(float(angle)), complex(float(v[0]), float(v[1])))
 
 
-def points_equal(p: complex, q: complex, tol: float) -> bool:
-    return abs(p - q) <= tol
-
-
 def boundary_eq(theta1: float, theta2: float, tol: float) -> bool:
     return circle_gap(theta1, theta2) <= tol
 
@@ -107,10 +103,8 @@ def ray_point(x: complex, theta: float, t: float) -> complex:
     return x + t * cmath.exp(1j * theta)
 
 
-def direction(x: complex, y: complex, tol: float):
-    """Angle of the ray from x through y; None when the points coincide."""
-    if dist(x, y) <= tol:
-        return None
+def direction(x: complex, y: complex) -> float:
+    """Angle of the ray from x through y (x != y)."""
     return boundary(wrap_angle(cmath.phase(y - x)))
 
 
@@ -119,7 +113,14 @@ def horofunction(theta: float, x: complex, z: complex) -> float:
 
 
 def busemann_limit(theta: float, x: complex, z: complex, t: float) -> float:
-    return dist(ray_point(x, theta, t), z) - t
+    """d(ray(t), z) - t, as (2a + |w|^2/t) / (|w/t + u| + 1) from t = 1 on,
+    with w = x - z, u = e^{i theta}, a = Re(w u*): the difference cancels
+    at large t, and this form neither cancels nor overflows."""
+    if t < 1.0:
+        return dist(ray_point(x, theta, t), z) - t
+    w, u = x - z, cmath.exp(1j * theta)
+    a = (w * u.conjugate()).real
+    return (2.0 * a + abs(w) ** 2 / t) / (abs(w / t + u) + 1.0)
 
 
 # -- isometries: data = (alpha, v) with v complex ---------------------------
@@ -179,12 +180,6 @@ def random_point(rng) -> complex:
 
 def random_isometry(rng):
     return isometry(uniform(rng, 0, 2 * math.pi), (uniform(rng, -3, 3), uniform(rng, -3, 3)))
-
-
-def random_axial(rng):
-    v = (uniform(rng, 0.3, 3) * (1 if rng.random() < 0.5 else -1),
-         uniform(rng, 0.3, 3))
-    return isometry(0.0, v)
 
 
 def random_boundary(rng, tol: float) -> float:
@@ -282,9 +277,9 @@ def snapshot_horofunction(snap, base: complex, theta: float) -> float:
     return horofunction(theta, base, snapshot_point(snap, base))
 
 
-def tracking_gaps(atoms, increments, snaps, base: complex, lam: float, tol: float) -> dict:
+def tracking_gaps(atoms, increments, snaps, base: complex, lam: float) -> dict:
     """d(gamma(lam k), Z_k x) for the snapshots {k: snapshot}, along the ray
-    from x toward the last snapshot's orbit point."""
-    theta = direction(base, snapshot_point(snaps[max(snaps)], base), tol)
+    from x toward the last snapshot's orbit point, which is not x."""
+    theta = direction(base, snapshot_point(snaps[max(snaps)], base))
     return {k: dist(ray_point(base, theta, lam * k), snapshot_point(s, base))
             for k, s in snaps.items()}

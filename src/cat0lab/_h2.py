@@ -95,10 +95,6 @@ def isometry(a: float, b: float, c: float, d: float) -> Mat:
     return make_matrix(float(a), float(b), float(c), float(d))
 
 
-def points_equal(p: complex, q: complex, tol: float) -> bool:
-    return abs(p - q) <= tol
-
-
 def boundary_eq(x1: float, x2: float, tol: float) -> bool:
     if math.isinf(x1) or math.isinf(x2):
         return math.isinf(x1) and math.isinf(x2)
@@ -246,14 +242,7 @@ def ray_point(x: complex, xi: float, t: float) -> complex:
     return _circle_point(c, r, s)
 
 
-def direction(x: complex, y: complex, tol: float):
-    """Endpoint of the ray from x through y; None when the points coincide."""
-    if dist(x, y) <= tol:
-        return None
-    return endpoint(x, y)
-
-
-def endpoint(x: complex, y: complex) -> float:
+def direction(x: complex, y: complex) -> float:
     """Boundary endpoint of the ray from x through y (x != y)."""
     if _vertical(x, y.real):
         return INF if y.imag > x.imag else x.real
@@ -350,24 +339,12 @@ def random_sl2(rng) -> Mat:
     return mat_mul(mat_mul(k, a), nmat)
 
 
-def random_axial_matrix(rng) -> Mat:
-    """A diagonal stretch conjugated by a random element."""
-    t = uniform(rng, 0.4, 2.0)
-    et = math.exp(t / 2)
-    conj = random_sl2(rng)
-    return mat_mul(mat_mul(conj, (et, 0.0, 0.0, 1.0 / et)), mat_inv(conj))
-
-
 def random_point(rng) -> complex:
     return point(uniform(rng, -3, 3), math.exp(uniform(rng, -1.5, 1.5)))
 
 
 def random_isometry(rng) -> Mat:
     return isometry(*random_sl2(rng))
-
-
-def random_axial(rng) -> Mat:
-    return isometry(*random_axial_matrix(rng))
 
 
 def random_boundary(rng, tol: float) -> float:
@@ -569,7 +546,7 @@ def snapshot_boundary(st: State, x: complex, xi: float) -> float:
     return mobius_boundary(st[0], xi)
 
 
-def tracking_gaps(atoms, increments, snaps, base: complex, lam: float, tol: float) -> dict:
+def tracking_gaps(atoms, increments, snaps, base: complex, lam: float) -> dict:
     """d(gamma(lam k), Z_k x) at the snapshot steps k (see mp_ray_gaps)."""
     return mp_ray_gaps(atoms, increments, base, lam, list(snaps))[0]
 
@@ -622,14 +599,24 @@ def _mp_direction(xr, xim, yr, yi, mp):
     return c - r if arc(yr, yi) > arc(xr, xim) else c + r
 
 
+def busemann_dps(t: float) -> int:
+    """Digits for d(ray(t), z) - t: 60 beyond those of t, which it cancels."""
+    return int(60 + math.log10(1.0 + t))
+
+
+def mp_ray_dist(xi: float, x: complex, z: complex, tt, mp):
+    """d(ray(tt), z) as an mpf, for the ray from x toward xi and an mpf tt."""
+    pr, pi = _mp_ray(mp.mpf(x.real), mp.mpf(x.imag), xi, tt, mp)
+    return _mp_dist(pr, pi, mp.mpf(z.real), mp.mpf(z.imag), mp)
+
+
 def busemann_limit(xi: float, x: complex, z: complex, t: float) -> float:
     """d(ray(t), z) - t evaluated in arbitrary precision arithmetic."""
     import mpmath as mp
 
-    with mp.workdps(60):
-        pr, pi = _mp_ray(mp.mpf(x.real), mp.mpf(x.imag), xi, mp.mpf(t), mp)
-        d = _mp_dist(pr, pi, mp.mpf(z.real), mp.mpf(z.imag), mp)
-        return float(d - mp.mpf(t))
+    with mp.workdps(busemann_dps(t)):
+        tt = mp.mpf(t)
+        return float(mp_ray_dist(xi, x, z, tt, mp) - tt)
 
 
 def mp_ray_gaps(mats, increments, x: complex, lam: float, steps, rise: float = 0.0):

@@ -42,10 +42,6 @@ def isometry(matrix, shift: float):
     return (_h2.isometry(*matrix), float(shift))
 
 
-def points_equal(p, q, tol: float) -> bool:
-    return abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol
-
-
 def isometry_key(g, r):
     m, s = g
     return ("H2xR",) + tuple(r(e) for e in m) + (r(s),)
@@ -100,16 +96,13 @@ def ray_point(x, b, t: float):
     return (zh, x[1] + t * math.sin(alpha))
 
 
-def direction(x, y, tol: float):
-    """Boundary direction of the ray from x through y; None when the points
-    coincide."""
-    if dist(x, y) <= tol:
-        return None
+def direction(x, y):
+    """Boundary direction of the ray from x through y (x != y)."""
     dh = _h2.dist(x[0], y[0])
     dv = y[1] - x[1]
     if dh == 0.0:
         return (None, HALF_PI if dv > 0 else -HALF_PI)
-    return (_h2.endpoint(x[0], y[0]), math.atan2(dv, dh))
+    return (_h2.direction(x[0], y[0]), math.atan2(dv, dh))
 
 
 def horofunction(b, x, z) -> float:
@@ -125,15 +118,13 @@ def busemann_limit(b, x, z, t: float) -> float:
     import mpmath as mp
 
     xi, alpha = b
-    with mp.workdps(60):
+    with mp.workdps(_h2.busemann_dps(t)):
         tt = mp.mpf(t)
         dv = mp.mpf(x[1]) + tt * mp.sin(mp.mpf(alpha)) - mp.mpf(z[1])
         if xi is None:
             dh = mp.mpf(_h2.dist(x[0], z[0]))
         else:
-            th = float(tt * mp.cos(mp.mpf(alpha)))
-            gh = _h2.busemann_limit(xi, x[0], z[0], th) + th  # = d(ray_h(th), z_h)
-            dh = mp.mpf(gh)
+            dh = _h2.mp_ray_dist(xi, x[0], z[0], tt * mp.cos(mp.mpf(alpha)), mp)
         return float(mp.sqrt(dh * dh + dv * dv) - tt)
 
 
@@ -235,10 +226,6 @@ def random_point(rng):
 
 def random_isometry(rng):
     return isometry(_h2.random_sl2(rng), uniform(rng, -2, 2))
-
-
-def random_axial(rng):
-    return isometry(_h2.random_axial_matrix(rng), uniform(rng, -2, 2))
 
 
 def random_boundary(rng, tol: float):
@@ -362,7 +349,7 @@ def snapshot_horofunction(snap, base, b) -> float:
     return _horofunction(b, None if xi is None else _h2.state_horofunction(st, base[0], xi), h)
 
 
-def tracking_gaps(atoms, increments, snaps, base, lam: float, tol: float) -> dict:
+def tracking_gaps(atoms, increments, snaps, base, lam: float) -> dict:
     """Product distances d(gamma(lam k), Z_k x): `_h2.mp_ray_gaps` re-tracks
     the horizontal factor along the slope of the final recorded step, and
     the heights come from the snapshots."""

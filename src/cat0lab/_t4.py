@@ -169,10 +169,8 @@ def ray_vertex(x: str, b: tuple[str, str], t: int) -> str:
     return word_prefix(b, m + (t - up))
 
 
-def direction(x: str, y: str, tol: float):
-    """Boundary word of a ray from x through y; None when x == y."""
-    if x == y:
-        return None
+def direction(x: str, y: str) -> tuple[str, str]:
+    """Boundary word of a ray from x through y (x != y)."""
     m = lcp(x, y)
     if len(y) > m:
         return validate_boundary(y, y[-1])
@@ -251,10 +249,6 @@ boundary = validate_boundary
 isometry = reduce_word
 
 
-def points_equal(p: str, q: str, tol: float) -> bool:
-    return p == q
-
-
 def isometry_key(g: str, r):
     return ("T4", g)
 
@@ -295,8 +289,16 @@ def ray_point(x: str, b: tuple[str, str], t: float) -> str:
 
 
 def busemann_limit(b: tuple[str, str], x: str, z: str, t: float) -> float:
+    """d(ray(t), z) - t.  Past the climb from x to x[:m], m = match_len(b, x),
+    the ray is at the depth-L vertex of the ray of b from the root,
+    L = t - |x| + 2m, and z leaves that ray at depth match_len(b, z), so the
+    distance follows from the lengths without writing the vertex's word."""
     k = as_step(t)
-    return float(dist(ray_vertex(x, b, k), z) - k)
+    m = match_len(b, x)
+    if k <= len(x) - m:
+        return float(dist(ray_vertex(x, b, k), z) - k)
+    depth = k - len(x) + 2 * m
+    return float(depth + len(z) - 2 * min(depth, match_len(b, z)) - k)
 
 
 # -- isometries: data = reduced word acting by left multiplication ------------
@@ -351,10 +353,6 @@ def random_point(rng) -> str:
 
 def random_isometry(rng) -> str:
     return random_word(rng, int(rng.integers(1, 7)))
-
-
-def random_axial(rng) -> str:
-    return random_word(rng, int(rng.integers(1, 6)))
 
 
 def random_boundary(rng, tol: float) -> tuple[str, str]:
@@ -484,9 +482,10 @@ def snapshot_horofunction(snap: str, base: str, b: tuple[str, str]) -> int:
     return horofunction(b, base, snapshot_point(snap, base))
 
 
-def tracking_gaps(atoms, increments, snaps, base: str, lam: float, tol: float) -> dict:
+def tracking_gaps(atoms, increments, snaps, base: str, lam: float) -> dict:
     """d(gamma(lam k), Z_k x) for the snapshots {k: snapshot}, along the ray
-    toward the last snapshot's orbit point, at the rounded parameter lam k."""
-    b = direction(base, snapshot_point(snaps[max(snaps)], base), tol)
+    toward the last snapshot's orbit point, which is not x, at the rounded
+    parameter lam k."""
+    b = direction(base, snapshot_point(snaps[max(snaps)], base))
     return {k: float(dist(ray_point(base, b, float(round(lam * k))), snapshot_point(s, base)))
             for k, s in snaps.items()}

@@ -343,7 +343,7 @@ def _run_tits_table(cfg, hypotheses, problems):
                       "eta": boundary_to_json(pts[j]),
                       "tits": None if math.isinf(dt) else dt,
                       "tits_infinite": math.isinf(dt),
-                      "angle": ang.value})
+                      "angle": ang})
     return ({"table": table, "pi_ball_trivial": tits_ball_is_trivial(pts[0])},
             ["i", "j", "tits", "angle_at_basepoint"],
             [(r["i"], r["j"], r["tits"], r["angle"]) for r in table])

@@ -78,8 +78,7 @@ def angle_of_sides(a: float, b: float, c: float) -> float:
 
 def direction(x: Point, y: Point) -> BoundaryPoint:
     """Boundary coordinate of the ray from x through y."""
-    model = same_model(x, y)
-    b = KERNELS[model].direction(x.data, y.data, tolerance())
-    if b is None:
+    kernel = KERNELS[same_model(x, y)]
+    if kernel.dist(x.data, y.data) <= tolerance():
         raise UsageError("direction needs two distinct points")
-    return BoundaryPoint(model, b)
+    return BoundaryPoint(x.model, kernel.direction(x.data, y.data))

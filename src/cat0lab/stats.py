@@ -168,31 +168,17 @@ class BinScheme:
     params: tuple
 
     @classmethod
-    def _make(cls, model: Model, *sizes) -> "BinScheme":
+    def of(cls, model: Model, *sizes) -> "BinScheme":
+        """The scheme of the kernel's `bin_params(*sizes)`: the arc count
+        (E2, H2), the cylinder length (T4), or k_xi and k_alpha (H2xR)."""
         return cls(model, KERNELS[model].bin_params(*sizes))
-
-    @classmethod
-    def angular(cls, k: int) -> "BinScheme":
-        return cls._make(Model.E2, k)
-
-    @classmethod
-    def circle(cls, k: int) -> "BinScheme":
-        return cls._make(Model.H2, k)
-
-    @classmethod
-    def cylinders(cls, length: int) -> "BinScheme":
-        return cls._make(Model.T4, length)
-
-    @classmethod
-    def product(cls, k_xi: int, k_alpha: int) -> "BinScheme":
-        return cls._make(Model.H2xR, k_xi, k_alpha)
 
     @classmethod
     def default(cls, model: Model, resolution: int = 0) -> "BinScheme":
         """The kernel's `DEFAULT_BINS` sizes, the first one replaced by a
         nonzero resolution."""
         sizes = KERNELS[model].DEFAULT_BINS
-        return cls._make(model, resolution or sizes[0], *sizes[1:])
+        return cls.of(model, resolution or sizes[0], *sizes[1:])
 
     @property
     def kind(self) -> str:
@@ -379,8 +365,7 @@ def tracking_error(trace: WalkTrace, lam: float):
     ks = [int(k) for k in trace.steps[1:]]
     snaps = dict(zip(ks, trace.snapshots[1:]))
     atoms = [g.data for g in trace.spec.isometries]
-    gaps = KERNELS[trace.model].tracking_gaps(atoms, trace.increments, snaps, x.data, lam,
-                                              tolerance())
+    gaps = KERNELS[trace.model].tracking_gaps(atoms, trace.increments, snaps, x.data, lam)
     errs = [gaps[k] / k for k in ks]
     return np.array(ks), np.array(errs)
 

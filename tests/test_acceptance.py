@@ -287,7 +287,7 @@ def test_tits_closed_forms():
     for _ in range(100):
         a = e2_boundary(rng.uniform(0, 2 * math.pi))
         b = e2_boundary(rng.uniform(0, 2 * math.pi))
-        worst = max(worst, abs(angle_at_infinity(x, a, b).value - tits_distance(a, b)))
+        worst = max(worst, abs(angle_at_infinity(x, a, b) - tits_distance(a, b)))
     flat_ok = True
     for _ in range(100):
         a1 = rng.uniform(-math.pi / 2 + 0.01, math.pi / 2 - 0.01)

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from cat0lab import (
     Model,
     UsageError,
+    apply,
     comparison_angle,
     direction,
     distance,
@@ -13,6 +14,7 @@ from cat0lab import (
     e2_point,
     geodesic_point,
     h2_boundary,
+    h2_isometry,
     h2_point,
     h2xr_boundary,
     h2xr_point,
@@ -67,6 +69,16 @@ def test_distance_zero_iff_equal(rng):
         q = random_point(model, rng)
         if not points_equal(p, q):
             assert distance(p, q) > 0
+
+
+def test_points_equal_is_isometry_invariant():
+    # 0.05 apart near the real axis although their coordinates differ by
+    # 5e-10; z -> 1e8 z maps them to (0, 1) and (0.05, 1), as far apart
+    p, q = h2_point(0, 1e-8), h2_point(5e-10, 1e-8)
+    g = h2_isometry(1e4, 0, 0, 1e-4)
+    assert distance(p, q) == pytest.approx(distance(apply(g, p), apply(g, q)))
+    assert not points_equal(p, q)
+    assert not points_equal(apply(g, p), apply(g, q))
 
 
 def test_geodesic_point_examples():

@@ -43,6 +43,7 @@ from cat0lab import (
     t4_isometry,
     t4_point,
     cocycle_residual,
+    comparison_angle,
     convergence_profile,
     dirac_concentration,
     axis_endpoints,
@@ -50,6 +51,7 @@ from cat0lab import (
     north_south_constant,
     pi_convergence_check,
     power,
+    ray_point,
     tracking_error,
 )
 from cat0lab.sampling import random_isometry, random_point
@@ -462,12 +464,16 @@ def audit_values(model: Model) -> dict:
     x = model_basepoint(model)
     hist = hitting_measure(spec, x, 40, 24, BinScheme.default(model), 9)
     pts = sample_boundary(model, 5, 13)
-    pts.append(pts[1])  # an equal pair, whose angle is 0 without a grid
+    pts.append(pts[1])  # an equal pair, at angle 0
     limits = [angle_at_infinity(x, a, b) for i, a in enumerate(pts) for b in pts[i + 1:]]
+    # the comparison angles of the first pair's ray points, which do not
+    # decrease in the radius; the last is the angle at infinity
+    grid = [comparison_angle(x, ray_point(x, pts[0], 2.0 ** k), ray_point(x, pts[1], 2.0 ** k))
+            for k in range(9)]
     return {
         "stationarity_defect": _hex([stationarity_defect(spec, hist, 8, seed=4)]),
-        "angle_at_infinity": _hex(a.value for a in limits),
-        "angle_grid": _hex(limits[0].values),
+        "angle_at_infinity": _hex(limits),
+        "angle_grid": _hex(grid),
     }
 
 

@@ -178,12 +178,20 @@ def test_classify_inverse_preserves_class(rng):
             assert a.translation_length == pytest.approx(b.translation_length, abs=1e-9)
 
 
-def test_translation_length_of_powers(rng):
-    from cat0lab.sampling import random_axial
+AXIALS = {
+    Model.E2: e2_isometry(0, (1.5, 0.7)),
+    Model.H2: h2_isometry(2, 0, 0, 0.5),
+    Model.T4: t4_isometry("ab"),
+    Model.H2xR: h2xr_isometry([2, 0, 0, 0.5], 0.4),
+}
 
+
+def test_translation_length_of_powers(rng):
+    # conjugates h a h^-1 of a fixed axial a by random isometries h
     for model in ALL_MODELS:
         for _ in range(10):
-            g = random_axial(model, rng)
+            h = random_isometry(model, rng)
+            g = compose(compose(h, AXIALS[model]), inverse(h))
             cls = classify(g)
             assert cls.kind == "axial"
             for k in range(2, 6):

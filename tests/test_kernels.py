@@ -34,15 +34,13 @@ from cat0lab import (
     t4_isometry,
     walk,
 )
-from cat0lab.boundary import DEFAULT_T_GRID
 from cat0lab.geometry import model_basepoint
 from cat0lab.models import KERNELS
 from cat0lab.sampling import random_isometry, random_point
 
 TABLE = (
     # values and codecs
-    "BASEPOINT", "IDENTITY", "point", "boundary", "isometry", "points_equal",
-    "boundary_eq", "isometry_key", "point_from_json", "boundary_to_json",
+    "BASEPOINT", "IDENTITY", "point", "boundary", "isometry", "boundary_eq", "isometry_key", "point_from_json", "boundary_to_json",
     "boundary_from_json", "isometry_to_json", "isometry_from_json",
     # geometry
     "dist", "geodesic_point", "ray_point", "direction", "horofunction",
@@ -53,7 +51,7 @@ TABLE = (
     # boundary
     "tits", "boundary_chart", "chart_dist", "TITS_BALL_TRIVIAL",
     # samplers and bins
-    "random_point", "random_isometry", "random_axial", "random_boundary",
+    "random_point", "random_isometry", "random_boundary",
     "BIN_KIND", "BIN_FIELDS", "bin_params", "DEFAULT_BINS", "bin_count", "bin_index",
     "bin_sample",
     # walks
@@ -338,21 +336,22 @@ def test_sample_terminals_are_the_single_path_ends_across_path_blocks(model):
     assert snaps == expected_snaps
 
 
-def _metric_by_ray_points(x, a, b, r0):
-    # the per-pair metric the boundary charts replaced, kept as the reference
+def _metric_by_ray_points(x, a, b):
+    # the per-pair metric the boundary charts replaced, kept as the reference:
+    # the distance between the ray points at radius 1 (Gromov products on T4)
     kernel = KERNELS[x.model]
     if x.model is Model.T4:
         g = _t4.gromov_product(x.data, a.data, b.data)
         return 0.0 if math.isinf(g) else math.exp(-g)
-    return kernel.dist(kernel.ray_point(x.data, a.data, r0),
-                       kernel.ray_point(x.data, b.data, r0))
+    return kernel.dist(kernel.ray_point(x.data, a.data, 1.0),
+                       kernel.ray_point(x.data, b.data, 1.0))
 
 
 @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(0, 7),
-       other_count=st.integers(0, 4), r0=st.floats(0.0, 3.0))
-def test_boundary_distances_are_the_pair_metrics(model, seed, count, other_count, r0):
+       other_count=st.integers(0, 4))
+def test_boundary_distances_are_the_pair_metrics(model, seed, count, other_count):
     # each entry of the pairwise table is the one-pair metric, compared with ==
     rng = np.random.default_rng(seed)
     x = random_point(model, rng)
@@ -363,19 +362,19 @@ def test_boundary_distances_are_the_pair_metrics(model, seed, count, other_count
         points.append(points[0])
         others.append(points[-1])
     pairs = [(a, b) for i, a in enumerate(points) for b in points[i + 1:]]
-    condensed = boundary_distances(x, points, r0=r0)
-    assert condensed == [boundary_metric(x, a, b, r0) for a, b in pairs]
-    assert condensed == [_metric_by_ray_points(x, a, b, r0) for a, b in pairs]
-    rows = boundary_distances(x, points, others, r0)
-    assert rows == [[boundary_metric(x, a, b, r0) for b in others] for a in points]
-    assert rows == [[_metric_by_ray_points(x, a, b, r0) for b in others] for a in points]
+    condensed = boundary_distances(x, points)
+    assert condensed == [boundary_metric(x, a, b) for a, b in pairs]
+    assert condensed == [_metric_by_ray_points(x, a, b) for a, b in pairs]
+    rows = boundary_distances(x, points, others)
+    assert rows == [[boundary_metric(x, a, b) for b in others] for a in points]
+    assert rows == [[_metric_by_ray_points(x, a, b) for b in others] for a in points]
 
 
 @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(0, 6))
 def test_angles_at_infinity_are_the_pair_angles(model, seed, count):
-    # each pair's grid of comparison angles of ray points, compared with ==
+    # each pair's comparison angle of ray points at radius 2^8, compared with ==
     rng = np.random.default_rng(seed)
     x = random_point(model, rng)
     points = sample_boundary(model, count, rng)
@@ -386,9 +385,22 @@ def test_angles_at_infinity_are_the_pair_angles(model, seed, count):
     assert limits == [angle_at_infinity(x, a, b) for a, b in pairs]
     for (a, b), limit in zip(pairs, limits):
         if not boundary_points_equal(a, b):
-            assert limit.values == tuple(
-                comparison_angle(x, ray_point(x, a, t), ray_point(x, b, t))
-                for t in DEFAULT_T_GRID)
+            assert limit == comparison_angle(x, ray_point(x, a, 2.0 ** 8),
+                                             ray_point(x, b, 2.0 ** 8))
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_comparison_angles_of_ray_points_do_not_decrease(model, seed):
+    # the angle at infinity is the limit of a non-decreasing function of the
+    # radius (Bridson-Haefliger II.9.8), so one radius stands for the limit
+    rng = np.random.default_rng(seed)
+    x = random_point(model, rng)
+    a, b = sample_boundary(model, 2, rng)
+    angles = [comparison_angle(x, ray_point(x, a, 2.0 ** k), ray_point(x, b, 2.0 ** k))
+              for k in range(9)]
+    assert all(later >= earlier - 1e-9 for earlier, later in zip(angles, angles[1:]))
 
 
 @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
@@ -455,12 +467,6 @@ def _ref_sl2(rng):
                        (1.0, s, 0.0, 1.0))
 
 
-def _ref_axial_matrix(rng):
-    et = math.exp(rng.uniform(0.4, 2.0) / 2)
-    conj = _ref_sl2(rng)
-    return _h2.mat_mul(_h2.mat_mul(conj, (et, 0.0, 0.0, 1.0 / et)), _h2.mat_inv(conj))
-
-
 def _ref_xi(phi):
     return math.inf if abs(phi) > math.pi - 1e-12 else math.tan(phi / 2.0)
 
@@ -470,23 +476,18 @@ REFERENCE_SAMPLERS = {
         "random_point": lambda rng: _e2.point(rng.uniform(-5, 5), rng.uniform(-5, 5)),
         "random_isometry": lambda rng: _e2.isometry(
             rng.uniform(0, 2 * math.pi), (rng.uniform(-3, 3), rng.uniform(-3, 3))),
-        "random_axial": lambda rng: _e2.isometry(0.0, (
-            rng.uniform(0.3, 3) * (1 if rng.random() < 0.5 else -1), rng.uniform(0.3, 3))),
         "random_boundary": lambda rng: _e2.boundary(rng.uniform(0.0, 2.0 * math.pi)),
     },
     Model.H2: {
         "random_point": lambda rng: _h2.point(rng.uniform(-3, 3),
                                               math.exp(rng.uniform(-1.5, 1.5))),
         "random_isometry": lambda rng: _h2.isometry(*_ref_sl2(rng)),
-        "random_axial": lambda rng: _h2.isometry(*_ref_axial_matrix(rng)),
         "random_boundary": lambda rng: _ref_xi(rng.uniform(-math.pi, math.pi)),
     },
     Model.H2xR: {
         "random_point": lambda rng: _h2xr.point(
             rng.uniform(-3, 3), math.exp(rng.uniform(-1.5, 1.5)), rng.uniform(-4, 4)),
         "random_isometry": lambda rng: _h2xr.isometry(_ref_sl2(rng), rng.uniform(-2, 2)),
-        "random_axial": lambda rng: _h2xr.isometry(_ref_axial_matrix(rng),
-                                                   rng.uniform(-2, 2)),
         "random_boundary": lambda rng: _h2xr.boundary(
             _ref_xi(rng.uniform(-math.pi, math.pi)),
             rng.uniform(-math.pi / 2 * 0.999, math.pi / 2 * 0.999), 1e-9),
@@ -500,7 +501,7 @@ def test_continuous_samplers_match_their_uniform_references(model, seed):
     kernel, ref = KERNELS[model], REFERENCE_SAMPLERS[model]
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(200):
-        for name in ("random_point", "random_isometry", "random_axial"):
+        for name in ("random_point", "random_isometry"):
             assert getattr(kernel, name)(rng) == ref[name](ref_rng)
         assert kernel.random_boundary(rng, 1e-9) == ref["random_boundary"](ref_rng)
     # the streams end in the same state
@@ -532,10 +533,11 @@ def _ref_sample_in_bin(scheme, i, rng):
     return _h2xr.boundary(xi, alpha, 1e-9)
 
 
-@pytest.mark.parametrize("scheme", [BinScheme.angular(16), BinScheme.circle(16),
-                                    BinScheme.angular(3), BinScheme.circle(5),
-                                    BinScheme.product(8, 4), BinScheme.product(3, 5),
-                                    BinScheme.cylinders(1), BinScheme.cylinders(2)],
+@pytest.mark.parametrize("scheme", [BinScheme.of(Model.E2, 16), BinScheme.of(Model.H2, 16),
+                                    BinScheme.of(Model.E2, 3), BinScheme.of(Model.H2, 5),
+                                    BinScheme.of(Model.H2xR, 8, 4),
+                                    BinScheme.of(Model.H2xR, 3, 5),
+                                    BinScheme.of(Model.T4, 1), BinScheme.of(Model.T4, 2)],
                          ids=lambda s: f"{s.kind}-{s.count}")
 def test_sample_in_bin_matches_its_uniform_reference(scheme):
     rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
@@ -554,7 +556,7 @@ BIN_DESCRIPTORS = [
      {"model": "T4", "kind": "cylinder", "length": 2, "count": 12}),
     (BinScheme.default(Model.H2xR),
      {"model": "H2xR", "kind": "product", "k_xi": 8, "k_alpha": 4, "count": 34}),
-    (BinScheme.product(3, 5),
+    (BinScheme.of(Model.H2xR, 3, 5),
      {"model": "H2xR", "kind": "product", "k_xi": 3, "k_alpha": 5, "count": 17}),
 ]
 

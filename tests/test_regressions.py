@@ -2,9 +2,9 @@
 tracking digits sized from the dense walk, returns to the basepoint,
 per-config tolerances in a sweep, walks whose every path returns, repeated
 checkpoints, configs that fail mid-sweep, seeds, checkpoints and integer
-params out of range, long H2 products and their JSON round trip, one
-rank-one audit per run, bin schemes with no arcs, and package modules with
-no scipy import."""
+params out of range, long H2 products and their JSON round trip, the
+Busemann limit oracle at large t, one rank-one audit per run, bin schemes
+with no arcs, and package modules with no scipy import."""
 
 import ast
 import csv
@@ -325,6 +325,35 @@ def test_oracle_input_exits_2(capsys, flags):
     assert json.loads(captured.err)["error"] == "config"
 
 
+BUSEMANN_EXAMPLES = {
+    "E2": ('{"model": "E2", "theta": 0.5}', '{"model": "E2", "coords": [0, 0]}',
+           '{"model": "E2", "coords": [1, 2]}'),
+    "H2": ('{"model": "H2", "xi": 0.5}', '{"model": "H2", "coords": [0, 1]}',
+           '{"model": "H2", "coords": [1, 2]}'),
+    "H2xR": ('{"model": "H2xR", "xi": 0.5, "alpha": 0.3}',
+             '{"model": "H2xR", "coords": [0, 1, 0]}',
+             '{"model": "H2xR", "coords": [1, 2, 0.5]}'),
+    "T4": ('{"model": "T4", "word": "ab", "periodic": "a"}', '{"model": "T4", "word": ""}',
+           '{"model": "T4", "word": "B"}'),
+}
+
+
+@pytest.mark.parametrize("model, t", [
+    *((m, t) for m in ("E2", "H2", "H2xR") for t in ("1e12", "1e20", "1e300")),
+    ("T4", "1e300"),
+])
+def test_busemann_limit_oracle_keeps_its_digits_at_large_t(capsys, model, t):
+    # d(ray(t), z) - t cancels all float64 digits of the difference past
+    # t = 1e16 (E2 read 0.0 at 1e20), 60 mpmath digits lose them past
+    # t = 1e60 (H2 read 0.0 at 1e300), and a T4 ray vertex at depth 1e300
+    # cannot be written out (OverflowError)
+    xi, x, z = BUSEMANN_EXAMPLES[model]
+    argv = ["oracle", "busemann-limit", "--xi", xi, "--x", x, "--z", z, "--t", t]
+    assert main(argv) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["abs_difference"] <= 1e-9
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", "7", '"gap"'])
 def test_config_file_must_hold_an_object(tmp_path, capsys, text):
     # the parent exited 1 with "AttributeError: 'list' object has no
@@ -427,10 +456,11 @@ def test_one_rankone_audit_per_run(tmp_path, monkeypatch):
     assert reports["dirac", "E2"]["results"]["warnings"]
 
 
-@pytest.mark.parametrize("make", [lambda: BinScheme.angular(0), lambda: BinScheme.circle(0),
-                                  lambda: BinScheme.product(0, 4),
-                                  lambda: BinScheme.product(8, 0),
-                                  lambda: BinScheme.cylinders(-1)],
+@pytest.mark.parametrize("make", [lambda: BinScheme.of(Model.E2, 0),
+                                  lambda: BinScheme.of(Model.H2, 0),
+                                  lambda: BinScheme.of(Model.H2xR, 0, 4),
+                                  lambda: BinScheme.of(Model.H2xR, 8, 0),
+                                  lambda: BinScheme.of(Model.T4, -1)],
                          ids=["angular", "circle", "product-xi", "product-alpha", "cylinders"])
 def test_bin_schemes_without_arcs_fail_at_construction(make):
     # index_of divides by the arc count, so a scheme needs at least one arc

@@ -133,14 +133,14 @@ def test_convergence_profile_h2_settles_e2_wanders(h2_spec, e2_centered):
 def test_hitting_single_atom_unit_mass():
     g = t4_isometry("a")
     det = StepDistribution(Model.T4, ((g, 1.0),))
-    bins = BinScheme.cylinders(1)
+    bins = BinScheme.of(Model.T4, 1)
     hist = hitting_measure(det, t4_point(""), 30, 20, bins, 0)
     idx = bins.params[1].index("a")
     assert hist.masses[idx] == 1.0
 
 
 def test_hitting_uniform_tree_cylinders(t4_uniform):
-    bins = BinScheme.cylinders(1)
+    bins = BinScheme.of(Model.T4, 1)
     hist = hitting_measure(t4_uniform, t4_point(""), 150, 600, bins, 3)
     sigma = math.sqrt(0.25 * 0.75 / 600)
     for m in hist.masses:
@@ -152,7 +152,7 @@ def test_hitting_biased_tree_asymmetry():
                                        (t4_isometry("A"), 1 / 6),
                                        (t4_isometry("b"), 1 / 6),
                                        (t4_isometry("B"), 1 / 6)))
-    bins = BinScheme.cylinders(1)
+    bins = BinScheme.of(Model.T4, 1)
     hist = hitting_measure(spec, t4_point(""), 150, 600, bins, 4)
     words = bins.params[1]
     mass_a = hist.masses[words.index("a")]
@@ -192,7 +192,7 @@ def test_tree_cylinder_oracle_uniform_case():
 
 def test_stationarity_identity_spec_zero():
     ident = StepDistribution(Model.E2, ((identity(Model.E2), 1.0),))
-    bins = BinScheme.angular(8)
+    bins = BinScheme.of(Model.E2, 8)
     hist = HittingHistogram(bins, tuple([0.125] * 8), 0, 0)
     assert stationarity_defect(ident, hist, 16, seed=0) == 0.0
 
@@ -200,7 +200,7 @@ def test_stationarity_identity_spec_zero():
 def test_stationarity_exact_tree_measure_small_defect(t4_uniform):
     # the exact hitting measure is stationary; the defect is pure binning error
     cyl = tree_hitting_cylinders(uniform_tree_probs(), 2)
-    bins = BinScheme.cylinders(2)
+    bins = BinScheme.of(Model.T4, 2)
     hist = HittingHistogram(bins, tuple(cyl[w] for w in bins.params[1]), 0, 0)
     assert stationarity_defect(t4_uniform, hist, 48, seed=2) <= 0.03
 
@@ -213,7 +213,7 @@ def test_stationarity_biased_tree_oracle():
     spec = StepDistribution(Model.T4, tuple(
         (t4_isometry(k), p) for k, p in probs.items()))
     cyl = tree_hitting_cylinders(probs, 2)
-    bins = BinScheme.cylinders(2)
+    bins = BinScheme.of(Model.T4, 2)
     hist = HittingHistogram(bins, tuple(cyl[w] for w in bins.params[1]), 0, 0)
     assert stationarity_defect(spec, hist, 48, seed=2) <= 0.08
 
@@ -227,7 +227,7 @@ def test_stationarity_exact_with_conditional_tails():
     probs = {"a": 0.5, "A": 1 / 6, "b": 1 / 6, "B": 1 / 6}
     spec = StepDistribution(Model.T4, tuple(
         (t4_isometry(k), p) for k, p in probs.items()))
-    bins = BinScheme.cylinders(2)
+    bins = BinScheme.of(Model.T4, 2)
     cyl2 = tree_hitting_cylinders(probs, 2)
     cyl3 = tree_hitting_cylinders(probs, 3)
     pushed = np.zeros(bins.count)
@@ -244,7 +244,7 @@ def test_stationarity_exact_with_conditional_tails():
 def test_nonatomicity_max_mass_decreases_under_refinement(t4_uniform):
     masses = []
     for length in (1, 2, 3):
-        bins = BinScheme.cylinders(length)
+        bins = BinScheme.of(Model.T4, length)
         hist = hitting_measure(t4_uniform, t4_point(""), 60, 500, bins, 8)
         masses.append(max(hist.masses))
     assert masses[0] > masses[1] > masses[2]
