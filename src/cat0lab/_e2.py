@@ -92,6 +92,9 @@ def dist(p: complex, q: complex) -> float:
     return abs(p - q)
 
 
+fine_dist = dist
+
+
 def geodesic_point(p: complex, q: complex, t: float) -> complex:
     d = abs(q - p)
     if d == 0.0:
@@ -113,14 +116,15 @@ def horofunction(theta: float, x: complex, z: complex) -> float:
 
 
 def busemann_limit(theta: float, x: complex, z: complex, t: float) -> float:
-    """d(ray(t), z) - t, as (2a + |w|^2/t) / (|w/t + u| + 1) from t = 1 on,
-    with w = x - z, u = e^{i theta}, a = Re(w u*): the difference cancels
-    at large t, and this form neither cancels nor overflows."""
-    if t < 1.0:
-        return dist(ray_point(x, theta, t), z) - t
+    """d(ray(t), z) - t = (2 t a + |w|^2) / (|w + t u| + t), with w = x - z,
+    u = e^{i theta} and a = Re(w u*), which does not cancel at large t; both
+    sides are divided by s = max(t, |w|), so no term overflows."""
     w, u = x - z, cmath.exp(1j * theta)
-    a = (w * u.conjugate()).real
-    return (2.0 * a + abs(w) ** 2 / t) / (abs(w / t + u) + 1.0)
+    s = max(t, abs(w))
+    if s == 0.0:
+        return 0.0
+    v, r = w / s, t / s
+    return s * (2.0 * r * (v * u.conjugate()).real + abs(v) ** 2) / (abs(v + r * u) + r)
 
 
 # -- isometries: data = (alpha, v) with v complex ---------------------------

@@ -178,6 +178,13 @@ def dist(p: complex, q: complex) -> float:
     return math.acosh(max(1.0, arg))
 
 
+def fine_dist(p: complex, q: complex) -> float:
+    """The metric as 2 asinh(|p - q| / (2 sqrt(y y'))), which keeps the
+    digits of a short distance.  `dist`'s acosh form reads 0 below
+    |p - q| ~ 1e-8 y; the reports carry its bits, so it stays."""
+    return 2.0 * math.asinh(abs(p - q) / (2.0 * math.sqrt(p.imag * q.imag)))
+
+
 def _vertical(p: complex, q_real: float) -> bool:
     return abs(p.real - q_real) <= 1e-12 * (1.0 + abs(p) + abs(q_real))
 

@@ -78,6 +78,10 @@ def dist(p, q) -> float:
     return math.hypot(_h2.dist(p[0], q[0]), p[1] - q[1])
 
 
+def fine_dist(p, q) -> float:
+    return math.hypot(_h2.fine_dist(p[0], q[0]), p[1] - q[1])
+
+
 def geodesic_point(p, q, t: float):
     dh = _h2.dist(p[0], q[0])
     dv = q[1] - p[1]

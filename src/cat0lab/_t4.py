@@ -83,6 +83,9 @@ def dist(u: str, v: str) -> int:
     return len(u) + len(v) - 2 * lcp(u, v)
 
 
+fine_dist = dist
+
+
 def as_step(t: float) -> int:
     """Integer cast for a tree arclength parameter; rejects fractional values."""
     k = round(t)
@@ -289,16 +292,11 @@ def ray_point(x: str, b: tuple[str, str], t: float) -> str:
 
 
 def busemann_limit(b: tuple[str, str], x: str, z: str, t: float) -> float:
-    """d(ray(t), z) - t.  Past the climb from x to x[:m], m = match_len(b, x),
-    the ray is at the depth-L vertex of the ray of b from the root,
-    L = t - |x| + 2m, and z leaves that ray at depth match_len(b, z), so the
-    distance follows from the lengths without writing the vertex's word."""
-    k = as_step(t)
-    m = match_len(b, x)
-    if k <= len(x) - m:
-        return float(dist(ray_vertex(x, b, k), z) - k)
-    depth = k - len(x) + 2 * m
-    return float(depth + len(z) - 2 * min(depth, match_len(b, z)) - k)
+    """d(ray(t), z) - t.  By step |x| + |z| the ray is deeper than every
+    letter z shares with it, and from there on the difference stays put, so
+    the ray is walked no further."""
+    k = min(as_step(t), len(x) + len(z))
+    return float(dist(ray_vertex(x, b, k), z) - k)
 
 
 # -- isometries: data = reduced word acting by left multiplication ------------

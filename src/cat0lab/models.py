@@ -164,10 +164,11 @@ def same_model(*tagged) -> Model:
 # -- equality with tolerance ---------------------------------------------------
 
 def points_equal(p: Point, q: Point, tol: float | None = None) -> bool:
-    """d(p, q) <= tol: equality by the metric, so isometries preserve it."""
+    """d(p, q) <= tol: equality by the metric, so isometries preserve it.
+    d is the kernel's `fine_dist`, which keeps the digits of a short distance."""
     model = same_model(p, q)
     tol = tolerance() if tol is None else tol
-    return KERNELS[model].dist(p.data, q.data) <= tol
+    return KERNELS[model].fine_dist(p.data, q.data) <= tol
 
 
 def boundary_points_equal(b1: BoundaryPoint, b2: BoundaryPoint, tol: float | None = None) -> bool:

@@ -18,6 +18,7 @@ from cat0lab import (
     horofunction,
     horofunction_limit_oracle,
     model_basepoint,
+    ray_point,
     sample_boundary,
     t4_boundary,
     t4_point,
@@ -87,6 +88,20 @@ def test_horofunction_matches_limit_oracle_sampled(rng):
             closed = horofunction(xi, x, z)
             lim = horofunction_limit_oracle(xi, x, z, t)
             assert closed == pytest.approx(lim, abs=1e-3)
+
+
+def test_limit_oracle_is_the_defining_difference_at_small_t(rng):
+    # at small t nothing cancels, so d(ray(t), z) - t read directly is the
+    # reference; t = 5e-324 is where w / t overflows in an unscaled E2 form
+    for model in ALL_MODELS:
+        ts = (0, 1, 3) if model is Model.T4 else (0.0, 5e-324, 0.5, 3.0)
+        for _ in range(10):
+            x, z = oracle_config(model, rng)
+            xi = sample_boundary(model, 1, rng)[0]
+            assert horofunction_limit_oracle(xi, x, x, 0.0) == 0.0
+            for t in ts:
+                direct = distance(ray_point(x, xi, t), z) - t
+                assert horofunction_limit_oracle(xi, x, z, t) == pytest.approx(direct, abs=1e-9)
 
 
 def test_horofunction_is_one_lipschitz(rng):

@@ -67,8 +67,15 @@ def test_distance_zero_iff_equal(rng):
     for model in ALL_MODELS:
         p = random_point(model, rng)
         q = random_point(model, rng)
-        if not points_equal(p, q):
+        assert distance(p, p) == 0.0
+        if p.data != q.data:
             assert distance(p, q) > 0
+    # 1e-8 apart, where acosh(1 + x) rounds to 0: equality reads the metric
+    # without that floor
+    p, q = h2_point(0, 1), h2_point(1e-8, 1)
+    assert not points_equal(p, q, 1e-12)
+    assert points_equal(p, q, 1.1e-8)
+    assert not points_equal(h2xr_point(0, 1, 0), h2xr_point(1e-8, 1, 0), 1e-12)
 
 
 def test_points_equal_is_isometry_invariant():

@@ -179,24 +179,27 @@ def test_classify_inverse_preserves_class(rng):
 
 
 AXIALS = {
-    Model.E2: e2_isometry(0, (1.5, 0.7)),
-    Model.H2: h2_isometry(2, 0, 0, 0.5),
-    Model.T4: t4_isometry("ab"),
-    Model.H2xR: h2xr_isometry([2, 0, 0, 0.5], 0.4),
+    Model.E2: [e2_isometry(0, v) for v in ((1.5, 0.7), (-0.3, 0.2), (2.4, -1.9))],
+    Model.H2: [h2_isometry(math.exp(s), 0, 0, math.exp(-s)) for s in (0.2, 0.7, 1.0)],
+    Model.T4: [t4_isometry(w) for w in ("a", "ab", "abA", "abaB")],
+    Model.H2xR: [h2xr_isometry([math.exp(s), 0, 0, math.exp(-s)], h)
+                 for s, h in ((0.2, 1.1), (1.0, 0.4), (0.7, -1.6))],
 }
 
 
 def test_translation_length_of_powers(rng):
-    # conjugates h a h^-1 of a fixed axial a by random isometries h
+    # conjugates h a h^-1 of axials a of several translation lengths by
+    # random isometries h
     for model in ALL_MODELS:
-        for _ in range(10):
-            h = random_isometry(model, rng)
-            g = compose(compose(h, AXIALS[model]), inverse(h))
-            cls = classify(g)
-            assert cls.kind == "axial"
-            for k in range(2, 6):
-                assert classify(power(g, k)).translation_length == pytest.approx(
-                    k * cls.translation_length, rel=1e-8)
+        for a in AXIALS[model]:
+            for _ in range(4):
+                h = random_isometry(model, rng)
+                g = compose(compose(h, a), inverse(h))
+                cls = classify(g)
+                assert cls.kind == "axial"
+                for k in range(2, 6):
+                    assert classify(power(g, k)).translation_length == pytest.approx(
+                        k * cls.translation_length, rel=1e-8)
 
 
 def test_axis_endpoints_examples():

@@ -40,10 +40,11 @@ from cat0lab.sampling import random_isometry, random_point
 
 TABLE = (
     # values and codecs
-    "BASEPOINT", "IDENTITY", "point", "boundary", "isometry", "boundary_eq", "isometry_key", "point_from_json", "boundary_to_json",
+    "BASEPOINT", "IDENTITY", "point", "boundary", "isometry",
+    "boundary_eq", "isometry_key", "point_from_json", "boundary_to_json",
     "boundary_from_json", "isometry_to_json", "isometry_from_json",
     # geometry
-    "dist", "geodesic_point", "ray_point", "direction", "horofunction",
+    "dist", "fine_dist", "geodesic_point", "ray_point", "direction", "horofunction",
     "busemann_limit",
     # the group and axes
     "apply", "apply_boundary", "compose", "inverse", "classify", "axis_endpoints",
