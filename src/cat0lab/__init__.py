@@ -34,12 +34,10 @@ from .models import (
     tolerance,
 )
 from .geometry import (
-    comparison_angle,
     direction,
     distance,
     geodesic_point,
     model_basepoint,
-    project_to_ball,
     ray_point,
 )
 from .isometry import (

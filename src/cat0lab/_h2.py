@@ -560,8 +560,10 @@ def tracking_gaps(atoms, increments, snaps, base: complex, lam: float) -> dict:
 
 # -- multiprecision kernel ----------------------------------------------------
 # Desk-scale limits (t around 1e4) and deep orbit tracking leave the float64
-# exponent/mantissa range, so the defining computations are redone in mpmath
-# with precision adapted to the depth involved.  mpmath uses gmpy2 when it is
+# exponent/mantissa range.  The Busemann limits are redone in mpmath with
+# digits adapted to t; the tracking gaps run on an integer matrix product
+# capped at digits adapted to the depth, and use mpmath for arithmetic, one
+# square root and a final 60-digit evaluation.  mpmath uses gmpy2 when it is
 # installed and its pure-Python backend otherwise; the digits are the same.
 
 def _mp_ray(xr, xim, xi, tt, mp):
@@ -591,21 +593,6 @@ def _mp_dist(pr, pi, qr, qi, mp):
     return mp.acosh(arg)
 
 
-def _mp_direction(xr, xim, yr, yi, mp):
-    """Boundary endpoint (mpf, or float inf) of the ray from x through y."""
-    if abs(yr - xr) <= mp.mpf("1e-30") * (1 + abs(xr) + abs(yr)):
-        return INF if yi > xim else xr
-    c = (xr * xr + xim * xim - yr * yr - yi * yi) / (2 * (xr - yr))
-    r = mp.sqrt((xr - c) ** 2 + xim * xim)
-
-    def arc(zr, zi):
-        dx = zr - c
-        rho = mp.sqrt(dx * dx + zi * zi)
-        return zi / (rho + dx) if dx >= 0 else (rho - dx) / zi
-
-    return c - r if arc(yr, yi) > arc(xr, xim) else c + r
-
-
 def busemann_dps(t: float) -> int:
     """Digits for d(ray(t), z) - t: 60 beyond those of t, which it cancels."""
     return int(60 + math.log10(1.0 + t))
@@ -626,50 +613,101 @@ def busemann_limit(xi: float, x: complex, z: complex, t: float) -> float:
         return float(mp_ray_dist(xi, x, z, tt, mp) - tt)
 
 
+def _int_matrix(g: Mat) -> tuple[int, int, int, int]:
+    """g times the power of two that clears its entries' denominators."""
+    ratios = [v.as_integer_ratio() for v in g]
+    den = max(q for _, q in ratios)
+    return tuple(p * (den // q) for p, q in ratios)
+
+
+def _int_product(ints, log_dets, increments, want, cap: int):
+    """The left product of the integer atoms, exact until an entry passes
+    `cap` bits and then shifted right, all four entries together (the Mobius
+    action ignores scale): the matrices at the steps in `want`, and the
+    largest log2(4 top^2 / det) over the steps, top the largest |entry|,
+    which bounds d(Z_k i, i) / ln 2 as cosh d(M i, i) = |M|_F^2 / (2 det M)."""
+    a, b, c, d = 1, 0, 0, 1
+    log_det, worst, kept = 0.0, 0.0, {}
+    for k, i in enumerate(increments, start=1):
+        e, f, g, h = ints[i]
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        log_det += log_dets[i]
+        bits = max(a.bit_length(), b.bit_length(), c.bit_length(), d.bit_length())
+        if bits > cap:
+            s = bits - cap
+            a, b, c, d = a >> s, b >> s, c >> s, d >> s
+            bits, log_det = cap, log_det - 2 * s
+        worst = max(worst, 2 * bits - log_det)
+        if k in want:
+            kept[k] = (a, b, c, d)
+    return kept, worst + 2.0
+
+
+def _mp_image(m, det, xr, xim):
+    """(Re, Im) of m . x for a real matrix m of determinant det > 0."""
+    a, b, c, d = m
+    den = (c * xr + d) ** 2 + (c * xim) ** 2
+    return ((a * xr + b) * (c * xr + d) + a * c * xim * xim) / den, det * xim / den
+
+
+def _mp_gap(w, t, mp):
+    """d(i e^t, w) as 2 asinh(|w - i e^t| / (2 sqrt(e^t Im w))), which keeps
+    the digits of a short gap."""
+    et = mp.exp(t)
+    return 2 * mp.asinh(mp.sqrt((w[0] ** 2 + (w[1] - et) ** 2) / (4 * et * w[1])))
+
+
 def mp_ray_gaps(mats, increments, x: complex, lam: float, steps, rise: float = 0.0):
     """(gaps, alpha): d(gamma(lam k cos alpha), Z_k x) at the given steps, for
     the ray gamma from x toward direction(x, Z_N x) at the final recorded
     step N, and the slope alpha = atan2(rise, d(x, Z_N x)) of a product
     model whose path rises by `rise` in its other factor.
 
-    The matrix product runs in multiprecision with depth-adapted digits:
-    float64 cannot hold the transverse position of a deep hyperbolic orbit,
-    so no fixed-precision reframing recovers the tracking geometry.  The
-    digits cover the larger of lam * N and the farthest any step of the
-    path gets from x, found by a dense float re-walk: a path that outruns
-    lam * N by some hundred nats otherwise cancels its orbit coordinates to
-    zero.  The re-walk reads h at infinity, the cheapest read, and so keeps
-    no state."""
+    Float64 cannot hold the transverse position of a deep hyperbolic orbit,
+    so the product runs on Python ints, each atom scaled to an integer
+    matrix, exact until an entry passes C bits and shifted right from then
+    on.  C is the bit count of (max(lam N, depth) + 80) / ln 10 + 40 digits:
+    a path that outruns lam N by some hundred nats otherwise cancels its
+    orbit coordinates to zero.  The depth bounds d(Z_k x, x) over every
+    step, from the entries' bit lengths; the first product caps at the
+    digits of lam N and runs again if the depth needs more.  At those
+    digits the real Mobius map S taking the ray to i e^t maps the orbit;
+    d(i e^t, S Z_k x) is evaluated at 60 digits."""
     import mpmath as mp
 
-    increments = increments.tolist()
-    depth = max(orbit(mats, x, increments, range(1, len(increments) + 1), INF)[0],
-                default=0.0)
     steps = [int(k) for k in steps if int(k) > 0]
     n = max(steps)
-    want = set(steps)
-    dps = int((max(lam * n, depth) + 80.0) / math.log(10.0)) + 40
+    ints = [_int_matrix(g) for g in mats]
+    log_dets = [math.log2(a * d - b * c) for a, b, c, d in ints]
+    increments = increments[:n].tolist()
+    dps, depth = 0, lam * n
+    while (need := int((max(lam * n, depth) + 80.0) / math.log(10.0)) + 40) > dps:
+        dps = need
+        kept, bound = _int_product(ints, log_dets, increments, set(steps),
+                                   int(dps * math.log2(10.0)) + 1)
+        # d(Z x, x) <= d(Z i, i) + 2 d(x, i)
+        depth = bound * _LN2 + 2.0 * dist(x, BASEPOINT)
     with mp.workdps(dps):
-        one, zero = mp.mpf(1), mp.mpf(0)
-        a, b, c, d = one, zero, zero, one
-        atoms = [tuple(mp.mpf(e) for e in m) for m in mats]
         xr, xim = mp.mpf(x.real), mp.mpf(x.imag)
-        images = {}
-        for k in range(1, n + 1):
-            e, f, g, h = atoms[increments[k - 1]]
-            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-            if k in want:
-                den = (c * xr + d) ** 2 + (c * xim) ** 2
-                wr = ((a * xr + b) * (c * xr + d) + a * c * xim * xim) / den
-                wi = (a * d - b * c) * xim / den
-                images[k] = (wr, wi)
-        wr_n, wi_n = images[n]
-        xi_dir = _mp_direction(xr, xim, wr_n, wi_n, mp)
-        alpha = math.atan2(rise, float(_mp_dist(xr, xim, wr_n, wi_n, mp)))
-        cos_a = mp.mpf(math.cos(alpha))
-        gaps = {}
-        for k in steps:
-            wr, wi = images[k]
-            pr, pi = _mp_ray(xr, xim, xi_dir, mp.mpf(lam) * k * cos_a, mp)
-            gaps[k] = float(_mp_dist(pr, pi, wr, wi, mp))
-        return gaps, alpha
+        dets = {k: a * d - b * c for k, (a, b, c, d) in kept.items()}
+        yr, yi = _mp_image(kept[n], dets[n], xr, xim)
+        # S takes xi = direction(x, Z_N x) to infinity and x to i:
+        # S(z) = (-1/(z - xi) - u) / v with u + iv = -1/(x - xi)
+        if abs(yr - xr) > mp.mpf("1e-30") * (1 + abs(xr) + abs(yr)):
+            c = (xr * xr + xim * xim - yr * yr - yi * yi) / (2 * (xr - yr))
+            r = mp.sqrt((xr - c) ** 2 + xim * xim)
+            xi = c - r if yr < xr else c + r
+        else:
+            xi = None if yi > xim else xr
+        if xi is None:  # S(z) = (z - x_r) / x_im
+            s, det_s = (1, -xr, 0, xim), xim
+        else:
+            q = (xr - xi) ** 2 + xim * xim
+            u, v = (xi - xr) / q, xim / q
+            s, det_s = (-u, u * xi - 1, v, -v * xi), v
+        ws = {k: _mp_image(mat_mul(s, m), det_s * dets[k], xr, xim) for k, m in kept.items()}
+        with mp.workdps(60):
+            alpha = math.atan2(rise, float(_mp_gap(ws[n], 0, mp)))
+            cos_a = mp.mpf(math.cos(alpha))
+            gaps = {k: float(_mp_gap(ws[k], mp.mpf(lam) * k * cos_a, mp)) for k in steps}
+    return gaps, alpha

@@ -354,9 +354,9 @@ def snapshot_horofunction(snap, base, b) -> float:
 
 
 def tracking_gaps(atoms, increments, snaps, base, lam: float) -> dict:
-    """Product distances d(gamma(lam k), Z_k x): `_h2.mp_ray_gaps` re-tracks
-    the horizontal factor along the slope of the final recorded step, and
-    the heights come from the snapshots."""
+    """Product distances d(gamma(lam k), Z_k x): `_h2.mp_ray_gaps` tracks
+    the horizontal factor on its integer product along the slope of the
+    final recorded step, and the heights come from the snapshots."""
     heights = {k: s[1] + base[1] for k, s in snaps.items()}
     rise = heights[max(heights)] - base[1]
     gaps, alpha = _h2.mp_ray_gaps([g[0] for g in atoms], increments, base[0], lam,

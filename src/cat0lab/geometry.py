@@ -47,26 +47,6 @@ def ray_point(x: Point, xi: BoundaryPoint, t: float) -> Point:
     return Point(model, KERNELS[model].ray_point(x.data, xi.data, t))
 
 
-def project_to_ball(center: Point, r: float, target) -> Point:
-    """Closest-point projection onto the closed ball B(center, r), extended
-    to boundary points by evaluating the ray from the center at radius r."""
-    if not r > 0:
-        raise UsageError("ball radius must be positive")
-    if isinstance(target, BoundaryPoint):
-        same_model(center, target)
-        return ray_point(center, target, r)
-    d = distance(center, target)
-    if d <= r:
-        return target
-    return geodesic_point(center, target, r)
-
-
-def comparison_angle(x: Point, y: Point, z: Point) -> float:
-    """Angle at x of the Euclidean comparison triangle for (x, y, z)."""
-    same_model(x, y, z)
-    return angle_of_sides(distance(x, y), distance(x, z), distance(y, z))
-
-
 def angle_of_sides(a: float, b: float, c: float) -> float:
     """Angle between the sides a and b of a Euclidean triangle with third
     side c."""

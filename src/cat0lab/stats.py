@@ -353,9 +353,9 @@ def tracking_error(trace: WalkTrace, lam: float):
     """d(gamma(lam k), Z_k x)/k at the stored steps, for the ray gamma from
     the basepoint toward the final recorded direction.
 
-    The hyperbolic factors are re-tracked in multiprecision: a float64
-    product state cannot resolve the transverse position of a deep orbit, so
-    the tracking geometry is recomputed with depth-adapted digits.
+    The hyperbolic factors are tracked again on an integer matrix product
+    with depth-adapted digits (`_h2.mp_ray_gaps`): a float64 product state
+    cannot resolve the transverse position of a deep orbit.
     """
     if not lam > 0:
         raise DomainError("tracking needs a positive drift")

@@ -38,7 +38,6 @@ from cat0lab import (
     north_south_constant,
     pi_convergence_check,
     power,
-    project_to_ball,
     ray_point,
     sample_boundary,
     sample_walk,
@@ -55,6 +54,7 @@ from cat0lab.oracles import tree_drift_expected
 from cat0lab.sampling import random_point
 
 from conftest import ALL_MODELS, standard_h2_pair
+from references import project_to_ball
 
 
 def report(name: str, ok: bool, detail: str) -> bool:

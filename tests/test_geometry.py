@@ -7,7 +7,6 @@ from cat0lab import (
     Model,
     UsageError,
     apply,
-    comparison_angle,
     direction,
     distance,
     e2_boundary,
@@ -20,7 +19,6 @@ from cat0lab import (
     h2xr_point,
     model_basepoint,
     points_equal,
-    project_to_ball,
     ray_point,
     sample_boundary,
     t4_point,
@@ -28,6 +26,7 @@ from cat0lab import (
 from cat0lab.sampling import random_point
 
 from conftest import ALL_MODELS
+from references import comparison_angle, project_to_ball
 
 
 def test_h2_vertical_distance_is_log_ratio():

@@ -43,7 +43,6 @@ from cat0lab import (
     t4_isometry,
     t4_point,
     cocycle_residual,
-    comparison_angle,
     convergence_profile,
     dirac_concentration,
     axis_endpoints,
@@ -58,6 +57,8 @@ from cat0lab.sampling import random_isometry, random_point
 from cat0lab.walk import snapshot_horofunction
 
 import numpy as np
+
+from references import comparison_angle
 
 _H2_MATRICES = ((2, 0, 0, 0.5), (0.5, 0, 0, 2), (1, 1, 1, 2), (2, -1, -1, 1))
 

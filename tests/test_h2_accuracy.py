@@ -1,4 +1,5 @@
-"""Accuracy of the H2 orbit kernels against exact atom products.
+"""Accuracy of the H2 orbit kernels against exact atom products, and of
+the tracking gaps against their mpmath reference.
 
 Every float is a dyadic rational, so an atom times a power of two is an
 integer matrix with the same Mobius action, and the product of a path is
@@ -8,13 +9,18 @@ then evaluated in mpmath at 60 digits.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cat0lab import StepDistribution, _h2, h2_isometry
+from cat0lab import StepDistribution, _h2, _h2xr, h2_isometry
 from cat0lab.walk import draw_increments
+
+from references import reference_ray_gaps
 
 BASE = complex(0.0, 1.0)
 # the escape workload's H2 atoms; times 2 they are integer matrices
@@ -108,3 +114,43 @@ def test_atoms_near_1e150_walk_without_overflow():
         single, _ = _h2.orbit(atoms, BASE, path, [len(path)])
         assert math.isfinite(batched) and single == [batched]
         assert abs(batched - exact) <= REL_TOL * exact
+
+
+def _nondyadic_atoms(rng):
+    # normalised random matrices: their entries have 53-bit denominators
+    gs = [_h2.random_isometry(rng) for _ in range(2)]
+    return gs + [_h2.inverse(g) for g in gs]
+
+
+@pytest.mark.parametrize("model", ["H2", "H2xR"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ray_gaps_equal_the_mpmath_reference(model, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    atoms = WORKLOAD_ATOMS if data.draw(st.booleans()) else _nondyadic_atoms(rng)
+    x = _h2.random_point(rng)
+    n = data.draw(st.integers(1, 300))
+    increments = rng.integers(0, len(atoms), size=n)
+    steps = sorted(data.draw(st.sets(st.integers(1, n), min_size=1, max_size=12)))
+    lam = data.draw(st.floats(0.05, 1.0))
+    rise = data.draw(st.sampled_from([0.0, 0.3]))
+    if model == "H2":
+        got = _h2.mp_ray_gaps(atoms, increments, x, lam, steps, rise)
+        assert got == reference_ray_gaps(atoms, increments, x, lam, steps, rise)
+        return
+    # H2xR reads the rise from the heights of its snapshots
+    base = (x, float(rng.normal()))
+    snaps = {k: (None, float(rng.normal())) for k in steps}
+    snaps[steps[-1]] = (None, rise)
+    product_atoms = [(g, 0.0) for g in atoms]
+    got = _h2xr.tracking_gaps(product_atoms, increments, snaps, base, lam)
+    with mock.patch.object(_h2, "mp_ray_gaps", reference_ray_gaps):
+        assert got == _h2xr.tracking_gaps(product_atoms, increments, snaps, base, lam)
+
+
+def test_ray_gaps_of_nondyadic_atoms_at_n_5000_equal_the_reference():
+    atoms = _nondyadic_atoms(np.random.default_rng(5))
+    increments = np.random.default_rng(7).integers(0, 4, size=5000)
+    steps = range(500, 5001, 500)
+    assert (_h2.mp_ray_gaps(atoms, increments, BASE, 0.18, steps)
+            == reference_ray_gaps(atoms, increments, BASE, 0.18, steps))

@@ -23,7 +23,6 @@ from cat0lab import (
     boundary_metric,
     boundary_points_equal,
     cocycle_residual,
-    comparison_angle,
     distance,
     geodesic_point,
     horofunction,
@@ -37,6 +36,8 @@ from cat0lab import (
 from cat0lab.geometry import model_basepoint
 from cat0lab.models import KERNELS
 from cat0lab.sampling import random_isometry, random_point
+
+from references import comparison_angle
 
 TABLE = (
     # values and codecs

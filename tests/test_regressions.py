@@ -1,15 +1,20 @@
 """Edge inputs of the estimators and the CLI: paths that outrun the drift,
-tracking digits sized from the dense walk, returns to the basepoint,
+tracking digits that cover the dense walk, returns to the basepoint,
 per-config tolerances in a sweep, walks whose every path returns, repeated
 checkpoints, configs that fail mid-sweep, seeds, checkpoints and integer
 params out of range, long H2 products and their JSON round trip, the
 Busemann limit oracle at large t, one rank-one audit per run, bin schemes
-with no arcs, and package modules with no scipy import."""
+with no arcs, package modules with no scipy import, and a CLI import that
+loads no mpmath, fractions or decimal."""
 
 import ast
 import csv
+import functools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
@@ -38,12 +43,13 @@ from cat0lab import (
     tolerance,
     tracking_error,
 )
-from cat0lab import cli, stats
+from cat0lab import _h2, cli, stats
 from cat0lab.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, main
 from cat0lab.models import DEFAULT_TOLERANCE, isometry_from_json, isometry_to_json
 from cat0lab.walk import draw_increments
 
 from conftest import standard_h2_pair
+from references import reference_ray_gaps
 
 
 def test_tracking_digits_cover_paths_that_outrun_the_drift(h2_spec):
@@ -78,7 +84,8 @@ def test_tracking_digits_cover_the_dense_maximum(h2_spec, monkeypatch, model):
 
     monkeypatch.setattr(mpmath, "workdps", recorded)
     tr = sample_walk(spec, x, 600, 56, steps=range(60, 601, 60))
-    tracking_error(tr, 0.05)
+    _, errs = tracking_error(tr, 0.05)
+    monkeypatch.setattr(mpmath, "workdps", original)
     # the hyperbolic factor of both walks is the H2 walk of h2_spec, which
     # draws the same increments
     dense_max = sample_walk(h2_spec, h2_point(0, 1), 600, 56).base_distances.max()
@@ -89,9 +96,11 @@ def test_tracking_digits_cover_the_dense_maximum(h2_spec, monkeypatch, model):
     def digits(depth):
         return int((depth + 80.0) / math.log(10.0)) + 40
 
-    # 232 digits; the stored maximum gives 230, and the H2xR product
-    # distances of the dense walk give 233
-    assert dps == [digits(dense_max)] and digits(dense_max) > digits(stored_max)
+    # 232 digits; the stored maximum gives 230
+    assert max(dps) >= digits(dense_max) > digits(stored_max)
+    monkeypatch.setattr(_h2, "mp_ray_gaps", functools.partial(reference_ray_gaps, dps=3000))
+    _, reference = tracking_error(tr, 0.05)
+    assert list(errs) == list(reference)
 
 
 def test_convergence_profile_skips_float_returns_to_the_basepoint(h2_spec):
@@ -480,3 +489,16 @@ def test_no_package_module_imports_scipy():
             else:
                 continue
             assert all(m.split(".")[0] != "scipy" for m in modules), (path, node.lineno)
+
+
+def test_cli_import_loads_no_mpmath_fractions_or_decimal():
+    # every run pays its imports in setup_s; mpmath loads only inside the
+    # multiprecision functions, and fractions would pull in decimal
+    code = ("import sys, cat0lab.cli; "
+            "print(sorted({'mpmath', 'fractions', 'decimal'} & set(sys.modules)))")
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"
