@@ -620,27 +620,34 @@ def _int_matrix(g: Mat) -> tuple[int, int, int, int]:
     return tuple(p * (den // q) for p, q in ratios)
 
 
-def _int_product(ints, log_dets, increments, want, cap: int):
+def _int_product(ints, log_dets, increments, want, cap: int, state):
     """The left product of the integer atoms, exact until an entry passes
     `cap` bits and then shifted right, all four entries together (the Mobius
-    action ignores scale): the matrices at the steps in `want`, and the
-    largest log2(4 top^2 / det) over the steps, top the largest |entry|,
-    which bounds d(Z_k i, i) / ln 2 as cosh d(M i, i) = |M|_F^2 / (2 det M)."""
-    a, b, c, d = 1, 0, 0, 1
-    log_det, worst, kept = 0.0, 0.0, {}
-    for k, i in enumerate(increments, start=1):
-        e, f, g, h = ints[i]
-        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-        log_det += log_dets[i]
+    action ignores scale): the matrices at the steps in `want`, the largest
+    log2(4 top^2 / det) over the steps, top the largest |entry|, which bounds
+    d(Z_k i, i) / ln 2 as cosh d(M i, i) = |M|_F^2 / (2 det M), and the state
+    (k, the product through step k before its cap, its log2 det, the bound and
+    matrices kept so far) at the first shift, or the last step: a run at a
+    larger cap is exact up to there too, and resumes from it."""
+    k, (a, b, c, d), log_det, worst, kept = state
+    kept, first, n = dict(kept), None, len(increments)
+    while True:
         bits = max(a.bit_length(), b.bit_length(), c.bit_length(), d.bit_length())
         if bits > cap:
+            first = first or (k, (a, b, c, d), log_det, worst, dict(kept))
             s = bits - cap
             a, b, c, d = a >> s, b >> s, c >> s, d >> s
             bits, log_det = cap, log_det - 2 * s
         worst = max(worst, 2 * bits - log_det)
         if k in want:
             kept[k] = (a, b, c, d)
-    return kept, worst + 2.0
+        if k == n:
+            return kept, worst + 2.0, first or (k, (a, b, c, d), log_det, worst, kept)
+        i = increments[k]
+        e, f, g, h = ints[i]
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        log_det += log_dets[i]
+        k += 1
 
 
 def _mp_image(m, det, xr, xim):
@@ -670,9 +677,9 @@ def mp_ray_gaps(mats, increments, x: complex, lam: float, steps, rise: float = 0
     a path that outruns lam N by some hundred nats otherwise cancels its
     orbit coordinates to zero.  The depth bounds d(Z_k x, x) over every
     step, from the entries' bit lengths; the first product caps at the
-    digits of lam N and runs again if the depth needs more.  At those
-    digits the real Mobius map S taking the ray to i e^t maps the orbit;
-    d(i e^t, S Z_k x) is evaluated at 60 digits."""
+    digits of lam N, and resumes from its first shift at a larger cap if the
+    depth needs more.  At those digits the real Mobius map S taking the ray
+    to i e^t maps the orbit; d(i e^t, S Z_k x) is evaluated at 60 digits."""
     import mpmath as mp
 
     steps = [int(k) for k in steps if int(k) > 0]
@@ -681,10 +688,11 @@ def mp_ray_gaps(mats, increments, x: complex, lam: float, steps, rise: float = 0
     log_dets = [math.log2(a * d - b * c) for a, b, c, d in ints]
     increments = increments[:n].tolist()
     dps, depth = 0, lam * n
+    state = (1, ints[increments[0]], log_dets[increments[0]], 0.0, {})
     while (need := int((max(lam * n, depth) + 80.0) / math.log(10.0)) + 40) > dps:
         dps = need
-        kept, bound = _int_product(ints, log_dets, increments, set(steps),
-                                   int(dps * math.log2(10.0)) + 1)
+        kept, bound, state = _int_product(ints, log_dets, increments, set(steps),
+                                          int(dps * math.log2(10.0)) + 1, state)
         # d(Z x, x) <= d(Z i, i) + 2 d(x, i)
         depth = bound * _LN2 + 2.0 * dist(x, BASEPOINT)
     with mp.workdps(dps):

@@ -12,7 +12,9 @@ hypotheses audit; the timing block is the only non-reproducible field.
 
 --threads is accepted and ignored: the walk runs in one thread, either one
 path at a time through a per-step Python loop, which holds the GIL, or many
-paths together as numpy state (see `walk.sample_terminals`).
+paths together as numpy state (see `walk.sample_terminals`).  The flag stays
+because the benchmark (`perfbench/run.py`) passes it to every child; without
+it each child would exit 2.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import math
 import sys
 import time
 from collections import namedtuple
-from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .errors import DistributionError, DomainError, UncertifiedError, UsageError
@@ -49,7 +51,6 @@ from .models import (
     point_from_json,
     set_tolerance,
 )
-from .oracles import tree_drift_expected
 from .stats import (
     BinScheme,
     convergence_profile,
@@ -119,8 +120,7 @@ def _param(key: str, given: dict, kind: str, default=REQUIRED, least=None, tol=N
     raise ConfigError(f"{key} must be {kind}" + ("" if least is None else f" >= {least}"))
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     experiment: str
     model: Model
     distribution: StepDistribution | None
@@ -194,7 +194,9 @@ def _hypotheses_block(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
     if cfg.distribution is None:
         return {"admissibility": None, "rankone_audit": None}, []
     adm, audit, problems = hypotheses_audit(cfg.distribution)
-    return {"admissibility": vars(adm), "rankone_audit": asdict(audit)}, problems
+    audit_json = {**audit._asdict(), "atoms": [a._asdict() for a in audit.atoms],
+                  "pairs": [p._asdict() for p in audit.pairs]}
+    return {"admissibility": adm._asdict(), "rankone_audit": audit_json}, problems
 
 
 # Each runner takes the config, the report's hypotheses block and the problems
@@ -204,7 +206,7 @@ def _hypotheses_block(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
 def _run_drift(cfg, hypotheses, problems):
     rep = drift_estimate(cfg.distribution, cfg.basepoint, cfg.n, cfg.m_samples,
                          cfg.seed, horofunction_xi=cfg.params["horofunction_xi"])
-    return (asdict(rep), ["sample", "terminal_over_n"],
+    return (rep._asdict(), ["sample", "terminal_over_n"],
             list(enumerate(rep.per_sample_terminal)))
 
 
@@ -251,7 +253,7 @@ def _run_dirac(cfg, hypotheses, problems):
                               checkpoints, atoms1=atoms1, basepoint=cfg.basepoint)
     second = rep.spread_second or [""] * len(rep.checkpoints)
     cross = rep.cross_spread or [""] * len(rep.checkpoints)
-    return ({**asdict(rep), "hypotheses_certified": not problems, "warnings": problems},
+    return ({**rep._asdict(), "hypotheses_certified": not problems, "warnings": problems},
             ["checkpoint", "spread", "spread_second", "cross_spread"],
             list(zip(rep.checkpoints, rep.spread, second, cross)))
 
@@ -424,6 +426,8 @@ def run(cfg: ExperimentConfig, outdir, allow_uncertified: bool = False) -> Path:
 
 def _oracle_main(args) -> int:
     if args.oracle == "tree-drift":
+        from .oracles import tree_drift_expected  # reads the T4 kernel on import
+
         value = tree_drift_expected(args.n)
         print(json.dumps({"oracle": "tree-drift", "n": args.n,
                           "expected_distance_over_n": value}))
@@ -491,10 +495,18 @@ def main(argv=None) -> int:
             paths = sorted(globmod.glob(args.pattern))
             if not paths:
                 raise ConfigError(f"no configs match {args.pattern!r}")
-            failures = 0
+            # parse every config, loading its kernel, before the first run allocates
+            configs = []
             for path in paths:
                 try:
-                    cfg = load_config(path)
+                    configs.append(load_config(path))
+                except Exception as exc:
+                    configs.append(exc)
+            failures = 0
+            for path, cfg in zip(paths, configs):
+                try:
+                    if isinstance(cfg, Exception):
+                        raise cfg
                     target = run(cfg, args.outdir,
                                  allow_uncertified=args.allow_uncertified)
                     print(f"{path}: wrote {target / 'report.json'}")

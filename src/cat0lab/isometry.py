@@ -5,7 +5,7 @@ North-South measurements used to audit walk hypotheses."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,14 +23,12 @@ from .geometry import distance, model_basepoint
 KIND_AXIAL = "axial"
 
 
-@dataclass(frozen=True)
-class IsometryClass:
+class IsometryClass(NamedTuple):
     kind: str
     translation_length: float
 
 
-@dataclass(frozen=True)
-class NorthSouthResult:
+class NorthSouthResult(NamedTuple):
     k0: int
     attained: bool
     cap: int

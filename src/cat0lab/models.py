@@ -12,7 +12,9 @@ Each model's geometry lives in one kernel module (`_e2`, `_h2`, `_t4`,
 `_h2xr`) with the same function names on raw payloads; `KERNELS` maps a
 model to its module.  Public functions unwrap their tagged arguments, look
 the model up once in that table, and re-tag the result, so no estimator
-needs to know which model it runs on.
+needs to know which model it runs on.  A kernel module executes on its
+first attribute access (`importlib.util.LazyLoader`), so a run executes
+only the kernels of the models it uses.
 
 Values are immutable.  All approximate comparisons in the package use one
 global tolerance, configurable per run.
@@ -20,11 +22,12 @@ global tolerance, configurable per run.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
-from . import _e2, _h2, _h2xr, _t4
 from .errors import UsageError
 
 DEFAULT_TOLERANCE = 1e-9
@@ -52,7 +55,20 @@ class Model(str, Enum):
     H2xR = "H2xR"
 
 
-KERNELS = {Model.E2: _e2, Model.H2: _h2, Model.T4: _t4, Model.H2xR: _h2xr}
+def _lazy_kernel(name: str):
+    """The kernel module `name`, registered in sys.modules and on the package,
+    whose code runs on its first attribute access."""
+    spec = importlib.util.find_spec(f"{__package__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+KERNELS = {model: _lazy_kernel(f"_{model.value.lower()}") for model in Model}
+_e2, _h2, _t4, _h2xr = KERNELS.values()
 
 
 @dataclass(frozen=True)

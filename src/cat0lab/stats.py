@@ -21,14 +21,15 @@ gates on it.
 
 No estimator branches on the model.  The hitting bins are laid out by the
 model's kernel (`bin_count`, `bin_index`, `bin_sample` in `models.KERNELS`);
-`BinScheme` only delegates to it.  The results are frozen dataclasses, and
-the CLI writes them through `dataclasses.asdict`.
+`BinScheme` only delegates to it.  The flat results are named tuples, and
+the CLI writes them through `_asdict()`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,8 +75,7 @@ def default_checkpoints(n: int, count: int = 20) -> list[int]:
 
 # -- drift ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DriftReport:
+class DriftReport(NamedTuple):
     n: int
     m_samples: int
     lambda_hat: float
@@ -113,8 +113,7 @@ def drift_estimate(spec: StepDistribution, x: Point, n: int, m_samples: int,
 
 # -- boundary convergence --------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConvergenceProfile:
+class ConvergenceProfile(NamedTuple):
     checkpoints: tuple
     boundary_coords: tuple
     cauchy_tail: tuple
@@ -154,8 +153,7 @@ def convergence_profile(trace: WalkTrace) -> ConvergenceProfile:
 
 # -- hitting histograms -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class BinScheme:
+class BinScheme(NamedTuple):
     """Boundary partition used for hitting histograms.  The model's kernel
     owns the layout (`BIN_KIND`, `BIN_FIELDS`, `DEFAULT_BINS`, `bin_params`,
     `bin_count`, `bin_index`, `bin_sample`): angular arcs (E2), circle arcs
@@ -267,8 +265,7 @@ def stationarity_defect(spec: StepDistribution, hist: HittingHistogram,
 
 # -- Dirac concentration ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiracReport:
+class DiracReport(NamedTuple):
     checkpoints: tuple
     spread: tuple
     spread_second: tuple | None
@@ -372,8 +369,7 @@ def tracking_error(trace: WalkTrace, lam: float):
 
 # -- pi-convergence -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PiConvergence:
+class PiConvergence(NamedTuple):
     holds: bool
     n0: int
     xi: BoundaryPoint
@@ -445,16 +441,14 @@ def theil_sen(xs, ys) -> float:
 
 # -- hypotheses audit ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AtomAudit:
+class AtomAudit(NamedTuple):
     index: int
     kind: str
     translation_length: float
     rank_one: bool
 
 
-@dataclass(frozen=True)
-class PairAudit:
+class PairAudit(NamedTuple):
     i: int
     j: int
     scores: tuple
@@ -462,8 +456,7 @@ class PairAudit:
     endpoints_disjoint: bool
 
 
-@dataclass(frozen=True)
-class RankOneAudit:
+class RankOneAudit(NamedTuple):
     atoms: tuple
     pairs: tuple
     verdict: str

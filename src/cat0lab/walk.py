@@ -32,6 +32,7 @@ float64 coordinate range.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,8 +104,7 @@ class StepDistribution:
         return cls(Model(obj["model"]), atoms)
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     depth: int
     elements_reached: int
     symmetric_closure_hit: bool

@@ -154,3 +154,25 @@ def test_ray_gaps_of_nondyadic_atoms_at_n_5000_equal_the_reference():
     steps = range(500, 5001, 500)
     assert (_h2.mp_ray_gaps(atoms, increments, BASE, 0.18, steps)
             == reference_ray_gaps(atoms, increments, BASE, 0.18, steps))
+
+
+def test_a_rerun_product_resumes_from_the_first_shift(monkeypatch):
+    # the H2 track path of the trajectory workload at seed 2: the depth
+    # raises the cap from 4233 to 4306 bits, and the rerun starts where the
+    # first product first shifted, at step 4614, not at step 1
+    spec = StepDistribution.uniform([h2_isometry(*g) for g in WORKLOAD_ATOMS])
+    increments = draw_increments(spec, 5000, 960369029, 0)
+    calls = []
+    original = _h2._int_product
+
+    def recorded(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(_h2, "_int_product", recorded)
+    _h2.mp_ray_gaps(WORKLOAD_ATOMS, increments, BASE, 0.5523962980489479,
+                    range(500, 5001, 500))
+    (first_args, first), (args, resumed) = calls
+    assert (first_args[4], args[4]) == (4233, 4306)
+    assert first_args[5][0] == 1 and args[5] is first[2] and args[5][0] == 4614
+    assert resumed == original(*args[:5], first_args[5])

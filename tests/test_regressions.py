@@ -5,7 +5,7 @@ checkpoints, configs that fail mid-sweep, seeds, checkpoints and integer
 params out of range, long H2 products and their JSON round trip, the
 Busemann limit oracle at large t, one rank-one audit per run, bin schemes
 with no arcs, package modules with no scipy import, and a CLI import that
-loads no mpmath, fractions or decimal."""
+loads no mpmath, fractions or decimal and executes no kernel."""
 
 import ast
 import csv
@@ -491,14 +491,26 @@ def test_no_package_module_imports_scipy():
             assert all(m.split(".")[0] != "scipy" for m in modules), (path, node.lineno)
 
 
-def test_cli_import_loads_no_mpmath_fractions_or_decimal():
+def test_cli_import_loads_no_mpmath_fractions_or_decimal(tmp_path):
     # every run pays its imports in setup_s; mpmath loads only inside the
-    # multiprecision functions, and fractions would pull in decimal
-    code = ("import sys, cat0lab.cli; "
-            "print(sorted({'mpmath', 'fractions', 'decimal'} & set(sys.modules)))")
+    # multiprecision functions, and fractions would pull in decimal.  Each
+    # kernel module executes on first use, when its type turns from the lazy
+    # module's to plain ModuleType: the import executes none, a T4 run `_t4`
+    config = tmp_path / "drift.json"
+    config.write_text(json.dumps({"experiment": "drift", "model": "T4", "seed": 1, "n": 20,
+                                  "m_samples": 2, "distribution": T4_DIST}))
+    code = ("import sys, types, cat0lab.cli as cli\n"
+            "def executed():\n"
+            "    return [m for m in ('_e2', '_h2', '_t4', '_h2xr')\n"
+            "            if type(sys.modules[f'cat0lab.{m}']) is types.ModuleType]\n"
+            "print(sorted({'mpmath', 'fractions', 'decimal'} & set(sys.modules)), executed())\n"
+            f"cli.main(['run', {str(config)!r}, '--outdir', {str(tmp_path / 'out')!r}])\n"
+            "print(executed())\n")
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    lines = out.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[] []", "['_t4']")
+    assert (tmp_path / "out" / "drift-1" / "report.json").is_file()
