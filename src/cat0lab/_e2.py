@@ -95,13 +95,6 @@ def dist(p: complex, q: complex) -> float:
 fine_dist = dist
 
 
-def geodesic_point(p: complex, q: complex, t: float) -> complex:
-    d = abs(q - p)
-    if d == 0.0:
-        return p
-    return p + (q - p) * (t / d)
-
-
 def ray_point(x: complex, theta: float, t: float) -> complex:
     return x + t * cmath.exp(1j * theta)
 

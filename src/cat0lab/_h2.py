@@ -6,10 +6,12 @@ infinity).  Isometries are real 2x2 matrices with determinant one acting
 by Mobius transformations; M and -M are identified and stored with the
 first nonzero entry positive.
 
-Geodesics are vertical lines and semicircles centred on the real axis.
-Along a semicircle the hyperbolic arclength coordinate is
-s = log tan(phi/2) where phi is the polar angle around the circle centre,
-which gives closed forms for every geodesic evaluation.
+Geodesics are vertical lines and semicircles centred on the real axis.  A
+ray from x toward a finite xi is read in the frame
+S(z) = (-1/(z - xi) - u) / v, with u + iv = 1/(xi - x), which takes xi to
+infinity and x to i.  S maps the ray onto i e^t, so the ray is
+S^-1(i e^t) = xi - 1/(u + i v e^t) in closed form.  The tracking gaps read
+the orbit in the same frame.
 
 Products of many isometries leave the float64 range long before desk-scale
 walk lengths are exhausted, so a walk keeps its product as a float matrix
@@ -34,12 +36,10 @@ from .errors import DomainError, UsageError
 
 INF = math.inf
 _TINY = 5e-324  # smallest positive subnormal: floor for imaginary parts
-_LARGE_XI = 1e6  # beyond this, route boundary computations through z -> -1/z
 
 Mat = tuple[float, float, float, float]
 
 IDENTITY: Mat = (1.0, 0.0, 0.0, 1.0)
-_J: Mat = (0.0, -1.0, 1.0, 0.0)  # z -> -1/z
 
 BASEPOINT = complex(0.0, 1.0)
 RANK_ONE = True  # every axis is contracting
@@ -185,77 +185,32 @@ def fine_dist(p: complex, q: complex) -> float:
     return 2.0 * math.asinh(abs(p - q) / (2.0 * math.sqrt(p.imag * q.imag)))
 
 
-def _vertical(p: complex, q_real: float) -> bool:
-    return abs(p.real - q_real) <= 1e-12 * (1.0 + abs(p) + abs(q_real))
-
-
-def _circle_center(p: complex, q: complex) -> float:
-    return (abs(p) ** 2 - abs(q) ** 2) / (2.0 * (p.real - q.real))
-
-
-def _arc_s(z: complex, c: float) -> float:
-    # s = log tan(phi/2), stable on both sides of the apex; points that have
-    # numerically collapsed onto the circle ends map to -inf / +inf
-    dx = z.real - c
-    y = z.imag
-    rho = math.hypot(dx, y)
-    t = y / (rho + dx) if dx >= 0 else (rho - dx) / y
-    if t == 0.0:
-        return -INF
-    return math.log(t)
-
-
-def _circle_point(c: float, r: float, s: float) -> complex:
-    if s >= 0:
-        w = math.exp(-s)
-        den = 1.0 + w * w
-        cosphi = (w * w - 1.0) / den
-        sinphi = 2.0 * w / den
-    else:
-        u = math.exp(s)
-        den = 1.0 + u * u
-        cosphi = (1.0 - u * u) / den
-        sinphi = 2.0 * u / den
-    return complex(c + r * cosphi, max(r * sinphi, _TINY))
-
-
-def geodesic_point(p: complex, q: complex, t: float) -> complex:
-    if t == 0.0 or p == q:
-        return p
-    if _vertical(p, q.real):
-        sign = 1.0 if q.imag > p.imag else -1.0
-        return complex(p.real, p.imag * math.exp(sign * t))
-    c = _circle_center(p, q)
-    r = abs(p - c)
-    sp = _arc_s(p, c)
-    sq = _arc_s(q, c)
-    s = sp + (t if sq > sp else -t)
-    return _circle_point(c, r, s)
-
-
 def ray_point(x: complex, xi: float, t: float) -> complex:
+    """The point at arclength t on the ray from x toward xi, S^-1(i e^t) in
+    the frame S of the module docstring.  While v e^t <= |u + iv| it is read
+    as x plus a difference that `expm1` keeps, and beyond as xi minus a term
+    scaled by e^-t, which neither overflows nor cancels."""
     if math.isinf(xi):
         return complex(x.real, x.imag * math.exp(t))
-    if _vertical(x, xi):
-        return complex(x.real, max(x.imag * math.exp(-t), _TINY))
-    if abs(xi) > _LARGE_XI and abs(x) < abs(xi) / 100.0:
-        # conjugate by z -> -1/z to keep the circle parameters well scaled
-        w = ray_point(mobius(_J, x), -1.0 / xi, t)
-        return apply(mat_inv(_J), w)
-    c = (abs(x) ** 2 - xi * xi) / (2.0 * (x.real - xi))
-    r = abs(xi - c)
-    sx = _arc_s(x, c)
-    s = sx + (t if xi < c else -t)
-    return _circle_point(c, r, s)
+    w = 1.0 / (xi - x)
+    u, v = w.real, w.imag
+    e = math.exp(-t)
+    if v <= abs(w) * e:
+        z = x + complex(0.0, v * math.expm1(t)) / (w * complex(u, v / e))
+    else:
+        a = u * e
+        z = xi - complex(a, -v) * (e / (a * a + v * v))
+    return complex(z.real, max(z.imag, _TINY))
 
 
 def direction(x: complex, y: complex) -> float:
-    """Boundary endpoint of the ray from x through y (x != y)."""
-    if _vertical(x, y.real):
+    """Boundary endpoint of the ray from x through y (x != y).  The real part
+    is monotone along a semicircle, so the ray ends on the side of y."""
+    if abs(x.real - y.real) <= 1e-12 * (1.0 + abs(x) + abs(y.real)):
         return INF if y.imag > x.imag else x.real
-    c = _circle_center(x, y)
+    c = (abs(x) ** 2 - abs(y) ** 2) / (2.0 * (x.real - y.real))
     r = abs(x - c)
-    return (c - r) if _arc_s(y, c) > _arc_s(x, c) else (c + r)
+    return c - r if y.real < x.real else c + r
 
 
 # -- classification ----------------------------------------------------------
@@ -328,7 +283,7 @@ def tits(x1: float, x2: float, tol: float) -> float:
 
 # the visual metric: the distance between the ray points at radius r0
 boundary_chart = ray_point
-chart_dist = dist
+chart_dist = fine_dist
 
 
 # -- samplers -----------------------------------------------------------------

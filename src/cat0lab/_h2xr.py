@@ -82,16 +82,6 @@ def fine_dist(p, q) -> float:
     return math.hypot(_h2.fine_dist(p[0], q[0]), p[1] - q[1])
 
 
-def geodesic_point(p, q, t: float):
-    dh = _h2.dist(p[0], q[0])
-    dv = q[1] - p[1]
-    d = math.hypot(dh, dv)
-    if d == 0.0 or t == 0.0:
-        return p
-    zh = _h2.geodesic_point(p[0], q[0], t * dh / d) if dh > 0 else p[0]
-    return (zh, p[1] + t * dv / d)
-
-
 def ray_point(x, b, t: float):
     xi, alpha = b
     if xi is None:
@@ -102,7 +92,7 @@ def ray_point(x, b, t: float):
 
 def direction(x, y):
     """Boundary direction of the ray from x through y (x != y)."""
-    dh = _h2.dist(x[0], y[0])
+    dh = _h2.fine_dist(x[0], y[0])
     dv = y[1] - x[1]
     if dh == 0.0:
         return (None, HALF_PI if dv > 0 else -HALF_PI)
@@ -204,7 +194,7 @@ def tits(b1, b2, tol: float) -> float:
 
 # the visual metric: the distance between the ray points at radius r0
 boundary_chart = ray_point
-chart_dist = dist
+chart_dist = fine_dist
 
 
 def boundary(xi, alpha: float, tol: float):

@@ -94,14 +94,6 @@ def as_step(t: float) -> int:
     return int(k)
 
 
-def geodesic_vertex(u: str, v: str, t: int) -> str:
-    m = lcp(u, v)
-    up = len(u) - m
-    if t <= up:
-        return u[: len(u) - t]
-    return v[: m + (t - up)]
-
-
 # -- boundary words: (prefix, period) ---------------------------------------
 
 def validate_boundary(prefix: str, period: str) -> tuple[str, str]:
@@ -282,10 +274,6 @@ def isometry_from_json(payload: dict) -> str:
 
 
 # -- geometry at integer parameters -------------------------------------------
-
-def geodesic_point(u: str, v: str, t: float) -> str:
-    return geodesic_vertex(u, v, as_step(t))
-
 
 def ray_point(x: str, b: tuple[str, str], t: float) -> str:
     return ray_vertex(x, b, as_step(t))

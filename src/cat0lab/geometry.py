@@ -15,6 +15,7 @@ from .models import (
     BoundaryPoint,
     Model,
     Point,
+    points_equal,
     same_model,
     tolerance,
 )
@@ -30,13 +31,15 @@ def distance(p: Point, q: Point) -> float:
 
 
 def geodesic_point(p: Point, q: Point, t: float) -> Point:
-    """Point at arclength t from p on the unique geodesic [p, q]."""
-    model = same_model(p, q)
+    """Point at arclength t from p on the unique geodesic [p, q]: the point
+    at t on the ray from p through q, whose first d(p, q) are [p, q]."""
     d = distance(p, q)
     if t < -tolerance() or t > d + tolerance():
         raise UsageError(f"parameter {t} outside [0, {d}]")
     t = min(max(t, 0.0), d)
-    return Point(model, KERNELS[model].geodesic_point(p.data, q.data, t))
+    if t == 0.0 or points_equal(p, q):
+        return p
+    return ray_point(p, direction(p, q), t)
 
 
 def ray_point(x: Point, xi: BoundaryPoint, t: float) -> Point:
@@ -57,8 +60,9 @@ def angle_of_sides(a: float, b: float, c: float) -> float:
 
 
 def direction(x: Point, y: Point) -> BoundaryPoint:
-    """Boundary coordinate of the ray from x through y."""
+    """Boundary coordinate of the ray from x through y, two points that
+    `points_equal` calls distinct."""
     kernel = KERNELS[same_model(x, y)]
-    if kernel.dist(x.data, y.data) <= tolerance():
+    if kernel.fine_dist(x.data, y.data) <= tolerance():
         raise UsageError("direction needs two distinct points")
     return BoundaryPoint(x.model, kernel.direction(x.data, y.data))

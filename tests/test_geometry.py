@@ -93,6 +93,9 @@ def test_geodesic_point_examples():
     assert points_equal(geodesic_point(h2_point(0, 1), h2_point(0, math.e ** 2), 1.0),
                         h2_point(0, math.e), 1e-12)
     assert geodesic_point(t4_point(""), t4_point("abab"), 2).data == "ab"
+    # points within the tolerance have no direction; the start stands for [p, q]
+    p = e2_point(0, 0)
+    assert geodesic_point(p, e2_point(5e-10, 0), 3e-10) == p
 
 
 def test_geodesic_point_contract_sampled(rng):
@@ -265,6 +268,22 @@ def test_direction_examples():
 def test_direction_needs_distinct_points():
     with pytest.raises(UsageError):
         direction(e2_point(1, 2), e2_point(1, 2))
+
+
+def test_direction_takes_points_that_points_equal_calls_distinct():
+    # 1e-8 apart, where the acosh form of the distance reads 0: the ray
+    # runs along the unit circle toward 1
+    x, y = h2_point(0, 1), h2_point(1e-8, 1)
+    assert not points_equal(x, y)
+    assert direction(x, y).data == pytest.approx(1.0, abs=1e-7)
+
+
+def test_h2xr_direction_reads_a_short_hyperbolic_step():
+    # equal hyperbolic and vertical steps of 1e-8 make slope pi/4, not the
+    # vertical that an H2 factor distance read as 0 would make
+    b = direction(h2xr_point(0, 1, 0), h2xr_point(1e-8, 1, 1e-8))
+    assert b.data[0] == pytest.approx(1.0, abs=1e-7)
+    assert b.data[1] == pytest.approx(math.pi / 4, abs=1e-7)
 
 
 def test_model_mismatch_raises():

@@ -17,7 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cat0lab import StepDistribution, _h2, _h2xr, h2_isometry
+from cat0lab import (
+    StepDistribution,
+    _h2,
+    _h2xr,
+    direction,
+    distance,
+    geodesic_point,
+    h2_isometry,
+    h2_point,
+    ray_point,
+)
 from cat0lab.walk import draw_increments
 
 from references import reference_ray_gaps
@@ -176,3 +186,40 @@ def test_a_rerun_product_resumes_from_the_first_shift(monkeypatch):
     assert (first_args[4], args[4]) == (4233, 4306)
     assert first_args[5][0] == 1 and args[5] is first[2] and args[5][0] == 4614
     assert resumed == original(*args[:5], first_args[5])
+
+
+def _ray_error(x, xi, t) -> float:
+    """Hyperbolic distance from `_h2.ray_point` to the circle-form
+    `_h2._mp_ray` at 300 digits."""
+    z = _h2.ray_point(x, xi, t)
+    with mp.workdps(300):
+        b = xi if math.isinf(xi) else mp.mpf(xi)
+        pr, pi = _h2._mp_ray(mp.mpf(x.real), mp.mpf(x.imag), b, mp.mpf(t), mp)
+        gap = mp.sqrt((pr - z.real) ** 2 + (pi - z.imag) ** 2)
+        return float(2 * mp.asinh(gap / (2 * mp.sqrt(pi * z.imag))))
+
+
+RAY_TS = (1e-6, 0.01, 1.0, 5.0, 30.0, 100.0, 256.0)
+
+
+def test_ray_points_match_the_multiprecision_circle_form():
+    # |Re x| <= 50, Im x in [e^-6, e^6] and |xi| in [1e-3, 1e9], both
+    # log-uniform, with the vertical rays xi = inf and xi = Re x
+    rng = np.random.default_rng(2801)
+    cases = []
+    for _ in range(400):
+        x = complex(rng.uniform(-50, 50), math.exp(rng.uniform(-6, 6)))
+        xi = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3, 9))
+        cases += [(x, xi, t) for t in RAY_TS]
+    x = complex(0.3, 2.0)
+    cases += [(x, xi, t) for xi in (math.inf, x.real) for t in RAY_TS]
+    assert max(_ray_error(*case) for case in cases) <= 1e-7
+
+
+def test_a_geodesic_to_a_far_point_ends_at_it():
+    # a far endpoint: a ray read from its circle's centre and radius (both
+    # about 5e7) cancels there
+    p, q = h2_point(0, 1), h2_point(1e8, 1)
+    d = distance(p, q)
+    for end in (geodesic_point(p, q, d), ray_point(p, direction(p, q), d)):
+        assert _h2.fine_dist(end.data, q.data) <= 1e-7
