@@ -36,6 +36,7 @@ from .errors import DomainError, UsageError
 
 INF = math.inf
 _TINY = 5e-324  # smallest positive subnormal: floor for imaginary parts
+_HUGE = math.nextafter(INF, 0.0)  # largest finite float: ceiling for imaginary parts
 
 Mat = tuple[float, float, float, float]
 
@@ -191,7 +192,11 @@ def ray_point(x: complex, xi: float, t: float) -> complex:
     as x plus a difference that `expm1` keeps, and beyond as xi minus a term
     scaled by e^-t, which neither overflows nor cancels."""
     if math.isinf(xi):
-        return complex(x.real, x.imag * math.exp(t))
+        try:  # e^t nears the float range at t = 709.78: log space from 700
+            y = x.imag * math.exp(t) if t <= 700.0 else math.exp(math.log(x.imag) + t)
+        except OverflowError:
+            y = _HUGE
+        return complex(x.real, min(y, _HUGE))
     w = 1.0 / (xi - x)
     u, v = w.real, w.imag
     e = math.exp(-t)
@@ -205,12 +210,16 @@ def ray_point(x: complex, xi: float, t: float) -> complex:
 
 def direction(x: complex, y: complex) -> float:
     """Boundary endpoint of the ray from x through y (x != y).  The real part
-    is monotone along a semicircle, so the ray ends on the side of y."""
+    is monotone along a semicircle, so the ray ends on the side of y.  Of
+    the endpoints c +- r, the larger in modulus is c + sign(c) r, and the
+    other their product c^2 - r^2 divided by it, which does not cancel."""
     if abs(x.real - y.real) <= 1e-12 * (1.0 + abs(x) + abs(y.real)):
         return INF if y.imag > x.imag else x.real
-    c = (abs(x) ** 2 - abs(y) ** 2) / (2.0 * (x.real - y.real))
-    r = abs(x - c)
-    return c - r if y.real < x.real else c + r
+    nx, ny, dx = abs(x) ** 2, abs(y) ** 2, x.real - y.real
+    c = (nx - ny) / (2.0 * dx)
+    big = c + math.copysign(abs(x - c), c)
+    small = (nx * y.real - ny * x.real) / dx / big
+    return min(big, small) if y.real < x.real else max(big, small)
 
 
 # -- classification ----------------------------------------------------------
@@ -243,20 +252,30 @@ def kind(m: Mat, tol: float) -> str:
 
 
 def fixed_points(m: Mat, tol: float) -> tuple[float, float]:
-    """Boundary fixed points of an axial matrix, as (repelling, attracting)."""
+    """Boundary fixed points of an axial matrix, as (repelling, attracting):
+    the roots q / c (infinity when c = 0) and -b / q of c z^2 + (d - a) z - b,
+    with q = ((a - d) + sign(a - d) disc) / 2, disc^2 = (a - d)^2 + 4 b c, so
+    neither cancels.  The root z with the larger eigenvalue c z + d (at q / c,
+    (tr + sign(a - d) disc) / 2) attracts."""
     a, b, c, d = m
     if kind(m, tol) != "axial":
         raise DomainError("fixed boundary points require an axial isometry")
-    if abs(c) <= tol:
-        other = b / (d - a)
-        return (other, INF) if abs(a) > abs(d) else (INF, other)
-    disc = math.sqrt((a + d) ** 2 - 4.0)
-    z1 = (a - d + disc) / (2.0 * c)
-    z2 = (a - d - disc) / (2.0 * c)
-    # derivative 1/(c z + d)^2 < 1 in modulus at the attracting point
-    if abs(c * z1 + d) > 1.0:
-        return (z2, z1)
-    return (z1, z2)
+    s = math.copysign(1.0, a - d)
+    q = 0.5 * ((a - d) + s * math.sqrt(max((a - d) ** 2 + 4.0 * b * c, 0.0)))
+    z1 = q / c if c != 0.0 else INF
+    z2 = -b / q
+    return (z2, z1) if s * (a + d) > 0 else (z1, z2)
+
+
+def independent(g: Mat, h: Mat) -> bool:
+    """True when the axial g and h share no fixed point at infinity, that is
+    tr[g, h] != 2 (Beardon, The Geometry of Discrete Groups, 1983), decided
+    on Python ints for the integer multiples G, H of `_int_matrix`."""
+    big_g, big_h = _int_matrix(g), _int_matrix(h)
+    a, b, c, d = mat_mul(big_g, big_h)
+    e, f, p, q = mat_mul(big_h, big_g)
+    # tr(G H adj G adj H) = tr(GH adj(HG)), and det GH = det G det H
+    return a * q - b * p - c * f + d * e != 2 * (a * d - b * c)
 
 
 def horofunction(xi: float, x: complex, z: complex) -> float:

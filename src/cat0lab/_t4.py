@@ -309,6 +309,11 @@ def axis_endpoints(g: str, tol: float):
     return minus, plus
 
 
+def independent(g: str, h: str) -> bool:
+    """True when the axial g and h share no fixed point: when they do not commute."""
+    return mul(g, h) != mul(h, g)
+
+
 # -- boundary -----------------------------------------------------------------
 
 def tits(b1: tuple[str, str], b2: tuple[str, str], tol: float) -> float:

@@ -1,6 +1,7 @@
 """Isometries of the model spaces: group operations, classification,
-axes, the rank-one predicate, and the empirical independence and
-North-South measurements used to audit walk hypotheses."""
+axes, the rank-one predicate, North-South contraction constants, and the
+shell independence score, which the rank-one audit does not read (it
+decides independence exactly, through the kernels' `independent`)."""
 
 from __future__ import annotations
 

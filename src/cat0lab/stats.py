@@ -16,8 +16,9 @@ and reduce them with Python `max` in pair order.
 No estimator certifies its step distribution: each returns its estimate
 for any support, negative controls included.  `hypotheses_audit` holds the
 one certification policy (admissible at depth 4, and a rank-one audit
-verdict of certified-non-elementary), and `cli.run` is the one caller that
-gates on it.
+verdict of certified-non-elementary: two rank-one atoms that share no fixed
+point at infinity, decided exactly on the stored atoms by the kernel's
+`independent`), and `cli.run` is the one caller that gates on it.
 
 No estimator branches on the model.  The hitting bins are laid out by the
 model's kernel (`bin_count`, `bin_index`, `bin_sample` in `models.KERNELS`);
@@ -29,21 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, UsageError
 from .geometry import distance, direction, model_basepoint
-from .isometry import (
-    apply,
-    apply_boundary,
-    axis_endpoints,
-    classify,
-    independence_score,
-    inverse,
-    is_rank_one,
-)
+from .isometry import apply, apply_boundary, classify, inverse, is_rank_one
 from .boundary import boundary_distances, tits_distance
 from .models import (
     KERNELS,
@@ -51,7 +45,6 @@ from .models import (
     Isometry,
     Model,
     Point,
-    boundary_points_equal,
     same_model,
     tolerance,
 )
@@ -451,9 +444,7 @@ class AtomAudit(NamedTuple):
 class PairAudit(NamedTuple):
     i: int
     j: int
-    scores: tuple
-    increasing: bool
-    endpoints_disjoint: bool
+    independent: bool
 
 
 class RankOneAudit(NamedTuple):
@@ -463,43 +454,24 @@ class RankOneAudit(NamedTuple):
 
 
 def rankone_audit(spec: StepDistribution) -> RankOneAudit:
-    """Classify every atom, flag rank-one ones, and probe pairwise
-    independence through the growth of shell displacement minima at the
-    exponents 2, 4 and 8.
+    """Classify every atom, flag rank-one ones, and decide for each pair of
+    them whether they share no fixed point at infinity, by the kernel's
+    exact `independent` on the atoms as the walk stores them.
 
-    Verdicts: certified-non-elementary when two rank-one atoms with four
-    distinct fixed points show strictly growing shell scores; indeterminate
-    when rank-one atoms exist but no such pair; hypotheses-violated when the
-    support has no rank one element."""
-    x = model_basepoint(spec.model)
-    atoms = []
-    for idx, (g, _) in enumerate(spec.atoms):
-        cls = classify(g)
-        atoms.append(AtomAudit(index=idx, kind=cls.kind,
-                               translation_length=cls.translation_length,
-                               rank_one=is_rank_one(g)))
-    rank_one_ids = [a.index for a in atoms if a.rank_one]
-    pairs = []
-    verdict = "hypotheses-violated" if not rank_one_ids else "indeterminate"
-    for ii in range(len(rank_one_ids)):
-        for jj in range(ii + 1, len(rank_one_ids)):
-            i, j = rank_one_ids[ii], rank_one_ids[jj]
-            g1 = spec.atoms[i][0]
-            g2 = spec.atoms[j][0]
-            scores = tuple(independence_score(g1, g2, x, m) for m in (2, 4, 8))
-            increasing = all(b > a + tolerance() for a, b in zip(scores, scores[1:]))
-            e1 = axis_endpoints(g1)
-            e2 = axis_endpoints(g2)
-            four = [e1[0], e1[1], e2[0], e2[1]]
-            disjoint = all(
-                not boundary_points_equal(four[a], four[b], 1e-6)
-                for a in range(4) for b in range(a + 1, 4)
-            )
-            pairs.append(PairAudit(i=i, j=j, scores=scores,
-                                   increasing=increasing, endpoints_disjoint=disjoint))
-            if increasing and disjoint:
-                verdict = "certified-non-elementary"
-    return RankOneAudit(atoms=tuple(atoms), pairs=tuple(pairs), verdict=verdict)
+    Verdicts: certified-non-elementary when some pair is independent, the
+    non-elementary hypothesis of Maher-Tiozzo; indeterminate when rank-one
+    atoms exist but no pair is; hypotheses-violated when no atom is rank
+    one.  As the test is exact on the floats, rounded decimals of two
+    matrices that share a fixed point are certified when the rounding
+    moves it apart."""
+    gs = spec.isometries
+    atoms = tuple(AtomAudit(i, *classify(g), is_rank_one(g)) for i, g in enumerate(gs))
+    rank_one = [(a.index, gs[a.index].data) for a in atoms if a.rank_one]
+    pairs = tuple(PairAudit(i, j, KERNELS[spec.model].independent(g, h))
+                  for (i, g), (j, h) in combinations(rank_one, 2))
+    verdict = ("certified-non-elementary" if any(p.independent for p in pairs)
+               else "indeterminate" if rank_one else "hypotheses-violated")
+    return RankOneAudit(atoms=atoms, pairs=pairs, verdict=verdict)
 
 
 def hypotheses_audit(spec: StepDistribution):

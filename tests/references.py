@@ -4,12 +4,16 @@
   1-Lipschitz in a CAT(0) space.
 * `comparison_angle`, the angle of the Euclidean comparison triangle: it
   grows along geodesics in a CAT(0) space.
+* `commutator_trace`, tr(g h g^-1 h^-1) of two H2 matrices in exact
+  rationals: two axial g and h share a fixed point at infinity exactly
+  when it is 2.
 * `reference_ray_gaps`, the tracking gaps of `_h2.mp_ray_gaps` computed
   the long way: the product in mpmath, the digits from a dense float
   re-walk, and the ray points from their circle parameters.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -35,6 +39,21 @@ def comparison_angle(x, y, z) -> float:
     """Angle at x of the Euclidean comparison triangle for (x, y, z)."""
     same_model(x, y, z)
     return angle_of_sides(distance(x, y), distance(x, z), distance(y, z))
+
+
+def commutator_trace(g, h) -> Fraction:
+    """tr(g h g^-1 h^-1) of two H2 matrix payloads, in exact rationals."""
+    def mul(m, n):
+        return (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
+                m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
+
+    def inv(m):
+        det = m[0] * m[3] - m[1] * m[2]
+        return (m[3] / det, -m[1] / det, -m[2] / det, m[0] / det)
+
+    g, h = (tuple(map(Fraction, m)) for m in (g, h))
+    c = mul(mul(g, h), mul(inv(g), inv(h)))
+    return c[0] + c[3]
 
 
 def _mp_direction(xr, xim, yr, yi):

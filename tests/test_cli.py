@@ -122,6 +122,24 @@ def test_rankone_audit_experiment(tmp_path):
     assert report["results"]["verdict"] == "certified-non-elementary"
 
 
+def test_drift_runs_on_a_support_whose_fixed_points_nearly_meet(tmp_path):
+    # g fixes 0 and infinity, h = M diag(2, 1/2) M^-1 with M = [[5, p], [1, 1]]
+    # fixes p = 1e-3 and 5: no fixed point is shared, so the support is certified
+    p = 1e-3
+    mats = ([2, 0, 0, 0.5], [0.5, 0, 0, 2], [10 - 0.5 * p, -7.5 * p, 1.5, 2.5 - 2 * p],
+            [2.5 - 2 * p, 7.5 * p, -1.5, 10 - 0.5 * p])
+    dist = {"model": "H2", "atoms": [
+        {"isometry": {"model": "H2", "payload": {"matrix": m}}, "p": 0.25} for m in mats]}
+    cfg = write_config(tmp_path, "drift.json", {
+        "experiment": "drift", "model": "H2", "distribution": dist,
+        "n": 100, "m_samples": 10, "seed": 3,
+    })
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--outdir", str(out)]) == EXIT_OK
+    report = read_report(out, "drift", 3)
+    assert report["hypotheses"]["rankone_audit"]["verdict"] == "certified-non-elementary"
+
+
 def test_converge_and_dirac_and_gap_run(tmp_path):
     out = tmp_path / "out"
     base = {"model": "H2", "distribution": H2_CERTIFIED_DIST, "seed": 2}

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from scipy.integrate import quad
@@ -135,6 +136,18 @@ def test_ray_point_examples():
     out = ray_point(x, h2xr_boundary(math.inf, math.pi / 4), math.sqrt(2))
     assert points_equal(out, h2xr_point(0, math.e, 1), 1e-9)
     assert distance(x, out) == pytest.approx(math.sqrt(2), abs=1e-12)
+
+
+def test_ray_points_toward_infinity_saturate_at_the_largest_float():
+    # e^t leaves the float range above t = 709.78; a ray point stays finite
+    top = sys.float_info.max
+    for t in (800.0, 1e6):
+        assert ray_point(h2_point(0, 1), h2_boundary(math.inf), t).data.imag == top
+        product = ray_point(h2xr_point(0, 1, 0), h2xr_boundary(math.inf, 0.0), t)
+        assert product.data[0].imag == top
+    # a low start keeps its finite point e^t y
+    low = ray_point(h2_point(0, 1e-300), h2_boundary(math.inf), 720.0).data.imag
+    assert low == pytest.approx(math.exp(720.0 - 300.0 * math.log(10.0)), rel=1e-12)
 
 
 def test_ray_point_negative_parameter_rejected():

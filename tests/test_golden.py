@@ -420,8 +420,8 @@ METRIC_READER_GOLDEN = {
             "0x0.0p+0",
         ],
         "north_south_max_gaps": [
-            "0x1.e9284fb2dcfa0p+0", "0x1.bb8318a4d210fp-1", "0x1.1feb686203452p-3",
-            "0x1.50eadc13d8212p-6", "0x1.894427719071fp-9",
+            "0x1.e9284fb2dcfa0p+0", "0x1.bb8318a4d210fp-1", "0x1.1feb68620345ap-3",
+            "0x1.50eadc13d824ep-6", "0x1.89442771908fbp-9",
         ],
         "pi_convergence_max_gaps": [
             "0x1.71bc5a60df453p+0", "0x1.38691ae88a5b2p-2", "0x1.711afa57aa968p-5",

@@ -30,7 +30,7 @@ from cat0lab import (
 )
 from cat0lab.walk import draw_increments
 
-from references import reference_ray_gaps
+from references import _mp_direction, reference_ray_gaps
 
 BASE = complex(0.0, 1.0)
 # the escape workload's H2 atoms; times 2 they are integer matrices
@@ -223,3 +223,57 @@ def test_a_geodesic_to_a_far_point_ends_at_it():
     d = distance(p, q)
     for end in (geodesic_point(p, q, d), ray_point(p, direction(p, q), d)):
         assert _h2.fine_dist(end.data, q.data) <= 1e-7
+
+
+def test_direction_keeps_the_digits_of_a_small_endpoint():
+    # x and y at scales 1e-8 to 1e8, and two rays whose small endpoint a
+    # difference c - r of the large circle read 7.6e-6 and 0.25 off: from i
+    # toward 1e-6 + 1e-9 i, and from 1e8 + i toward i
+    rng = np.random.default_rng(2701)
+    cases = [(1j, 1e-6 + 1e-9j), (1e8 + 1j, 1j)]
+    for _ in range(2000):
+        x, y = (complex(rng.uniform(-1, 1), math.exp(rng.uniform(-3, 3)))
+                * 10.0 ** rng.uniform(-8, 8) for _ in range(2))
+        cases.append((x, y))
+    worst = 0.0
+    with mp.workdps(60):
+        for x, y in cases:
+            want = _mp_direction(*map(mp.mpf, (x.real, x.imag, y.real, y.imag)))
+            worst = max(worst, float(abs(_h2.direction(x, y) - want) / abs(want)))
+    assert worst <= 1e-12
+
+
+def _mp_fixed_points(m):
+    """(repelling, attracting) roots of c z^2 + (d - a) z - b = 0 at 60
+    digits: the one of larger eigenvalue |c z + d| attracts (|a| at infinity)."""
+    with mp.workdps(60):
+        a, b, c, d = map(mp.mpf, m)
+        disc = mp.sqrt((a - d) ** 2 + 4 * b * c)
+        if c == 0:
+            return (-b / (a - d), math.inf) if abs(a) > abs(d) else (math.inf, -b / (a - d))
+        roots = sorted(((a - d + disc) / (2 * c), (a - d - disc) / (2 * c)),
+                       key=lambda z: abs(c * z + d))
+        return tuple(roots)
+
+
+def test_fixed_points_match_the_multiprecision_roots():
+    # random axial matrices; matrices a small lower-left entry c away from
+    # diagonal, whose finite fixed point a |c| <= tol branch read as
+    # infinity; and matrices with a = d, fixing k and -k
+    rng = np.random.default_rng(2702)
+    mats = [_h2.random_isometry(rng) for _ in range(1500)]
+    mats += [_h2.isometry(t, rng.uniform(-2, 2), 10.0 ** rng.uniform(-14, -2)
+                          * rng.choice((-1.0, 1.0)), 1.0 / t)
+             for t in np.exp(rng.uniform(0.1, 2.0, 1500))]
+    mats += [_h2.isometry(math.cosh(t), k * math.sinh(t), math.sinh(t) / k, math.cosh(t))
+             for t, k in zip(rng.uniform(-2, 2, 200), 10.0 ** rng.uniform(-3, 3, 200))]
+    worst = 0.0
+    for m in mats:
+        if _h2.kind(m, 1e-9) != "axial":
+            continue
+        for got, want in zip(_h2.fixed_points(m, 1e-9), _mp_fixed_points(m)):
+            if math.isinf(want):
+                assert math.isinf(got)
+            else:
+                worst = max(worst, float(abs(got - want) / abs(want)))
+    assert worst <= 1e-12

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from cat0lab import (
     DomainError,
     Model,
+    _h2,
     apply,
     apply_boundary,
     axis_endpoints,
@@ -38,6 +41,7 @@ from cat0lab.models import isometry_from_json, isometry_to_json
 from cat0lab.sampling import random_isometry, random_point
 
 from conftest import ALL_MODELS, standard_h2_pair
+from references import commutator_trace
 
 
 def test_apply_examples():
@@ -267,6 +271,33 @@ def test_independence_shell_trend():
     assert scores[0] < scores[1] < scores[2]
     dependent = [independence_score(g, power(g, 2), x, m) for m in (2, 4, 8)]
     assert max(dependent) == 0.0
+
+
+# SL(2, Z) letters and their inverses (lower case): S, T, and the two axial
+# P and Q.  A word w P^j w^-1 or w Q^j w^-1 is axial.
+SL2Z_LETTERS = {"S": (0, -1, 1, 0), "s": (0, 1, -1, 0), "T": (1, 1, 0, 1), "t": (1, -1, 0, 1),
+                "P": (2, 1, 1, 1), "p": (1, -1, -1, 2), "Q": (1, 1, 1, 2), "q": (2, -1, -1, 1)}
+axial_words = st.builds(lambda w, core, j: w + core * j + w[::-1].swapcase(),
+                        st.text("SsTt", max_size=4), st.sampled_from("PQ"), st.integers(1, 2))
+
+
+def sl2z_isometry(word: str):
+    m = (1, 0, 0, 1)
+    for ch in word:
+        m = _h2.mat_mul(m, SL2Z_LETTERS[ch])
+    return _h2.isometry(*m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(axial_words, axial_words, st.integers(1, 3), st.booleans())
+def test_h2_independence_is_the_commutator_trace_test(u, v, k, invert):
+    # integer atoms are stored exactly, so the kernel's test must agree with
+    # the rational commutator trace; a power of g shares both its fixed points
+    g, h = sl2z_isometry(u), sl2z_isometry(v)
+    assert _h2.independent(g, h) is (commutator_trace(g, h) != 2)
+    g_k = sl2z_isometry((u[::-1].swapcase() if invert else u) * k)
+    assert commutator_trace(g, g_k) == 2
+    assert _h2.independent(g, g_k) is False
 
 
 def test_north_south_h2_finite_and_monotone():

@@ -72,6 +72,13 @@ def test_kernel_exposes_the_whole_table(model):
     assert missing == []
 
 
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+def test_rank_one_kernels_and_only_they_decide_independence(model):
+    # the rank-one audit pairs only rank-one atoms, on their kernel's test
+    kernel = KERNELS[model]
+    assert callable(getattr(kernel, "independent", None)) is kernel.RANK_ONE
+
+
 INCREMENTS = [0, 1, 2, 2, 0, 1]
 
 

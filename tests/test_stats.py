@@ -489,9 +489,32 @@ def test_rankone_audit_verdicts(h2_spec, e2_centered):
     assert rankone_audit(single_axis).verdict == "indeterminate"
 
 
-def test_rankone_audit_scores_increase(h2_spec):
-    audit = rankone_audit(h2_spec)
-    good = [p for p in audit.pairs if p.increasing and p.endpoints_disjoint]
-    assert good
-    for p in good:
-        assert p.scores[0] < p.scores[1] < p.scores[2]
+def test_rankone_audit_pairs_are_the_kernel_independence(h2_spec, t4_uniform):
+    # the workload supports g, g^-1, h, h^-1 and a, A, b, B: an atom and its
+    # inverse share their fixed points, and every other pair is independent
+    for spec in (h2_spec, t4_uniform):
+        assert [tuple(p) for p in rankone_audit(spec).pairs] == [
+            (0, 1, False), (0, 2, True), (0, 3, True), (1, 2, True), (1, 3, True),
+            (2, 3, False)]
+
+
+def near_degenerate_support(p: float) -> StepDistribution:
+    """Uniform on g^+-1 and h^+-1, g = diag(2, 1/2) fixing 0 and infinity,
+    h = M diag(2, 1/2) M^-1 with M = [[5, p], [1, 1]] fixing p and 5: the
+    support is non-elementary exactly when p != 0."""
+    g = h2_isometry(2, 0, 0, 0.5)
+    h = h2_isometry(10 - 0.5 * p, -7.5 * p, 1.5, 2.5 - 2 * p)
+    return StepDistribution.uniform([g, inverse(g), h, inverse(h)])
+
+
+@pytest.mark.parametrize("p", [1e-1, 1e-2, 1e-3, 1e-5, 1e-7, 1e-9, 1e-12])
+def test_rankone_audit_certifies_supports_with_nearly_shared_fixed_points(p):
+    _, audit, problems = hypotheses_audit(near_degenerate_support(p))
+    assert audit.verdict == "certified-non-elementary"
+    assert problems == []
+
+
+def test_rankone_audit_leaves_shared_fixed_points_indeterminate():
+    assert rankone_audit(near_degenerate_support(0.0)).verdict == "indeterminate"
+    commuting = StepDistribution.uniform([t4_isometry("a"), t4_isometry("aa")])
+    assert rankone_audit(commuting).verdict == "indeterminate"
