@@ -27,11 +27,9 @@ from .models import (
     h2xr_point,
     identity,
     points_equal,
-    set_tolerance,
     t4_boundary,
     t4_isometry,
     t4_point,
-    tolerance,
 )
 from .geometry import (
     direction,

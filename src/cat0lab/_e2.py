@@ -73,7 +73,7 @@ def boundary_to_json(theta: float) -> dict:
     return {"theta": theta}
 
 
-def boundary_from_json(obj: dict, tol: float) -> float:
+def boundary_from_json(obj: dict) -> float:
     return boundary(obj["theta"])
 
 
@@ -179,7 +179,7 @@ def random_isometry(rng):
     return isometry(uniform(rng, 0, 2 * math.pi), (uniform(rng, -3, 3), uniform(rng, -3, 3)))
 
 
-def random_boundary(rng, tol: float) -> float:
+def random_boundary(rng) -> float:
     return boundary(uniform(rng, 0.0, 2.0 * math.pi))
 
 
@@ -205,7 +205,7 @@ def bin_index(params, theta: float) -> int:
     return min(int(theta / (TWO_PI / k)), k - 1)
 
 
-def bin_sample(params, i: int, rng, tol: float) -> float:
+def bin_sample(params, i: int, rng) -> float:
     w = TWO_PI / params[0]
     return boundary(uniform(rng, i * w, (i + 1) * w))
 

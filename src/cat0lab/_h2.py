@@ -127,7 +127,7 @@ def boundary_to_json(xi: float) -> dict:
     return {"xi": num_out(xi)}
 
 
-def boundary_from_json(obj: dict, tol: float) -> float:
+def boundary_from_json(obj: dict) -> float:
     return boundary(num_in(obj["xi"]))
 
 
@@ -328,7 +328,7 @@ def random_isometry(rng) -> Mat:
     return isometry(*random_sl2(rng))
 
 
-def random_boundary(rng, tol: float) -> float:
+def random_boundary(rng) -> float:
     phi = uniform(rng, -math.pi, math.pi)
     return boundary(INF if abs(phi) > math.pi - 1e-12 else math.tan(phi / 2.0))
 
@@ -357,7 +357,7 @@ def bin_index(params, xi: float) -> int:
     return min(int((phi + math.pi) / w), k - 1)
 
 
-def bin_sample(params, i: int, rng, tol: float) -> float:
+def bin_sample(params, i: int, rng) -> float:
     w = 2.0 * math.pi / params[0]
     phi = uniform(rng, -math.pi + i * w, -math.pi + (i + 1) * w)
     return boundary(INF if abs(phi) >= math.pi - 1e-12 else math.tan(phi / 2.0))

@@ -57,9 +57,9 @@ def boundary_to_json(b) -> dict:
     return {"xi": None if xi is None else _h2.num_out(xi), "alpha": alpha}
 
 
-def boundary_from_json(obj: dict, tol: float):
+def boundary_from_json(obj: dict):
     xi = obj["xi"]
-    return boundary(None if xi is None else _h2.num_in(xi), obj["alpha"], tol)
+    return boundary(None if xi is None else _h2.num_in(xi), obj["alpha"])
 
 
 def isometry_to_json(g) -> dict:
@@ -197,15 +197,12 @@ boundary_chart = ray_point
 chart_dist = fine_dist
 
 
-def boundary(xi, alpha: float, tol: float):
-    if xi is not None and not math.isinf(xi):
-        xi = float(xi)
+def boundary(xi, alpha: float):
     alpha = float(alpha)
-    if not -HALF_PI - tol <= alpha <= HALF_PI + tol:
+    if not -HALF_PI <= alpha <= HALF_PI:
         raise UsageError("slope must lie in [-pi/2, pi/2]")
-    alpha = max(-HALF_PI, min(HALF_PI, alpha))
-    if abs(abs(alpha) - HALF_PI) <= tol:
-        return (None, HALF_PI if alpha > 0 else -HALF_PI)
+    if abs(alpha) == HALF_PI:
+        return (None, alpha)
     if xi is None:
         raise UsageError("a horizontal component is required unless the slope is +-pi/2")
     return (float(xi), float(alpha))
@@ -222,10 +219,10 @@ def random_isometry(rng):
     return isometry(_h2.random_sl2(rng), uniform(rng, -2, 2))
 
 
-def random_boundary(rng, tol: float):
-    xi = _h2.random_boundary(rng, tol)
+def random_boundary(rng):
+    xi = _h2.random_boundary(rng)
     alpha = uniform(rng, -HALF_PI * 0.999, HALF_PI * 0.999)
-    return boundary(xi, alpha, tol)
+    return boundary(xi, alpha)
 
 
 # -- hitting bins: H2 circle arcs x k_alpha slope bands, then the two poles -------
@@ -254,16 +251,16 @@ def bin_index(params, b) -> int:
     return _h2.bin_index((k_xi,), xi) * k_alpha + j
 
 
-def bin_sample(params, i: int, rng, tol: float):
+def bin_sample(params, i: int, rng):
     k_xi, k_alpha = params
     if i >= k_xi * k_alpha:
-        return boundary(None, HALF_PI if i == k_xi * k_alpha else -HALF_PI, tol)
+        return boundary(None, HALF_PI if i == k_xi * k_alpha else -HALF_PI)
     bi, bj = divmod(i, k_alpha)
-    xi = _h2.bin_sample((k_xi,), bi, rng, tol)
+    xi = _h2.bin_sample((k_xi,), bi, rng)
     wa = math.pi / k_alpha
     alpha = uniform(rng, -HALF_PI + bj * wa, -HALF_PI + (bj + 1) * wa)
     alpha = max(-HALF_PI + 1e-9, min(HALF_PI - 1e-9, alpha))
-    return boundary(xi, alpha, tol)
+    return boundary(xi, alpha)
 
 
 # -- orbit walker ---------------------------------------------------------------

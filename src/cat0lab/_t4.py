@@ -256,7 +256,7 @@ def boundary_to_json(b: tuple[str, str]) -> dict:
     return {"word": b[0], "periodic": b[1]}
 
 
-def boundary_from_json(obj: dict, tol: float) -> tuple[str, str]:
+def boundary_from_json(obj: dict) -> tuple[str, str]:
     word = obj["word"]
     period = obj.get("periodic")
     if period is None:
@@ -346,7 +346,7 @@ def random_isometry(rng) -> str:
     return random_word(rng, int(rng.integers(1, 7)))
 
 
-def random_boundary(rng, tol: float) -> tuple[str, str]:
+def random_boundary(rng) -> tuple[str, str]:
     prefix = random_word(rng, int(rng.integers(4, 12)))
     return boundary(prefix, random_word(rng, 1, prefix)[-1])
 
@@ -387,7 +387,7 @@ def bin_index(params, b: tuple[str, str]) -> int:
     return index
 
 
-def bin_sample(params, i: int, rng, tol: float) -> tuple[str, str]:
+def bin_sample(params, i: int, rng) -> tuple[str, str]:
     word = params[1][i]
     return boundary(word, random_word(rng, 1, word)[-1])
 

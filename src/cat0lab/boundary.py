@@ -15,11 +15,11 @@ from .errors import UsageError
 from .geometry import angle_of_sides
 from .models import (
     KERNELS,
+    TOLERANCE,
     BoundaryPoint,
     Model,
     Point,
     same_model,
-    tolerance,
 )
 
 
@@ -52,10 +52,10 @@ def angles_at_infinity(x: Point, points) -> list[float]:
     pair's comparison angle is read from those values; equal points are at
     angle 0."""
     kernel = KERNELS[same_model(x, *points)]
-    dist, tol = kernel.dist, tolerance()
+    dist = kernel.dist
     rays = [kernel.ray_point(x.data, b.data, ANGLE_RADIUS) for b in points]
     sides = [float(dist(x.data, p)) for p in rays]
-    return [0.0 if kernel.boundary_eq(points[i].data, points[j].data, tol)
+    return [0.0 if kernel.boundary_eq(points[i].data, points[j].data, TOLERANCE)
             else angle_of_sides(sides[i], sides[j], float(dist(rays[i], rays[j])))
             for i in range(len(points)) for j in range(i + 1, len(points))]
 
@@ -71,7 +71,7 @@ def tits_distance(xi: BoundaryPoint, eta: BoundaryPoint) -> float:
     """Closed-form Tits (length-metric) distance between boundary points;
     +inf between distinct ends of the visibility models."""
     model = same_model(xi, eta)
-    return KERNELS[model].tits(xi.data, eta.data, tolerance())
+    return KERNELS[model].tits(xi.data, eta.data, TOLERANCE)
 
 
 def tits_ball_is_trivial(xi: BoundaryPoint) -> bool:
@@ -108,5 +108,4 @@ def sample_boundary(model: Model, count: int, rng) -> list[BoundaryPoint]:
     """Seeded sample of boundary points, spread across each model's boundary."""
     rng = generator(rng)
     kernel = KERNELS[model]
-    return [BoundaryPoint(model, kernel.random_boundary(rng, tolerance()))
-            for _ in range(count)]
+    return [BoundaryPoint(model, kernel.random_boundary(rng)) for _ in range(count)]

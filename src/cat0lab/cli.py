@@ -43,13 +43,12 @@ from .boundary import (
 )
 from .sampling import random_isometry, random_point
 from .models import (
-    DEFAULT_TOLERANCE,
     Model,
     boundary_from_json,
     boundary_to_json,
     isometry_from_json,
     point_from_json,
-    set_tolerance,
+    same_model,
 )
 from .stats import (
     BinScheme,
@@ -70,7 +69,7 @@ from .walk import StepDistribution, sample_walk
 
 CONFIG_SCHEMA = "cat0lab/config/v1"
 CONFIG_KEYS = frozenset({"schema", "experiment", "model", "distribution", "basepoint", "n",
-                         "m_samples", "seed", "checkpoints", "tolerance", "params"})
+                         "m_samples", "seed", "checkpoints", "params"})
 # the experiments whose runners read `checkpoints`; the others reject the key
 CHECKPOINT_EXPERIMENTS = frozenset({"converge", "dirac", "track"})
 REPORT_SCHEMA = "cat0lab/report/v1"
@@ -93,9 +92,18 @@ REQUIRED = object()
 Param = namedtuple("Param", "kind default least", defaults=(REQUIRED, None))
 
 
-def _param(key: str, given: dict, kind: str, default=REQUIRED, least=None, tol=None):
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a JSON value")
+
+
+def _strict_json(text: str):
+    """`json.loads`, refusing the NaN and Infinity tokens, which JSON lacks."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def _param(key: str, given: dict, kind: str, default=REQUIRED, least=None):
     """`given[key]` checked as a `kind` and converted as the runners read it,
-    or the default; boundary payloads parse under the given tolerance."""
+    or the default."""
     if key not in given:
         if default is REQUIRED:
             raise ConfigError(f"{key} is required ({kind})")
@@ -105,9 +113,9 @@ def _param(key: str, given: dict, kind: str, default=REQUIRED, least=None, tol=N
         if kind == "isometry":
             return isometry_from_json(value)
         if kind == "boundary":
-            return boundary_from_json(value, tol)
+            return boundary_from_json(value)
         if kind == "boundaries":
-            return [boundary_from_json(b, tol) for b in value]
+            return [boundary_from_json(b) for b in value]
         if (kind == "bool" and type(value) is bool  # a bool is no int or number here
                 or kind == "int" and type(value) is int and value >= least
                 or kind == "positive or auto" and value == "auto"):
@@ -130,7 +138,6 @@ class ExperimentConfig(NamedTuple):
     seed: int
     checkpoints: list[int] | None
     params: dict  # as the runners read them: numbers, isometries, boundary points
-    tolerance: float  # the default when the config gives none
     raw: dict
 
 
@@ -140,8 +147,8 @@ def load_config(path) -> ExperimentConfig:
     checkpoints only where it reads them, and values and params all of their
     kinds; fill in the params' defaults."""
     try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = _strict_json(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} is not a JSON object")
@@ -173,16 +180,23 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError("seed must lie in [0, 2**63)")
         if "checkpoints" in raw and experiment not in CHECKPOINT_EXPERIMENTS:
             raise ConfigError(f"experiment {experiment!r} reads no checkpoints")
-        checkpoints = raw.get("checkpoints", [])
-        if not all(type(k) is int and 1 <= k <= n for k in checkpoints):
-            raise ConfigError(f"checkpoints must be integers in [1, n] = [1, {n}]")
-        tol = _param("tolerance", raw, "positive", DEFAULT_TOLERANCE)
+        checkpoints = raw.get("checkpoints")
+        if "checkpoints" in raw and not (type(checkpoints) is list and checkpoints and all(
+                type(k) is int and 1 <= k <= n for k in checkpoints)):
+            raise ConfigError(f"checkpoints must be a nonempty list of integers "
+                              f"in [1, n] = [1, {n}]")
         given, table = raw.get("params", {}), EXPERIMENTS[experiment][3]
         if not isinstance(given, dict) or not given.keys() <= table.keys():
             raise ConfigError(f"params must be an object with keys from {sorted(table)}")
-        params = {key: _param(key, given, *spec, tol=tol) for key, spec in table.items()}
+        params = {key: _param(key, given, *spec) for key, spec in table.items()}
+        # the basepoint and every model-tagged param live on the config's model
+        tagged = [base]
+        for key, spec in table.items():
+            if spec.kind in ("isometry", "boundary", "boundaries") and params[key] is not None:
+                tagged += params[key] if spec.kind == "boundaries" else [params[key]]
+        same_model(model_basepoint(model), *tagged)
         return ExperimentConfig(experiment, model, dist, base, n, m, seed,
-                                checkpoints or None, params, tol, raw)
+                                checkpoints, params, raw)
     except ConfigError:
         raise
     except _MALFORMED as exc:
@@ -386,10 +400,7 @@ EXPERIMENTS = {
 
 
 def run(cfg: ExperimentConfig, outdir, allow_uncertified: bool = False) -> Path:
-    """Execute one experiment config and write its report directory.  The
-    config's tolerance applies to this run only; without one the default
-    applies, whatever an earlier run set."""
-    set_tolerance(cfg.tolerance)
+    """Execute one experiment config and write its report directory."""
     runner, _, gated, _ = EXPERIMENTS[cfg.experiment]
     hypotheses, problems = _hypotheses_block(cfg)
     if gated and problems and not allow_uncertified:
@@ -436,9 +447,9 @@ def _oracle_main(args) -> int:
         from .boundary import horofunction, horofunction_limit_oracle
 
         try:
-            xi = boundary_from_json(json.loads(args.xi))
-            x = point_from_json(json.loads(args.x))
-            z = point_from_json(json.loads(args.z))
+            xi = boundary_from_json(_strict_json(args.xi))
+            x = point_from_json(_strict_json(args.x))
+            z = point_from_json(_strict_json(args.z))
         except _MALFORMED as exc:  # json.JSONDecodeError is a ValueError
             raise ConfigError(f"oracle input is malformed: {exc}") from exc
         t = _param("t", vars(args), "float", least=0)

@@ -12,12 +12,12 @@ import math
 from .errors import UsageError
 from .models import (
     KERNELS,
+    TOLERANCE,
     BoundaryPoint,
     Model,
     Point,
     points_equal,
     same_model,
-    tolerance,
 )
 
 
@@ -34,7 +34,7 @@ def geodesic_point(p: Point, q: Point, t: float) -> Point:
     """Point at arclength t from p on the unique geodesic [p, q]: the point
     at t on the ray from p through q, whose first d(p, q) are [p, q]."""
     d = distance(p, q)
-    if t < -tolerance() or t > d + tolerance():
+    if t < -TOLERANCE or t > d + TOLERANCE:
         raise UsageError(f"parameter {t} outside [0, {d}]")
     t = min(max(t, 0.0), d)
     if t == 0.0 or points_equal(p, q):
@@ -53,7 +53,7 @@ def ray_point(x: Point, xi: BoundaryPoint, t: float) -> Point:
 def angle_of_sides(a: float, b: float, c: float) -> float:
     """Angle between the sides a and b of a Euclidean triangle with third
     side c."""
-    if a <= tolerance() or b <= tolerance():
+    if a <= TOLERANCE or b <= TOLERANCE:
         raise UsageError("comparison angle needs both sides nondegenerate")
     cosv = (a * a + b * b - c * c) / (2.0 * a * b)
     return math.acos(max(-1.0, min(1.0, cosv)))
@@ -63,6 +63,6 @@ def direction(x: Point, y: Point) -> BoundaryPoint:
     """Boundary coordinate of the ray from x through y, two points that
     `points_equal` calls distinct."""
     kernel = KERNELS[same_model(x, y)]
-    if kernel.fine_dist(x.data, y.data) <= tolerance():
+    if kernel.fine_dist(x.data, y.data) <= TOLERANCE:
         raise UsageError("direction needs two distinct points")
     return BoundaryPoint(x.model, kernel.direction(x.data, y.data))

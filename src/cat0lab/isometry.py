@@ -13,11 +13,11 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .models import (
     KERNELS,
+    TOLERANCE,
     BoundaryPoint,
     Isometry,
     Point,
     same_model,
-    tolerance,
 )
 from .geometry import distance, model_basepoint
 
@@ -68,7 +68,7 @@ def power(g: Isometry, k: int) -> Isometry:
 
 
 def classify(g: Isometry) -> IsometryClass:
-    return IsometryClass(*KERNELS[g.model].classify(g.data, tolerance()))
+    return IsometryClass(*KERNELS[g.model].classify(g.data, TOLERANCE))
 
 
 def _require_axial(g: Isometry) -> IsometryClass:
@@ -81,7 +81,7 @@ def _require_axial(g: Isometry) -> IsometryClass:
 def axis_endpoints(g: Isometry) -> tuple[BoundaryPoint, BoundaryPoint]:
     """Repelling and attracting boundary fixed points (g-, g+) of an axial g."""
     _require_axial(g)
-    minus, plus = KERNELS[g.model].axis_endpoints(g.data, tolerance())
+    minus, plus = KERNELS[g.model].axis_endpoints(g.data, TOLERANCE)
     return BoundaryPoint(g.model, minus), BoundaryPoint(g.model, plus)
 
 

@@ -16,8 +16,8 @@ needs to know which model it runs on.  A kernel module executes on its
 first attribute access (`importlib.util.LazyLoader`), so a run executes
 only the kernels of the models it uses.
 
-Values are immutable.  All approximate comparisons in the package use one
-global tolerance, configurable per run.
+Values are immutable.  All approximate comparisons in the package use the
+one fixed tolerance `TOLERANCE`; no run can change it.
 """
 
 from __future__ import annotations
@@ -30,22 +30,8 @@ from typing import Any
 
 from .errors import UsageError
 
-DEFAULT_TOLERANCE = 1e-9
+TOLERANCE = 1e-9
 ISOMETRY_KEY_DIGITS = 9  # decimal places an isometry key keeps of each entry
-_tolerance = DEFAULT_TOLERANCE
-
-
-def set_tolerance(value: float) -> None:
-    """Set the global comparison tolerance (one knob per run)."""
-    global _tolerance
-    value = float(value)
-    if not value > 0:
-        raise UsageError("tolerance must be positive")
-    _tolerance = value
-
-
-def tolerance() -> float:
-    return _tolerance
 
 
 class Model(str, Enum):
@@ -138,7 +124,7 @@ def t4_boundary(prefix: str, period: str) -> BoundaryPoint:
 
 
 def h2xr_boundary(xi, alpha: float) -> BoundaryPoint:
-    return BoundaryPoint(Model.H2xR, _h2xr.boundary(xi, alpha, tolerance()))
+    return BoundaryPoint(Model.H2xR, _h2xr.boundary(xi, alpha))
 
 
 def e2_isometry(angle: float, v: tuple[float, float]) -> Isometry:
@@ -179,17 +165,15 @@ def same_model(*tagged) -> Model:
 
 # -- equality with tolerance ---------------------------------------------------
 
-def points_equal(p: Point, q: Point, tol: float | None = None) -> bool:
+def points_equal(p: Point, q: Point, tol: float = TOLERANCE) -> bool:
     """d(p, q) <= tol: equality by the metric, so isometries preserve it.
     d is the kernel's `fine_dist`, which keeps the digits of a short distance."""
     model = same_model(p, q)
-    tol = tolerance() if tol is None else tol
     return KERNELS[model].fine_dist(p.data, q.data) <= tol
 
 
-def boundary_points_equal(b1: BoundaryPoint, b2: BoundaryPoint, tol: float | None = None) -> bool:
+def boundary_points_equal(b1: BoundaryPoint, b2: BoundaryPoint, tol: float = TOLERANCE) -> bool:
     model = same_model(b1, b2)
-    tol = tolerance() if tol is None else tol
     return KERNELS[model].boundary_eq(b1.data, b2.data, tol)
 
 
@@ -214,10 +198,9 @@ def boundary_to_json(b: BoundaryPoint) -> dict:
     return {"model": b.model.value, **KERNELS[b.model].boundary_to_json(b.data)}
 
 
-def boundary_from_json(obj: dict, tol: float | None = None) -> BoundaryPoint:
+def boundary_from_json(obj: dict) -> BoundaryPoint:
     model = Model(obj["model"])
-    tol = tolerance() if tol is None else tol
-    return BoundaryPoint(model, KERNELS[model].boundary_from_json(obj, tol))
+    return BoundaryPoint(model, KERNELS[model].boundary_from_json(obj))
 
 
 def isometry_to_json(g: Isometry) -> dict:

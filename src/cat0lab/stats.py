@@ -41,12 +41,12 @@ from .isometry import apply, apply_boundary, classify, inverse, is_rank_one
 from .boundary import boundary_distances, tits_distance
 from .models import (
     KERNELS,
+    TOLERANCE,
     BoundaryPoint,
     Isometry,
     Model,
     Point,
     same_model,
-    tolerance,
 )
 from .walk import (
     StepDistribution,
@@ -123,7 +123,7 @@ def convergence_profile(trace: WalkTrace) -> ConvergenceProfile:
         p = trace.point(i)
         # the float orbit point can sit on x even where the log-space
         # distance of a return does not reach the tolerance
-        if trace.base_distances[i] <= tolerance() or distance(x, p) <= tolerance():
+        if trace.base_distances[i] <= TOLERANCE or distance(x, p) <= TOLERANCE:
             continue
         coords.append(direction(x, p))
         kept.append(int(k))
@@ -185,8 +185,7 @@ class BinScheme(NamedTuple):
         return KERNELS[self.model].bin_index(self.params, b.data)
 
     def sample_in_bin(self, i: int, rng) -> BoundaryPoint:
-        return BoundaryPoint(self.model, KERNELS[self.model].bin_sample(
-            self.params, i, rng, tolerance()))
+        return BoundaryPoint(self.model, KERNELS[self.model].bin_sample(self.params, i, rng))
 
     def descriptor(self) -> dict:
         fields = dict(zip(KERNELS[self.model].BIN_FIELDS, self.params))
@@ -221,7 +220,7 @@ def hitting_measure(spec: StepDistribution, x: Point, n: int, m_samples: int,
     path is left."""
     dists, snaps = sample_terminals(spec, x, n, seed, m_samples)
     hits = [bins.index_of(direction(x, snapshot_point(spec.model, snap, x)))
-            for d, snap in zip(dists, snaps) if not d <= tolerance()]
+            for d, snap in zip(dists, snaps) if not d <= TOLERANCE]
     if not hits:
         raise DomainError("no sample path left the basepoint; the histogram is empty")
     counts = np.bincount(hits, minlength=bins.count).astype(float)
@@ -242,7 +241,7 @@ def stationarity_defect(spec: StepDistribution, hist: HittingHistogram,
         raise UsageError("step distribution and bin scheme are on different models")
     kernel = KERNELS[bins.model]
     act, index, sample = kernel.apply_boundary, kernel.bin_index, kernel.bin_sample
-    params, tol = bins.params, tolerance()
+    params = bins.params
     rng = np.random.default_rng(seed)
     pushed = [0.0] * bins.count
     for i, mass in enumerate(hist.masses):
@@ -250,7 +249,7 @@ def stationarity_defect(spec: StepDistribution, hist: HittingHistogram,
             continue
         moves = [(g.data, mass * p / refinement_samples) for g, p in spec.atoms]
         for _ in range(refinement_samples):
-            b = sample(params, i, rng, tol)
+            b = sample(params, i, rng)
             for g, w in moves:
                 pushed[index(params, act(g, b))] += w
     return 0.5 * float(np.abs(np.array(pushed) - np.array(hist.masses)).sum())
@@ -350,7 +349,7 @@ def tracking_error(trace: WalkTrace, lam: float):
     if not lam > 0:
         raise DomainError("tracking needs a positive drift")
     x = trace.basepoint
-    if trace.base_distances[-1] <= tolerance():
+    if trace.base_distances[-1] <= TOLERANCE:
         raise UsageError("trace never left the basepoint; no direction proxy")
     ks = [int(k) for k in trace.steps[1:]]
     snaps = dict(zip(ks, trace.snapshots[1:]))
@@ -382,8 +381,8 @@ def pi_convergence_check(gs, x: Point, K, u_eps: float, limits=None) -> PiConver
     else:
         fwd = [apply(g, x) for g in gs]
         bwd = [apply(inverse(g), x) for g in gs]
-        fwd = [p for p in fwd if distance(p, x) > tolerance()]
-        bwd = [p for p in bwd if distance(p, x) > tolerance()]
+        fwd = [p for p in fwd if distance(p, x) > TOLERANCE]
+        bwd = [p for p in bwd if distance(p, x) > TOLERANCE]
         if not fwd or not bwd:
             raise UsageError("cannot detect limits from a bounded orbit; pass a hint")
         xi = direction(x, fwd[-1])

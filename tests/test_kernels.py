@@ -12,6 +12,7 @@ from cat0lab import (
     BoundaryPoint,
     Model,
     StepDistribution,
+    UsageError,
     _e2,
     _h2,
     _h2xr,
@@ -103,7 +104,7 @@ def test_snapshot_boundary_is_the_image_under_the_atom_product(model):
     for i in INCREMENTS:
         product = kernel.compose(product, atoms[i])
     for _ in range(5):
-        b = kernel.random_boundary(rng, 1e-9)
+        b = kernel.random_boundary(rng)
         image = kernel.snapshot_boundary(snaps[-1], kernel.BASEPOINT, b)
         assert kernel.boundary_eq(image, kernel.apply_boundary(product, b), 1e-9)
 
@@ -126,7 +127,7 @@ def test_orbit_states_are_the_atom_products(model, seed, atom_count, draws):
         assert float(kernel.dist(kernel.BASEPOINT, p)) == pytest.approx(d, rel=1e-9, abs=1e-9)
     # the image under w_1 ... w_k is applied one atom at a time: composing
     # thirty hyperbolic atoms into one float matrix loses its determinant
-    b = kernel.random_boundary(rng, 1e-9)
+    b = kernel.random_boundary(rng)
     for k in range(n + 1):
         expected = b
         for i in reversed(increments[:k]):
@@ -270,6 +271,18 @@ def test_h2xr_batched_heights_end_where_the_running_sum_does():
         assert math.copysign(1.0, h) == math.copysign(1.0, states[-1][1]) == 1.0
 
 
+def test_h2xr_boundary_is_vertical_exactly_at_the_poles():
+    up, down = _h2xr.HALF_PI, -_h2xr.HALF_PI
+    assert _h2xr.boundary(0.3, up) == (None, up)
+    assert _h2xr.boundary(None, down) == (None, down)
+    # a slope just below the pole is a finite end, so it needs its xi
+    assert _h2xr.boundary(0.3, up - 1e-12) == (0.3, up - 1e-12)
+    with pytest.raises(UsageError):
+        _h2xr.boundary(None, up - 1e-12)
+    with pytest.raises(UsageError):
+        _h2xr.boundary(None, math.nextafter(up, 4.0))
+
+
 def _is_reduced_by_letters(word):
     # the letter loop is_reduced replaced, kept as the reference
     return all(ch in _t4.ALPHABET for ch in word) and all(
@@ -319,7 +332,7 @@ def _gromov_by_ray_vertices(x, b1, b2):
        base=st.integers(0, 80), climb=st.integers(0, 5), along=st.integers(0, 2))
 def test_t4_gromov_product_matches_the_ray_vertex_walk(seed, shared, base, climb, along):
     rng = np.random.default_rng(seed)
-    b1 = _t4.random_boundary(rng, 0.0)
+    b1 = _t4.random_boundary(rng)
     # a second end that follows b1 for `shared` letters and may then leave
     # it (or stay: equal ends have an infinite product)
     head = _t4.word_prefix(b1, shared)
@@ -500,7 +513,7 @@ REFERENCE_SAMPLERS = {
         "random_isometry": lambda rng: _h2xr.isometry(_ref_sl2(rng), rng.uniform(-2, 2)),
         "random_boundary": lambda rng: _h2xr.boundary(
             _ref_xi(rng.uniform(-math.pi, math.pi)),
-            rng.uniform(-math.pi / 2 * 0.999, math.pi / 2 * 0.999), 1e-9),
+            rng.uniform(-math.pi / 2 * 0.999, math.pi / 2 * 0.999)),
     },
 }
 
@@ -513,7 +526,7 @@ def test_continuous_samplers_match_their_uniform_references(model, seed):
     for _ in range(200):
         for name in ("random_point", "random_isometry"):
             assert getattr(kernel, name)(rng) == ref[name](ref_rng)
-        assert kernel.random_boundary(rng, 1e-9) == ref["random_boundary"](ref_rng)
+        assert kernel.random_boundary(rng) == ref["random_boundary"](ref_rng)
     # the streams end in the same state
     assert rng.random() == ref_rng.random()
 
@@ -540,7 +553,7 @@ def _ref_sample_in_bin(scheme, i, rng):
     alpha = rng.uniform(-math.pi / 2 + bj * wa, -math.pi / 2 + (bj + 1) * wa)
     alpha = max(-math.pi / 2 + 1e-9, min(math.pi / 2 - 1e-9, alpha))
     xi = math.inf if abs(phi) >= math.pi - 1e-12 else math.tan(phi / 2.0)
-    return _h2xr.boundary(xi, alpha, 1e-9)
+    return _h2xr.boundary(xi, alpha)
 
 
 @pytest.mark.parametrize("scheme", [BinScheme.of(Model.E2, 16), BinScheme.of(Model.H2, 16),
@@ -584,5 +597,5 @@ def test_t4_bin_index_is_the_position_in_the_word_list(seed, length):
     rng = np.random.default_rng(seed)
     params = _t4.bin_params(length)
     for _ in range(5):
-        b = _t4.random_boundary(rng, 0.0)
+        b = _t4.random_boundary(rng)
         assert _t4.bin_index(params, b) == params[1].index(_t4.word_prefix(b, length))

@@ -1,6 +1,6 @@
 """Edge inputs of the estimators and the CLI: paths that outrun the drift,
 tracking digits that cover the dense walk, returns to the basepoint,
-per-config tolerances in a sweep, walks whose every path returns, repeated
+walks whose every path returns, repeated
 checkpoints, configs that fail mid-sweep, seeds, checkpoints and integer
 params out of range, long H2 products and their JSON round trip, the
 Busemann limit oracle at large t, one rank-one audit per run, bin schemes
@@ -38,14 +38,12 @@ from cat0lab import (
     inverse,
     power,
     sample_walk,
-    set_tolerance,
     t4_point,
-    tolerance,
     tracking_error,
 )
 from cat0lab import _h2, cli, stats
 from cat0lab.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, main
-from cat0lab.models import DEFAULT_TOLERANCE, isometry_from_json, isometry_to_json
+from cat0lab.models import isometry_from_json, isometry_to_json
 from cat0lab.walk import draw_increments
 
 from conftest import standard_h2_pair
@@ -109,18 +107,6 @@ def test_convergence_profile_skips_float_returns_to_the_basepoint(h2_spec):
     tr = sample_walk(h2_spec, h2_point(0, 1), 20, 1001, path_index=4, steps=[10, 20])
     prof = convergence_profile(tr)
     assert prof.checkpoints == (20,)
-
-
-def test_sweep_resets_tolerance_between_configs(tmp_path):
-    base = {"schema": "cat0lab/config/v1", "experiment": "cocycle", "model": "E2",
-            "params": {"count": 3}}
-    (tmp_path / "a.json").write_text(json.dumps({**base, "seed": 1, "tolerance": 0.5}))
-    (tmp_path / "b.json").write_text(json.dumps({**base, "seed": 2}))
-    try:
-        assert main(["sweep", str(tmp_path / "*.json"), "--outdir", str(tmp_path / "out")]) == EXIT_OK
-        assert tolerance() == DEFAULT_TOLERANCE == 1e-9
-    finally:
-        set_tolerance(DEFAULT_TOLERANCE)
 
 
 def test_hitting_measure_rejects_paths_that_all_return(t4_uniform):
@@ -222,21 +208,22 @@ def test_walk_keys_are_exact_at_and_above_two_to_the_63(t4_uniform):
     {"experiment": "cocycle", "seed": 1.9},
     {"experiment": "dirac", "distribution": H2_DIST, "n": 50, "checkpoints": [3.5]},
     {"experiment": "cocycle", "m_samples": "7"},
-    {"experiment": "cocycle", "tolerance": True},
+    {"experiment": "cocycle", "tolerance": 1e-6},
     {"experiment": "cocycle", "m_sampels": 7},
     {"experiment": "drift", "n": 20},
     {"experiment": "cocycle", "checkpoints": [3]},
     {"experiment": "drift", "distribution": H2_DIST, "checkpoints": [5]},
 ], ids=["seed-negative", "seed-2**63", "checkpoint-above-n", "checkpoint-zero",
         "n-fraction", "n-true", "seed-fraction", "checkpoint-fraction", "m_samples-string",
-        "tolerance-true", "unknown-top-level-key", "drift-without-distribution",
+        "tolerance-not-a-key", "unknown-top-level-key", "drift-without-distribution",
         "checkpoints-on-cocycle", "checkpoints-on-drift"])
 def test_config_rejects_out_of_range_seeds_and_checkpoints(tmp_path, capsys, fields):
     # the parent crashed on seed -1, ran seed 2**63, walked to checkpoint 400
     # at n=50, and dropped checkpoint 0; it truncated n 2.5 to 2, n true to 1,
     # seed 1.9 to 1 and checkpoint 3.5 to 3, read m_samples "7" as 7, and
-    # tolerance true as 1.0; it loaded "m_sampels" 7 and ran m_samples 100,
-    # and loaded a drift config without a distribution, failing it only in run;
+    # ran a "tolerance" of 1e-6, which is not a config key; it loaded
+    # "m_sampels" 7 and ran m_samples 100, and loaded a drift config without
+    # a distribution, failing it only in run;
     # it accepted, echoed and ignored checkpoints given to cocycle and drift,
     # whose runners never read them
     _assert_config_error(tmp_path, capsys, fields)
@@ -290,7 +277,6 @@ def _assert_config_error(tmp_path, capsys, fields):
      "params": {"atoms0": [{"model": "H2"}]}},
     {"experiment": "drift", "distribution": H2_DIST, "n": 20,
      "params": {"horofunction_xi": {"model": "H2", "xi": "abc"}}},
-    {"experiment": "cocycle", "tolerance": "abc"},
     {"experiment": "pi-convergence", "params": {"g": H2_G, "u_eps": "nan"}},
     {"experiment": "dirac", "distribution": H2_DIST, "n": 20, "params": {"second_set": "no"}},
     {"experiment": "northsouth", "params": {"g": H2_G, "eps_plus": -1, "cap": 10}},
@@ -301,18 +287,33 @@ def _assert_config_error(tmp_path, capsys, fields):
     {"experiment": "gap", "distribution": H2_DIST, "n": 20},
     {"experiment": "northsouth"},
     {"experiment": "cocycle", "params": ["ab"]},
+    {"experiment": "drift", "model": "E2", "n": 20,
+     "distribution": _uniform_dist("E2", [{"angle": 0.0, "v": [math.nan, 0]}])},
+    {"experiment": "cocycle", "basepoint": {"model": "H2", "coords": [math.nan, 1]}},
+    {"experiment": "gap", "distribution": H2_DIST, "n": 20,
+     "params": {"xi": {"model": "H2", "xi": math.nan}}},
+    {"experiment": "northsouth", "model": "E2", "params": {"g": H2_G}},
+    {"experiment": "gap", "distribution": H2_DIST, "n": 20,
+     "params": {"xi": {"model": "E2", "theta": 0.5}}},
+    {"experiment": "cocycle", "basepoint": {"model": "E2", "coords": [0, 0]}},
+    {"experiment": "converge", "distribution": H2_DIST, "n": 20, "checkpoints": []},
 ], ids=["lambda-not-a-number", "eps_plus-not-a-number", "g-two-entry-matrix",
         "xi-without-model", "atoms0-without-xi", "horofunction_xi-not-a-number",
-        "tolerance-not-a-number", "u_eps-nan", "second_set-a-string", "eps_plus-negative",
+        "u_eps-nan", "second_set-a-string", "eps_plus-negative",
         "lambda-negative", "exclusion-negative", "unknown-param", "param-of-another-experiment",
-        "gap-without-xi", "northsouth-without-g", "params-not-an-object"])
+        "gap-without-xi", "northsouth-without-g", "params-not-an-object", "atom-v-nan",
+        "basepoint-nan", "xi-nan", "g-of-another-model", "xi-of-another-model",
+        "basepoint-of-another-model", "checkpoints-empty"])
 def test_config_rejects_malformed_params(tmp_path, capsys, fields):
     # the runners read these params, and the parent exited 1 with a
     # traceback on each, except on u_eps "nan", which reported "holds":
     # false, and on second_set "no", which it read as true; it ran eps_plus,
     # lambda and exclusion -1, ran samples 200 past "sampels" and ignored
     # count on northsouth, failed a missing xi or g only in the runner, and
-    # read params ["ab"] as {"a": "b"}
+    # read params ["ab"] as {"a": "b"}; it ran whole experiments on NaN
+    # tokens and then failed to write the report, ran an H2 g on an E2
+    # config, failed an E2 xi only in the runner, and ran the default
+    # checkpoints for an empty list
     _assert_config_error(tmp_path, capsys, fields)
 
 
@@ -322,10 +323,11 @@ def test_config_rejects_malformed_params(tmp_path, capsys, fields):
     ["--xi", "[1]"],
     ["--t", "nan"],
     ["--t", "inf"],
-], ids=["xi-not-json", "xi-without-coordinate", "xi-a-list", "t-nan", "t-infinite"])
+    ["--x", '{"model": "H2", "coords": [NaN, 1]}'],
+], ids=["xi-not-json", "xi-without-coordinate", "xi-a-list", "t-nan", "t-infinite", "x-nan"])
 def test_oracle_input_exits_2(capsys, flags):
     # the parent exited 1 with a JSONDecodeError, KeyError, TypeError,
-    # TypeError and ZeroDivisionError traceback
+    # TypeError, ZeroDivisionError and TypeError traceback
     args = {"--xi": '{"model": "H2", "xi": 0.5}', "--x": '{"model": "H2", "coords": [0, 1]}',
             "--z": '{"model": "H2", "coords": [1, 2]}', "--t": "10000", **dict([flags])}
     assert main(["oracle", "busemann-limit", *(a for kv in args.items() for a in kv)]) == EXIT_CONFIG
@@ -371,20 +373,6 @@ def test_config_file_must_hold_an_object(tmp_path, capsys, text):
     assert main(["run", str(tmp_path / "c.json"), "--outdir", str(tmp_path / "out")]) == EXIT_CONFIG
     assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not (tmp_path / "out").exists()
-
-
-def test_config_boundary_params_parse_under_the_config_tolerance(tmp_path):
-    # a sweep loads each config while the previous one's tolerance is set;
-    # under 0.5 the slope 1.5 would round to the pole pi/2
-    cfg = {"experiment": "gap", "model": "H2xR",
-           "distribution": _uniform_dist("H2xR", [{"matrix": [2, 0, 0, 0.5], "shift": 1.0}]),
-           "params": {"xi": {"model": "H2xR", "xi": 0.0, "alpha": 1.5}}}
-    (tmp_path / "c.json").write_text(json.dumps(cfg))
-    set_tolerance(0.5)
-    try:
-        assert cli.load_config(tmp_path / "c.json").params["xi"].data == (0.0, 1.5)
-    finally:
-        set_tolerance(DEFAULT_TOLERANCE)
 
 
 def test_h2_power_survives_long_products():
