@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from ._random import uniform
-from .errors import UsageError
+from .errors import UsageError, finite
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,17 +42,17 @@ def circle_gap(a: float, b: float) -> float:
 # -- values and codecs --------------------------------------------------------
 
 def point(x: float, y: float) -> complex:
-    return complex(float(x), float(y))
+    return complex(finite(x), finite(y))
 
 
 def boundary(theta: float) -> float:
     # wrapping an already wrapped angle is not a no-op: wrap_angle rounds a
     # tiny negative angle up to exactly 2pi, which the second wrap sends to 0
-    return wrap_angle(float(theta))
+    return wrap_angle(finite(theta))
 
 
 def isometry(angle: float, v) -> tuple[float, complex]:
-    return (wrap_angle(float(angle)), complex(float(v[0]), float(v[1])))
+    return (wrap_angle(finite(angle)), complex(finite(v[0]), finite(v[1])))
 
 
 def boundary_eq(theta1: float, theta2: float, tol: float) -> bool:
@@ -90,9 +90,6 @@ def isometry_from_json(payload: dict):
 
 def dist(p: complex, q: complex) -> float:
     return abs(p - q)
-
-
-fine_dist = dist
 
 
 def ray_point(x: complex, theta: float, t: float) -> complex:

@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from ._random import uniform
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, finite
 
 INF = math.inf
 _TINY = 5e-324  # smallest positive subnormal: floor for imaginary parts
@@ -54,21 +54,6 @@ def sign_normalize(m: Mat) -> Mat:
     raise UsageError("zero matrix is not an isometry")
 
 
-def make_matrix(a: float, b: float, c: float, d: float) -> Mat:
-    det = a * d - b * c
-    if not det > 0:
-        # the float products cancel on large entries, such as those of a
-        # long product of normalised matrices; decide on the exact value
-        if all(map(math.isfinite, (a, b, c, d))):
-            from fractions import Fraction
-
-            det = float(Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c))
-        if not det > 0:
-            raise UsageError("matrix must have positive determinant")
-    s = 1.0 / math.sqrt(det)
-    return sign_normalize((a * s, b * s, c * s, d * s))
-
-
 def mat_mul(m: Mat, n: Mat) -> Mat:
     a, b, c, d = m
     e, f, g, h = n
@@ -83,17 +68,34 @@ def mat_inv(m: Mat) -> Mat:
 # -- values and codecs --------------------------------------------------------
 
 def point(x: float, y: float) -> complex:
-    y = float(y)
+    y = finite(y)
     if not y > 0:
         raise UsageError("upper half-plane points need a positive second coordinate")
-    return complex(float(x), y)
+    return complex(finite(x), y)
 
 
-boundary = float
+def boundary(xi: float) -> float:
+    xi = float(xi)
+    if math.isnan(xi):  # +-inf both stand for the point at infinity
+        raise UsageError("a boundary point must be a real number or infinity")
+    return xi
 
 
 def isometry(a: float, b: float, c: float, d: float) -> Mat:
-    return make_matrix(float(a), float(b), float(c), float(d))
+    a, b, c, d = float(a), float(b), float(c), float(d)
+    det = a * d - b * c
+    if not det > 0:
+        # the float products cancel on large entries, such as those of a
+        # long product of normalised matrices; decide on the exact value
+        if all(map(math.isfinite, (a, b, c, d))):
+            from fractions import Fraction
+
+            det = float(Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c))
+        if not det > 0:
+            raise UsageError("matrix must have positive determinant")
+    s = 1.0 / math.sqrt(det)
+    # a NaN entry fails the determinant test, but an infinite one can pass it
+    return sign_normalize(tuple(finite(e) * s for e in (a, b, c, d)))
 
 
 def boundary_eq(x1: float, x2: float, tol: float) -> bool:
@@ -175,14 +177,8 @@ def inverse(g: Mat) -> Mat:
 
 
 def dist(p: complex, q: complex) -> float:
-    arg = 1.0 + abs(p - q) ** 2 / (2.0 * p.imag * q.imag)
-    return math.acosh(max(1.0, arg))
-
-
-def fine_dist(p: complex, q: complex) -> float:
-    """The metric as 2 asinh(|p - q| / (2 sqrt(y y'))), which keeps the
-    digits of a short distance.  `dist`'s acosh form reads 0 below
-    |p - q| ~ 1e-8 y; the reports carry its bits, so it stays."""
+    """2 asinh(|p - q| / (2 sqrt(y y'))) (Beardon 1983, Thm 7.2.1): it keeps the
+    digits of a short distance, and it squares nothing, so it cannot overflow."""
     return 2.0 * math.asinh(abs(p - q) / (2.0 * math.sqrt(p.imag * q.imag)))
 
 
@@ -213,7 +209,7 @@ def direction(x: complex, y: complex) -> float:
     is monotone along a semicircle, so the ray ends on the side of y.  Of
     the endpoints c +- r, the larger in modulus is c + sign(c) r, and the
     other their product c^2 - r^2 divided by it, which does not cancel."""
-    if abs(x.real - y.real) <= 1e-12 * (1.0 + abs(x) + abs(y.real)):
+    if x.real == y.real:
         return INF if y.imag > x.imag else x.real
     nx, ny, dx = abs(x) ** 2, abs(y) ** 2, x.real - y.real
     c = (nx - ny) / (2.0 * dx)
@@ -302,7 +298,7 @@ def tits(x1: float, x2: float, tol: float) -> float:
 
 # the visual metric: the distance between the ray points at radius r0
 boundary_chart = ray_point
-chart_dist = fine_dist
+chart_dist = dist
 
 
 # -- samplers -----------------------------------------------------------------

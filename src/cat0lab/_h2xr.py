@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _h2
 from ._random import uniform
-from .errors import UsageError
+from .errors import UsageError, finite
 
 HALF_PI = math.pi / 2.0
 
@@ -35,11 +35,11 @@ TITS_BALL_TRIVIAL = False
 # -- values and codecs --------------------------------------------------------
 
 def point(x: float, y: float, height: float):
-    return (_h2.point(x, y), float(height))
+    return (_h2.point(x, y), finite(height))
 
 
 def isometry(matrix, shift: float):
-    return (_h2.isometry(*matrix), float(shift))
+    return (_h2.isometry(*matrix), finite(shift))
 
 
 def isometry_key(g, r):
@@ -78,10 +78,6 @@ def dist(p, q) -> float:
     return math.hypot(_h2.dist(p[0], q[0]), p[1] - q[1])
 
 
-def fine_dist(p, q) -> float:
-    return math.hypot(_h2.fine_dist(p[0], q[0]), p[1] - q[1])
-
-
 def ray_point(x, b, t: float):
     xi, alpha = b
     if xi is None:
@@ -92,7 +88,7 @@ def ray_point(x, b, t: float):
 
 def direction(x, y):
     """Boundary direction of the ray from x through y (x != y)."""
-    dh = _h2.fine_dist(x[0], y[0])
+    dh = _h2.dist(x[0], y[0])
     dv = y[1] - x[1]
     if dh == 0.0:
         return (None, HALF_PI if dv > 0 else -HALF_PI)
@@ -194,7 +190,7 @@ def tits(b1, b2, tol: float) -> float:
 
 # the visual metric: the distance between the ray points at radius r0
 boundary_chart = ray_point
-chart_dist = fine_dist
+chart_dist = dist
 
 
 def boundary(xi, alpha: float):
@@ -205,7 +201,7 @@ def boundary(xi, alpha: float):
         return (None, alpha)
     if xi is None:
         raise UsageError("a horizontal component is required unless the slope is +-pi/2")
-    return (float(xi), float(alpha))
+    return (_h2.boundary(xi), alpha)
 
 
 # -- samplers -----------------------------------------------------------------

@@ -83,9 +83,6 @@ def dist(u: str, v: str) -> int:
     return len(u) + len(v) - 2 * lcp(u, v)
 
 
-fine_dist = dist
-
-
 def as_step(t: float) -> int:
     """Integer cast for a tree arclength parameter; rejects fractional values."""
     k = round(t)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the constructors' `finite`."""
+
+import math
 
 
 class UsageError(ValueError):
@@ -16,3 +18,11 @@ class DistributionError(UsageError):
 class UncertifiedError(RuntimeError):
     """A theorem-grade estimator was fed a distribution whose hypotheses
     were not certified and no override was given."""
+
+
+def finite(x) -> float:
+    """x as a float, or UsageError if it is NaN or infinite."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise UsageError(f"coordinates must be finite, not {x}")
+    return x

@@ -16,7 +16,6 @@ from .models import (
     BoundaryPoint,
     Model,
     Point,
-    points_equal,
     same_model,
 )
 
@@ -37,7 +36,7 @@ def geodesic_point(p: Point, q: Point, t: float) -> Point:
     if t < -TOLERANCE or t > d + TOLERANCE:
         raise UsageError(f"parameter {t} outside [0, {d}]")
     t = min(max(t, 0.0), d)
-    if t == 0.0 or points_equal(p, q):
+    if t == 0.0 or d <= TOLERANCE:
         return p
     return ray_point(p, direction(p, q), t)
 
@@ -63,6 +62,6 @@ def direction(x: Point, y: Point) -> BoundaryPoint:
     """Boundary coordinate of the ray from x through y, two points that
     `points_equal` calls distinct."""
     kernel = KERNELS[same_model(x, y)]
-    if kernel.fine_dist(x.data, y.data) <= TOLERANCE:
+    if kernel.dist(x.data, y.data) <= TOLERANCE:
         raise UsageError("direction needs two distinct points")
     return BoundaryPoint(x.model, kernel.direction(x.data, y.data))

@@ -16,8 +16,10 @@ needs to know which model it runs on.  A kernel module executes on its
 first attribute access (`importlib.util.LazyLoader`), so a run executes
 only the kernels of the models it uses.
 
-Values are immutable.  All approximate comparisons in the package use the
-one fixed tolerance `TOLERANCE`; no run can change it.
+Values are immutable, and their constructors reject NaN and infinite
+coordinates.  Each kernel has one metric, `dist`, and point equality reads
+it.  All approximate comparisons in the package use the one fixed tolerance
+`TOLERANCE`; no run can change it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
-from .errors import UsageError
+from .errors import UsageError, finite
 
 TOLERANCE = 1e-9
 ISOMETRY_KEY_DIGITS = 9  # decimal places an isometry key keeps of each entry
@@ -143,7 +145,7 @@ def h2xr_isometry(matrix, shift: float) -> Isometry:
     if isinstance(matrix, Isometry):
         if matrix.model is not Model.H2:
             raise UsageError("the horizontal part must be an H2 isometry")
-        return Isometry(Model.H2xR, (matrix.data, float(shift)))
+        return Isometry(Model.H2xR, (matrix.data, finite(shift)))
     return Isometry(Model.H2xR, _h2xr.isometry(matrix, shift))
 
 
@@ -166,10 +168,9 @@ def same_model(*tagged) -> Model:
 # -- equality with tolerance ---------------------------------------------------
 
 def points_equal(p: Point, q: Point, tol: float = TOLERANCE) -> bool:
-    """d(p, q) <= tol: equality by the metric, so isometries preserve it.
-    d is the kernel's `fine_dist`, which keeps the digits of a short distance."""
+    """d(p, q) <= tol: equality by the metric, so isometries preserve it."""
     model = same_model(p, q)
-    return KERNELS[model].fine_dist(p.data, q.data) <= tol
+    return KERNELS[model].dist(p.data, q.data) <= tol
 
 
 def boundary_points_equal(b1: BoundaryPoint, b2: BoundaryPoint, tol: float = TOLERANCE) -> bool:

@@ -32,6 +32,10 @@ from references import comparison_angle, project_to_ball
 
 def test_h2_vertical_distance_is_log_ratio():
     assert distance(h2_point(0, 1), h2_point(0, math.e)) == pytest.approx(1.0)
+    # and a far horizontal pair, whose squared difference 1e320 overflows
+    far = 2.0 * math.asinh(5e159)
+    assert distance(h2_point(0, 1), h2_point(1e160, 1)) == pytest.approx(far)
+    assert distance(h2xr_point(0, 1, 0), h2xr_point(1e160, 1, 0)) == pytest.approx(far)
 
 
 def test_h2_distance_matches_arclength_quadrature():
@@ -70,9 +74,10 @@ def test_distance_zero_iff_equal(rng):
         assert distance(p, p) == 0.0
         if p.data != q.data:
             assert distance(p, q) > 0
-    # 1e-8 apart, where acosh(1 + x) rounds to 0: equality reads the metric
-    # without that floor
+    # 1e-8 apart, where an acosh form acosh(1 + x) of the metric rounds to
+    # 0: the distance and equality keep its digits
     p, q = h2_point(0, 1), h2_point(1e-8, 1)
+    assert distance(p, q) == pytest.approx(1e-8, rel=1e-12)
     assert not points_equal(p, q, 1e-12)
     assert points_equal(p, q, 1.1e-8)
     assert not points_equal(h2xr_point(0, 1, 0), h2xr_point(1e-8, 1, 0), 1e-12)
@@ -284,7 +289,7 @@ def test_direction_needs_distinct_points():
 
 
 def test_direction_takes_points_that_points_equal_calls_distinct():
-    # 1e-8 apart, where the acosh form of the distance reads 0: the ray
+    # 1e-8 apart, where an acosh form of the distance reads 0: the ray
     # runs along the unit circle toward 1
     x, y = h2_point(0, 1), h2_point(1e-8, 1)
     assert not points_equal(x, y)

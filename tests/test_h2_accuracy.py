@@ -222,15 +222,17 @@ def test_a_geodesic_to_a_far_point_ends_at_it():
     p, q = h2_point(0, 1), h2_point(1e8, 1)
     d = distance(p, q)
     for end in (geodesic_point(p, q, d), ray_point(p, direction(p, q), d)):
-        assert _h2.fine_dist(end.data, q.data) <= 1e-7
+        assert _h2.dist(end.data, q.data) <= 1e-7
 
 
 def test_direction_keeps_the_digits_of_a_small_endpoint():
     # x and y at scales 1e-8 to 1e8, and two rays whose small endpoint a
     # difference c - r of the large circle read 7.6e-6 and 0.25 off: from i
-    # toward 1e-6 + 1e-9 i, and from 1e8 + i toward i
+    # toward 1e-6 + 1e-9 i, and from 1e8 + i toward i; and two nearly
+    # vertical rays, from i toward 1e-13 + 0.5 i and toward -1e-13 + 2 i,
+    # whose endpoints 1.3e-13 and -3e13 a vertical reading gets wrong
     rng = np.random.default_rng(2701)
-    cases = [(1j, 1e-6 + 1e-9j), (1e8 + 1j, 1j)]
+    cases = [(1j, 1e-6 + 1e-9j), (1e8 + 1j, 1j), (1j, 1e-13 + 0.5j), (1j, -1e-13 + 2j)]
     for _ in range(2000):
         x, y = (complex(rng.uniform(-1, 1), math.exp(rng.uniform(-3, 3)))
                 * 10.0 ** rng.uniform(-8, 8) for _ in range(2))

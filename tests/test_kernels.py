@@ -46,7 +46,7 @@ TABLE = (
     "boundary_eq", "isometry_key", "point_from_json", "boundary_to_json",
     "boundary_from_json", "isometry_to_json", "isometry_from_json",
     # geometry
-    "dist", "fine_dist", "ray_point", "direction", "horofunction",
+    "dist", "ray_point", "direction", "horofunction",
     "busemann_limit",
     # the group and axes
     "apply", "apply_boundary", "compose", "inverse", "classify", "axis_endpoints",
@@ -360,14 +360,14 @@ def test_sample_terminals_are_the_single_path_ends_across_path_blocks(model):
 
 def _metric_by_ray_points(x, a, b):
     # the per-pair metric the boundary charts replaced, kept as the reference:
-    # the distance between the ray points at radius 1, read by `fine_dist`
+    # the distance between the ray points at radius 1, read by `dist`
     # (Gromov products on T4)
     kernel = KERNELS[x.model]
     if x.model is Model.T4:
         g = _t4.gromov_product(x.data, a.data, b.data)
         return 0.0 if math.isinf(g) else math.exp(-g)
-    return kernel.fine_dist(kernel.ray_point(x.data, a.data, 1.0),
-                            kernel.ray_point(x.data, b.data, 1.0))
+    return kernel.dist(kernel.ray_point(x.data, a.data, 1.0),
+                       kernel.ray_point(x.data, b.data, 1.0))
 
 
 @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)

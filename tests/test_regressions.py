@@ -4,7 +4,7 @@ walks whose every path returns, repeated
 checkpoints, configs that fail mid-sweep, seeds, checkpoints and integer
 params out of range, long H2 products and their JSON round trip, the
 Busemann limit oracle at large t, one rank-one audit per run, bin schemes
-with no arcs, package modules with no scipy import, and a CLI import that
+with no arcs, constructors given NaN or infinite coordinates, package modules with no scipy import, and a CLI import that
 loads no mpmath, fractions or decimal and executes no kernel."""
 
 import ast
@@ -29,9 +29,13 @@ from cat0lab import (
     UsageError,
     apply_boundary,
     convergence_profile,
+    e2_boundary,
+    e2_isometry,
+    e2_point,
     h2_boundary,
     h2_isometry,
     h2_point,
+    h2xr_boundary,
     h2xr_isometry,
     h2xr_point,
     hitting_measure,
@@ -463,6 +467,24 @@ def test_bin_schemes_without_arcs_fail_at_construction(make):
     # index_of divides by the arc count, so a scheme needs at least one arc
     with pytest.raises(UsageError):
         make()
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("make, args", [
+    (h2_point, (NAN, 1)), (h2_point, (INF, 1)), (h2_point, (0, INF)),
+    (e2_point, (NAN, 0)), (e2_point, (INF, 0)), (h2xr_point, (0, 1, NAN)),
+    (h2_boundary, (NAN,)), (e2_boundary, (NAN,)), (e2_boundary, (INF,)),
+    (h2xr_boundary, (NAN, 0.3)), (h2_isometry, (INF, 0, 0, 1)),
+    (e2_isometry, (NAN, (0, 0))), (e2_isometry, (0, (NAN, 0))),
+    (h2xr_isometry, ([1, 0, 0, 1], NAN)), (h2xr_isometry, (h2_isometry(1, 0, 0, 1), NAN)),
+], ids=lambda v: v.__name__ if callable(v) else "")
+def test_constructors_reject_non_finite_coordinates(make, args):
+    # the codecs and samplers build their values through the same kernel
+    # constructors, so NaN reaches no estimator
+    with pytest.raises(UsageError):
+        make(*args)
 
 
 def test_no_package_module_imports_scipy():
