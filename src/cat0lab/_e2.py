@@ -52,7 +52,8 @@ def boundary(theta: float) -> float:
 
 
 def isometry(angle: float, v) -> tuple[float, complex]:
-    return (wrap_angle(finite(angle)), complex(finite(v[0]), finite(v[1])))
+    x, y = v
+    return (wrap_angle(finite(angle)), complex(finite(x), finite(y)))
 
 
 def boundary_eq(theta1: float, theta2: float, tol: float) -> bool:
@@ -65,8 +66,7 @@ def isometry_key(g, r):
 
 
 def point_from_json(obj: dict) -> complex:
-    c = obj["coords"]
-    return point(c[0], c[1])
+    return point(*obj["coords"])
 
 
 def boundary_to_json(theta: float) -> dict:
@@ -75,11 +75,6 @@ def boundary_to_json(theta: float) -> dict:
 
 def boundary_from_json(obj: dict) -> float:
     return boundary(obj["theta"])
-
-
-def isometry_to_json(g) -> dict:
-    a, v = g
-    return {"angle": a, "v": [v.real, v.imag]}
 
 
 def isometry_from_json(payload: dict):

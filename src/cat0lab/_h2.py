@@ -17,8 +17,9 @@ Products of many isometries leave the float64 range long before desk-scale
 walk lengths are exhausted, so a walk keeps its product as a float matrix
 with a separate power-of-two exponent, rescaled exactly every few steps.
 The stored steps read it as a Frobenius-normalised matrix with a log-scale
-factor (`State` tuples below), and all orbit statistics (distance to
-basepoint, horofunctions, positions) are extracted from that
+factor (`State` tuples below), and all orbit statistics (the distance to
+the basepoint, and the orbit points and horofunction values that
+`snapshot_point` and `snapshot_horofunction` read) are extracted from that
 representation in log space.
 
 This module is the H2 entry of the kernel table in `models.KERNELS`; see
@@ -37,6 +38,7 @@ from .errors import DomainError, UsageError, finite
 INF = math.inf
 _TINY = 5e-324  # smallest positive subnormal: floor for imaginary parts
 _HUGE = math.nextafter(INF, 0.0)  # largest finite float: ceiling for imaginary parts
+_NORMAL = 2.0 ** -1022  # smallest positive normal float
 
 Mat = tuple[float, float, float, float]
 
@@ -82,20 +84,24 @@ def boundary(xi: float) -> float:
 
 
 def isometry(a: float, b: float, c: float, d: float) -> Mat:
-    a, b, c, d = float(a), float(b), float(c), float(d)
-    det = a * d - b * c
-    if not det > 0:
-        # the float products cancel on large entries, such as those of a
-        # long product of normalised matrices; decide on the exact value
-        if all(map(math.isfinite, (a, b, c, d))):
+    m = (float(a), float(b), float(c), float(d))
+    det = m[0] * m[3] - m[1] * m[2]
+    if not _NORMAL <= det < INF:
+        # the float products overflow, underflow, or cancel on large entries
+        # such as those of a long product of normalised matrices: scale the
+        # entries by the power of two of the largest, which is exact and
+        # leaves the normalised matrix as it is, and decide on the exact value
+        if all(map(math.isfinite, m)) and any(m):
             from fractions import Fraction
 
-            det = float(Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c))
+            k = math.frexp(max(map(abs, m)))[1]
+            m = tuple(math.ldexp(e, -k) for e in m)
+            det = float(Fraction(m[0]) * Fraction(m[3]) - Fraction(m[1]) * Fraction(m[2]))
         if not det > 0:
             raise UsageError("matrix must have positive determinant")
     s = 1.0 / math.sqrt(det)
     # a NaN entry fails the determinant test, but an infinite one can pass it
-    return sign_normalize(tuple(finite(e) * s for e in (a, b, c, d)))
+    return sign_normalize(tuple(finite(e) * s for e in m))
 
 
 def boundary_eq(x1: float, x2: float, tol: float) -> bool:
@@ -121,8 +127,7 @@ def num_in(x) -> float:
 
 
 def point_from_json(obj: dict) -> complex:
-    c = obj["coords"]
-    return point(c[0], c[1])
+    return point(*obj["coords"])
 
 
 def boundary_to_json(xi: float) -> dict:
@@ -131,10 +136,6 @@ def boundary_to_json(xi: float) -> dict:
 
 def boundary_from_json(obj: dict) -> float:
     return boundary(num_in(obj["xi"]))
-
-
-def isometry_to_json(g: Mat) -> dict:
-    return {"matrix": list(g)}
 
 
 def isometry_from_json(payload: dict) -> Mat:
@@ -146,7 +147,7 @@ def mobius(m: Mat, z: complex) -> complex:
     return (a * z + b) / (c * z + d)
 
 
-def mobius_boundary(m: Mat, xi: float) -> float:
+def apply_boundary(m: Mat, xi: float) -> float:
     a, b, c, d = m
     if math.isinf(xi):
         return a / c if c != 0.0 else INF
@@ -161,9 +162,6 @@ def apply(m: Mat, z: complex) -> complex:
     if not w.imag > 0:
         w = complex(w.real, _TINY)
     return w
-
-
-apply_boundary = mobius_boundary
 
 
 def compose(g: Mat, h: Mat) -> Mat:
@@ -247,7 +245,7 @@ def kind(m: Mat, tol: float) -> str:
     return "axial"
 
 
-def fixed_points(m: Mat, tol: float) -> tuple[float, float]:
+def axis_endpoints(m: Mat, tol: float) -> tuple[float, float]:
     """Boundary fixed points of an axial matrix, as (repelling, attracting):
     the roots q / c (infinity when c = 0) and -b / q of c z^2 + (d - a) z - b,
     with q = ((a - d) + sign(a - d) disc) / 2, disc^2 = (a - d)^2 + 4 b c, so
@@ -285,9 +283,6 @@ def horofunction(xi: float, x: complex, z: complex) -> float:
 def classify(m: Mat, tol: float) -> tuple[str, float]:
     k = kind(m, tol)
     return k, (translation_length(m) if k == "axial" else 0.0)
-
-
-axis_endpoints = fixed_points
 
 
 # -- boundary -----------------------------------------------------------------
@@ -435,7 +430,7 @@ def state_position(st: State, x: complex) -> tuple[float, float]:
     return re, log_im
 
 
-def state_point(st: State, x: complex) -> complex:
+def snapshot_point(st: State, x: complex) -> complex:
     re, log_im = state_position(st, x)
     im = math.exp(log_im) if log_im > -744.0 else _TINY
     return complex(re, max(im, _TINY))
@@ -450,7 +445,7 @@ def _log_add(la: float, lb: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
-def state_horofunction(st: State, x: complex, xi: float) -> float:
+def snapshot_horofunction(st: State, x: complex, xi: float) -> float:
     """h_xi with basepoint x, evaluated at the orbit point of x."""
     re, log_im = state_position(st, x)
     if math.isinf(xi):
@@ -472,7 +467,7 @@ def orbit(atoms, base: complex, increments, stored, xi=None):
     period = renorm_period(atoms)
     p, e = IDENTITY, 0
     st = snapshot(p, e)
-    dists, reads = [], [st if xi is None else state_horofunction(st, base, xi)]
+    dists, reads = [], [st if xi is None else snapshot_horofunction(st, base, xi)]
     ahead = iter(stored)
     due = next(ahead, 0)
     for k, i in enumerate(increments, start=1):
@@ -482,7 +477,7 @@ def orbit(atoms, base: complex, increments, stored, xi=None):
         if k == due:
             st = snapshot(p, e)
             dists.append(state_dist_to_base(st, frame))
-            reads.append(st if xi is None else state_horofunction(st, base, xi))
+            reads.append(st if xi is None else snapshot_horofunction(st, base, xi))
             due = next(ahead, 0)
     return dists, reads
 
@@ -515,12 +510,8 @@ def orbit_paths(atoms, base: complex, increments):
     return [state_dist_to_base(snap, frame) for snap in snaps], snaps
 
 
-snapshot_point = state_point
-snapshot_horofunction = state_horofunction
-
-
 def snapshot_boundary(st: State, x: complex, xi: float) -> float:
-    return mobius_boundary(st[0], xi)
+    return apply_boundary(st[0], xi)
 
 
 def tracking_gaps(atoms, increments, snaps, base: complex, lam: float) -> dict:

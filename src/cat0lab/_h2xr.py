@@ -48,8 +48,7 @@ def isometry_key(g, r):
 
 
 def point_from_json(obj: dict):
-    c = obj["coords"]
-    return point(c[0], c[1], c[2])
+    return point(*obj["coords"])
 
 
 def boundary_to_json(b) -> dict:
@@ -60,11 +59,6 @@ def boundary_to_json(b) -> dict:
 def boundary_from_json(obj: dict):
     xi = obj["xi"]
     return boundary(None if xi is None else _h2.num_in(xi), obj["alpha"])
-
-
-def isometry_to_json(g) -> dict:
-    m, s = g
-    return {"matrix": list(m), "shift": s}
 
 
 def isometry_from_json(payload: dict):
@@ -129,7 +123,7 @@ def apply_boundary(iso, b):
     xi, alpha = b
     if xi is None:
         return b
-    return (_h2.mobius_boundary(iso[0], xi), alpha)
+    return (_h2.apply_boundary(iso[0], xi), alpha)
 
 
 def compose(g, h):
@@ -155,7 +149,7 @@ def classify(g, tol: float) -> tuple[str, float]:
 def axis_endpoints(g, tol: float):
     mat, shift = g
     if _h2.kind(mat, tol) == "axial":
-        am, ap = _h2.fixed_points(mat, tol)
+        am, ap = _h2.axis_endpoints(mat, tol)
         alpha = math.atan2(shift, _h2.translation_length(mat))
         return (am, -alpha), (ap, alpha)
     s = HALF_PI if shift > 0 else -HALF_PI
@@ -310,7 +304,7 @@ def orbit_paths(atoms, base, increments):
 
 def snapshot_point(snap, base):
     st, h = snap
-    return (_h2.state_point(st, base[0]), base[1] + h)
+    return (_h2.snapshot_point(st, base[0]), base[1] + h)
 
 
 def snapshot_boundary(snap, base, b):
@@ -333,7 +327,7 @@ def _horofunction(b, h2_value, height: float) -> float:
 def snapshot_horofunction(snap, base, b) -> float:
     st, h = snap
     xi = b[0]
-    return _horofunction(b, None if xi is None else _h2.state_horofunction(st, base[0], xi), h)
+    return _horofunction(b, None if xi is None else _h2.snapshot_horofunction(st, base[0], xi), h)
 
 
 def tracking_gaps(atoms, increments, snaps, base, lam: float) -> dict:

@@ -4,7 +4,9 @@ Vertices of the 4-regular tree are freely reduced words over "aAbB"
 (capital = inverse letter).  The model is vertex granular: distances are
 integers and geodesics are evaluated at integer parameters only.  Boundary
 points are eventually periodic infinite reduced words stored as
-(prefix, period) pairs.
+(prefix, period) pairs.  Every word the kernel takes or builds is reduced
+(`point` and `isometry` reduce, `boundary` validates), so `mul` cancels
+only where its two words meet.
 
 This module is the T4 entry of the kernel table in `models.KERNELS`; see
 `_e2` for the shared function names.
@@ -55,16 +57,8 @@ def inv_word(word: str) -> str:
 
 
 def mul(u: str, v: str) -> str:
-    """u v with each letter of v cancelling the last letter so far when it
-    is its inverse.  A reduced v cancels only where the two words meet."""
-    if not is_reduced(v):
-        out = list(u)
-        for ch in v:
-            if out and out[-1] == inv_letter(ch):
-                out.pop()
-            else:
-                out.append(ch)
-        return "".join(out)
+    """The reduced word of u v for reduced u and v: they cancel only where
+    they meet."""
     k = 0
     while k < min(len(u), len(v)) and u[-1 - k] == inv_letter(v[k]):
         k += 1
@@ -260,10 +254,6 @@ def boundary_from_json(obj: dict) -> tuple[str, str]:
         # a bare prefix denotes the canonical continuation of its last letter
         period = word[-1] if word else "a"
     return boundary(word, period)
-
-
-def isometry_to_json(g: str) -> dict:
-    return {"word": g}
 
 
 def isometry_from_json(payload: dict) -> str:

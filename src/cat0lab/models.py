@@ -1,4 +1,4 @@
-"""Model-tagged value types and their JSON codecs.
+"""Model-tagged value types and their JSON readers.
 
 Four explicit model spaces are supported:
 
@@ -188,7 +188,7 @@ def isometry_key(g: Isometry):
     return KERNELS[g.model].isometry_key(g.data, r)
 
 
-# -- JSON codecs ---------------------------------------------------------------
+# -- JSON: readers, and the writer of boundary points -------------------------
 
 def point_from_json(obj: dict) -> Point:
     model = Model(obj["model"])
@@ -202,10 +202,6 @@ def boundary_to_json(b: BoundaryPoint) -> dict:
 def boundary_from_json(obj: dict) -> BoundaryPoint:
     model = Model(obj["model"])
     return BoundaryPoint(model, KERNELS[model].boundary_from_json(obj))
-
-
-def isometry_to_json(g: Isometry) -> dict:
-    return {"model": g.model.value, "payload": KERNELS[g.model].isometry_to_json(g.data)}
 
 
 def isometry_from_json(obj: dict) -> Isometry:

@@ -184,9 +184,6 @@ class BinScheme(NamedTuple):
             raise UsageError("boundary point model does not match the bin scheme")
         return KERNELS[self.model].bin_index(self.params, b.data)
 
-    def sample_in_bin(self, i: int, rng) -> BoundaryPoint:
-        return BoundaryPoint(self.model, KERNELS[self.model].bin_sample(self.params, i, rng))
-
     def descriptor(self) -> dict:
         fields = dict(zip(KERNELS[self.model].BIN_FIELDS, self.params))
         return {"model": self.model.value, "kind": self.kind, **fields,

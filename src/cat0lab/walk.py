@@ -24,7 +24,7 @@ on the same bits as when `sample_walk` walks it alone.
 Hyperbolic-factor products are tracked as float matrices with a separate
 power-of-two exponent, so a step is one matrix product.  The stored steps
 read them as Frobenius-normalised matrices with a log-scale factor;
-positions, distances to the basepoint and horofunction values are extracted
+orbit points, distances to the basepoint and horofunction values are extracted
 from that state in log space, which keeps traces faithful far beyond the
 float64 coordinate range.
 """
@@ -45,7 +45,6 @@ from .models import (
     Point,
     isometry_from_json,
     isometry_key,
-    isometry_to_json,
     same_model,
 )
 from .isometry import compose, inverse
@@ -89,12 +88,6 @@ class StepDistribution:
     @property
     def isometries(self) -> tuple[Isometry, ...]:
         return tuple(g for g, _ in self.atoms)
-
-    def to_json(self) -> dict:
-        return {
-            "model": self.model.value,
-            "atoms": [{"isometry": isometry_to_json(g), "p": p} for g, p in self.atoms],
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "StepDistribution":
@@ -172,9 +165,6 @@ class WalkTrace:
 
     spec: StepDistribution
     basepoint: Point
-    seed: int
-    path_index: int
-    n: int
     increments: np.ndarray
     steps: np.ndarray
     base_distances: np.ndarray
@@ -194,10 +184,6 @@ class WalkTrace:
         """Boundary image Z_k xi under the i-th stored snapshot."""
         return BoundaryPoint(self.model, KERNELS[self.model].snapshot_boundary(
             self.snapshots[i], self.basepoint.data, xi.data))
-
-    @property
-    def positions(self) -> list[Point]:
-        return [self.point(i) for i in range(len(self.snapshots))]
 
 
 def _uniforms(seed: int, path_index: int, n: int) -> np.ndarray:
@@ -220,7 +206,7 @@ def sample_walk(spec: StepDistribution, x: Point, n: int, seed: int,
                 path_index: int = 0, steps=None, xi: BoundaryPoint | None = None) -> WalkTrace:
     """Deterministic walk realization for (spec, x, n, seed, path_index).
 
-    Snapshots (and hence positions) and distances to the basepoint are
+    Snapshots (read by `WalkTrace.point`) and distances to the basepoint are
     stored at step 0 and at the named `steps`, each in [0, n]; `None`
     names every step.  Given a boundary point `xi`, the kernel reads
     h_xi(Z_k x) at those steps inside its walk loop and no snapshot is
@@ -241,9 +227,6 @@ def sample_walk(spec: StepDistribution, x: Point, n: int, seed: int,
     return WalkTrace(
         spec=spec,
         basepoint=x,
-        seed=int(seed),
-        path_index=int(path_index),
-        n=int(n),
         increments=increments,
         steps=np.array(steps, dtype=np.int64),
         base_distances=np.array([0.0, *dists]),

@@ -279,7 +279,7 @@ def off_base_values(model: Model) -> dict:
     return {
         "base_distances": _hex(tr.base_distances),
         "horofunction": _hex(snapshot_horofunction(model, s, x, xi) for s in tr.snapshots),
-        "point": _hex(distance(o, p) for p in tr.positions),
+        "point": _hex(distance(o, tr.point(i)) for i in range(len(tr.snapshots))),
         "image": _hex(boundary_metric(x, tr.image(i, xi), xi)
                       for i in range(len(tr.snapshots))),
     }

@@ -9,6 +9,7 @@ from scipy.optimize import minimize
 from cat0lab import (
     DomainError,
     Model,
+    StepDistribution,
     _h2,
     apply,
     apply_boundary,
@@ -37,7 +38,7 @@ from cat0lab import (
     t4_isometry,
     t4_point,
 )
-from cat0lab.models import isometry_from_json, isometry_to_json
+from cat0lab.models import isometry_from_json
 from cat0lab.sampling import random_isometry, random_point
 
 from conftest import ALL_MODELS, standard_h2_pair
@@ -326,10 +327,18 @@ def test_north_south_rejects_non_rank_one():
         north_south_constant(h2xr_isometry([2, 0, 0, 0.5], 0.0), 0.1, 0.1, 10, 0)
 
 
-def test_isometry_json_roundtrip(rng):
-    for model in ALL_MODELS:
-        for _ in range(20):
-            g = random_isometry(model, rng)
-            g2 = isometry_from_json(isometry_to_json(g))
-            p = random_point(model, rng)
-            assert points_equal(apply(g, p), apply(g2, p), 1e-12)
+@pytest.mark.parametrize("model, payload, data", [
+    ("E2", {"angle": 0.5, "v": [1.5, -2]}, (0.5, complex(1.5, -2.0))),
+    ("H2", {"matrix": [2, 0, 0, 0.5]}, (2.0, 0.0, 0.0, 0.5)),
+    ("T4", {"word": "abAAa"}, "abA"),
+    ("H2xR", {"matrix": [-1, -1, -1, -2], "shift": -0.75}, ((1.0, 1.0, 1.0, 2.0), -0.75)),
+], ids=["E2", "H2", "T4", "H2xR"])
+def test_isometry_json_readers_parse_each_model(model, payload, data):
+    # the config's form of an isometry and of a step distribution's atoms
+    tagged = {"model": model, "payload": payload}
+    assert isometry_from_json(tagged).data == data
+    spec = StepDistribution.from_json(
+        {"model": model, "atoms": [{"isometry": tagged, "p": 0.25},
+                                   {"isometry": tagged, "p": 0.75}]})
+    assert spec.model is Model(model)
+    assert [(g.data, p) for g, p in spec.atoms] == [(data, 0.25), (data, 0.75)]

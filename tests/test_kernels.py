@@ -44,7 +44,7 @@ TABLE = (
     # values and codecs
     "BASEPOINT", "IDENTITY", "point", "boundary", "isometry",
     "boundary_eq", "isometry_key", "point_from_json", "boundary_to_json",
-    "boundary_from_json", "isometry_to_json", "isometry_from_json",
+    "boundary_from_json", "isometry_from_json",
     # geometry
     "dist", "ray_point", "direction", "horofunction",
     "busemann_limit",
@@ -309,8 +309,12 @@ WORDS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(u=WORDS, v=WORDS, k=st.integers(0, 40))
 def test_t4_word_readers_match_their_letter_loops(u, v, k):
+    # boundary validation reads is_reduced on words of any letters; mul
+    # takes reduced words only
     assert _t4.is_reduced(u) == _is_reduced_by_letters(u)
-    assert _t4.mul(u, v) == _mul_by_letters(u, v)
+    assert _t4.is_reduced(v) == _is_reduced_by_letters(v)
+    if _t4.is_reduced(v):
+        assert _t4.mul(u, v) == _mul_by_letters(u, v)
     # a reduced word that starts by undoing up to k letters of u
     w = _mul_by_letters("", _t4.inv_word(u)[:k] + v)
     assert _t4.mul(u, w) == _mul_by_letters(u, w)
@@ -566,7 +570,8 @@ def test_sample_in_bin_matches_its_uniform_reference(scheme):
     rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
     for _ in range(20):
         for i in range(scheme.count):
-            assert scheme.sample_in_bin(i, rng).data == _ref_sample_in_bin(scheme, i, ref_rng)
+            got = KERNELS[scheme.model].bin_sample(scheme.params, i, rng)
+            assert got == _ref_sample_in_bin(scheme, i, ref_rng)
     assert rng.random() == ref_rng.random()
 
 

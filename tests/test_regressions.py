@@ -2,7 +2,8 @@
 tracking digits that cover the dense walk, returns to the basepoint,
 walks whose every path returns, repeated
 checkpoints, configs that fail mid-sweep, seeds, checkpoints and integer
-params out of range, long H2 products and their JSON round trip, the
+params out of range, long H2 products and their JSON round trip, H2
+multiples of the identity whose determinant leaves the float range, the
 Busemann limit oracle at large t, one rank-one audit per run, bin schemes
 with no arcs, constructors given NaN or infinite coordinates, package modules with no scipy import, and a CLI import that
 loads no mpmath, fractions or decimal and executes no kernel."""
@@ -47,7 +48,7 @@ from cat0lab import (
 )
 from cat0lab import _h2, cli, stats
 from cat0lab.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, main
-from cat0lab.models import isometry_from_json, isometry_to_json
+from cat0lab.models import identity, isometry_from_json, isometry_key
 from cat0lab.walk import draw_increments
 
 from conftest import standard_h2_pair
@@ -301,13 +302,20 @@ def _assert_config_error(tmp_path, capsys, fields):
      "params": {"xi": {"model": "E2", "theta": 0.5}}},
     {"experiment": "cocycle", "basepoint": {"model": "E2", "coords": [0, 0]}},
     {"experiment": "converge", "distribution": H2_DIST, "n": 20, "checkpoints": []},
+    {"experiment": "drift", "distribution": H2_DIST, "n": 20,
+     "basepoint": {"model": "H2", "coords": [0, 1, 7]}},
+    {"experiment": "cocycle", "model": "H2xR",
+     "basepoint": {"model": "H2xR", "coords": [0, 1, 0, 7]}},
+    {"experiment": "rankone-audit", "model": "E2",
+     "distribution": _uniform_dist("E2", [{"angle": 0.0, "v": [1, 0, 9]}])},
 ], ids=["lambda-not-a-number", "eps_plus-not-a-number", "g-two-entry-matrix",
         "xi-without-model", "atoms0-without-xi", "horofunction_xi-not-a-number",
         "u_eps-nan", "second_set-a-string", "eps_plus-negative",
         "lambda-negative", "exclusion-negative", "unknown-param", "param-of-another-experiment",
         "gap-without-xi", "northsouth-without-g", "params-not-an-object", "atom-v-nan",
         "basepoint-nan", "xi-nan", "g-of-another-model", "xi-of-another-model",
-        "basepoint-of-another-model", "checkpoints-empty"])
+        "basepoint-of-another-model", "checkpoints-empty", "basepoint-three-coords",
+        "basepoint-four-coords", "atom-v-three-entries"])
 def test_config_rejects_malformed_params(tmp_path, capsys, fields):
     # the runners read these params, and the parent exited 1 with a
     # traceback on each, except on u_eps "nan", which reported "holds":
@@ -317,7 +325,8 @@ def test_config_rejects_malformed_params(tmp_path, capsys, fields):
     # read params ["ab"] as {"a": "b"}; it ran whole experiments on NaN
     # tokens and then failed to write the report, ran an H2 g on an E2
     # config, failed an E2 xi only in the runner, and ran the default
-    # checkpoints for an empty list
+    # checkpoints for an empty list; it dropped the coordinates past the
+    # model's count and ran the config
     _assert_config_error(tmp_path, capsys, fields)
 
 
@@ -400,11 +409,28 @@ def test_long_h2_product_round_trips_through_json():
     # a*d - b*c of the stored entries (about 1e12) cancels to 0.0 in floats;
     # the exact determinant is 1, so the matrix reads back unchanged
     g30 = power(h2_isometry(1, 1, 1, 2), 30)
-    assert isometry_from_json(json.loads(json.dumps(isometry_to_json(g30)))) == g30
+    payload = {"model": "H2", "payload": {"matrix": list(g30.data)}}
+    assert isometry_from_json(json.loads(json.dumps(payload))) == g30
     with pytest.raises(UsageError, match="positive determinant"):
         h2_isometry(1e12, 1e12, 1e12, 1e12)
     with pytest.raises(UsageError, match="positive determinant"):
         h2_isometry(float("nan"), 1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("lam", [1e160, 1e-160, 1e300, 1e-300])
+def test_h2_isometry_reads_a_scaled_identity_as_the_identity(lam):
+    # a*d - b*c of lam I overflows to inf (1e160, 1e300), is subnormal
+    # (1e-160) or underflows to 0.0 (1e-300): the parent raised on three and
+    # read 1e-160 I as (1.0000055664551362, 0, 0, 1.0000055664551362)
+    g = h2_isometry(lam, 0, 0, lam)
+    # the power-of-two scale is exact: the same bits as the mantissa's matrix,
+    # and, as there (m * (1/m) = 1 - 2^-53 for 1e-300's mantissa m), the
+    # identity to within one unit in the last place
+    m = math.frexp(lam)[0]
+    assert g == h2_isometry(m, 0, 0, m)
+    assert g.data == pytest.approx(_h2.IDENTITY, abs=2.0 ** -52)
+    assert isometry_key(g) == isometry_key(identity(Model.H2))
+    assert h2xr_isometry((lam, 0, 0, lam), 0.5) == h2xr_isometry(g, 0.5)
 
 
 def test_pi_convergence_runs_a_non_diagonal_h2_generator(tmp_path):

@@ -56,7 +56,7 @@ def test_admissibility_needs_depth():
 def test_zero_step_walk(t4_uniform):
     tr = sample_walk(t4_uniform, t4_point(""), 0, 5)
     assert list(tr.steps) == [0]
-    assert tr.positions[0].data == ""
+    assert tr.point(0).data == ""
     assert tr.base_distances.tolist() == [0.0]
 
 
@@ -82,7 +82,7 @@ def test_increment_displacement_multiset(t4_uniform, h2_spec):
     # consecutive-position distances match the atom displacements exactly
     x = t4_point("")
     tr = sample_walk(t4_uniform, x, 120, 9)
-    pos = tr.positions
+    pos = [tr.point(i) for i in range(121)]
     walked = [distance(pos[k], pos[k + 1]) for k in range(120)]
     atoms = [apply(g, x) for g in t4_uniform.isometries]
     expected = [distance(x, atoms[i]) for i in tr.increments]
@@ -91,7 +91,7 @@ def test_increment_displacement_multiset(t4_uniform, h2_spec):
     # float positions resolve consecutive displacements only at shallow depth
     xh = h2_point(0, 1)
     trh = sample_walk(h2_spec, xh, 25, 9)
-    posh = trh.positions
+    posh = [trh.point(i) for i in range(26)]
     walkedh = sorted(distance(posh[k], posh[k + 1]) for k in range(25))
     expectedh = sorted(distance(xh, apply(h2_spec.isometries[i], xh))
                        for i in trh.increments)
@@ -104,7 +104,7 @@ def test_positions_follow_left_products(t4_uniform):
     z = identity(Model.T4)
     for k in range(1, 41):
         z = compose(z, t4_uniform.isometries[int(tr.increments[k - 1])])
-        assert points_equal(tr.positions[k], apply(z, x))
+        assert points_equal(tr.point(k), apply(z, x))
 
 
 def test_base_distance_matches_positions(h2_spec):
@@ -112,7 +112,7 @@ def test_base_distance_matches_positions(h2_spec):
     tr = sample_walk(h2_spec, x, 150, 4)
     for k in (10, 60, 150):
         assert tr.base_distances[k] == pytest.approx(
-            distance(x, tr.positions[k]), abs=1e-7)
+            distance(x, tr.point(k)), abs=1e-7)
 
 
 def test_thinning_keeps_endpoints(h2_spec):
@@ -145,15 +145,6 @@ def test_subadditivity_in_expectation(t4_uniform):
         second, se_s = mean_dist(m_len, 3)
         bound = first + second + 3 * math.sqrt(se_t ** 2 + se_f ** 2 + se_s ** 2)
         assert total <= bound
-
-
-def test_distribution_json_roundtrip(h2_spec):
-    spec2 = StepDistribution.from_json(h2_spec.to_json())
-    assert spec2.model is Model.H2
-    x = h2_point(0.2, 0.9)
-    for (g1, p1), (g2, p2) in zip(h2_spec.atoms, spec2.atoms):
-        assert p1 == p2
-        assert points_equal(apply(g1, x), apply(g2, x), 1e-12)
 
 
 def test_draw_increments_matches_probabilities():
