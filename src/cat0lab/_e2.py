@@ -7,7 +7,8 @@ z -> e^{i a} z + v.  Only orientation-preserving isometries are modelled.
 Like `_h2`, `_t4` and `_h2xr`, this module is one entry of the kernel table
 in `models.KERNELS`: the public functions unwrap their model-tagged
 arguments, call the function of the same name here on the raw payloads, and
-re-tag the result.
+re-tag the result.  `models` reads a JSON boundary object and isometry
+payload by passing their keys to `boundary` and `isometry` as arguments.
 """
 
 from __future__ import annotations
@@ -71,14 +72,6 @@ def point_from_json(obj: dict) -> complex:
 
 def boundary_to_json(theta: float) -> dict:
     return {"theta": theta}
-
-
-def boundary_from_json(obj: dict) -> float:
-    return boundary(obj["theta"])
-
-
-def isometry_from_json(payload: dict):
-    return isometry(payload["angle"], payload["v"])
 
 
 # -- geometry -----------------------------------------------------------------

@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from ._random import uniform
-from .errors import DomainError, UsageError, finite
+from .errors import DomainError, UsageError, finite, real
 
 INF = math.inf
 _TINY = 5e-324  # smallest positive subnormal: floor for imaginary parts
@@ -76,15 +76,17 @@ def point(x: float, y: float) -> complex:
     return complex(finite(x), y)
 
 
-def boundary(xi: float) -> float:
-    xi = float(xi)
+def boundary(xi) -> float:
+    # JSON has no infinity: a boundary object names the point "inf" or "-inf"
+    xi = real(float(xi) if xi in ("inf", "-inf") else xi)
     if math.isnan(xi):  # +-inf both stand for the point at infinity
         raise UsageError("a boundary point must be a real number or infinity")
     return xi
 
 
-def isometry(a: float, b: float, c: float, d: float) -> Mat:
-    m = (float(a), float(b), float(c), float(d))
+def isometry(matrix) -> Mat:
+    a, b, c, d = matrix
+    m = (real(a), real(b), real(c), real(d))
     det = m[0] * m[3] - m[1] * m[2]
     if not _NORMAL <= det < INF:
         # the float products overflow, underflow, or cancel on large entries
@@ -120,26 +122,12 @@ def num_out(x: float):
     return x
 
 
-def num_in(x) -> float:
-    if isinstance(x, str):
-        return INF if x == "inf" else -INF if x == "-inf" else float(x)
-    return float(x)
-
-
 def point_from_json(obj: dict) -> complex:
     return point(*obj["coords"])
 
 
 def boundary_to_json(xi: float) -> dict:
     return {"xi": num_out(xi)}
-
-
-def boundary_from_json(obj: dict) -> float:
-    return boundary(num_in(obj["xi"]))
-
-
-def isometry_from_json(payload: dict) -> Mat:
-    return isometry(*payload["matrix"])
 
 
 def mobius(m: Mat, z: complex) -> complex:
@@ -316,7 +304,7 @@ def random_point(rng) -> complex:
 
 
 def random_isometry(rng) -> Mat:
-    return isometry(*random_sl2(rng))
+    return isometry(random_sl2(rng))
 
 
 def random_boundary(rng) -> float:

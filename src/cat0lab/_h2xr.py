@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _h2
 from ._random import uniform
-from .errors import UsageError, finite
+from .errors import UsageError, finite, real
 
 HALF_PI = math.pi / 2.0
 
@@ -39,7 +39,7 @@ def point(x: float, y: float, height: float):
 
 
 def isometry(matrix, shift: float):
-    return (_h2.isometry(*matrix), finite(shift))
+    return (_h2.isometry(matrix), finite(shift))
 
 
 def isometry_key(g, r):
@@ -54,15 +54,6 @@ def point_from_json(obj: dict):
 def boundary_to_json(b) -> dict:
     xi, alpha = b
     return {"xi": None if xi is None else _h2.num_out(xi), "alpha": alpha}
-
-
-def boundary_from_json(obj: dict):
-    xi = obj["xi"]
-    return boundary(None if xi is None else _h2.num_in(xi), obj["alpha"])
-
-
-def isometry_from_json(payload: dict):
-    return isometry(payload["matrix"], payload["shift"])
 
 
 # -- geometry -----------------------------------------------------------------
@@ -188,7 +179,7 @@ chart_dist = dist
 
 
 def boundary(xi, alpha: float):
-    alpha = float(alpha)
+    alpha = real(alpha)
     if not -HALF_PI <= alpha <= HALF_PI:
         raise UsageError("slope must lie in [-pi/2, pi/2]")
     if abs(alpha) == HALF_PI:

@@ -4,9 +4,9 @@ Vertices of the 4-regular tree are freely reduced words over "aAbB"
 (capital = inverse letter).  The model is vertex granular: distances are
 integers and geodesics are evaluated at integer parameters only.  Boundary
 points are eventually periodic infinite reduced words stored as
-(prefix, period) pairs.  Every word the kernel takes or builds is reduced
-(`point` and `isometry` reduce, `boundary` validates), so `mul` cancels
-only where its two words meet.
+(prefix, period) pairs, built by `boundary(word, periodic)`.  Every word
+the kernel takes or builds is reduced (`point` and `isometry` reduce,
+`boundary` validates), so `mul` cancels only where its two words meet.
 
 This module is the T4 entry of the kernel table in `models.KERNELS`; see
 `_e2` for the shared function names.
@@ -33,6 +33,8 @@ def inv_letter(ch: str) -> str:
 
 
 def reduce_word(word: str) -> str:
+    if not isinstance(word, str):
+        raise UsageError(f"a word must be a string, not {word!r}")
     out: list[str] = []
     for ch in word:
         if ch not in ALPHABET:
@@ -88,6 +90,8 @@ def as_step(t: float) -> int:
 # -- boundary words: (prefix, period) ---------------------------------------
 
 def validate_boundary(prefix: str, period: str) -> tuple[str, str]:
+    if not (isinstance(prefix, str) and isinstance(period, str)):
+        raise UsageError("a boundary word and its period must be strings")
     if not period:
         raise UsageError("boundary word needs a nonempty periodic tail")
     if not is_reduced(prefix):
@@ -231,8 +235,12 @@ def horofunction(b: tuple[str, str], x: str, z: str) -> int:
 # -- values and codecs --------------------------------------------------------
 
 point = reduce_word
-boundary = validate_boundary
 isometry = reduce_word
+
+
+def boundary(word: str, periodic: str | None = None) -> tuple[str, str]:
+    # a bare word denotes the canonical continuation of its last letter
+    return validate_boundary(word, (word[-1:] or "a") if periodic is None else periodic)
 
 
 def isometry_key(g: str, r):
@@ -245,19 +253,6 @@ def point_from_json(obj: dict) -> str:
 
 def boundary_to_json(b: tuple[str, str]) -> dict:
     return {"word": b[0], "periodic": b[1]}
-
-
-def boundary_from_json(obj: dict) -> tuple[str, str]:
-    word = obj["word"]
-    period = obj.get("periodic")
-    if period is None:
-        # a bare prefix denotes the canonical continuation of its last letter
-        period = word[-1] if word else "a"
-    return boundary(word, period)
-
-
-def isometry_from_json(payload: dict) -> str:
-    return isometry(payload["word"])
 
 
 # -- geometry at integer parameters -------------------------------------------

@@ -109,3 +109,19 @@ def sample_boundary(model: Model, count: int, rng) -> list[BoundaryPoint]:
     rng = generator(rng)
     kernel = KERNELS[model]
     return [BoundaryPoint(model, kernel.random_boundary(rng)) for _ in range(count)]
+
+
+def sample_boundary_away(x: Point, avoid: BoundaryPoint, min_dist: float, count: int,
+                         rng) -> list[BoundaryPoint]:
+    """The first `count` points of the seeded boundary sample at visual
+    distance >= min_dist from `avoid` at x, drawn `count` at a time, or
+    UsageError when 200 * count draws do not hold them."""
+    rng = generator(rng)
+    pts: list[BoundaryPoint] = []
+    for _ in range(200):
+        batch = sample_boundary(avoid.model, count, rng)
+        pts += [b for b, (d,) in zip(batch, boundary_distances(x, batch, [avoid]))
+                if d >= min_dist]
+        if len(pts) >= count:
+            return pts[:count]
+    raise UsageError(f"could not sample {count} boundary points away from {avoid.data}")

@@ -36,8 +36,8 @@ from .geometry import model_basepoint
 from .isometry import axis_endpoints, north_south_constant, power
 from .boundary import (
     angles_at_infinity,
-    boundary_distances,
     sample_boundary,
+    sample_boundary_away,
     tits_ball_is_trivial,
     tits_distance,
 )
@@ -336,11 +336,11 @@ def _run_pi_convergence(cfg, hypotheses, problems):
         eta, _ = axis_endpoints(g)
     except DomainError:
         eta = None
-    pool = sample_boundary(cfg.model, 8 * k_count, cfg.seed)
-    if eta is not None:
-        pool = [b for b, (d,) in zip(pool, boundary_distances(x, pool, [eta]))
-                if d >= cfg.params["exclusion"]]
-    res = pi_convergence_check(gs, x, pool[:k_count], cfg.params["u_eps"])
+    if eta is None:
+        compact = sample_boundary(cfg.model, k_count, cfg.seed)
+    else:
+        compact = sample_boundary_away(x, eta, cfg.params["exclusion"], k_count, cfg.seed)
+    res = pi_convergence_check(gs, x, compact, cfg.params["u_eps"])
     gaps = list(res.max_gaps)
     return ({"holds": res.holds, "n0": res.n0,
              "xi": boundary_to_json(res.xi), "eta": boundary_to_json(res.eta),

@@ -8,8 +8,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DomainError, UsageError
 from .models import (
     KERNELS,
@@ -120,26 +118,13 @@ def north_south_constant(g: Isometry, eps_plus: float, eps_minus: float,
     distance >= eps_minus from g- lands within eps_plus of g+ under g^k,
     with the largest visual distance to g+ at each power up to k.  Visual
     distances are taken at the model basepoint."""
-    from .boundary import boundary_distances, sample_boundary
+    from .boundary import boundary_distances, sample_boundary_away
 
     if not is_rank_one(g):
         raise DomainError("North-South contraction needs a rank one isometry")
     gm, gp = axis_endpoints(g)
     x0 = model_basepoint(g.model)
-    rng = np.random.default_rng(seed)
-    pts: list[BoundaryPoint] = []
-    attempts = 0
-    while len(pts) < samples and attempts < 200 * samples:
-        batch = sample_boundary(g.model, samples, rng)
-        for cand, (d,) in zip(batch, boundary_distances(x0, batch, [gm])):
-            attempts += 1
-            if d >= eps_minus:
-                pts.append(cand)
-                if len(pts) == samples:
-                    break
-    if len(pts) < samples:
-        raise UsageError("could not sample enough boundary points away from g-")
-    current = pts
+    current = sample_boundary_away(x0, gm, eps_minus, samples, seed)
     max_gaps = []
     for k in range(1, cap + 1):
         current = [apply_boundary(g, b) for b in current]

@@ -16,10 +16,11 @@ needs to know which model it runs on.  A kernel module executes on its
 first attribute access (`importlib.util.LazyLoader`), so a run executes
 only the kernels of the models it uses.
 
-Values are immutable, and their constructors reject NaN and infinite
-coordinates.  Each kernel has one metric, `dist`, and point equality reads
-it.  All approximate comparisons in the package use the one fixed tolerance
-`TOLERANCE`; no run can change it.
+Values are immutable, and their constructors reject NaN, infinite and
+non-numeric coordinates (a JSON string or bool is no number).  Each kernel
+has one metric, `dist`, and point equality reads it.  All approximate
+comparisons in the package use the one fixed tolerance `TOLERANCE`; no run
+can change it.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def e2_isometry(angle: float, v: tuple[float, float]) -> Isometry:
 
 
 def h2_isometry(a: float, b: float, c: float, d: float) -> Isometry:
-    return Isometry(Model.H2, _h2.isometry(a, b, c, d))
+    return Isometry(Model.H2, _h2.isometry((a, b, c, d)))
 
 
 def t4_isometry(word: str) -> Isometry:
@@ -189,6 +190,8 @@ def isometry_key(g: Isometry):
 
 
 # -- JSON: readers, and the writer of boundary points -------------------------
+# An isometry payload, and a boundary object less its "model", are the keyword
+# arguments of the kernel's constructor, so an unknown key is a TypeError.
 
 def point_from_json(obj: dict) -> Point:
     model = Model(obj["model"])
@@ -201,10 +204,10 @@ def boundary_to_json(b: BoundaryPoint) -> dict:
 
 def boundary_from_json(obj: dict) -> BoundaryPoint:
     model = Model(obj["model"])
-    return BoundaryPoint(model, KERNELS[model].boundary_from_json(obj))
+    fields = {key: value for key, value in obj.items() if key != "model"}
+    return BoundaryPoint(model, KERNELS[model].boundary(**fields))
 
 
 def isometry_from_json(obj: dict) -> Isometry:
     model = Model(obj["model"])
-    payload = obj["payload"]
-    return Isometry(model, KERNELS[model].isometry_from_json(payload))
+    return Isometry(model, KERNELS[model].isometry(**obj["payload"]))

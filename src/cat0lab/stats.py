@@ -371,8 +371,8 @@ def pi_convergence_check(gs, x: Point, K, u_eps: float, limits=None) -> PiConver
     of the forward limit under the isometry sequence, with each index's
     largest distance to that limit; the compact set must stay outside the
     closed Tits pi-ball of the backward limit."""
-    if not gs:
-        raise UsageError("need a nonempty isometry sequence")
+    if not gs or not K:
+        raise UsageError("need a nonempty isometry sequence and compact set")
     if limits is not None:
         xi, eta = limits
     else:

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DistributionError, UsageError
+from .errors import DistributionError, UsageError, real
 from .models import (
     KERNELS,
     BoundaryPoint,
@@ -92,7 +92,7 @@ class StepDistribution:
     @classmethod
     def from_json(cls, obj: dict) -> "StepDistribution":
         atoms = tuple(
-            (isometry_from_json(a["isometry"]), float(a["p"])) for a in obj["atoms"]
+            (isometry_from_json(a["isometry"]), real(a["p"])) for a in obj["atoms"]
         )
         return cls(Model(obj["model"]), atoms)
 

@@ -25,7 +25,7 @@ from cat0lab import (
     tits_ball_is_trivial,
     tits_distance,
 )
-from cat0lab.models import boundary_from_json, boundary_to_json
+from cat0lab.models import KERNELS, boundary_from_json, boundary_to_json
 from cat0lab.sampling import random_point
 
 from conftest import ALL_MODELS
@@ -231,3 +231,14 @@ def test_boundary_json_roundtrip(rng):
             assert boundary_points_equal(b, b2, 1e-12)
     inf_b = h2_boundary(math.inf)
     assert boundary_points_equal(boundary_from_json(boundary_to_json(inf_b)), inf_b)
+
+
+def test_boundary_to_json_writes_the_constructors_arguments(rng):
+    # boundary_from_json calls the kernel's constructor on the written keys,
+    # so they give back the stored value exactly
+    pts = [b for model in ALL_MODELS for b in sample_boundary(model, 15, rng)]
+    pts += [h2_boundary(math.inf), h2_boundary(-math.inf),
+            h2xr_boundary(None, math.pi / 2), h2xr_boundary(None, -math.pi / 2)]
+    for b in pts:
+        kernel = KERNELS[b.model]
+        assert kernel.boundary(**kernel.boundary_to_json(b.data)) == b.data

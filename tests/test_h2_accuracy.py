@@ -114,8 +114,8 @@ def test_diagonal_walks_with_atoms_beyond_the_square_range(k):
 def test_atoms_near_1e150_walk_without_overflow():
     # one step moves the largest entry by about 2^500: a renormalisation
     # every 16 steps would overflow long before the next one
-    big = _h2.isometry(1e150, 3e149, 0.0, 1e-150)
-    atoms = [big, _h2.isometry(1e-150, 0.0, -2e149, 1e150), WORKLOAD_ATOMS[2]]
+    big = _h2.isometry((1e150, 3e149, 0.0, 1e-150))
+    atoms = [big, _h2.isometry((1e-150, 0.0, -2e149, 1e150)), WORKLOAD_ATOMS[2]]
     rng = np.random.default_rng(3)
     increments = rng.integers(0, len(atoms), size=(40, 8))
     dists, _ = _h2.orbit_paths(atoms, BASE, increments)
@@ -264,10 +264,10 @@ def test_fixed_points_match_the_multiprecision_roots():
     # infinity; and matrices with a = d, fixing k and -k
     rng = np.random.default_rng(2702)
     mats = [_h2.random_isometry(rng) for _ in range(1500)]
-    mats += [_h2.isometry(t, rng.uniform(-2, 2), 10.0 ** rng.uniform(-14, -2)
-                          * rng.choice((-1.0, 1.0)), 1.0 / t)
+    mats += [_h2.isometry((t, rng.uniform(-2, 2), 10.0 ** rng.uniform(-14, -2)
+                           * rng.choice((-1.0, 1.0)), 1.0 / t))
              for t in np.exp(rng.uniform(0.1, 2.0, 1500))]
-    mats += [_h2.isometry(math.cosh(t), k * math.sinh(t), math.sinh(t) / k, math.cosh(t))
+    mats += [_h2.isometry((math.cosh(t), k * math.sinh(t), math.sinh(t) / k, math.cosh(t)))
              for t, k in zip(rng.uniform(-2, 2, 200), 10.0 ** rng.uniform(-3, 3, 200))]
     worst = 0.0
     for m in mats:

@@ -286,7 +286,7 @@ def sl2z_isometry(word: str):
     m = (1, 0, 0, 1)
     for ch in word:
         m = _h2.mat_mul(m, SL2Z_LETTERS[ch])
-    return _h2.isometry(*m)
+    return _h2.isometry(m)
 
 
 @settings(max_examples=200, deadline=None)

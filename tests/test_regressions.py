@@ -308,6 +308,27 @@ def _assert_config_error(tmp_path, capsys, fields):
      "basepoint": {"model": "H2xR", "coords": [0, 1, 0, 7]}},
     {"experiment": "rankone-audit", "model": "E2",
      "distribution": _uniform_dist("E2", [{"angle": 0.0, "v": [1, 0, 9]}])},
+    {"experiment": "drift", "distribution": _uniform_dist("H2", [
+        {"matrix": [2, 0, 0, 0.5], "junk": 1}, {"matrix": [0.5, 0, 0, 2]},
+        {"matrix": [1, 1, 1, 2]}, {"matrix": [2, -1, -1, 1]}]), "n": 20},
+    {"experiment": "gap", "distribution": H2_DIST, "n": 20,
+     "params": {"xi": {"model": "H2", "xi": 5.0, "junk": 1}}},
+    {"experiment": "rankone-audit", "distribution": {**H2_DIST, "atoms": [
+        *H2_DIST["atoms"][:3], {**H2_DIST["atoms"][3], "p": "0.25"}]}},
+    {"experiment": "rankone-audit", "distribution": {"model": "H2", "atoms": [
+        {"isometry": H2_G, "p": True}]}},
+    {"experiment": "pi-convergence",
+     "params": {"g": {"model": "H2", "payload": {"matrix": "1112"}}}},
+    {"experiment": "cocycle", "basepoint": {"model": "H2", "coords": "01"}},
+    {"experiment": "cocycle", "basepoint": {"model": "H2", "coords": [True, 1]}},
+    {"experiment": "gap", "distribution": H2_DIST, "n": 20,
+     "params": {"xi": {"model": "H2", "xi": "5"}}},
+    {"experiment": "rankone-audit", "model": "T4",
+     "distribution": _uniform_dist("T4", [{"word": ["a", "b"]}, {"word": "BA"}])},
+    {"experiment": "gap", "model": "T4", "distribution": T4_DIST, "n": 20,
+     "params": {"xi": {"model": "T4", "word": ["a", "b"], "periodic": "b"}}},
+    {"experiment": "gap", "model": "T4", "distribution": T4_DIST, "n": 20,
+     "params": {"xi": {"model": "T4", "word": 5, "periodic": "a"}}},
 ], ids=["lambda-not-a-number", "eps_plus-not-a-number", "g-two-entry-matrix",
         "xi-without-model", "atoms0-without-xi", "horofunction_xi-not-a-number",
         "u_eps-nan", "second_set-a-string", "eps_plus-negative",
@@ -315,7 +336,10 @@ def _assert_config_error(tmp_path, capsys, fields):
         "gap-without-xi", "northsouth-without-g", "params-not-an-object", "atom-v-nan",
         "basepoint-nan", "xi-nan", "g-of-another-model", "xi-of-another-model",
         "basepoint-of-another-model", "checkpoints-empty", "basepoint-three-coords",
-        "basepoint-four-coords", "atom-v-three-entries"])
+        "basepoint-four-coords", "atom-v-three-entries", "payload-unknown-key",
+        "xi-unknown-key", "p-a-string", "p-true", "matrix-a-string", "coords-a-string",
+        "coords-true", "xi-a-string", "t4-word-a-list", "t4-xi-word-a-list",
+        "t4-xi-word-an-int"])
 def test_config_rejects_malformed_params(tmp_path, capsys, fields):
     # the runners read these params, and the parent exited 1 with a
     # traceback on each, except on u_eps "nan", which reported "holds":
@@ -326,8 +350,22 @@ def test_config_rejects_malformed_params(tmp_path, capsys, fields):
     # tokens and then failed to write the report, ran an H2 g on an E2
     # config, failed an E2 xi only in the runner, and ran the default
     # checkpoints for an empty list; it dropped the coordinates past the
-    # model's count and ran the config
+    # model's count and ran the config; it ignored a payload's or boundary
+    # object's unknown key, read the strings "0.25", "1112", "01" and "5" as
+    # numbers and true as 1, joined a T4 word list into a string, and exited 1
+    # with an AttributeError traceback on a T4 boundary word list or int
     _assert_config_error(tmp_path, capsys, fields)
+
+
+def test_pi_convergence_rejects_a_compact_set_it_cannot_fill(tmp_path, capsys):
+    # no boundary point lies 2.5 from g- in a chart of diameter 2: the parent
+    # ran the check on an empty compact set and reported "holds": true, n0 0
+    cfg = {"experiment": "pi-convergence", "model": "H2", "seed": 3,
+           "params": {"g": H2_G, "k_count": 50, "exclusion": 2.5}}
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert main(["run", str(tmp_path / "c.json"), "--outdir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == "domain"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flags", [
