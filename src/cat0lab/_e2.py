@@ -7,8 +7,10 @@ z -> e^{i a} z + v.  Only orientation-preserving isometries are modelled.
 Like `_h2`, `_t4` and `_h2xr`, this module is one entry of the kernel table
 in `models.KERNELS`: the public functions unwrap their model-tagged
 arguments, call the function of the same name here on the raw payloads, and
-re-tag the result.  `models` reads a JSON boundary object and isometry
-payload by passing their keys to `boundary` and `isometry` as arguments.
+re-tag the result.  `models` reads a JSON point, boundary object and
+isometry payload by passing their keys to `point`, `boundary` and
+`isometry` as arguments.  A hitting-bin scheme is the dict of
+`bin_params`, which the report writes as its bins descriptor.
 """
 
 from __future__ import annotations
@@ -30,8 +32,11 @@ TITS_BALL_TRIVIAL = False
 
 
 def wrap_angle(theta: float) -> float:
+    """theta mod 2pi in [0, 2pi): a tiny negative angle, which the shift by
+    2pi rounds up to exactly 2pi, is 0."""
     t = math.fmod(theta, TWO_PI)
-    return t + TWO_PI if t < 0 else t
+    t = t + TWO_PI if t < 0 else t
+    return 0.0 if t == TWO_PI else t
 
 
 def circle_gap(a: float, b: float) -> float:
@@ -42,13 +47,12 @@ def circle_gap(a: float, b: float) -> float:
 
 # -- values and codecs --------------------------------------------------------
 
-def point(x: float, y: float) -> complex:
+def point(coords) -> complex:
+    x, y = coords
     return complex(finite(x), finite(y))
 
 
 def boundary(theta: float) -> float:
-    # wrapping an already wrapped angle is not a no-op: wrap_angle rounds a
-    # tiny negative angle up to exactly 2pi, which the second wrap sends to 0
     return wrap_angle(finite(theta))
 
 
@@ -64,10 +68,6 @@ def boundary_eq(theta1: float, theta2: float, tol: float) -> bool:
 def isometry_key(g, r):
     a, v = g
     return ("E2", r(math.cos(a)), r(math.sin(a)), r(v.real), r(v.imag))
-
-
-def point_from_json(obj: dict) -> complex:
-    return point(*obj["coords"])
 
 
 def boundary_to_json(theta: float) -> dict:
@@ -86,7 +86,7 @@ def ray_point(x: complex, theta: float, t: float) -> complex:
 
 def direction(x: complex, y: complex) -> float:
     """Angle of the ray from x through y (x != y)."""
-    return boundary(wrap_angle(cmath.phase(y - x)))
+    return boundary(cmath.phase(y - x))
 
 
 def horofunction(theta: float, x: complex, z: complex) -> float:
@@ -114,7 +114,7 @@ def apply(iso, p: complex) -> complex:
 
 def apply_boundary(iso, theta: float) -> float:
     alpha, _ = iso
-    return boundary(wrap_angle(theta + alpha))
+    return boundary(theta + alpha)
 
 
 def compose(g, h):
@@ -157,7 +157,7 @@ chart_dist = dist
 # -- samplers -----------------------------------------------------------------
 
 def random_point(rng) -> complex:
-    return point(uniform(rng, -5, 5), uniform(rng, -5, 5))
+    return point((uniform(rng, -5, 5), uniform(rng, -5, 5)))
 
 
 def random_isometry(rng):
@@ -170,28 +170,19 @@ def random_boundary(rng) -> float:
 
 # -- hitting bins: k equal arcs of angle -----------------------------------------
 
-BIN_KIND = "angle"
-BIN_FIELDS = ()
-DEFAULT_BINS = (16,)
-
-
-def bin_params(k: int) -> tuple:
+def bin_params(k: int = 16) -> dict:
     if int(k) < 1:
         raise UsageError("a bin scheme needs at least one arc")
-    return (int(k),)
-
-
-def bin_count(params) -> int:
-    return params[0]
+    return {"kind": "angle", "count": int(k)}
 
 
 def bin_index(params, theta: float) -> int:
-    k = params[0]
+    k = params["count"]
     return min(int(theta / (TWO_PI / k)), k - 1)
 
 
 def bin_sample(params, i: int, rng) -> float:
-    w = TWO_PI / params[0]
+    w = TWO_PI / params["count"]
     return boundary(uniform(rng, i * w, (i + 1) * w))
 
 

@@ -69,7 +69,8 @@ def mat_inv(m: Mat) -> Mat:
 
 # -- values and codecs --------------------------------------------------------
 
-def point(x: float, y: float) -> complex:
+def point(coords) -> complex:
+    x, y = coords
     y = finite(y)
     if not y > 0:
         raise UsageError("upper half-plane points need a positive second coordinate")
@@ -120,10 +121,6 @@ def num_out(x: float):
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return x
-
-
-def point_from_json(obj: dict) -> complex:
-    return point(*obj["coords"])
 
 
 def boundary_to_json(xi: float) -> dict:
@@ -300,7 +297,7 @@ def random_sl2(rng) -> Mat:
 
 
 def random_point(rng) -> complex:
-    return point(uniform(rng, -3, 3), math.exp(uniform(rng, -1.5, 1.5)))
+    return point((uniform(rng, -3, 3), math.exp(uniform(rng, -1.5, 1.5))))
 
 
 def random_isometry(rng) -> Mat:
@@ -314,30 +311,21 @@ def random_boundary(rng) -> float:
 
 # -- hitting bins: k equal arcs of the half-angle chart phi = 2 atan(xi) ----------
 
-BIN_KIND = "circle"
-BIN_FIELDS = ()
-DEFAULT_BINS = (16,)
-
-
-def bin_params(k: int) -> tuple:
+def bin_params(k: int = 16) -> dict:
     if int(k) < 1:
         raise UsageError("a bin scheme needs at least one arc")
-    return (int(k),)
-
-
-def bin_count(params) -> int:
-    return params[0]
+    return {"kind": "circle", "count": int(k)}
 
 
 def bin_index(params, xi: float) -> int:
-    k = params[0]
+    k = params["count"]
     phi = math.pi if math.isinf(xi) else 2.0 * math.atan(xi)
     w = 2.0 * math.pi / k
     return min(int((phi + math.pi) / w), k - 1)
 
 
 def bin_sample(params, i: int, rng) -> float:
-    w = 2.0 * math.pi / params[0]
+    w = 2.0 * math.pi / params["count"]
     phi = uniform(rng, -math.pi + i * w, -math.pi + (i + 1) * w)
     return boundary(INF if abs(phi) >= math.pi - 1e-12 else math.tan(phi / 2.0))
 

@@ -4,9 +4,9 @@ Points are pairs (z, h) with z in the upper half-plane and h a real height.
 The squared distance is the sum of the squared factor distances.  Boundary
 directions are pairs (xi, alpha) with xi a boundary point of the hyperbolic
 factor and alpha in [-pi/2, pi/2] the slope toward the +R direction; the
-two vertical directions alpha = +-pi/2 have no horizontal component
-(xi = None).  Isometries are pairs (matrix, vertical shift).  Every
-operation on the hyperbolic factor calls `_h2`; this module adds the
+two vertical directions alpha = +-pi/2, and only they, have no horizontal
+component (xi = None).  Isometries are pairs (matrix, vertical shift).
+Every operation on the hyperbolic factor calls `_h2`; this module adds the
 height, the shift or the slope.
 
 This module is the H2xR entry of the kernel table in `models.KERNELS`; see
@@ -34,8 +34,9 @@ TITS_BALL_TRIVIAL = False
 
 # -- values and codecs --------------------------------------------------------
 
-def point(x: float, y: float, height: float):
-    return (_h2.point(x, y), finite(height))
+def point(coords):
+    x, y, height = coords
+    return (_h2.point((x, y)), finite(height))
 
 
 def isometry(matrix, shift: float):
@@ -45,10 +46,6 @@ def isometry(matrix, shift: float):
 def isometry_key(g, r):
     m, s = g
     return ("H2xR",) + tuple(r(e) for e in m) + (r(s),)
-
-
-def point_from_json(obj: dict):
-    return point(*obj["coords"])
 
 
 def boundary_to_json(b) -> dict:
@@ -182,18 +179,16 @@ def boundary(xi, alpha: float):
     alpha = real(alpha)
     if not -HALF_PI <= alpha <= HALF_PI:
         raise UsageError("slope must lie in [-pi/2, pi/2]")
-    if abs(alpha) == HALF_PI:
-        return (None, alpha)
-    if xi is None:
-        raise UsageError("a horizontal component is required unless the slope is +-pi/2")
-    return (_h2.boundary(xi), alpha)
+    if (xi is None) != (abs(alpha) == HALF_PI):
+        raise UsageError("an end has a horizontal component exactly when its slope is not +-pi/2")
+    return (None if xi is None else _h2.boundary(xi), alpha)
 
 
 # -- samplers -----------------------------------------------------------------
 
 def random_point(rng):
-    return point(uniform(rng, -3, 3), math.exp(uniform(rng, -1.5, 1.5)),
-                 uniform(rng, -4, 4))
+    return point((uniform(rng, -3, 3), math.exp(uniform(rng, -1.5, 1.5)),
+                  uniform(rng, -4, 4)))
 
 
 def random_isometry(rng):
@@ -208,36 +203,27 @@ def random_boundary(rng):
 
 # -- hitting bins: H2 circle arcs x k_alpha slope bands, then the two poles -------
 
-BIN_KIND = "product"
-BIN_FIELDS = ("k_xi", "k_alpha")
-DEFAULT_BINS = (8, 4)
-
-
-def bin_params(k_xi: int, k_alpha: int) -> tuple:
+def bin_params(k_xi: int = 8, k_alpha: int = 4) -> dict:
     # circle arcs and slope arcs alike: at least one of each
-    return _h2.bin_params(k_xi) + _h2.bin_params(k_alpha)
-
-
-def bin_count(params) -> int:
-    k_xi, k_alpha = params
-    return k_xi * k_alpha + 2
+    k_xi, k_alpha = _h2.bin_params(k_xi)["count"], _h2.bin_params(k_alpha)["count"]
+    return {"kind": "product", "k_xi": k_xi, "k_alpha": k_alpha, "count": k_xi * k_alpha + 2}
 
 
 def bin_index(params, b) -> int:
-    k_xi, k_alpha = params
+    k_xi, k_alpha = params["k_xi"], params["k_alpha"]
     xi, alpha = b
     if xi is None:
         return k_xi * k_alpha + (0 if alpha > 0 else 1)
     j = min(int((alpha + HALF_PI) / (math.pi / k_alpha)), k_alpha - 1)
-    return _h2.bin_index((k_xi,), xi) * k_alpha + j
+    return _h2.bin_index({"count": k_xi}, xi) * k_alpha + j
 
 
 def bin_sample(params, i: int, rng):
-    k_xi, k_alpha = params
+    k_xi, k_alpha = params["k_xi"], params["k_alpha"]
     if i >= k_xi * k_alpha:
         return boundary(None, HALF_PI if i == k_xi * k_alpha else -HALF_PI)
     bi, bj = divmod(i, k_alpha)
-    xi = _h2.bin_sample((k_xi,), bi, rng)
+    xi = _h2.bin_sample({"count": k_xi}, bi, rng)
     wa = math.pi / k_alpha
     alpha = uniform(rng, -HALF_PI + bj * wa, -HALF_PI + (bj + 1) * wa)
     alpha = max(-HALF_PI + 1e-9, min(HALF_PI - 1e-9, alpha))

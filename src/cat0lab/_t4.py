@@ -247,10 +247,6 @@ def isometry_key(g: str, r):
     return ("T4", g)
 
 
-def point_from_json(obj: dict) -> str:
-    return point(obj["word"])
-
-
 def boundary_to_json(b: tuple[str, str]) -> dict:
     return {"word": b[0], "periodic": b[1]}
 
@@ -335,23 +331,11 @@ def random_boundary(rng) -> tuple[str, str]:
 
 # -- hitting bins: the cylinders of the reduced words of one length -------------
 
-BIN_KIND = "cylinder"
-BIN_FIELDS = ("length",)
-DEFAULT_BINS = (2,)
-
-
-def bin_params(length: int) -> tuple:
-    """(length, the reduced words of that length in ALPHABET order)."""
+def bin_params(length: int = 2) -> dict:
+    """One bin per reduced word of the length: 4 3^(length - 1), or 1."""
     if int(length) < 0:
         raise UsageError("a cylinder length must be nonnegative")
-    words = [""]
-    for _ in range(int(length)):
-        words = [w + ch for w in words for ch in _NEXT_LETTERS[w[-1:]]]
-    return (int(length), tuple(words))
-
-
-def bin_count(params) -> int:
-    return len(params[1])
+    return {"kind": "cylinder", "length": int(length), "count": 4 * 3 ** int(length) // 3}
 
 
 # each letter's position among the letters that may follow the previous one
@@ -360,17 +344,21 @@ _NEXT_POSITION = {last: {ch: i for i, ch in enumerate(choices)}
 
 
 def bin_index(params, b: tuple[str, str]) -> int:
-    # the words are listed in mixed radix: a digit of 4 first letters (which
+    # the words are numbered in mixed radix: a digit of 4 first letters (which
     # starts from index 0, so it is never scaled), then one of 3 per letter
     index, last = 0, ""
-    for ch in word_prefix(b, params[0]):
+    for ch in word_prefix(b, params["length"]):
         index = 3 * index + _NEXT_POSITION[last][ch]
         last = ch
     return index
 
 
 def bin_sample(params, i: int, rng) -> tuple[str, str]:
-    word = params[1][i]
+    # the word of bin i, read back from the digits that bin_index writes
+    length, word = params["length"], ""
+    for k in range(length):
+        digit = i // 3 ** (length - 1 - k)
+        word += _NEXT_LETTERS[word[-1:]][digit % 3 if k else digit]
     return boundary(word, random_word(rng, 1, word)[-1])
 
 

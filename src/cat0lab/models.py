@@ -12,9 +12,11 @@ Each model's geometry lives in one kernel module (`_e2`, `_h2`, `_t4`,
 `_h2xr`) with the same function names on raw payloads; `KERNELS` maps a
 model to its module.  Public functions unwrap their tagged arguments, look
 the model up once in that table, and re-tag the result, so no estimator
-needs to know which model it runs on.  A kernel module executes on its
-first attribute access (`importlib.util.LazyLoader`), so a run executes
-only the kernels of the models it uses.
+needs to know which model it runs on.  A JSON point, boundary object or
+isometry payload is read by passing its keys to the kernel's `point`,
+`boundary` or `isometry`.  A kernel module executes on its first attribute
+access (`importlib.util.LazyLoader`), so a run executes only the kernels of
+the models it uses.
 
 Values are immutable, and their constructors reject NaN, infinite and
 non-numeric coordinates (a JSON string or bool is no number).  Each kernel
@@ -99,11 +101,11 @@ class Isometry:
 # -- constructors -------------------------------------------------------------
 
 def e2_point(x: float, y: float) -> Point:
-    return Point(Model.E2, _e2.point(x, y))
+    return Point(Model.E2, _e2.point((x, y)))
 
 
 def h2_point(x: float, y: float) -> Point:
-    return Point(Model.H2, _h2.point(x, y))
+    return Point(Model.H2, _h2.point((x, y)))
 
 
 def t4_point(word: str) -> Point:
@@ -111,7 +113,7 @@ def t4_point(word: str) -> Point:
 
 
 def h2xr_point(x: float, y: float, height: float) -> Point:
-    return Point(Model.H2xR, _h2xr.point(x, y, height))
+    return Point(Model.H2xR, _h2xr.point((x, y, height)))
 
 
 def e2_boundary(theta: float) -> BoundaryPoint:
@@ -190,12 +192,18 @@ def isometry_key(g: Isometry):
 
 
 # -- JSON: readers, and the writer of boundary points -------------------------
-# An isometry payload, and a boundary object less its "model", are the keyword
-# arguments of the kernel's constructor, so an unknown key is a TypeError.
+# An isometry payload, and a point or boundary object less its "model", are
+# the keyword arguments of the kernel's constructor, so an unknown key is a
+# TypeError.
+
+def _from_fields(tagged, constructor: str, obj: dict):
+    model = Model(obj["model"])
+    fields = {key: value for key, value in obj.items() if key != "model"}
+    return tagged(model, getattr(KERNELS[model], constructor)(**fields))
+
 
 def point_from_json(obj: dict) -> Point:
-    model = Model(obj["model"])
-    return Point(model, KERNELS[model].point_from_json(obj))
+    return _from_fields(Point, "point", obj)
 
 
 def boundary_to_json(b: BoundaryPoint) -> dict:
@@ -203,9 +211,7 @@ def boundary_to_json(b: BoundaryPoint) -> dict:
 
 
 def boundary_from_json(obj: dict) -> BoundaryPoint:
-    model = Model(obj["model"])
-    fields = {key: value for key, value in obj.items() if key != "model"}
-    return BoundaryPoint(model, KERNELS[model].boundary(**fields))
+    return _from_fields(BoundaryPoint, "boundary", obj)
 
 
 def isometry_from_json(obj: dict) -> Isometry:

@@ -21,7 +21,7 @@ point at infinity, decided exactly on the stored atoms by the kernel's
 `independent`), and `cli.run` is the one caller that gates on it.
 
 No estimator branches on the model.  The hitting bins are laid out by the
-model's kernel (`bin_count`, `bin_index`, `bin_sample` in `models.KERNELS`);
+model's kernel (`bin_params`, `bin_index`, `bin_sample` in `models.KERNELS`);
 `BinScheme` only delegates to it.  The flat results are named tuples, and
 the CLI writes them through `_asdict()`.
 """
@@ -148,36 +148,36 @@ def convergence_profile(trace: WalkTrace) -> ConvergenceProfile:
 
 class BinScheme(NamedTuple):
     """Boundary partition used for hitting histograms.  The model's kernel
-    owns the layout (`BIN_KIND`, `BIN_FIELDS`, `DEFAULT_BINS`, `bin_params`,
-    `bin_count`, `bin_index`, `bin_sample`): angular arcs (E2), circle arcs
-    through the half-angle chart (H2), word cylinders (T4), arc x slope
-    boxes plus two poles (H2xR).  The scheme holds the kernel's params and
-    delegates to it; `bin_params` raises UsageError for a scheme with no arcs
-    or a negative cylinder length."""
+    owns the layout (`bin_params`, `bin_index`, `bin_sample`): angular arcs
+    (E2), circle arcs through the half-angle chart (H2), word cylinders
+    (T4), arc x slope boxes plus two poles (H2xR).  The params are the dict
+    of `bin_params`, the report's descriptor less its model: the kind, the
+    sizes and the bin count.  `bin_params` raises UsageError for a scheme
+    with no arcs or a negative cylinder length."""
 
     model: Model
-    params: tuple
+    params: dict
 
     @classmethod
     def of(cls, model: Model, *sizes) -> "BinScheme":
         """The scheme of the kernel's `bin_params(*sizes)`: the arc count
-        (E2, H2), the cylinder length (T4), or k_xi and k_alpha (H2xR)."""
+        (E2, H2), the cylinder length (T4), or k_xi and k_alpha (H2xR); a
+        size left out takes the default of its signature."""
         return cls(model, KERNELS[model].bin_params(*sizes))
 
     @classmethod
     def default(cls, model: Model, resolution: int = 0) -> "BinScheme":
-        """The kernel's `DEFAULT_BINS` sizes, the first one replaced by a
-        nonzero resolution."""
-        sizes = KERNELS[model].DEFAULT_BINS
-        return cls.of(model, resolution or sizes[0], *sizes[1:])
+        """The kernel's default sizes, the first one replaced by a nonzero
+        resolution."""
+        return cls.of(model, resolution) if resolution else cls.of(model)
 
     @property
     def kind(self) -> str:
-        return KERNELS[self.model].BIN_KIND
+        return self.params["kind"]
 
     @property
     def count(self) -> int:
-        return KERNELS[self.model].bin_count(self.params)
+        return self.params["count"]
 
     def index_of(self, b: BoundaryPoint) -> int:
         if b.model is not self.model:
@@ -185,9 +185,7 @@ class BinScheme(NamedTuple):
         return KERNELS[self.model].bin_index(self.params, b.data)
 
     def descriptor(self) -> dict:
-        fields = dict(zip(KERNELS[self.model].BIN_FIELDS, self.params))
-        return {"model": self.model.value, "kind": self.kind, **fields,
-                "count": self.count}
+        return {"model": self.model.value, **self.params}
 
 
 @dataclass(frozen=True)

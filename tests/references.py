@@ -7,11 +7,16 @@
 * `commutator_trace`, tr(g h g^-1 h^-1) of two H2 matrices in exact
   rationals: two axial g and h share a fixed point at infinity exactly
   when it is 2.
+* `cylinder_words`, the reduced words of one length in the order of the
+  T4 hitting bins, listed by filtering all words rather than by the
+  kernel's mixed-radix digits.
 * `reference_ray_gaps`, the tracking gaps of `_h2.mp_ray_gaps` computed
   the long way: the product in mpmath, the digits from a dense float
   re-walk, and the ray points from their circle parameters.
 """
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -54,6 +59,14 @@ def commutator_trace(g, h) -> Fraction:
     g, h = (tuple(map(Fraction, m)) for m in (g, h))
     c = mul(mul(g, h), mul(inv(g), inv(h)))
     return c[0] + c[3]
+
+
+@functools.cache
+def cylinder_words(length: int) -> list[str]:
+    """The reduced words of a length over "aAbB", in the order of the T4
+    hitting bins: lexicographic, with the letters ranked a < A < b < B."""
+    words = ("".join(w) for w in itertools.product("aAbB", repeat=length))
+    return [w for w in words if not any(p in w for p in ("aA", "Aa", "bB", "Bb"))]
 
 
 def _mp_direction(xr, xim, yr, yi):

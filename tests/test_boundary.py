@@ -237,7 +237,7 @@ def test_boundary_to_json_writes_the_constructors_arguments(rng):
     # boundary_from_json calls the kernel's constructor on the written keys,
     # so they give back the stored value exactly
     pts = [b for model in ALL_MODELS for b in sample_boundary(model, 15, rng)]
-    pts += [h2_boundary(math.inf), h2_boundary(-math.inf),
+    pts += [h2_boundary(math.inf), h2_boundary(-math.inf), e2_boundary(-1e-17),
             h2xr_boundary(None, math.pi / 2), h2xr_boundary(None, -math.pi / 2)]
     for b in pts:
         kernel = KERNELS[b.model]

@@ -329,6 +329,8 @@ def _assert_config_error(tmp_path, capsys, fields):
      "params": {"xi": {"model": "T4", "word": ["a", "b"], "periodic": "b"}}},
     {"experiment": "gap", "model": "T4", "distribution": T4_DIST, "n": 20,
      "params": {"xi": {"model": "T4", "word": 5, "periodic": "a"}}},
+    {"experiment": "drift", "distribution": H2_DIST, "n": 20,
+     "basepoint": {"model": "H2", "coords": [0, 1], "junk": 1}},
 ], ids=["lambda-not-a-number", "eps_plus-not-a-number", "g-two-entry-matrix",
         "xi-without-model", "atoms0-without-xi", "horofunction_xi-not-a-number",
         "u_eps-nan", "second_set-a-string", "eps_plus-negative",
@@ -339,7 +341,7 @@ def _assert_config_error(tmp_path, capsys, fields):
         "basepoint-four-coords", "atom-v-three-entries", "payload-unknown-key",
         "xi-unknown-key", "p-a-string", "p-true", "matrix-a-string", "coords-a-string",
         "coords-true", "xi-a-string", "t4-word-a-list", "t4-xi-word-a-list",
-        "t4-xi-word-an-int"])
+        "t4-xi-word-an-int", "basepoint-unknown-key"])
 def test_config_rejects_malformed_params(tmp_path, capsys, fields):
     # the runners read these params, and the parent exited 1 with a
     # traceback on each, except on u_eps "nan", which reported "holds":
@@ -350,8 +352,8 @@ def test_config_rejects_malformed_params(tmp_path, capsys, fields):
     # tokens and then failed to write the report, ran an H2 g on an E2
     # config, failed an E2 xi only in the runner, and ran the default
     # checkpoints for an empty list; it dropped the coordinates past the
-    # model's count and ran the config; it ignored a payload's or boundary
-    # object's unknown key, read the strings "0.25", "1112", "01" and "5" as
+    # model's count and ran the config; it ignored a payload's, boundary
+    # object's or point's unknown key, read the strings "0.25", "1112", "01" and "5" as
     # numbers and true as 1, joined a T4 word list into a string, and exited 1
     # with an AttributeError traceback on a T4 boundary word list or int
     _assert_config_error(tmp_path, capsys, fields)
@@ -375,12 +377,20 @@ def test_pi_convergence_rejects_a_compact_set_it_cannot_fill(tmp_path, capsys):
     ["--t", "nan"],
     ["--t", "inf"],
     ["--x", '{"model": "H2", "coords": [NaN, 1]}'],
-], ids=["xi-not-json", "xi-without-coordinate", "xi-a-list", "t-nan", "t-infinite", "x-nan"])
+    ["--x", '{"model": "H2", "coords": [0, 1], "junk": 1}'],
+    ["--xi", '{"model": "H2xR", "xi": 5.0, "alpha": 1.5707963267948966}',
+     "--x", '{"model": "H2xR", "coords": [0, 1, 0]}',
+     "--z", '{"model": "H2xR", "coords": [1, 2, 0.5]}'],
+], ids=["xi-not-json", "xi-without-coordinate", "xi-a-list", "t-nan", "t-infinite", "x-nan",
+        "x-unknown-key", "h2xr-xi-at-a-pole"])
 def test_oracle_input_exits_2(capsys, flags):
     # the parent exited 1 with a JSONDecodeError, KeyError, TypeError,
-    # TypeError, ZeroDivisionError and TypeError traceback
+    # TypeError, ZeroDivisionError and TypeError traceback; it ignored the
+    # point's unknown key and dropped the horizontal part of the end at a
+    # pole, and exited 0
     args = {"--xi": '{"model": "H2", "xi": 0.5}', "--x": '{"model": "H2", "coords": [0, 1]}',
-            "--z": '{"model": "H2", "coords": [1, 2]}', "--t": "10000", **dict([flags])}
+            "--z": '{"model": "H2", "coords": [1, 2]}', "--t": "10000",
+            **dict(zip(flags[::2], flags[1::2]))}
     assert main(["oracle", "busemann-limit", *(a for kv in args.items() for a in kv)]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -41,6 +41,8 @@ from cat0lab.models import KERNELS
 from cat0lab.oracles import tree_drift_expected, tree_hitting_cylinders, uniform_tree_probs
 from cat0lab.sampling import random_isometry, random_point
 
+from references import cylinder_words
+
 
 def test_drift_deterministic_axial_equals_translation_length():
     g = h2_isometry(2, 0, 0, 0.5)
@@ -135,7 +137,7 @@ def test_hitting_single_atom_unit_mass():
     det = StepDistribution(Model.T4, ((g, 1.0),))
     bins = BinScheme.of(Model.T4, 1)
     hist = hitting_measure(det, t4_point(""), 30, 20, bins, 0)
-    idx = bins.params[1].index("a")
+    idx = cylinder_words(1).index("a")
     assert hist.masses[idx] == 1.0
 
 
@@ -154,7 +156,7 @@ def test_hitting_biased_tree_asymmetry():
                                        (t4_isometry("B"), 1 / 6)))
     bins = BinScheme.of(Model.T4, 1)
     hist = hitting_measure(spec, t4_point(""), 150, 600, bins, 4)
-    words = bins.params[1]
+    words = cylinder_words(1)
     mass_a = hist.masses[words.index("a")]
     mass_inv = hist.masses[words.index("A")]
     assert mass_a > mass_inv + 3 * math.sqrt(0.25 / 600)
@@ -201,7 +203,7 @@ def test_stationarity_exact_tree_measure_small_defect(t4_uniform):
     # the exact hitting measure is stationary; the defect is pure binning error
     cyl = tree_hitting_cylinders(uniform_tree_probs(), 2)
     bins = BinScheme.of(Model.T4, 2)
-    hist = HittingHistogram(bins, tuple(cyl[w] for w in bins.params[1]), 0, 0)
+    hist = HittingHistogram(bins, tuple(cyl[w] for w in cylinder_words(2)), 0, 0)
     assert stationarity_defect(t4_uniform, hist, 48, seed=2) <= 0.03
 
 
@@ -214,7 +216,7 @@ def test_stationarity_biased_tree_oracle():
         (t4_isometry(k), p) for k, p in probs.items()))
     cyl = tree_hitting_cylinders(probs, 2)
     bins = BinScheme.of(Model.T4, 2)
-    hist = HittingHistogram(bins, tuple(cyl[w] for w in bins.params[1]), 0, 0)
+    hist = HittingHistogram(bins, tuple(cyl[w] for w in cylinder_words(2)), 0, 0)
     assert stationarity_defect(spec, hist, 48, seed=2) <= 0.08
 
 
@@ -236,8 +238,8 @@ def test_stationarity_exact_with_conditional_tails():
         b = t4_boundary(w3, tail)
         for g, p in spec.atoms:
             img = apply_boundary(g, b)
-            pushed[bins.params[1].index(word_prefix(img.data, 2))] += mass * p
-    masses = np.array([cyl2[w] for w in bins.params[1]])
+            pushed[cylinder_words(2).index(word_prefix(img.data, 2))] += mass * p
+    masses = np.array([cyl2[w] for w in cylinder_words(2)])
     assert 0.5 * np.abs(pushed - masses).sum() <= 1e-12
 
 
