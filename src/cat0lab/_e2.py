@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from ._random import uniform
-from .errors import UsageError, finite
+from .errors import UsageError, bin_count, finite
 
 TWO_PI = 2.0 * math.pi
 
@@ -173,7 +173,7 @@ def random_boundary(rng) -> float:
 def bin_params(k: int = 16) -> dict:
     if int(k) < 1:
         raise UsageError("a bin scheme needs at least one arc")
-    return {"kind": "angle", "count": int(k)}
+    return {"kind": "angle", "count": bin_count(k)}
 
 
 def bin_index(params, theta: float) -> int:

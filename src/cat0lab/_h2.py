@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from ._random import uniform
-from .errors import DomainError, UsageError, finite, real
+from .errors import DomainError, UsageError, bin_count, finite, real
 
 INF = math.inf
 _TINY = 5e-324  # smallest positive subnormal: floor for imaginary parts
@@ -314,7 +314,7 @@ def random_boundary(rng) -> float:
 def bin_params(k: int = 16) -> dict:
     if int(k) < 1:
         raise UsageError("a bin scheme needs at least one arc")
-    return {"kind": "circle", "count": int(k)}
+    return {"kind": "circle", "count": bin_count(k)}
 
 
 def bin_index(params, xi: float) -> int:

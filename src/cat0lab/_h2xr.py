@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _h2
 from ._random import uniform
-from .errors import UsageError, finite, real
+from .errors import UsageError, bin_count, finite, real
 
 HALF_PI = math.pi / 2.0
 
@@ -206,7 +206,8 @@ def random_boundary(rng):
 def bin_params(k_xi: int = 8, k_alpha: int = 4) -> dict:
     # circle arcs and slope arcs alike: at least one of each
     k_xi, k_alpha = _h2.bin_params(k_xi)["count"], _h2.bin_params(k_alpha)["count"]
-    return {"kind": "product", "k_xi": k_xi, "k_alpha": k_alpha, "count": k_xi * k_alpha + 2}
+    return {"kind": "product", "k_xi": k_xi, "k_alpha": k_alpha,
+            "count": bin_count(k_xi * k_alpha + 2)}
 
 
 def bin_index(params, b) -> int:

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import MAX_BINS, UsageError, bin_count
 
 ALPHABET = "aAbB"
 
@@ -333,9 +333,13 @@ def random_boundary(rng) -> tuple[str, str]:
 
 def bin_params(length: int = 2) -> dict:
     """One bin per reduced word of the length: 4 3^(length - 1), or 1."""
-    if int(length) < 0:
+    length = int(length)
+    if length < 0:
         raise UsageError("a cylinder length must be nonnegative")
-    return {"kind": "cylinder", "length": int(length), "count": 4 * 3 ** int(length) // 3}
+    # once length passes MAX_BINS's bit length, 3^length > 2^length > MAX_BINS,
+    # so the power is never taken past that length
+    count = 4 * 3 ** min(length, MAX_BINS.bit_length()) // 3
+    return {"kind": "cylinder", "length": length, "count": bin_count(count)}
 
 
 # each letter's position among the letters that may follow the previous one

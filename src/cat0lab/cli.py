@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
+from ._random import generator
 from .errors import DistributionError, DomainError, UncertifiedError, UsageError
 from .geometry import model_basepoint
 from .isometry import axis_endpoints, north_south_constant, power
@@ -137,7 +138,7 @@ class ExperimentConfig(NamedTuple):
     m_samples: int
     seed: int
     checkpoints: list[int] | None
-    params: dict  # as the runners read them: numbers, isometries, boundary points
+    params: dict  # as the runners read them: numbers, isometries, boundary points, bins
     raw: dict
 
 
@@ -189,6 +190,8 @@ def load_config(path) -> ExperimentConfig:
         if not isinstance(given, dict) or not given.keys() <= table.keys():
             raise ConfigError(f"params must be an object with keys from {sorted(table)}")
         params = {key: _param(key, given, *spec) for key, spec in table.items()}
+        if "bins" in params:  # built here, so a scheme past MAX_BINS bins fails at load
+            params["bins"] = BinScheme.default(model, params["bins"])
         # the basepoint and every model-tagged param live on the config's model
         tagged = [base]
         for key, spec in table.items():
@@ -242,9 +245,8 @@ def _run_converge(cfg, hypotheses, problems):
 
 def _run_hitting(cfg, hypotheses, problems):
     """hitting, and stationarity, which adds the defect of the same histogram."""
-    bins = BinScheme.default(cfg.model, cfg.params["bins"])
     hist = hitting_measure(cfg.distribution, cfg.basepoint, cfg.n, cfg.m_samples,
-                           bins, cfg.seed)
+                           cfg.params["bins"], cfg.seed)
     results = {"histogram": hist.to_json()}
     if cfg.experiment == "stationarity":
         refinement = cfg.params["refinement_samples"]
@@ -285,9 +287,7 @@ def _run_gap(cfg, hypotheses, problems):
 
 
 def _run_cocycle(cfg, hypotheses, problems):
-    import numpy as np
-
-    rng = np.random.default_rng(cfg.seed)
+    rng = generator(cfg.seed)
     residuals = []
     for _ in range(cfg.params["count"]):
         g1 = random_isometry(cfg.model, rng)

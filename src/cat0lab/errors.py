@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the constructors' `real` and `finite`."""
+"""Exception types shared across the package, the constructors' `real` and
+`finite`, and the bin schemes' `bin_count`."""
 
 import math
 import numbers
@@ -35,3 +36,14 @@ def finite(x) -> float:
     if not math.isfinite(x):
         raise UsageError(f"coordinates must be finite, not {x}")
     return x
+
+
+# a hitting histogram holds one mass per bin: 10**6 bins are 8 MB of counts
+MAX_BINS = 10 ** 6
+
+
+def bin_count(count: int) -> int:
+    """count as an int, or UsageError above MAX_BINS."""
+    if int(count) > MAX_BINS:
+        raise UsageError(f"a bin scheme has at most {MAX_BINS} bins")
+    return int(count)

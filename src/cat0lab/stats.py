@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._random import generator
 from .errors import DomainError, UsageError
 from .geometry import distance, direction, model_basepoint
 from .isometry import apply, apply_boundary, classify, inverse, is_rank_one
@@ -237,7 +238,7 @@ def stationarity_defect(spec: StepDistribution, hist: HittingHistogram,
     kernel = KERNELS[bins.model]
     act, index, sample = kernel.apply_boundary, kernel.bin_index, kernel.bin_sample
     params = bins.params
-    rng = np.random.default_rng(seed)
+    rng = generator(seed)
     pushed = [0.0] * bins.count
     for i, mass in enumerate(hist.masses):
         if mass == 0.0:

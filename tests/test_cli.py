@@ -14,6 +14,7 @@ from cat0lab.cli import (
     main,
     run,
 )
+from cat0lab.errors import MAX_BINS
 
 T4_UNIFORM_DIST = {
     "model": "T4",
@@ -307,16 +308,20 @@ def test_readme_param_table_is_the_experiments_table():
     # README.md lists each experiment's params; a param added, dropped or
     # changed in EXPERIMENTS without the README fails here
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    header = "| experiment | param | kind | least | default |"
+    header = "| experiment | param | kind | least | most | default |"
     rows = text.split(header)[1].split("\n\n")[0].splitlines()[2:]
-    listed = {}
+    listed, most_cells = {}, {}
     for row in rows:
-        experiment, name, kind, least, default = (
+        experiment, name, kind, least, most, default = (
             cell.strip().strip("`") for cell in row.strip("|").split("|"))
         listed[experiment, name] = (
             kind, REQUIRED if default == "required" else json.loads(default),
             json.loads(least) if least else None)
+        most_cells[experiment, name] = most
     table = {(experiment, name): tuple(spec)
              for experiment, (*_, params) in EXPERIMENTS.items()
              for name, spec in params.items()}
     assert listed == table
+    # only the bins params have a most: the bin count of the scheme they build
+    assert {key: most for key, most in most_cells.items() if most} == {
+        (experiment, "bins"): f"{MAX_BINS} bins" for experiment in ("hitting", "stationarity")}

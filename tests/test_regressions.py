@@ -5,7 +5,8 @@ checkpoints, configs that fail mid-sweep, seeds, checkpoints and integer
 params out of range, long H2 products and their JSON round trip, H2
 multiples of the identity whose determinant leaves the float range, the
 Busemann limit oracle at large t, one rank-one audit per run, bin schemes
-with no arcs, constructors given NaN or infinite coordinates, package modules with no scipy import, and a CLI import that
+with no arcs or past the bin cap, constructors given NaN or infinite
+coordinates, package modules with no scipy import, and a CLI import that
 loads no mpmath, fractions or decimal and executes no kernel."""
 
 import ast
@@ -48,6 +49,7 @@ from cat0lab import (
 )
 from cat0lab import _h2, cli, stats
 from cat0lab.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, main
+from cat0lab.errors import MAX_BINS
 from cat0lab.models import identity, isometry_from_json, isometry_key
 from cat0lab.walk import draw_increments
 
@@ -248,9 +250,16 @@ H2_G = {"model": "H2", "payload": {"matrix": [2, 0, 0, 0.5]}}
     {"experiment": "cocycle", "params": {"count": 2.7}},
     {"experiment": "cocycle", "params": {"count": "5"}},
     {"experiment": "hitting", "distribution": H2_DIST, "n": 20, "params": {"bins": True}},
+    {"experiment": "hitting", "model": "T4", "distribution": T4_DIST, "n": 20,
+     "params": {"bins": 30}},
+    {"experiment": "stationarity", "model": "E2", "n": 20, "params": {"bins": 10 ** 9},
+     "distribution": _uniform_dist("E2", [{"angle": 0.0, "v": v} for v in
+                                          ([1, 0], [-1, 0], [0, 1], [0, -1])])},
+    {"experiment": "hitting", "model": "T4", "distribution": T4_DIST, "n": 20,
+     "params": {"bins": 10 ** 9}},
 ], ids=["bins-not-an-integer", "count-zero", "k_count-negative", "samples-zero",
         "count-infinite", "powers-not-an-integer", "cap-not-an-integer", "count-fraction",
-        "count-string", "bins-true"])
+        "count-string", "bins-true", "t4-bins-30", "e2-bins-10**9", "t4-bins-10**9"])
 def test_config_rejects_malformed_integer_params(tmp_path, capsys, fields):
     # the parent exited 1 with a ValueError traceback on bins "x" and with
     # "max() arg is an empty sequence" on count 0, reported "holds": true
@@ -258,7 +267,9 @@ def test_config_rejects_malformed_integer_params(tmp_path, capsys, fields):
     # over no samples on samples 0, and int() of an Infinity raises
     # OverflowError; powers and cap were read only by their runners, and
     # exited 1 with a ValueError traceback; int() truncated count 2.7 to 2
-    # and read "5" as 5 and true as 1
+    # and read "5" as 5 and true as 1; it loaded T4 bins 30 (4 * 3**29 bins),
+    # E2 bins 10**9 (8 GB of counts) and T4 bins 10**9 (whose count is
+    # 3**(10**9)), and built the scheme only in the runner
     _assert_config_error(tmp_path, capsys, fields)
 
 
@@ -541,6 +552,19 @@ def test_bin_schemes_without_arcs_fail_at_construction(make):
     # index_of divides by the arc count, so a scheme needs at least one arc
     with pytest.raises(UsageError):
         make()
+
+
+@pytest.mark.parametrize("model, sizes, count", [
+    (Model.E2, (MAX_BINS,), MAX_BINS), (Model.H2, (MAX_BINS,), MAX_BINS),
+    (Model.T4, (12,), 4 * 3 ** 11), (Model.H2xR, (99_999, 10), 999_992)],
+    ids=["angular", "circle", "cylinders", "product"])
+def test_bin_schemes_past_the_cap_fail_at_construction(model, sizes, count):
+    # a scheme of MAX_BINS bins or fewer is built; one bin more, or one
+    # cylinder length more (4 * 3**12 bins), is refused
+    assert BinScheme.of(model, *sizes).count == count <= MAX_BINS
+    bigger = (*sizes[:-1], sizes[-1] + 1)
+    with pytest.raises(UsageError):
+        BinScheme.of(model, *bigger)
 
 
 NAN, INF = math.nan, math.inf
