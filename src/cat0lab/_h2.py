@@ -594,6 +594,13 @@ def _mp_image(m, det, xr, xim):
     return ((a * xr + b) * (c * xr + d) + a * c * xim * xim) / den, det * xim / den
 
 
+def _mp_at(p, q) -> bool:
+    """Whether the mpf points p and q agree to 1e-30 of their size in each
+    coordinate: a walk back at its start, Z_k = 1, leaves Z_k x this close
+    to x once the integer product of `mp_ray_gaps` has shifted."""
+    return all(abs(u - v) <= 1e-30 * (1 + abs(u) + abs(v)) for u, v in zip(p, q))
+
+
 def _mp_gap(w, t, mp):
     """d(i e^t, w) as 2 asinh(|w - i e^t| / (2 sqrt(e^t Im w))), which keeps
     the digits of a short gap."""
@@ -604,7 +611,7 @@ def _mp_gap(w, t, mp):
 def mp_ray_gaps(mats, increments, x: complex, lam: float, steps, rise: float = 0.0):
     """(gaps, alpha): d(gamma(lam k cos alpha), Z_k x) at the given steps, for
     the ray gamma from x toward direction(x, Z_N x) at the final recorded
-    step N, and the slope alpha = atan2(rise, d(x, Z_N x)) of a product
+    step N (down, should Z_N x be x), and the slope alpha = atan2(rise, d(x, Z_N x)) of a product
     model whose path rises by `rise` in its other factor.
 
     Float64 cannot hold the transverse position of a deep hyperbolic orbit,
@@ -637,8 +644,11 @@ def mp_ray_gaps(mats, increments, x: complex, lam: float, steps, rise: float = 0
         dets = {k: a * d - b * c for k, (a, b, c, d) in kept.items()}
         yr, yi = _mp_image(kept[n], dets[n], xr, xim)
         # S takes xi = direction(x, Z_N x) to infinity and x to i:
-        # S(z) = (-1/(z - xi) - u) / v with u + iv = -1/(x - xi)
-        if abs(yr - xr) > mp.mpf("1e-30") * (1 + abs(xr) + abs(yr)):
+        # S(z) = (-1/(z - xi) - u) / v with u + iv = -1/(x - xi).  A Z_N x at
+        # x has no direction: its ray goes down, xi = x_r
+        if _mp_at((yr, yi), (xr, xim)):
+            xi = xr
+        elif abs(yr - xr) > mp.mpf("1e-30") * (1 + abs(xr) + abs(yr)):
             c = (xr * xr + xim * xim - yr * yr - yi * yi) / (2 * (xr - yr))
             r = mp.sqrt((xr - c) ** 2 + xim * xim)
             xi = c - r if yr < xr else c + r
@@ -654,5 +664,11 @@ def mp_ray_gaps(mats, increments, x: complex, lam: float, steps, rise: float = 0
         with mp.workdps(60):
             alpha = math.atan2(rise, float(_mp_gap(ws[n], 0, mp)))
             cos_a = mp.mpf(math.cos(alpha))
-            gaps = {k: float(_mp_gap(ws[k], mp.mpf(lam) * k * cos_a, mp)) for k in steps}
+            gaps = {}
+            for k in steps:
+                t = mp.mpf(lam) * k * cos_a
+                # a Z_k x at x, S Z_k x at i, is t away: t = lam k cos alpha can
+                # lie halfway between two doubles, and only the exact t, not
+                # the asinh form's, rounds to the even one
+                gaps[k] = float(abs(t) if _mp_at(ws[k], (0, 1)) else _mp_gap(ws[k], t, mp))
     return gaps, alpha

@@ -69,10 +69,17 @@ def cylinder_words(length: int) -> list[str]:
     return [w for w in words if not any(p in w for p in ("aA", "Aa", "bB", "Bb"))]
 
 
+def _mp_at(p, q):
+    """Whether p and q agree to 1e-30 of their size in each coordinate: the
+    rounding of a product back at the identity leaves its image this close."""
+    return all(abs(u - v) <= mp.mpf("1e-30") * (1 + abs(u) + abs(v)) for u, v in zip(p, q))
+
+
 def _mp_direction(xr, xim, yr, yi):
-    """Boundary endpoint (mpf, or float inf) of the ray from x through y."""
+    """Boundary endpoint (mpf, or float inf) of the ray from x through y; a
+    y at x, which gives no direction, takes the downward ray."""
     if abs(yr - xr) <= mp.mpf("1e-30") * (1 + abs(xr) + abs(yr)):
-        return math.inf if yi > xim else xr
+        return math.inf if yi > xim and not _mp_at((yr, yi), (xr, xim)) else xr
     c = (xr * xr + xim * xim - yr * yr - yi * yi) / (2 * (xr - yr))
     r = mp.sqrt((xr - c) ** 2 + xim * xim)
 
@@ -118,6 +125,11 @@ def reference_ray_gaps(mats, increments, x: complex, lam: float, steps, rise: fl
         gaps = {}
         for k in steps:
             wr, wi = images[k]
-            pr, pi = _h2._mp_ray(xr, xim, xi_dir, mp.mpf(lam) * k * cos_a, mp)
+            t = mp.mpf(lam) * k * cos_a
+            if _mp_at((wr, wi), (xr, xim)):
+                # the exact gap, which may lie halfway between two doubles
+                gaps[k] = float(abs(t))
+                continue
+            pr, pi = _h2._mp_ray(xr, xim, xi_dir, t, mp)
             gaps[k] = float(_h2._mp_dist(pr, pi, wr, wi, mp))
         return gaps, alpha

@@ -158,6 +158,30 @@ def test_ray_gaps_equal_the_mpmath_reference(model, data):
         assert got == _h2xr.tracking_gaps(product_atoms, increments, snaps, base, lam)
 
 
+@pytest.mark.parametrize("x", [BASE, complex(-1.4214497012487866, 2.9622400846515253)])
+def test_a_gap_back_at_x_halfway_between_doubles_rounds_to_even(x):
+    # Z_6 is the identity, and 0.05 * 6 lies exactly halfway between 0.3 and
+    # the next double up: a gap evaluated to any finite digits, not exactly,
+    # may land on either side of it
+    increments = np.array([1, 1, 0, 0, 0, 1])
+    gaps, _ = _h2.mp_ray_gaps(WORKLOAD_ATOMS, increments, x, 0.05, [6])
+    assert gaps == {6: 0.30000000000000004}
+    assert (gaps, 0.0) == reference_ray_gaps(WORKLOAD_ATOMS, increments, x, 0.05, [6])
+
+
+def test_a_walk_back_at_its_start_takes_the_downward_ray():
+    # g g g^-1 g^-1 is a scalar matrix, but the 53-bit entries of g outgrow
+    # the product's digits, which leave Z_4 x off x on a side of their own:
+    # a ray toward it went up, where the exact product at 400 digits goes down
+    rng = np.random.default_rng(436146288)
+    atoms = _nondyadic_atoms(rng)
+    x = _h2.random_point(rng)
+    increments = np.array([0, 0, 2, 2])
+    gaps = _h2.mp_ray_gaps(atoms, increments, x, 1.0, [1, 2, 3, 4])
+    assert gaps[0][4] == 4.0
+    assert gaps == reference_ray_gaps(atoms, increments, x, 1.0, [1, 2, 3, 4], dps=400)
+
+
 def test_ray_gaps_of_nondyadic_atoms_at_n_5000_equal_the_reference():
     atoms = _nondyadic_atoms(np.random.default_rng(5))
     increments = np.random.default_rng(7).integers(0, 4, size=5000)
