@@ -80,6 +80,7 @@ from .stats import (
     PiConvergence,
     RankOneAudit,
     cocycle_residual,
+    cocycle_residuals,
     convergence_profile,
     default_checkpoints,
     dirac_concentration,

@@ -102,9 +102,11 @@ def isometry(matrix) -> Mat:
             det = float(Fraction(m[0]) * Fraction(m[3]) - Fraction(m[1]) * Fraction(m[2]))
         if not det > 0:
             raise UsageError("matrix must have positive determinant")
+        # a non-finite entry leaves the determinant NaN or infinite, so only
+        # here can one be left: a NaN fails the test above, an infinity can pass
+        m = tuple(map(finite, m))
     s = 1.0 / math.sqrt(det)
-    # a NaN entry fails the determinant test, but an infinite one can pass it
-    return sign_normalize(tuple(finite(e) * s for e in m))
+    return sign_normalize(tuple(e * s for e in m))
 
 
 def boundary_eq(x1: float, x2: float, tol: float) -> bool:

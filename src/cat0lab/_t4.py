@@ -6,7 +6,8 @@ integers and geodesics are evaluated at integer parameters only.  Boundary
 points are eventually periodic infinite reduced words stored as
 (prefix, period) pairs, built by `boundary(word, periodic)`.  Every word
 the kernel takes or builds is reduced (`point` and `isometry` reduce,
-`boundary` validates), so `mul` cancels only where its two words meet.
+`boundary` validates, the samplers draw reduced words), so `mul` cancels
+only where its two words meet.
 
 This module is the T4 entry of the kernel table in `models.KERNELS`; see
 `_e2` for the shared function names.
@@ -325,8 +326,10 @@ def random_isometry(rng) -> str:
 
 
 def random_boundary(rng) -> tuple[str, str]:
+    # a reduced word and a letter that does not cancel its last one: a valid
+    # pair by construction, so only the prefix's absorption is left to do
     prefix = random_word(rng, int(rng.integers(4, 12)))
-    return boundary(prefix, random_word(rng, 1, prefix)[-1])
+    return absorb_prefix(prefix, random_word(rng, 1, prefix)[-1])
 
 
 # -- hitting bins: the cylinders of the reduced words of one length -------------
@@ -358,12 +361,13 @@ def bin_index(params, b: tuple[str, str]) -> int:
 
 
 def bin_sample(params, i: int, rng) -> tuple[str, str]:
-    # the word of bin i, read back from the digits that bin_index writes
+    # the word of bin i, read back from the digits that bin_index writes, and
+    # a period letter that does not cancel it, as in random_boundary
     length, word = params["length"], ""
     for k in range(length):
         digit = i // 3 ** (length - 1 - k)
         word += _NEXT_LETTERS[word[-1:]][digit % 3 if k else digit]
-    return boundary(word, random_word(rng, 1, word)[-1])
+    return absorb_prefix(word, random_word(rng, 1, word)[-1])
 
 
 # -- orbit walker ---------------------------------------------------------------

@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from ._random import generator
 from .errors import DistributionError, DomainError, UncertifiedError, UsageError
 from .geometry import model_basepoint
 from .isometry import axis_endpoints, north_south_constant, power
@@ -42,7 +41,6 @@ from .boundary import (
     tits_ball_is_trivial,
     tits_distance,
 )
-from .sampling import random_isometry, random_point
 from .models import (
     Model,
     boundary_from_json,
@@ -53,6 +51,7 @@ from .models import (
 )
 from .stats import (
     BinScheme,
+    cocycle_residuals,
     convergence_profile,
     default_checkpoints,
     dirac_concentration,
@@ -62,7 +61,6 @@ from .stats import (
     hypotheses_audit,
     pi_convergence_check,
     stationarity_defect,
-    cocycle_residual,
     theil_sen,
     tracking_error,
 )
@@ -287,14 +285,7 @@ def _run_gap(cfg, hypotheses, problems):
 
 
 def _run_cocycle(cfg, hypotheses, problems):
-    rng = generator(cfg.seed)
-    residuals = []
-    for _ in range(cfg.params["count"]):
-        g1 = random_isometry(cfg.model, rng)
-        g2 = random_isometry(cfg.model, rng)
-        xi = sample_boundary(cfg.model, 1, rng)[0]
-        x = random_point(cfg.model, rng)
-        residuals.append(cocycle_residual(g1, g2, xi, x))
+    residuals = cocycle_residuals(cfg.model, cfg.params["count"], cfg.seed)
     return ({"residuals": residuals, "max_residual": max(residuals)},
             ["case", "residual"], list(enumerate(residuals)))
 

@@ -1,5 +1,5 @@
-"""Seeded random generators for points and isometries, used by the cocycle
-experiment and the property-based checks."""
+"""Seeded random generators for tagged points and isometries, used by the
+property-based checks."""
 
 from __future__ import annotations
 

@@ -1,6 +1,7 @@
 """Estimators and theorem checkers: drift, boundary convergence, hitting
 histograms, stationarity defect, Dirac concentration, horofunction gaps,
-cocycle residuals, geodesic tracking, and the pi-convergence scan.
+cocycle residuals (`cocycle_residuals` draws and checks seeded cases on the
+kernel's values), geodesic tracking, and the pi-convergence scan.
 
 Each path's random stream depends only on (seed, path index), so reports
 are bit-stable for a given seed.  The drift and hitting estimators read
@@ -321,17 +322,30 @@ def horofunction_gap(trace: WalkTrace, xi: BoundaryPoint):
     return float(series.max()), series
 
 
-def cocycle_residual(g1: Isometry, g2: Isometry, xi: BoundaryPoint, x: Point) -> float:
-    """Deviation from h_xi(g1 g2 x) = h_{g1^{-1} xi}(g2 x) + h_xi(g1 x),
-    all with basepoint x; identically zero up to rounding."""
-    kernel = KERNELS[same_model(g1, g2, xi, x)]
-    a, b, p, z = g1.data, g2.data, xi.data, x.data
+def _cocycle_residual(kernel, a, b, p, z) -> float:
     h = kernel.horofunction
     bz = kernel.apply(b, z)
     lhs = float(h(p, z, kernel.apply(a, bz)))
     rhs = float(h(kernel.apply_boundary(kernel.inverse(a), p), z, bz)) + float(
         h(p, z, kernel.apply(a, z)))
     return abs(lhs - rhs)
+
+
+def cocycle_residual(g1: Isometry, g2: Isometry, xi: BoundaryPoint, x: Point) -> float:
+    """Deviation from h_xi(g1 g2 x) = h_{g1^{-1} xi}(g2 x) + h_xi(g1 x),
+    all with basepoint x; identically zero up to rounding."""
+    kernel = KERNELS[same_model(g1, g2, xi, x)]
+    return _cocycle_residual(kernel, g1.data, g2.data, xi.data, x.data)
+
+
+def cocycle_residuals(model: Model, count: int, seed) -> list[float]:
+    """`cocycle_residual` of `count` seeded cases on the kernel's values; each
+    case draws g1, g2, xi and x, in that order, from the one stream of seed."""
+    kernel, rng = KERNELS[model], generator(seed)
+    isometry, boundary, point = kernel.random_isometry, kernel.random_boundary, kernel.random_point
+    # arguments are evaluated, so drawn, from left to right
+    return [_cocycle_residual(kernel, isometry(rng), isometry(rng), boundary(rng), point(rng))
+            for _ in range(count)]
 
 
 def tracking_error(trace: WalkTrace, lam: float):

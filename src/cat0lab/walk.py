@@ -197,7 +197,9 @@ def _uniforms(seed: int, path_index: int, n: int) -> np.ndarray:
 
 
 def draw_increments(spec: StepDistribution, n: int, seed: int, path_index: int = 0) -> np.ndarray:
-    cum = np.cumsum(spec.probabilities)
+    # only the inner boundaries are searched, so the last atom takes every u
+    # above them even when the cumulative sum rounds below 1
+    cum = np.cumsum(spec.probabilities)[:-1]
     u = _uniforms(seed, path_index, n)
     return np.searchsorted(cum, u, side="right").astype(np.int64)
 

@@ -34,6 +34,7 @@ from cat0lab import (
     t4_isometry,
     walk,
 )
+from cat0lab._random import generator
 from cat0lab.geometry import model_basepoint
 from cat0lab.models import KERNELS
 from cat0lab.sampling import random_isometry, random_point
@@ -491,6 +492,22 @@ def _ref_sl2(rng):
     ct, st_, et = math.cos(theta), math.sin(theta), math.exp(t / 2)
     return _h2.mat_mul(_h2.mat_mul((ct, -st_, st_, ct), (et, 0.0, 0.0, 1.0 / et)),
                        (1.0, s, 0.0, 1.0))
+
+
+def test_t4_boundary_samples_are_canonical_and_valid():
+    # the samplers absorb the prefix without validating: each pair they
+    # build must be one that `boundary` accepts and leaves as it is
+    for seed in range(60):
+        rng = generator(seed)
+        for _ in range(20):
+            b = _t4.random_boundary(rng)
+            assert _t4.boundary(*b) == b
+        for length in range(4):
+            params = _t4.bin_params(length)
+            for i in range(params["count"]):
+                b = _t4.bin_sample(params, i, rng)
+                assert _t4.boundary(*b) == b
+                assert _t4.bin_index(params, b) == i
 
 
 def _ref_xi(phi):

@@ -575,6 +575,7 @@ NAN, INF = math.nan, math.inf
     (e2_point, (NAN, 0)), (e2_point, (INF, 0)), (h2xr_point, (0, 1, NAN)),
     (h2_boundary, (NAN,)), (e2_boundary, (NAN,)), (e2_boundary, (INF,)),
     (h2xr_boundary, (NAN, 0.3)), (h2_isometry, (INF, 0, 0, 1)),
+    (_h2.isometry, ((1, -INF, 1, 1),)),
     (e2_isometry, (NAN, (0, 0))), (e2_isometry, (0, (NAN, 0))),
     (h2xr_isometry, ([1, 0, 0, 1], NAN)), (h2xr_isometry, (h2_isometry(1, 0, 0, 1), NAN)),
 ], ids=lambda v: v.__name__ if callable(v) else "")
@@ -583,6 +584,20 @@ def test_constructors_reject_non_finite_coordinates(make, args):
     # constructors, so NaN reaches no estimator
     with pytest.raises(UsageError):
         make(*args)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ((INF, 0, 0, 1), "coordinates must be finite, not inf"),
+    ((1, -INF, 1, 1), "coordinates must be finite, not -inf"),
+    ((-INF, 0, 0, 1), "positive determinant"), ((INF, 1, INF, 1), "positive determinant"),
+    ((0, NAN, 0, 1), "positive determinant"),
+    ((1, "0", 0, 1), "expected a number, not '0'"), ((1, 0, True, 1), "expected a number"),
+])
+def test_h2_isometry_names_what_is_wrong_with_its_entries(entries, message):
+    # an infinite entry with a determinant of inf passes the determinant
+    # test and is named itself; -inf and NaN determinants fail that test
+    with pytest.raises(UsageError, match=message):
+        h2_isometry(*entries)
 
 
 def test_no_package_module_imports_scipy():

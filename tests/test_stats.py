@@ -11,6 +11,7 @@ from cat0lab import (
     StepDistribution,
     boundary_metric,
     cocycle_residual,
+    cocycle_residuals,
     convergence_profile,
     dirac_concentration,
     drift_estimate,
@@ -36,6 +37,7 @@ from cat0lab import (
     theil_sen,
     tracking_error,
 )
+from cat0lab._random import generator
 from cat0lab.errors import UsageError
 from cat0lab.models import KERNELS
 from cat0lab.oracles import tree_drift_expected, tree_hitting_cylinders, uniform_tree_probs
@@ -346,6 +348,21 @@ def test_gap_grows_for_e2_control(e2_centered):
 def test_cocycle_identity_zero():
     e = identity(Model.H2)
     assert cocycle_residual(e, e, h2_boundary(0.3), h2_point(0, 1)) == 0.0
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+@pytest.mark.parametrize("seed", [4, 2 ** 40 + 9])
+@pytest.mark.parametrize("count", [1, 500])
+def test_cocycle_residuals_equal_the_tagged_loop(model, seed, count):
+    # the cases of the cocycle experiment, drawn by the tagged samplers from
+    # one stream in the order g1, g2, xi, x and checked one by one
+    rng = generator(seed)
+    expected = []
+    for _ in range(count):
+        g1, g2 = random_isometry(model, rng), random_isometry(model, rng)
+        xi = sample_boundary(model, 1, rng)[0]
+        expected.append(cocycle_residual(g1, g2, xi, random_point(model, rng)))
+    assert cocycle_residuals(model, count, seed) == expected
 
 
 def test_cocycle_residual_sampled(rng):

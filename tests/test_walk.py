@@ -21,6 +21,7 @@ from cat0lab import (
     t4_point,
     validate_distribution,
 )
+from cat0lab import walk
 from cat0lab.walk import draw_increments
 
 from conftest import standard_h2_pair
@@ -156,3 +157,20 @@ def test_draw_increments_matches_probabilities():
     freqs = np.bincount(inc, minlength=4) / 60000
     for f, p in zip(freqs, (0.5, 1 / 6, 1 / 6, 1 / 6)):
         assert f == pytest.approx(p, abs=3 * math.sqrt(p * (1 - p) / 60000))
+
+
+@pytest.mark.parametrize("probabilities, u", [((0.3, 0.3, 0.4 - 5e-13), 0.9999999999999),
+                                              ((0.1,) * 10, 1 - 2 ** -53)])
+def test_a_uniform_above_a_sum_rounded_below_one_draws_the_last_atom(
+        monkeypatch, probabilities, u):
+    # a distribution may sum to within 1e-12 of 1, so its cumulative sum can
+    # end at or below a uniform draw; that draw belongs to the last atom
+    words = ("a", "A", "b", "B", "ab", "aB", "Ab", "AB", "ba", "bA")
+    spec = StepDistribution(Model.T4, tuple(
+        (t4_isometry(w), p) for w, p in zip(words, probabilities)))
+    assert np.cumsum(probabilities)[-1] <= u
+    monkeypatch.setattr(walk, "_uniforms", lambda seed, path_index, n: np.full(n, u))
+    last = len(probabilities) - 1
+    assert draw_increments(spec, 4, 0).tolist() == [last] * 4
+    trace = sample_walk(spec, t4_point(""), 4, 0)
+    assert trace.point(4) == t4_point(words[last] * 4)
