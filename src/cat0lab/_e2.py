@@ -191,20 +191,24 @@ def bin_sample(params, i: int, rng) -> float:
 def orbit(atoms, base: complex, increments, stored, xi=None):
     """The left product Z_k = Z_{k-1} w_k, kept as (e^{ia}, v): the
     distances d(Z_k x, x) at the steps k of the increasing sequence
-    `stored`, and the reads at step 0 and at those steps: the states, or
-    with a boundary point `xi` the horofunction values h_xi(Z_k x) with
-    basepoint x, taken from each state as `snapshot_horofunction` does."""
+    `stored`, as a float array, and the reads at step 0 and at those steps:
+    a list of the states, or with a boundary point `xi` a float array of the
+    horofunction values h_xi(Z_k x) with basepoint x, taken from each state
+    as `snapshot_horofunction` does."""
     rots = [(complex(math.cos(a), math.sin(a)), v) for a, v in atoms]
     u, w = complex(1.0, 0.0), complex(0.0, 0.0)
-    dists, reads = [], [(u, w) if xi is None else snapshot_horofunction((u, w), base, xi)]
-    ahead = iter(stored)
+    dists = np.empty(len(stored))
+    reads = [None] * (len(stored) + 1) if xi is None else np.empty(len(stored) + 1)
+    reads[0] = (u, w) if xi is None else snapshot_horofunction((u, w), base, xi)
+    j, ahead = 0, iter(stored)
     due = next(ahead, 0)
     for k, i in enumerate(increments, start=1):
         r, v = rots[i]
         u, w = u * r, u * v + w
         if k == due:
-            dists.append(abs(u * base + w - base))
-            reads.append((u, w) if xi is None else snapshot_horofunction((u, w), base, xi))
+            dists[j] = abs(u * base + w - base)
+            j += 1
+            reads[j] = (u, w) if xi is None else snapshot_horofunction((u, w), base, xi)
             due = next(ahead, 0)
     return dists, reads
 

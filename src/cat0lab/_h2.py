@@ -437,16 +437,18 @@ def snapshot_horofunction(st: State, x: complex, xi: float) -> float:
 def orbit(atoms, base: complex, increments, stored, xi=None):
     """The left product Z_k = Z_{k-1} w_k, kept as a power-of-two scaled
     matrix: the distances d(Z_k x, x) at the steps k of the increasing
-    sequence `stored`, and the reads at step 0 and at those steps: the
-    states, or with a boundary point `xi` the horofunction values
-    h_xi(Z_k x) with basepoint x, taken from each state, which is then
-    dropped."""
+    sequence `stored`, as a float array, and the reads at step 0 and at
+    those steps: a list of the states, or with a boundary point `xi` a float
+    array of the horofunction values h_xi(Z_k x) with basepoint x, taken
+    from each state, which is then dropped."""
     frame = point_frame(base)
     period = renorm_period(atoms)
     p, e = IDENTITY, 0
     st = snapshot(p, e)
-    dists, reads = [], [st if xi is None else snapshot_horofunction(st, base, xi)]
-    ahead = iter(stored)
+    dists = np.empty(len(stored))
+    reads = [None] * (len(stored) + 1) if xi is None else np.empty(len(stored) + 1)
+    reads[0] = st if xi is None else snapshot_horofunction(st, base, xi)
+    j, ahead = 0, iter(stored)
     due = next(ahead, 0)
     for k, i in enumerate(increments, start=1):
         p = mat_mul(p, atoms[i])
@@ -454,8 +456,9 @@ def orbit(atoms, base: complex, increments, stored, xi=None):
             p, e = rescale(p, e)
         if k == due:
             st = snapshot(p, e)
-            dists.append(state_dist_to_base(st, frame))
-            reads.append(st if xi is None else snapshot_horofunction(st, base, xi))
+            dists[j] = state_dist_to_base(st, frame)
+            j += 1
+            reads[j] = st if xi is None else snapshot_horofunction(st, base, xi)
             due = next(ahead, 0)
     return dists, reads
 

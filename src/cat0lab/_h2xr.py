@@ -235,28 +235,32 @@ def bin_sample(params, i: int, rng):
 
 def orbit(atoms, base, increments, stored, xi=None):
     """The left product Z_k = Z_{k-1} w_k: the distances d(Z_k x, x) at the
-    steps k of the increasing sequence `stored`, which lie in 1..n, and the
-    reads at step 0 and at those steps: the states (H2 state, height), or
-    with a boundary point `xi` the horofunction values h_xi(Z_k x) with
-    basepoint x.  The H2 factor walks in `_h2`, which reads its states or
-    its own horofunction values; the height is the running sum of the
-    shifts, read at the stored steps."""
-    heights, ahead, due = [], iter(stored), 0
+    steps k of the increasing sequence `stored`, which lie in 1..n, as a
+    float array, and the reads at step 0 and at those steps: a list of the
+    states (H2 state, height), or with a boundary point `xi` a float array
+    of the horofunction values h_xi(Z_k x) with basepoint x.  The H2 factor
+    walks in `_h2`, which reads its states or its own horofunction values;
+    the height is the running sum of the shifts, read at the stored steps."""
+    heights = np.empty(len(stored) + 1)
+    j, ahead, due = 0, iter(stored), 0
     for k, h in enumerate(itertools.accumulate((atoms[i][1] for i in increments),
                                                initial=0.0)):
         if k == due:
-            heights.append(h)
+            heights[j] = h
+            j += 1
             due = next(ahead, -1)
     mats = [g[0] for g in atoms]
     if xi is None:
         dh, states = _h2.orbit(mats, base[0], increments, stored)
-        reads = list(zip(states, heights))
+        reads = list(zip(states, heights.tolist()))
     else:
         # a vertical xi reads no H2 value; the one at infinity is the cheapest
         h2_xi = _h2.INF if xi[0] is None else xi[0]
         dh, values = _h2.orbit(mats, base[0], increments, stored, h2_xi)
-        reads = [_horofunction(xi, v, h) for v, h in zip(values, heights)]
-    return [math.hypot(d, h) for d, h in zip(dh, heights[1:])], reads
+        reads = np.fromiter((_horofunction(xi, v, h) for v, h in zip(values, heights)),
+                            float, len(heights))
+    dists = np.fromiter((math.hypot(d, h) for d, h in zip(dh, heights[1:])), float, len(dh))
+    return dists, reads
 
 
 # Below this many paths, m runs of `orbit` beat one `orbit_paths` (n = 2000).

@@ -376,8 +376,9 @@ def orbit(atoms, base: str, increments, stored, xi=None):
     """The left product Z_k = Z_{k-1} w_k, kept as x^{-1} Z_k x, a reduced
     word on a letter stack: the distances d(Z_k x, x) at the steps k of the
     increasing sequence `stored`, and the reads at step 0 and at those
-    steps: the words, or with a boundary point `xi` the horofunction values
-    h_xi(Z_k x) with basepoint x.  These equal h_eta(x^{-1} Z_k x) with
+    steps: a list of the words, or with a boundary point `xi` a float array
+    of the horofunction values h_xi(Z_k x) with basepoint x; the distances
+    are a float array too.  The values equal h_eta(x^{-1} Z_k x) with
     basepoint the root for eta = x^{-1} xi, i.e. |stack| - 2 `matched`,
     where `matched` counts the initial letters of the stack on the ray of
     eta: a pop below it lowers it, and a push at it extends it when the
@@ -387,8 +388,10 @@ def orbit(atoms, base: str, increments, stored, xi=None):
     eta = None if xi is None else boundary_action(inv_word(base), xi)
     stack: list[str] = []
     matched = -1 if xi is None else 0  # -1 is no stack height: nothing is matched
-    dists, reads = [], ["" if xi is None else 0.0]
-    ahead = iter(stored)
+    dists = np.empty(len(stored))
+    reads = [None] * (len(stored) + 1) if xi is None else np.empty(len(stored) + 1)
+    reads[0] = "" if xi is None else 0.0
+    j, ahead = 0, iter(stored)
     due = next(ahead, 0)
     for k, i in enumerate(increments, start=1):
         for ch, inv in conj[i]:
@@ -401,8 +404,9 @@ def orbit(atoms, base: str, increments, stored, xi=None):
                     matched += 1
                 stack.append(ch)
         if k == due:
-            dists.append(float(len(stack)))
-            reads.append("".join(stack) if xi is None else float(len(stack) - 2 * matched))
+            dists[j] = len(stack)
+            j += 1
+            reads[j] = "".join(stack) if xi is None else len(stack) - 2 * matched
             due = next(ahead, 0)
     return dists, reads
 

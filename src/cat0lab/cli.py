@@ -7,8 +7,9 @@ Usage:
     cat0lab oracle busemann-limit --xi JSON --x JSON --z JSON --t T
 
 Each run writes <outdir>/<experiment>-<seed>/report.json (and series.csv when
-the experiment produces a series).  Reports embed the config echo and the
-hypotheses audit; the timing block is the only non-reproducible field.
+the experiment produces a series, which the report pins by its row count and
+sha256).  Reports embed the config echo and the hypotheses audit; the timing
+block is the only non-reproducible field.
 
 --threads is accepted and ignored: the walk runs in one thread, either one
 path at a time through a per-step Python loop, which holds the GIL, or many
@@ -71,7 +72,7 @@ CONFIG_KEYS = frozenset({"schema", "experiment", "model", "distribution", "basep
                          "m_samples", "seed", "checkpoints", "params"})
 # the experiments whose runners read `checkpoints`; the others reject the key
 CHECKPOINT_EXPERIMENTS = frozenset({"converge", "dirac", "track"})
-REPORT_SCHEMA = "cat0lab/report/v1"
+REPORT_SCHEMA = "cat0lab/report/v2"
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -227,18 +228,15 @@ def _run_drift(cfg, hypotheses, problems):
 
 def _run_converge(cfg, hypotheses, problems):
     checkpoints = cfg.checkpoints or default_checkpoints(cfg.n)
-    paths, tails, rows = [], [], []
+    tails, rows = [], []
     for i in range(cfg.m_samples):
         tr = sample_walk(cfg.distribution, cfg.basepoint, cfg.n, cfg.seed,
                          path_index=i, steps=checkpoints)
         prof = convergence_profile(tr)
-        paths.append({"path": i, "checkpoints": list(prof.checkpoints),
-                      "cauchy_tail": list(prof.cauchy_tail)})
         # a path that never leaves the basepoint has no tail: null, not NaN
         tails.append(prof.cauchy_tail[0] if prof.cauchy_tail else None)
         rows += [(i, k, tail) for k, tail in zip(prof.checkpoints, prof.cauchy_tail)]
-    return ({"paths": paths, "first_tail_per_path": tails},
-            ["path", "checkpoint", "cauchy_tail"], rows)
+    return ({"first_tail_per_path": tails}, ["path", "checkpoint", "cauchy_tail"], rows)
 
 
 def _run_hitting(cfg, hypotheses, problems):
@@ -275,19 +273,18 @@ def _run_dirac(cfg, hypotheses, problems):
 def _run_gap(cfg, hypotheses, problems):
     xi = cfg.params["xi"]
     thin = cfg.params["thin"]
-    tr = sample_walk(cfg.distribution, cfg.basepoint, cfg.n, cfg.seed,
-                     steps=[*range(thin, cfg.n + 1, thin), cfg.n], xi=xi)
+    steps = None if thin == 1 else [*range(thin, cfg.n + 1, thin), cfg.n]
+    tr = sample_walk(cfg.distribution, cfg.basepoint, cfg.n, cfg.seed, steps=steps, xi=xi)
     sup_gap, series = horofunction_gap(tr, xi)
     slope = theil_sen(tr.steps, series) if len(series) > 2 else 0.0
-    steps, gaps = [int(k) for k in tr.steps], [float(v) for v in series]
-    return ({"sup_gap": sup_gap, "steps": steps, "gap_series": gaps,
-             "theil_sen_slope": slope}, ["step", "gap"], zip(steps, gaps))
+    gaps = series.tolist()
+    return ({"sup_gap": sup_gap, "gap_series": gaps, "theil_sen_slope": slope},
+            ["step", "gap"], zip(map(int, tr.steps), gaps))
 
 
 def _run_cocycle(cfg, hypotheses, problems):
     residuals = cocycle_residuals(cfg.model, cfg.params["count"], cfg.seed)
-    return ({"residuals": residuals, "max_residual": max(residuals)},
-            ["case", "residual"], list(enumerate(residuals)))
+    return ({"max_residual": max(residuals)}, ["case", "residual"], list(enumerate(residuals)))
 
 
 def _run_track(cfg, hypotheses, problems):
@@ -411,18 +408,26 @@ def run(cfg: ExperimentConfig, outdir, allow_uncertified: bool = False) -> Path:
     }
     target = Path(outdir) / f"{cfg.experiment}-{cfg.seed}"
     target.mkdir(parents=True, exist_ok=True)
-    path = target / "report.json"
+    path, series = target / "report.json", target / "series.csv"
+    if rows:  # written first, so that the report can pin its bytes
+        import hashlib  # loaded by numpy.random already; not at CLI start
+
+        count = 0
+        with open(series, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow(row)
+                count += 1
+        report["series"] = {"file": series.name, "rows": count,
+                            "sha256": hashlib.sha256(series.read_bytes()).hexdigest()}
     try:
         with open(path, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
     except (TypeError, ValueError):  # a value JSON cannot hold: leave no partial report
         path.unlink(missing_ok=True)
+        series.unlink(missing_ok=True)
         raise
-    if rows:
-        with open(target / "series.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
     return target
 
 

@@ -438,7 +438,12 @@ def theil_sen(xs, ys) -> float:
         slopes.append((ys[i + 1:] - ys[i])[keep] / dx[keep])
     if not (slopes := np.concatenate(slopes)).size:
         raise UsageError("need two points with distinct x")
-    return float(np.median(slopes))
+    # np.median's value, without the numpy.ma import that np.median costs:
+    # the middle slope, or the mean of the two middle ones, and NaN on NaN
+    mid = len(slopes) // 2
+    part = np.partition(slopes, [mid - 1, mid])
+    median = part[mid] if len(slopes) % 2 else (part[mid - 1] + part[mid]) / 2
+    return math.nan if np.isnan(slopes).any() else float(median)
 
 
 # -- hypotheses audit ----------------------------------------------------------------

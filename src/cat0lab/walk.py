@@ -8,12 +8,13 @@ depend on which other paths are sampled, or in which order.
 Each model's walk loop lives in its kernel module: `orbit(atoms, base,
 increments, stored, xi=None)` takes the stored steps as one increasing
 sequence, which it consumes as it walks, and returns the distances
-d(Z_k x, x) at those steps only, and the product states at step 0 and at
-those steps, which `snapshot_point`, `snapshot_horofunction` and
-`snapshot_boundary` read.  Given a boundary point xi it returns the
-horofunction values h_xi(Z_k x) in place of the states, read inside the
-loop (on T4 from the match length of its letter stack, kept as letters
-are pushed and popped), so a dense read keeps no per-step state.
+d(Z_k x, x) at those steps only, as a float array, and the product states
+at step 0 and at those steps, which `snapshot_point`,
+`snapshot_horofunction` and `snapshot_boundary` read.  Given a boundary
+point xi it returns the horofunction values h_xi(Z_k x) in place of the
+states, read inside the loop (on T4 from the match length of its letter
+stack, kept as letters are pushed and popped) into a float array, so a
+dense read holds no Python object per step.
 `sample_walk` stores step 0 and only the steps its reader names: on H2 a
 distance costs more than the step itself.  Readers of many path ends take
 them from `sample_terminals`, which walks the paths together through the
@@ -210,8 +211,9 @@ def sample_walk(spec: StepDistribution, x: Point, n: int, seed: int,
 
     Snapshots (read by `WalkTrace.point`) and distances to the basepoint are
     stored at step 0 and at the named `steps`, each in [0, n]; `None`
-    names every step.  Given a boundary point `xi`, the kernel reads
-    h_xi(Z_k x) at those steps inside its walk loop and no snapshot is
+    names every step, which the kernel then walks through as a range.
+    Given a boundary point `xi`, the kernel reads h_xi(Z_k x) at those
+    steps inside its walk loop, into a float array, and no snapshot is
     kept.  Which steps are stored never changes the walk.
     """
     same_model(spec.isometries[0], x)
@@ -219,22 +221,26 @@ def sample_walk(spec: StepDistribution, x: Point, n: int, seed: int,
         same_model(x, xi)
     if n < 0:
         raise UsageError("walk length must be nonnegative")
-    steps = range(n + 1) if steps is None else sorted({0, *map(int, steps)})
-    if steps[0] < 0 or steps[-1] > n:
-        raise UsageError(f"stored steps must lie in [0, n] = [0, {n}]")
+    if steps is None:
+        stored, steps = range(1, n + 1), np.arange(n + 1)
+    else:
+        stored = sorted({0, *map(int, steps)})
+        if stored[0] < 0 or stored[-1] > n:
+            raise UsageError(f"stored steps must lie in [0, n] = [0, {n}]")
+        stored, steps = stored[1:], np.array(stored, dtype=np.int64)
     increments = draw_increments(spec, n, seed, path_index)
     dists, reads = KERNELS[spec.model].orbit([g.data for g in spec.isometries], x.data,
-                                             increments.tolist(), steps[1:],
+                                             increments.tolist(), stored,
                                              None if xi is None else xi.data)
     return WalkTrace(
         spec=spec,
         basepoint=x,
         increments=increments,
-        steps=np.array(steps, dtype=np.int64),
-        base_distances=np.array([0.0, *dists]),
+        steps=steps,
+        base_distances=np.concatenate(([0.0], dists)),
         snapshots=tuple(reads) if xi is None else (),
         xi=xi,
-        horofunctions=None if xi is None else np.array(reads, dtype=float),
+        horofunctions=None if xi is None else reads,
     )
 
 

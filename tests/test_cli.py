@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -14,6 +16,7 @@ from cat0lab.cli import (
     main,
     run,
 )
+from cat0lab import Model, cocycle_residuals, convergence_profile, sample_walk
 from cat0lab.errors import MAX_BINS
 
 T4_UNIFORM_DIST = {
@@ -51,6 +54,11 @@ def write_config(tmp_path, name, payload):
 
 def read_report(outdir, experiment, seed):
     return json.loads((Path(outdir) / f"{experiment}-{seed}" / "report.json").read_text())
+
+
+def read_series(outdir, experiment, seed):
+    with open(Path(outdir) / f"{experiment}-{seed}" / "series.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_run_drift_t4(tmp_path):
@@ -148,8 +156,8 @@ def test_converge_and_dirac_and_gap_run(tmp_path):
                                                 "n": 200, "m_samples": 5,
                                                 "checkpoints": [100, 150, 200]})
     assert main(["run", str(cfg1), "--outdir", str(out)]) == EXIT_OK
-    rep = read_report(out, "converge", 2)
-    assert len(rep["results"]["paths"]) == 5
+    paths = {row["path"] for row in read_series(out, "converge", 2)}
+    assert len(paths) == 5
 
     cfg2 = write_config(tmp_path, "dirac.json", {**base, "experiment": "dirac",
                                                  "n": 100, "checkpoints": [50, 100]})
@@ -174,6 +182,59 @@ def test_streamed_report_has_the_bytes_of_one_dumped_string(tmp_path):
     text = (target / "report.json").read_text()
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True, allow_nan=False)
     assert len(json.loads(text)["results"]["gap_series"]) == 401
+
+
+def _pinned_series(target):
+    """The rows of a report's series.csv, after checking the report's pin."""
+    data = (target / "series.csv").read_bytes()
+    rows = list(csv.reader(data.decode().splitlines()))
+    pin = json.loads((target / "report.json").read_text())["series"]
+    assert pin == {"file": "series.csv", "rows": len(rows) - 1,
+                   "sha256": hashlib.sha256(data).hexdigest()}
+    return rows[1:]
+
+
+def test_moved_fields_are_the_series_columns(tmp_path):
+    # gap's steps, converge's paths and cocycle's residuals live only in
+    # series.csv; each equals, with ==, the field report.json held under
+    # schema v1, computed here as its runner computed it then
+    base = {"model": "H2", "distribution": H2_CERTIFIED_DIST, "seed": 3}
+    xi = {"model": "H2", "xi": 5.0}
+    cfg = load_config(write_config(tmp_path, "gap.json", {
+        **base, "experiment": "gap", "n": 300, "params": {"xi": xi, "thin": 7}}))
+    target = run(cfg, tmp_path / "out")
+    rows = _pinned_series(target)
+    tr = sample_walk(cfg.distribution, cfg.basepoint, 300, 3,
+                     steps=[*range(7, 301, 7), 300], xi=cfg.params["xi"])
+    assert [int(step) for step, _ in rows] == [int(k) for k in tr.steps]
+    results = read_report(tmp_path / "out", "gap", 3)["results"]
+    assert "steps" not in results
+    assert [float(gap) for _, gap in rows] == results["gap_series"]
+
+    checkpoints = [60, 120, 180, 200]
+    cfg = load_config(write_config(tmp_path, "conv.json", {
+        **base, "experiment": "converge", "n": 200, "m_samples": 4,
+        "checkpoints": checkpoints}))
+    rows = _pinned_series(run(cfg, tmp_path / "out"))
+    paths = []
+    for i in range(4):
+        prof = convergence_profile(sample_walk(cfg.distribution, cfg.basepoint, 200, 3,
+                                               path_index=i, steps=checkpoints))
+        paths.append({"path": i, "checkpoints": list(prof.checkpoints),
+                      "cauchy_tail": list(prof.cauchy_tail)})
+    read_back = [{"path": i, "checkpoints": [int(k) for p, k, _ in rows if int(p) == i],
+                  "cauchy_tail": [float(t) for p, _, t in rows if int(p) == i]}
+                 for i in range(4)]
+    assert read_back == paths
+    assert "paths" not in read_report(tmp_path / "out", "converge", 3)["results"]
+
+    cfg = load_config(write_config(tmp_path, "coc.json", {
+        "experiment": "cocycle", "model": "H2", "seed": 3, "params": {"count": 40}}))
+    rows = _pinned_series(run(cfg, tmp_path / "out"))
+    assert [float(r) for _, r in rows] == cocycle_residuals(Model.H2, 40, 3)
+    assert [int(case) for case, _ in rows] == list(range(40))
+    results = read_report(tmp_path / "out", "cocycle", 3)["results"]
+    assert results == {"max_residual": max(float(r) for _, r in rows)}
 
 
 def test_non_finite_result_leaves_no_report(tmp_path, monkeypatch):

@@ -94,7 +94,7 @@ def _check_diagonal_walk(k, n):
     for i in (0, 1):
         steps = [i] * n
         dists, _ = _h2.orbit(atoms, BASE, steps, range(1, n + 1))
-        assert dists == pytest.approx(expected, rel=1e-15)
+        assert dists.tolist() == pytest.approx(expected, rel=1e-15)
         dists, _ = _h2.orbit_paths(atoms, BASE, np.array([steps, steps]).T)
         assert dists == pytest.approx(expected[-1:] * 2, rel=1e-15)
 
@@ -122,7 +122,7 @@ def test_atoms_near_1e150_walk_without_overflow():
     for path, batched in zip(increments.T.tolist(), dists):
         exact = exact_distance(atoms, path)
         single, _ = _h2.orbit(atoms, BASE, path, [len(path)])
-        assert math.isfinite(batched) and single == [batched]
+        assert math.isfinite(batched) and single.tolist() == [batched]
         assert abs(batched - exact) <= REL_TOL * exact
 
 

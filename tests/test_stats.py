@@ -490,6 +490,22 @@ def _theil_sen_by_list(xs, ys):
     return float(np.median(slopes))
 
 
+@pytest.mark.parametrize("ys", [
+    [0.0, 1.0, 5.0],  # 3 slopes: the middle one
+    [0.0, 1.0, 5.0, 2.0],  # 6 slopes: the mean of the two middle ones
+    [0.3, -1.7, 2.9, 0.1, 4.4, -2.2, 1.0, 0.7],  # 28 slopes
+    [0.3, -1.7, 2.9, 0.1, 4.4, -2.2, 1.0, 0.7, 1.9],  # 36 slopes
+    [0.0, 1.0, 2.0, 3.0, 3.0],  # ties: seven of the ten slopes are 1
+    [0.0, 1.0, 1.0, 1.0],  # ties across the two middle slopes
+    [0.0, math.nan, 2.0, 3.0],  # NaN slopes give NaN
+], ids=["odd", "even", "even-28", "even-36", "ties", "tied-middle", "nan"])
+def test_theil_sen_median_is_numpys_median(ys):
+    xs = np.arange(len(ys), dtype=float)
+    expected = _theil_sen_by_list(xs, ys)
+    got = theil_sen(xs, ys)
+    assert got == expected or math.isnan(got) and math.isnan(expected)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_theil_sen_is_the_median_of_the_slope_list(seed):
     # repeated x drop their pairs; the longer series are strided first

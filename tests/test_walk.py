@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from cat0lab import (
     compose,
     distance,
     e2_isometry,
+    h2_boundary,
     h2_point,
     identity,
     inverse,
     points_equal,
     sample_walk,
+    t4_boundary,
     t4_isometry,
     t4_point,
     validate_distribution,
@@ -174,3 +177,23 @@ def test_a_uniform_above_a_sum_rounded_below_one_draws_the_last_atom(
     assert draw_increments(spec, 4, 0).tolist() == [last] * 4
     trace = sample_walk(spec, t4_point(""), 4, 0)
     assert trace.point(4) == t4_point(words[last] * 4)
+
+
+@pytest.mark.parametrize("model", [Model.H2, Model.T4], ids=lambda m: m.value)
+def test_dense_read_toward_xi_holds_no_python_object_per_step(model, h2_spec, t4_uniform):
+    # the increments, the steps, the distances and the horofunction values
+    # are float and integer arrays: a per-step list of Python floats alone
+    # would cost 32 bytes a step
+    n = 100_000
+    if model is Model.H2:
+        spec, x, xi = h2_spec, h2_point(0, 1), h2_boundary(5.0)
+    else:
+        spec, x, xi = t4_uniform, t4_point(""), t4_boundary("ab", "a")
+    tracemalloc.start()
+    try:
+        tr = sample_walk(spec, x, n, 3, steps=None, xi=xi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tr.horofunctions) == n + 1
+    assert peak <= 80 * n
