@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from cat0lab import Model, cocycle_residuals, convergence_profile, sample_walk
 from cat0lab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -16,7 +17,6 @@ from cat0lab.cli import (
     main,
     run,
 )
-from cat0lab import Model, cocycle_residuals, convergence_profile, sample_walk
 from cat0lab.errors import MAX_BINS
 
 T4_UNIFORM_DIST = {
@@ -54,11 +54,6 @@ def write_config(tmp_path, name, payload):
 
 def read_report(outdir, experiment, seed):
     return json.loads((Path(outdir) / f"{experiment}-{seed}" / "report.json").read_text())
-
-
-def read_series(outdir, experiment, seed):
-    with open(Path(outdir) / f"{experiment}-{seed}" / "series.csv", newline="") as fh:
-        return list(csv.DictReader(fh))
 
 
 def test_run_drift_t4(tmp_path):
@@ -156,7 +151,7 @@ def test_converge_and_dirac_and_gap_run(tmp_path):
                                                 "n": 200, "m_samples": 5,
                                                 "checkpoints": [100, 150, 200]})
     assert main(["run", str(cfg1), "--outdir", str(out)]) == EXIT_OK
-    paths = {row["path"] for row in read_series(out, "converge", 2)}
+    paths = {path for path, _, _ in _pinned_series(out / "converge-2")}
     assert len(paths) == 5
 
     cfg2 = write_config(tmp_path, "dirac.json", {**base, "experiment": "dirac",
